@@ -8,10 +8,7 @@ verbatim in traces, reports and rendered output.
 
 CITATIONS = {
     # scalar machinery
-    "casimir-eigenvalue": "Eq. (casimir)",
-    "casimir-normalization": "Lemma casimir2",
     "conformal-weights": "Cor. confW, Eq. (bi)",
-    "weitzenboeck-formula": "Eq. (weizen3)",
     "printed-formula": "Prop. final1 / Prop. final2",
     # q(R) registry
     "qr-registry": "Cor. ricci",

@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import prover, selftest, weitzenboeck
-from .contexts import form_space, load_registry, make_context
+from .contexts import form_space, load_registry, make_context, normalize_context_id
 from .decompose import Decomposition, exterior_power, tensor
 from .errors import HoloweitzError
 from .fmt import fmt_q
@@ -67,12 +67,12 @@ def _algebra(parser: argparse.ArgumentParser, raw: str):
 
 
 def _context(parser: argparse.ArgumentParser, args) -> "make_context":
-    extra = ()
-    registry_path = getattr(args, "registry", None)
-    if registry_path:
-        grouped = load_registry(registry_path)
-        extra = grouped.get(args.holonomy, ())
     try:
+        extra = ()
+        registry_path = getattr(args, "registry", None)
+        if registry_path:
+            grouped = load_registry(registry_path)
+            extra = grouped.get(normalize_context_id(args.holonomy), ())
         return make_context(args.holonomy, extra)
     except HoloweitzError as exc:
         parser.error(str(exc))

@@ -168,11 +168,18 @@ def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:
     "citation": "<string>"}, ...]}.  Returns entries grouped by
     normalized context id.
     """
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise UnsupportedContext(f"cannot read registry file {path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise UnsupportedContext(f"registry file {path} must contain an 'entries' list")
     grouped: dict[str, list[RegistryEntry]] = {}
     for rec in data["entries"]:
+        if not isinstance(rec, dict) or not {"context", "highest_weight"} <= rec.keys():
+            raise UnsupportedContext(
+                f"registry entry {rec} must have 'context' and 'highest_weight'"
+            )
         ctx_id = normalize_context_id(str(rec["context"]))
         hw = rec["highest_weight"]
         if not isinstance(hw, list) or any(not isinstance(c, int) or c < 0 for c in hw):

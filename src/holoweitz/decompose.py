@@ -1,16 +1,18 @@
 """Tensor products, exterior powers and character decomposition.
 
-Tensor products use Klimyk's reflection rule, iterating over the weight
-multiset of the smaller factor.  Exterior powers enumerate p-element
+All three run on integer Dynkin labels (see :mod:`roots`).  Tensor
+products use Klimyk's reflection rule over the Weyl orbits of the
+smaller factor's dominant weights.  Exterior powers enumerate p-element
 subset sums of the weight multiset directly; this is exact and fast at
 the scale of the supported holonomy representations (n <= 8) but grows
-as C(n, p), so it is not intended for n much beyond 14.
+as C(n, p), so it is not intended for n much beyond 14.  Characters are
+split by greedy highest-weight extraction.  Only the input of
+:func:`decompose_character` is in ambient coordinates.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,8 +24,8 @@ from .errors import (
     MixedRootSystems,
     NotACharacter,
 )
-from .irreps import Irrep, dimension, full_weights, weight_system
-from .roots import RootSystem, Weight, to_dominant_chamber, vadd, vsub
+from .irreps import Irrep, dimension, dominant_multiplicities, weight_labels
+from .roots import Labels, RootSystem, Weight
 
 
 @dataclass(frozen=True)
@@ -69,23 +71,21 @@ def _make_decomposition(rs: RootSystem, acc: dict[tuple[int, ...], int]) -> Deco
     return Decomposition(tuple(entries))
 
 
-def _klimyk_expand(anchor: Irrep, expanded: Irrep) -> dict[tuple[int, ...], int]:
+def _klimyk_expand(anchor: Irrep, expanded: Irrep) -> dict[Labels, int]:
     """Klimyk accumulation: anchor highest weight + weights of ``expanded``.
 
-    For each weight nu of ``expanded`` (with multiplicity), reflect
-    lambda + nu + rho into the dominant chamber, drop singular points and
-    accumulate the reflection parity on the irrep at (dominant - rho).
+    For each weight nu of ``expanded``, reflect lambda + nu + rho into the
+    dominant chamber, drop singular points and accumulate the reflection
+    parity, times the multiplicity of nu, on the irrep at (dominant - rho).
     """
     rs = anchor.root_system
-    lam_rho = vadd(anchor.hw_orthogonal, rs.rho)
-    acc: Counter[tuple[int, ...]] = Counter()
-    for nu in full_weights(expanded):
-        dom, parity, singular = to_dominant_chamber(rs, vadd(lam_rho, nu))
-        if singular:
-            continue
-        mu = vsub(dom, rs.rho)
-        fund = tuple(int(c) for c in roots.to_fundamental(rs, mu))
-        acc[fund] += parity
+    lam_rho = tuple(c + 1 for c in anchor.highest_weight)
+    acc: Counter[Labels] = Counter()
+    for mu, m in dominant_multiplicities(expanded).items():
+        for nu in roots.orbit(rs, mu):
+            dom, word = roots.dominant(rs, [a + b for a, b in zip(lam_rho, nu)])
+            if 0 not in dom:
+                acc[tuple(c - 1 for c in dom)] += -m if len(word) % 2 else m
     for hw, m in acc.items():
         if m < 0:
             raise InternalNegativeMultiplicity(
@@ -111,48 +111,57 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
 def decompose_character(rs: RootSystem, char: dict[Weight, int]) -> Decomposition:
     """Decompose a character given by its dominant weight multiplicities.
 
-    Greedy highest-weight extraction: repeatedly take the maximal
-    remaining dominant weight by (height, lex), subtract that irrep's
-    dominant weight system scaled by the current multiplicity.
+    The weights are ambient vectors; see :func:`_extract`.
     """
+    labels: Counter[Labels] = Counter()
+    for w, m in char.items():
+        fund = roots.to_fundamental(rs, w)
+        if any(c.denominator != 1 for c in fund):
+            raise NotACharacter(f"{w} is not an integral weight")
+        labels[tuple(map(int, fund))] += m
+    return _extract(rs, labels)
+
+
+def _extract(rs: RootSystem, char: dict[Labels, int]) -> Decomposition:
+    """Greedy highest-weight extraction on dominant weights in Dynkin labels.
+
+    Repeatedly take a remaining weight of largest (mu, rho), which is
+    maximal, and subtract that irrep's dominant multiplicities scaled by
+    the current multiplicity.
+    """
+    rho = (1,) * rs.rank
     remaining = {w: m for w, m in char.items() if m != 0}
-    acc: list[tuple[Irrep, int]] = []
+    acc: dict[Labels, int] = {}
     while remaining:
-        top = max(remaining, key=lambda w: roots.weight_sort_key(rs, w))
+        top = max(remaining, key=lambda w: roots.dot(rs, w, rho))
         m = remaining[top]
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at {top}")
-        fund = tuple(int(c) for c in roots.to_fundamental(rs, top))
-        irr = Irrep(rs, fund)
-        for w, mw in weight_system(irr).items():
+        for w, mw in dominant_multiplicities(Irrep(rs, top)).items():
             left = remaining.get(w, 0) - m * mw
             if left:
                 remaining[w] = left
             else:
                 remaining.pop(w, None)
-        acc.append((irr, m))
-    acc.sort(key=lambda em: sort_key(em[0]))
-    return Decomposition(tuple(acc))
+        acc[top] = m
+    return _make_decomposition(rs, acc)
 
 
 @lru_cache(maxsize=None)
 def exterior_power(t: Irrep, p: int) -> Decomposition:
     """Decomposition of the p-th exterior power of an irrep.
 
-    Expands the full weight multiset, forms all p-element subset sums,
-    keeps the dominant ones as a character and extracts irreps greedily.
+    Forms all p-element subset sums of the weight multiset, keeps the
+    dominant ones as a character and extracts irreps greedily.
     """
     n = dimension(t)
     if not 0 <= p <= n:
         raise DegreeOutOfRange(f"degree {p} outside [0, {n}]")
     rs = t.root_system
-    weights = full_weights(t)
-    char: Counter[Weight] = Counter()
-    zero = (Fraction(0),) * rs.dim
-    for subset in combinations(range(n), p):
-        s = zero
-        for i in subset:
-            s = vadd(s, weights[i])
-        if roots.is_dominant(rs, s):
+    zero = (0,) * rs.rank
+    char: Counter[Labels] = Counter()
+    for subset in combinations(weight_labels(t), p):
+        s = tuple(map(sum, zip(zero, *subset)))
+        if min(s) >= 0:
             char[s] += 1
-    return decompose_character(rs, dict(char))
+    return _extract(rs, char)

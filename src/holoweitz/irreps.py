@@ -1,9 +1,15 @@
 """Irreducible highest-weight representations.
 
-Dimensions come from the Weyl dimension formula, weight multiplicities
-from the Freudenthal recursion, Casimir eigenvalues from the highest
-weight.  The sign convention is Cas = sum X_i^2, so Casimir eigenvalues
-are negative (zero only on the trivial representation).
+Highest weights and every weight computed from them are tuples of
+integer Dynkin labels (see :mod:`roots`).  Dimensions come from the Weyl
+dimension formula, weight multiplicities from the Freudenthal recursion
+over the dominant closure of the highest weight, Casimir eigenvalues
+from the highest weight.  Ambient coordinates appear only at the API
+edge: ``Irrep.hw_orthogonal``, the keys of :func:`weight_system` and
+:func:`full_weights`.
+
+The sign convention is Cas = sum X_i^2, so Casimir eigenvalues are
+negative (zero only on the trivial representation).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 
 from . import roots
 from .errors import MixedRootSystems, TrivialHolonomyRep
-from .roots import RootSystem, Weight, inner, vadd, vscale, vsub
+from .roots import Labels, RootSystem, Weight, dot
 
 WeightSystem = dict[Weight, int]
 
@@ -53,132 +59,128 @@ def trivial_irrep(rs: RootSystem) -> Irrep:
 
 def adjoint_irrep(rs: RootSystem) -> Irrep:
     """Irrep with the highest root as highest weight."""
-    fund = roots.to_fundamental(rs, roots.highest_root(rs))
-    return Irrep(rs, tuple(int(c) for c in fund))
+    return Irrep(rs, rs.positive_labels[-1])
 
 
 @lru_cache(maxsize=None)
 def dimension(irrep: Irrep) -> int:
     """Weyl dimension formula: prod over positive roots of (l+rho,a)/(rho,a)."""
     rs = irrep.root_system
-    lam_rho = vadd(irrep.hw_orthogonal, rs.rho)
-    value = Fraction(1)
-    for a in rs.positive_roots:
-        value *= inner(rs, lam_rho, a) / inner(rs, rs.rho, a)
-    if value.denominator != 1:
-        raise RuntimeError(f"Weyl dimension of {irrep} is not an integer: {value}")
-    return int(value)
+    lam_rho = tuple(c + 1 for c in irrep.highest_weight)
+    rho = (1,) * rs.rank
+    num = den = 1
+    for a in rs.positive_labels:
+        num *= dot(rs, lam_rho, a)
+        den *= dot(rs, rho, a)
+    value, rest = divmod(num, den)
+    if rest:
+        raise RuntimeError(f"Weyl dimension of {irrep} is not an integer: {num}/{den}")
+    return value
 
 
-def _dominant_weights_below(rs: RootSystem, lam: Weight) -> list[tuple[Weight, int]]:
-    """Dominant weights mu <= lam, with depth = height(lam - mu).
+def _dominant_closure(rs: RootSystem, lam: Labels) -> list[Labels]:
+    """Dominant weights of the irrep with highest weight ``lam``, highest first.
 
-    Searches lam - (nonnegative span of simple roots) pruned to the ball
-    ||mu + rho||^2 <= ||lam + rho||^2, which contains every weight of the
-    irrep; the search graph restricted to the ball is connected through
-    the weight system, so no dominant weight is missed.
+    The closure of lam under mu -> mu - a (a > 0), kept dominant, is every
+    dominant mu <= lam, since dominant weights below one another are joined
+    by positive roots (Stembridge, Adv. Math. 136, 1998).  The order is by
+    decreasing (mu, rho), so every weight comes after all weights above it.
     """
-    lam_rho = vadd(lam, rs.rho)
-    bound = inner(rs, lam_rho, lam_rho)
     seen = {lam}
     frontier = [lam]
-    found: list[tuple[Weight, int]] = []
-    depth = {lam: 0}
     while frontier:
         nxt = []
-        for v in frontier:
-            if roots.is_dominant(rs, v):
-                found.append((v, depth[v]))
-            for a in rs.simple_roots:
-                u = vsub(v, a)
-                if u in seen:
-                    continue
-                u_rho = vadd(u, rs.rho)
-                if inner(rs, u_rho, u_rho) <= bound:
-                    seen.add(u)
-                    depth[u] = depth[v] + 1
-                    nxt.append(u)
+        for mu in frontier:
+            for a in rs.positive_labels:
+                nu = tuple(m - x for m, x in zip(mu, a))
+                if min(nu) >= 0 and nu not in seen:
+                    seen.add(nu)
+                    nxt.append(nu)
         frontier = nxt
-    found.sort(key=lambda item: (item[1], item[0]))
-    return found
+    rho = (1,) * rs.rank
+    return sorted(seen, key=lambda mu: -dot(rs, mu, rho))
 
 
 @lru_cache(maxsize=None)
-def weight_system(irrep: Irrep) -> WeightSystem:
+def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     """Multiplicities of the dominant weights, by the Freudenthal recursion.
 
     m(mu) * (||lam+rho||^2 - ||mu+rho||^2)
         = 2 * sum_{a>0} sum_{k>=1} m(mu + k a) * (mu + k a, a)
 
-    evaluated in order of increasing depth below the highest weight.
-    Only dominant weights are stored; multiplicities at arbitrary points
-    follow by Weyl invariance (see :func:`multiplicity`).
+    evaluated over the dominant closure, highest first; m(mu + k a) is
+    read at the dominant representative of mu + k a.
     """
     rs = irrep.root_system
-    lam = irrep.hw_orthogonal
-    lam_rho = vadd(lam, rs.rho)
-    lam_rho_sq = inner(rs, lam_rho, lam_rho)
+    lam = irrep.highest_weight
 
-    mult: WeightSystem = {}
-    for mu, depth in _dominant_weights_below(rs, lam):
-        if depth == 0:
-            mult[mu] = 1
-            continue
-        mu_rho = vadd(mu, rs.rho)
-        denom = lam_rho_sq - inner(rs, mu_rho, mu_rho)
-        total = Fraction(0)
-        for a in rs.positive_roots:
-            k = 1
-            while True:
-                nu = vadd(mu, vscale(k, a))
-                dom, _, _ = roots.to_dominant_chamber(rs, nu)
-                m = mult.get(dom, 0)
-                if m == 0:
-                    break  # weight strings have no gaps above mu
-                total += m * inner(rs, nu, a)
-                k += 1
-        value = 2 * total / denom
-        if value.denominator != 1 or value <= 0:
-            raise RuntimeError(f"Freudenthal failed at {mu} for {irrep}: {value}")
-        mult[mu] = int(value)
+    def norm(mu: Labels) -> int:
+        mu_rho = tuple(c + 1 for c in mu)
+        return dot(rs, mu_rho, mu_rho)
+
+    top = norm(lam)
+    mult = {lam: 1}
+    for mu in _dominant_closure(rs, lam)[1:]:
+        total = 0
+        for a in rs.positive_labels:
+            nu = tuple(m + x for m, x in zip(mu, a))
+            while m := mult.get(roots.dominant(rs, nu)[0], 0):
+                total += m * dot(rs, nu, a)
+                nu = tuple(n + x for n, x in zip(nu, a))
+        value, rest = divmod(2 * total, top - norm(mu))
+        if rest or value <= 0:
+            raise RuntimeError(
+                f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{top - norm(mu)}"
+            )
+        mult[mu] = value
     return mult
 
 
-def multiplicity(irrep: Irrep, w: Weight) -> int:
-    """Multiplicity of an arbitrary weight (0 if not a weight of the irrep)."""
-    dom, _, _ = roots.to_dominant_chamber(irrep.root_system, w)
-    return weight_system(irrep).get(dom, 0)
+@lru_cache(maxsize=None)
+def weight_system(irrep: Irrep) -> WeightSystem:
+    """Dominant weight multiplicities keyed by ambient coordinates.
+
+    Multiplicities at arbitrary points follow by Weyl invariance.
+    """
+    rs = irrep.root_system
+    return {roots.to_orthogonal(rs, mu): m for mu, m in dominant_multiplicities(irrep).items()}
+
+
+def weight_labels(irrep: Irrep) -> list[Labels]:
+    """The complete weight multiset in Dynkin labels.
+
+    Deterministic order: dominant weights highest first (by (mu, rho)),
+    each Weyl orbit sorted, repeated by multiplicity.
+    """
+    rs = irrep.root_system
+    return [
+        nu
+        for mu, m in dominant_multiplicities(irrep).items()
+        for nu in sorted(roots.orbit(rs, mu))
+        for _ in range(m)
+    ]
 
 
 @lru_cache(maxsize=None)
 def full_weights(irrep: Irrep) -> tuple[Weight, ...]:
-    """The complete weight multiset, expanded over Weyl orbits.
-
-    Deterministic order: dominant representatives by (height, lex), each
-    orbit sorted lexicographically, repeated by multiplicity.  Length
-    equals dimension(irrep).
-    """
+    """:func:`weight_labels` in ambient coordinates; length dimension(irrep)."""
     rs = irrep.root_system
-    out: list[Weight] = []
-    for dom, m in sorted(
-        weight_system(irrep).items(), key=lambda kv: roots.weight_sort_key(rs, kv[0])
-    ):
-        orbit = sorted(roots.weyl_orbit(rs, dom))
-        for w in orbit:
-            out.extend([w] * m)
+    labels = weight_labels(irrep)
+    ambient = {nu: roots.to_orthogonal(rs, nu) for nu in set(labels)}
+    out = tuple(ambient[nu] for nu in labels)
     if len(out) != dimension(irrep):
         raise RuntimeError(
             f"weight multiset of {irrep} has {len(out)} entries, "
             f"expected {dimension(irrep)}"
         )
-    return tuple(out)
+    return out
 
 
 def casimir_base(irrep: Irrep) -> Fraction:
     """Casimir eigenvalue -(lam, lam + 2 rho) under the root system's base form."""
     rs = irrep.root_system
-    lam = irrep.hw_orthogonal
-    return -inner(rs, lam, vadd(lam, vscale(2, rs.rho)))
+    lam = irrep.highest_weight
+    return -rs.form_scale * dot(rs, lam, tuple(c + 2 for c in lam))
 
 
 def casimir_lambda2_ratio(t: Irrep, dim_g: int, irrep: Irrep) -> Fraction:

@@ -1,10 +1,20 @@
 """Exact root-system geometry for the simple types A, B, C, D and G2.
 
-Weights are tuples of ``fractions.Fraction`` in the coordinates of the
-ambient space: standard e-coordinates for A/B/C/D, and simple-root
-coordinates for G2.  The bilinear form is carried explicitly as a Gram
-matrix (``base_form``), so the G2 model can realize the normalization
-(w1, w1) = 1, (w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.
+Internally a weight is a tuple of integer Dynkin labels, its coordinates
+with respect to the fundamental weights.  The simple reflection s_i is
+``mu - mu[i] * cartan_matrix[i]``, a weight is dominant when
+``min(mu) >= 0`` and rho is the all-ones tuple.  Inner products use
+``gram``, the Gram matrix of the fundamental weights scaled to integers;
+the invariant form itself is ``form_scale * gram``.
+
+Ambient coordinates, tuples of ``fractions.Fraction``, appear only at the
+API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
+for G2, with the form carried as an explicit Gram matrix (``base_form``),
+so the G2 model can realize the normalization (w1, w1) = 1,
+(w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The ambient
+functions (``inner``, ``reflect``, ``to_dominant_chamber``,
+``weyl_orbit``) work through the labels and carry any component of the
+input orthogonal to the root span through unchanged.
 
 All values are immutable after construction and every function is pure.
 """
@@ -14,11 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotDominant, UnsupportedType
 
 Weight = tuple[Fraction, ...]
+Labels = tuple[int, ...]
 
 _SUPPORTED = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 
@@ -27,26 +39,14 @@ def vector(coords: Iterable) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-def vadd(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u: Weight) -> Weight:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """One simple type: roots, invariant form and derived data.
 
-    ``cartan_matrix[i][j] = 2(a_i, a_j)/(a_j, a_j)`` and ``rho`` is the
-    half-sum of the positive roots (equivalently the sum of the
-    fundamental weights; construction checks both agree).
+    ``cartan_matrix[i][j] = 2(a_i, a_j)/(a_j, a_j)``, so row i holds the
+    Dynkin labels of the simple root a_i.  ``rho`` is the half-sum of the
+    positive roots (equivalently the sum of the fundamental weights;
+    construction checks both agree).
     """
 
     family: str
@@ -54,16 +54,14 @@ class RootSystem:
     simple_roots: tuple[Weight, ...]
     fundamental_weights: tuple[Weight, ...]
     positive_roots: tuple[Weight, ...]
-    cartan_matrix: tuple[tuple[int, ...], ...]
+    cartan_matrix: tuple[Labels, ...]
     base_form: tuple[tuple[Fraction, ...], ...]
     rho: Weight
-    # inverse Gram matrix of the simple roots; expresses a vector of the
-    # root span in simple-root coefficients (used for heights)
-    _root_coeff: tuple[tuple[Fraction, ...], ...]
-    # per simple root: sparse (index, coeff) pairs with
-    # pairing(w, i) = sum w[j] * coeff; derived from base_form and
-    # invariant under uniform rescaling of it
-    _pairing_data: tuple[tuple[tuple[int, Fraction], ...], ...]
+    # the positive roots in Dynkin labels, in the order of positive_roots
+    positive_labels: tuple[Labels, ...]
+    # (w_i, w_j) = form_scale * gram[i][j] for the fundamental weights
+    gram: tuple[Labels, ...]
+    form_scale: Fraction
 
     @property
     def dim(self) -> int:
@@ -74,69 +72,94 @@ class RootSystem:
         return f"RootSystem({self.family}{self.rank})"
 
 
-@lru_cache(maxsize=None)
-def _identity_form(dim: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)
-    )
+def dot(rs: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
+    """Inner product of two weights in Dynkin labels, divided by form_scale."""
+    return sum(a * sum(g * b for g, b in zip(row, v)) for a, row in zip(u, rs.gram))
+
+
+def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, tuple[int, ...]]:
+    """Dominant Weyl-orbit representative of a weight in Dynkin labels.
+
+    Returns ``(dominant, word)``: the word lists the simple reflections
+    applied to ``mu`` in order, so its length gives the parity.
+    """
+    mu = tuple(mu)
+    word: list[int] = []
+    while True:
+        for i, c in enumerate(mu):
+            if c < 0:
+                mu = tuple(m - c * a for m, a in zip(mu, rs.cartan_matrix[i]))
+                word.append(i)
+                break
+        else:
+            return mu, tuple(word)
+
+
+def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
+    """Weyl orbit of a dominant weight in Dynkin labels.
+
+    Every orbit point is reached from the dominant one by reflections
+    s_i applied where the i-th label is positive.
+    """
+    seen = {mu}
+    frontier = [mu]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i, c in enumerate(v):
+                if c > 0:
+                    r = tuple(m - c * a for m, a in zip(v, rs.cartan_matrix[i]))
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+        frontier = nxt
+    return seen
+
+
+# --- ambient coordinates, at the API edge -----------------------------------
 
 
 def inner(rs: RootSystem, u: Weight, v: Weight) -> Fraction:
-    """Invariant bilinear form of ``rs`` evaluated on two weights."""
+    """Invariant bilinear form of ``rs`` evaluated on two ambient vectors."""
     if len(u) != rs.dim or len(v) != rs.dim:
         raise DimensionMismatch(
             f"expected coordinate length {rs.dim}, got {len(u)} and {len(v)}"
         )
     g = rs.base_form
-    if g is _identity_form(rs.dim):
-        return sum(a * b for a, b in zip(u, v))
     return sum(u[i] * g[i][j] * v[j] for i in range(rs.dim) for j in range(rs.dim))
 
 
-def pairing(rs: RootSystem, w: Weight, i: int) -> Fraction:
-    """Pairing <w, coroot(a_i)> = 2(w, a_i)/(a_i, a_i)."""
-    return sum(w[j] * c for j, c in rs._pairing_data[i])
+def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
+    """Dynkin labels <w, coroot(a_i)> = 2(w, a_i)/(a_i, a_i) of ``w``."""
+    return tuple(2 * inner(rs, w, a) / inner(rs, a, a) for a in rs.simple_roots)
+
+
+def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
+    """Ambient coordinates of a weight given in Dynkin labels."""
+    return tuple(
+        sum((c * omega[k] for c, omega in zip(fund, rs.fundamental_weights)), Fraction(0))
+        for k in range(rs.dim)
+    )
+
+
+def _split(rs: RootSystem, w: Weight) -> tuple[tuple[Fraction, ...], Weight]:
+    """Dynkin labels of ``w`` and its component orthogonal to the root span."""
+    labels = to_fundamental(rs, w)
+    return labels, tuple(x - y for x, y in zip(w, to_orthogonal(rs, labels)))
+
+
+def _join(rs: RootSystem, labels: Sequence, off: Weight) -> Weight:
+    return tuple(x + y for x, y in zip(to_orthogonal(rs, labels), off))
 
 
 def reflect(rs: RootSystem, w: Weight, i: int) -> Weight:
     """Reflection of ``w`` in the wall orthogonal to the i-th simple root."""
-    return vsub(w, vscale(pairing(rs, w, i), rs.simple_roots[i]))
+    c = to_fundamental(rs, w)[i]
+    return tuple(x - c * a for x, a in zip(w, rs.simple_roots[i]))
 
 
 def is_dominant(rs: RootSystem, w: Weight) -> bool:
-    return all(pairing(rs, w, i) >= 0 for i in range(rs.rank))
-
-
-def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of ``w`` with respect to the fundamental weights."""
-    return tuple(pairing(rs, w, i) for i in range(rs.rank))
-
-
-def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
-    """Ambient coordinates of a weight given in fundamental coordinates."""
-    w = (Fraction(0),) * rs.dim
-    for c, omega in zip(fund, rs.fundamental_weights):
-        w = vadd(w, vscale(c, omega))
-    return w
-
-
-def root_coefficients(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
-    """Coefficients of ``w`` in the simple-root basis (w must lie in the span)."""
-    pair = [inner(rs, w, a) for a in rs.simple_roots]
-    m = rs._root_coeff
-    return tuple(
-        sum(m[i][j] * pair[j] for j in range(rs.rank)) for i in range(rs.rank)
-    )
-
-
-def height(rs: RootSystem, w: Weight) -> Fraction:
-    """Sum of the simple-root coefficients of ``w``."""
-    return sum(root_coefficients(rs, w))
-
-
-def weight_sort_key(rs: RootSystem, w: Weight):
-    """Deterministic (height, lexicographic) ordering key."""
-    return (height(rs, w), w)
+    return min(to_fundamental(rs, w)) >= 0
 
 
 def to_dominant_chamber(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
@@ -148,61 +171,39 @@ def to_dominant_chamber(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
     signed accumulation must discard them.
     """
     dom, parity, _word = _to_dominant_with_word(rs, w)
-    singular = any(pairing(rs, dom, i) == 0 for i in range(rs.rank))
+    singular = 0 in to_fundamental(rs, dom)
     return dom, (1 if singular else parity), singular
 
 
 def _to_dominant_with_word(rs: RootSystem, w: Weight) -> tuple[Weight, int, tuple[int, ...]]:
-    """Reflection loop behind to_dominant_chamber, keeping the reflection word.
+    """to_dominant_chamber of an ambient vector, keeping the reflection word.
 
     The word lists simple reflections applied to ``w`` in order; applying
     them to the dominant output in reverse order reconstructs ``w``.
     """
-    v = w
-    parity = 1
-    word: list[int] = []
-    while True:
-        for i in range(rs.rank):
-            if pairing(rs, v, i) < 0:
-                v = reflect(rs, v, i)
-                parity = -parity
-                word.append(i)
-                break
-        else:
-            return v, parity, tuple(word)
+    labels, off = _split(rs, w)
+    dom, word = dominant(rs, labels)
+    return _join(rs, dom, off), (-1) ** len(word), word
 
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
-    """Full Weyl orbit of a dominant weight, by closure under simple reflections."""
-    if not is_dominant(rs, w):
+    """Full Weyl orbit of a dominant ambient vector."""
+    labels, off = _split(rs, w)
+    if min(labels) < 0:
         raise NotDominant(f"weight {w} is not dominant")
-    return _orbit(rs, w)
+    return frozenset(_join(rs, v, off) for v in orbit(rs, labels))
 
 
-def _orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rs.rank):
-                r = reflect(rs, v, i)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return frozenset(seen)
+# --- construction -------------------------------------------------------------
 
 
-def highest_root(rs: RootSystem) -> Weight:
-    """The unique positive root of maximal height."""
-    return rs.positive_roots[-1]
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+def _invert(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
     """Exact Gauss-Jordan inverse of a small rational matrix."""
     n = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -219,134 +220,94 @@ def _simple_root_data(
     family: str, rank: int
 ) -> tuple[list[Weight], tuple[tuple[Fraction, ...], ...]]:
     """Simple roots in ambient coordinates plus the Gram matrix of the space."""
-    one = Fraction(1)
-
-    def e(i: int, dim: int) -> Weight:
-        return tuple(one if j == i else Fraction(0) for j in range(dim))
-
-    if family == "A":
-        dim = rank + 1
-        roots = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank)]
-    elif family == "B":
-        dim = rank
-        roots = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        roots.append(e(rank - 1, dim))
-    elif family == "C":
-        dim = rank
-        roots = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        roots.append(vscale(2, e(rank - 1, dim)))
-    elif family == "D":
-        dim = rank
-        roots = [vsub(e(i, dim), e(i + 1, dim)) for i in range(rank - 1)]
-        roots.append(vadd(e(rank - 2, dim), e(rank - 1, dim)))
-    else:  # G2: simple-root coordinates, Gram pinned by (w1, w1) = 1
-        dim = 2
-        roots = [vector((1, 0)), vector((0, 1))]
+    if family == "G":  # simple-root coordinates, Gram pinned by (w1, w1) = 1
         gram = (
             (Fraction(1), Fraction(-3, 2)),
             (Fraction(-3, 2), Fraction(3)),
         )
-        return roots, gram
+        return [vector((1, 0)), vector((0, 1))], gram
 
-    return roots, _identity_form(dim)
+    dim = rank + 1 if family == "A" else rank
+
+    def e(*coords: tuple[int, int]) -> Weight:
+        return vector(dict(coords).get(j, 0) for j in range(dim))
+
+    roots = [e((i, 1), (i + 1, -1)) for i in range(dim - 1)]
+    if family == "B":
+        roots.append(e((rank - 1, 1)))
+    elif family == "C":
+        roots.append(e((rank - 1, 2)))
+    elif family == "D":
+        roots.append(e((rank - 2, 1), (rank - 1, 1)))
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
+    return roots, identity
 
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system of type ``family``/``rank``.
 
-    Positive roots are generated by reflection closure from the simple
-    roots and ordered by (height, lexicographic).  Construction verifies
-    that rho computed as the half-sum of positive roots agrees with the
-    sum of the fundamental weights.
+    The positive roots are the closure of the simple roots under the
+    simple reflections, each of which permutes the positive roots other
+    than its own; they are ordered by (height, lexicographic).
+    Construction verifies that the positive roots sum to 2 rho.
     """
     if family not in _SUPPORTED or rank < _SUPPORTED[family] or (family == "G" and rank != 2):
         raise UnsupportedType(f"unsupported root system {family}{rank}")
 
     simple, base_form = _simple_root_data(family, rank)
+    dim = len(simple[0])
 
     def form(u: Weight, v: Weight) -> Fraction:
-        return sum(
-            u[i] * base_form[i][j] * v[j] for i in range(len(u)) for j in range(len(v))
-        )
-
-    # inverse Gram matrix of the simple roots, for root-basis coefficients
-    simple_gram = [[form(a, b) for b in simple] for a in simple]
-    root_coeff = tuple(tuple(row) for row in _invert(simple_gram))
-
-    def coeffs(w: Weight) -> tuple[Fraction, ...]:
-        pair = [form(w, a) for a in simple]
-        return tuple(
-            sum(root_coeff[i][j] * pair[j] for j in range(rank)) for i in range(rank)
-        )
-
-    # all roots as the reflection closure of the simple roots
-    def refl(w: Weight, i: int) -> Weight:
-        a = simple[i]
-        return vsub(w, vscale(2 * form(w, a) / form(a, a), a))
-
-    all_roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(rank):
-                r = refl(v, i)
-                if r not in all_roots:
-                    all_roots.add(r)
-                    nxt.append(r)
-        frontier = nxt
-
-    positive = [r for r in all_roots if sum(coeffs(r)) > 0]
-    positive.sort(key=lambda r: (sum(coeffs(r)), r))
+        return sum(u[i] * base_form[i][j] * v[j] for i in range(dim) for j in range(dim))
 
     cartan = tuple(
         tuple(int(2 * form(a, b) / form(b, b)) for b in simple) for a in simple
     )
 
-    # fundamental weights: w_i = sum_j (C^-1)_ij a_j lies in the root span
-    # and pairs to delta_ij against the simple coroots
-    cartan_inv = _invert([[Fraction(x) for x in row] for row in cartan])
-    fundamental = []
-    for i in range(rank):
-        w = (Fraction(0),) * len(simple[0])
-        for j in range(rank):
-            w = vadd(w, vscale(cartan_inv[i][j], simple[j]))
-        fundamental.append(w)
+    # positive roots as Dynkin labels -> simple-root coefficients
+    found = {cartan[i]: tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for labels in frontier:
+            for i, c in enumerate(labels):
+                if c == 0 or labels == cartan[i]:
+                    continue
+                r = tuple(m - c * a for m, a in zip(labels, cartan[i]))
+                if r not in found:
+                    found[r] = tuple(k - c * (j == i) for j, k in enumerate(found[labels]))
+                    nxt.append(r)
+        frontier = nxt
 
-    pairing_data = []
-    for a in simple:
-        norm = form(a, a)
-        dense = [
-            2 * sum(base_form[j][l] * a[l] for l in range(len(a))) / norm
-            for j in range(len(a))
-        ]
-        pairing_data.append(tuple((j, c) for j, c in enumerate(dense) if c != 0))
+    def ambient(coeffs: Sequence) -> Weight:
+        return tuple(
+            sum((k * a[d] for k, a in zip(coeffs, simple)), Fraction(0)) for d in range(dim)
+        )
 
-    rho_roots = vscale(Fraction(1, 2), _sum_vectors(positive, len(simple[0])))
-    rho_fund = _sum_vectors(fundamental, len(simple[0]))
-    if rho_roots != rho_fund:
+    positive = sorted(found, key=lambda r: (sum(found[r]), ambient(found[r])))
+    if any(sum(col) != 2 for col in zip(*positive)):
         raise RuntimeError(
             f"{family}{rank}: half-sum of positive roots disagrees with the sum "
             "of fundamental weights; root conventions are broken"
         )
+
+    # w_i = sum_j (C^-1)_ij a_j, so (w_i, w_j) = (C^-1)_ij (a_j, a_j) / 2
+    cartan_inv = _invert(cartan)
+    fundamental = [ambient(row) for row in cartan_inv]
+    gram = [[x * form(a, a) / 2 for x, a in zip(row, simple)] for row in cartan_inv]
+    scale = lcm(*(x.denominator for row in gram for x in row))
 
     return RootSystem(
         family=family,
         rank=rank,
         simple_roots=tuple(simple),
         fundamental_weights=tuple(fundamental),
-        positive_roots=tuple(positive),
+        positive_roots=tuple(ambient(found[r]) for r in positive),
         cartan_matrix=cartan,
         base_form=base_form,
-        rho=rho_roots,
-        _root_coeff=root_coeff,
-        _pairing_data=tuple(pairing_data),
+        rho=tuple(map(sum, zip(*fundamental))),
+        positive_labels=tuple(positive),
+        gram=tuple(tuple(int(x * scale) for x in row) for row in gram),
+        form_scale=Fraction(1, scale),
     )
-
-
-def _sum_vectors(vectors: Sequence[Weight], dim: int) -> Weight:
-    total = (Fraction(0),) * dim
-    for v in vectors:
-        total = vadd(total, v)
-    return total

@@ -266,7 +266,7 @@ def test_c9_property_suites():
         scaled = replace(
             rs,
             base_form=tuple(tuple(c * x for x in row) for row in rs.base_form),
-            _root_coeff=tuple(tuple(x / c for x in row) for row in rs._root_coeff),
+            form_scale=c * rs.form_scale,
         )
         t = Irrep(scaled, (1, 0))
         for hw, want in G2_CASIMIR_TABLE.items():

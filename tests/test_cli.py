@@ -136,6 +136,36 @@ def test_prove_with_registry_extension(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("spelling", ["spin7", "Spin7", "spin(7)"])
+def test_registry_applies_to_every_spelling_of_the_holonomy(capsys, tmp_path, spelling):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"entries": [{"context": "spin7", "highest_weight": [0, 0, 2]}]}))
+    code, out, _ = run(
+        capsys,
+        "prove", "--holonomy", spelling, "--degree", "4", "--class", "twistor",
+        "--registry", str(reg), "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "Parallel"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", json.dumps({"entries": [{"highest_weight": [0, 0, 2]}]})],
+    ids=["missing-file", "not-json", "entry-without-context"],
+)
+def test_bad_registry_file_is_a_usage_error(capsys, tmp_path, content):
+    reg = tmp_path / "reg.json"
+    if content is not None:
+        reg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["prove", "--holonomy", "spin7", "--degree", "4", "--class", "twistor",
+              "--registry", str(reg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "registry" in err.splitlines()[-1] and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["casimir", "--holonomy", "nope", "--weight", "1,0"])

@@ -235,3 +235,6 @@ def test_decompose_character_rejects_non_characters():
     ws[zero] = 1  # true multiplicity is 2
     with pytest.raises(NotACharacter):
         decompose_character(G2, ws)
+    # a weight off the integral weight lattice
+    with pytest.raises(NotACharacter):
+        decompose_character(B3, {(Fraction(1, 3), Fraction(0), Fraction(0)): 1})

@@ -26,6 +26,9 @@ from helpers import kostant_multiplicity
 
 G2 = build_root_system("G", 2)
 B3 = build_root_system("B", 3)
+A3 = build_root_system("A", 3)
+C3 = build_root_system("C", 3)
+D4 = build_root_system("D", 4)
 
 G2_DIMS = {(1, 0): 7, (0, 1): 14, (2, 0): 27, (1, 1): 64, (3, 0): 77}
 SPIN7_DIMS = {
@@ -83,6 +86,9 @@ def test_b3_spin_rep_weight_system():
         (B3, (0, 0, 1)),
         (B3, (1, 0, 1)),
         (B3, (0, 1, 0)),
+        (A3, (1, 0, 1)),
+        (C3, (0, 1, 0)),
+        (D4, (0, 1, 0, 0)),
     ],
 )
 def test_freudenthal_against_kostant_formula(rs, hw):
@@ -94,6 +100,13 @@ def test_freudenthal_against_kostant_formula(rs, hw):
 
 def test_freudenthal_totals_match_weyl_dimension():
     cases = [Irrep(G2, hw) for hw in G2_DIMS] + [Irrep(B3, hw) for hw in SPIN7_DIMS]
+    cases += [Irrep(A3, (1, 1, 0)), Irrep(C3, (1, 0, 1)), Irrep(D4, (1, 0, 1, 1))]
+    # the ladder inputs of the benchmark
+    cases += [
+        Irrep(B3, (3, 3, 3)),
+        Irrep(D4, (2, 1, 1, 1)),
+        Irrep(build_root_system("D", 5), (0, 1, 0, 0, 0)),
+    ]
     rng = random.Random(99)
     for _ in range(20):
         rs = rng.choice([G2, B3])
@@ -175,8 +188,7 @@ def test_casimir_lambda2_invariant_under_form_scaling():
     # rebuild G2 with the form scaled by c; the ratio formula must not move
     for c in (Fraction(2), Fraction(1, 3), Fraction(5)):
         scaled_form = tuple(tuple(c * x for x in row) for row in G2.base_form)
-        scaled_coeff = tuple(tuple(x / c for x in row) for row in G2._root_coeff)
-        rs = replace(G2, base_form=scaled_form, _root_coeff=scaled_coeff)
+        rs = replace(G2, base_form=scaled_form, form_scale=c * G2.form_scale)
         t = Irrep(rs, (1, 0))
         for hw in G2_CASIMIRS:
             assert casimir_lambda2_ratio(t, 14, Irrep(rs, hw)) == G2_CASIMIRS[hw]

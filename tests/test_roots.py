@@ -191,6 +191,14 @@ def test_orbit_sizes_and_brute_force_agreement():
     assert orbit == {(a * half, b * half, c * half) for a in (1, -1) for b in (1, -1) for c in (1, -1)}
     assert orbit == brute_orbit(b3, w3)
 
+    # off the root span of A2: the component along (1, 1, 1) must survive
+    a2 = build_root_system("A", 2)
+    e1 = vector((1, 0, 0))
+    orbit = weyl_orbit(a2, e1)
+    assert orbit == {vector((1, 0, 0)), vector((0, 1, 0)), vector((0, 0, 1))}
+    assert orbit == brute_orbit(a2, e1)
+    assert to_dominant_chamber(a2, vector((0, 0, 1))) == (e1, 1, True)
+
 
 def test_orbit_requires_dominant():
     g2 = build_root_system("G", 2)
