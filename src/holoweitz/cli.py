@@ -20,7 +20,7 @@ from . import prover, selftest, weitzenboeck
 from .contexts import form_space, load_registry, make_context, normalize_context_id
 from .decompose import Decomposition, exterior_power, tensor
 from .errors import HoloweitzError
-from .fmt import fmt_q
+from .fmt import deco_json, fmt_q, fmt_w
 from .irreps import Irrep, casimir_lambda2, dimension
 from .prover import FormClass, prove_degree, prove_theorems
 from .roots import build_root_system
@@ -78,10 +78,6 @@ def _context(parser: argparse.ArgumentParser, args) -> "make_context":
         parser.error(str(exc))
 
 
-def _weight_str(hw) -> str:
-    return "(" + ",".join(str(c) for c in hw) + ")"
-
-
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -89,16 +85,9 @@ def _print_json(obj) -> None:
 def _deco_table(title: str, deco: Decomposition, total_label: str) -> str:
     lines = [title, f"{'weight':<14} {'mult':>4} {'dim':>6}"]
     for irr, m in deco:
-        lines.append(f"{_weight_str(irr.highest_weight):<14} {m:>4} {dimension(irr):>6}")
+        lines.append(f"{fmt_w(irr.highest_weight):<14} {m:>4} {dimension(irr):>6}")
     lines.append(f"total dimension {deco.total_dimension()} {total_label}".rstrip())
     return "\n".join(lines)
-
-
-def _deco_json(deco: Decomposition) -> list:
-    return [
-        {"weight": list(irr.highest_weight), "multiplicity": m, "dim": dimension(irr)}
-        for irr, m in deco
-    ]
 
 
 def _cmd_dim(parser, args) -> int:
@@ -108,7 +97,7 @@ def _cmd_dim(parser, args) -> int:
     if args.format == "json":
         _print_json({"value": value})
     else:
-        print(f"dim {_weight_str(hw)} on {rs.family}{rs.rank} = {value}")
+        print(f"dim {fmt_w(hw)} on {rs.family}{rs.rank} = {value}")
     return 0
 
 
@@ -119,7 +108,7 @@ def _cmd_casimir(parser, args) -> int:
     if args.format == "json":
         _print_json({"value": fmt_q(value)})
     else:
-        print(f"Casimir eigenvalue of {_weight_str(hw)} on {ctx.id}: {fmt_q(value)}")
+        print(f"Casimir eigenvalue of {fmt_w(hw)} on {ctx.id}: {fmt_q(value)}")
         print(SIGN_NOTE)
     return 0
 
@@ -135,12 +124,12 @@ def _cmd_tensor(parser, args) -> int:
                 "algebra": f"{rs.family}{rs.rank}",
                 "left": list(left),
                 "right": list(right),
-                "entries": _deco_json(deco),
+                "entries": deco_json(deco),
                 "total_dim": deco.total_dimension(),
             }
         )
     else:
-        title = f"{_weight_str(left)} (x) {_weight_str(right)} on {rs.family}{rs.rank}"
+        title = f"{fmt_w(left)} (x) {fmt_w(right)} on {rs.family}{rs.rank}"
         expected = dimension(Irrep(rs, left)) * dimension(Irrep(rs, right))
         print(_deco_table(title, deco, f"= {expected}"))
     return 0
@@ -148,7 +137,7 @@ def _cmd_tensor(parser, args) -> int:
 
 def _cmd_exterior(parser, args) -> int:
     if args.holonomy:
-        ctx = make_context(args.holonomy)
+        ctx = _context(parser, args)
         t = ctx.holonomy_rep
         label = f"{args.degree}-forms of {ctx.id}"
         deco = form_space(ctx, args.degree)
@@ -156,7 +145,7 @@ def _cmd_exterior(parser, args) -> int:
         rs = _algebra(parser, args.algebra)
         hw = _parse_weight(parser, args.weight, rs.rank)
         t = Irrep(rs, hw)
-        label = f"Lambda^{args.degree} of {_weight_str(hw)} on {rs.family}{rs.rank}"
+        label = f"Lambda^{args.degree} of {fmt_w(hw)} on {rs.family}{rs.rank}"
         deco = exterior_power(t, args.degree)
     else:
         parser.error("exterior needs --holonomy, or --algebra together with --weight")
@@ -165,7 +154,7 @@ def _cmd_exterior(parser, args) -> int:
             {
                 "rep": list(t.highest_weight),
                 "degree": args.degree,
-                "entries": _deco_json(deco),
+                "entries": deco_json(deco),
                 "total_dim": deco.total_dimension(),
             }
         )
@@ -190,12 +179,12 @@ def _cmd_weitzenboeck(parser, args) -> int:
 
 def _component_text(c) -> list[str]:
     lines = [
-        f"  component {_weight_str(c.bundle.highest_weight)} "
+        f"  component {fmt_w(c.bundle.highest_weight)} "
         f"[dim {dimension(c.bundle)}]: {c.verdict}"
     ]
     for st in c.statuses:
         lines.append(
-            f"    summand {_weight_str(st.summand.highest_weight)}: "
+            f"    summand {fmt_w(st.summand.highest_weight)}: "
             f"occ(p+1)={st.occ_plus} occ(p-1)={st.occ_minus} killed_by={st.killed_by.value}"
         )
     if c.factor is not None:
@@ -203,7 +192,7 @@ def _component_text(c) -> list[str]:
     for s in c.survivors:
         residual = "-" if s.residual is None else fmt_q(s.residual)
         lines.append(
-            f"    survivor {_weight_str(s.summand.highest_weight)}: "
+            f"    survivor {fmt_w(s.summand.highest_weight)}: "
             f"b={fmt_q(s.b)} residual={residual}"
         )
     for t in c.trace:

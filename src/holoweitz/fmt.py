@@ -1,8 +1,22 @@
-"""Canonical ASCII serialization of exact rationals, e.g. "-28/3"."""
+"""Canonical ASCII serialization of values for text and JSON output.
+
+Every text or JSON rendering of a value goes through this module:
+
+  * exact rationals: ``fmt_q`` gives ``"-28/3"`` (``"5"`` when integral),
+    ``parse_q`` reads it back;
+  * highest weights: ``fmt_w`` gives the display form ``"(1,0,1)"``,
+    ``weight_key`` the fixture key ``"1,0,1"``;
+  * decompositions: ``deco_json`` gives the list of
+    ``{"weight", "multiplicity", "dim"}`` entries;
+  * proof traces: ``trace_json`` gives the list of
+    ``{"rule", "citation", "detail"}`` steps.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .irreps import dimension
 
 
 def fmt_q(q: Fraction) -> str:
@@ -14,3 +28,22 @@ def fmt_q(q: Fraction) -> str:
 
 def parse_q(s: str) -> Fraction:
     return Fraction(s.strip())
+
+
+def weight_key(hw) -> str:
+    return ",".join(str(c) for c in hw)
+
+
+def fmt_w(hw) -> str:
+    return f"({weight_key(hw)})"
+
+
+def deco_json(deco) -> list:
+    return [
+        {"weight": list(irr.highest_weight), "multiplicity": m, "dim": dimension(irr)}
+        for irr, m in deco
+    ]
+
+
+def trace_json(steps) -> list:
+    return [{"rule": t.rule, "citation": t.citation, "detail": t.detail} for t in steps]

@@ -22,13 +22,13 @@ hypotheses are recorded on every report.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import citations
 from .contexts import HolonomyContext, form_space, qr_citation, qr_trivial
 from .errors import ContextNotSupported, NotAFormComponent
-from .fmt import fmt_q
+from .fmt import fmt_q, fmt_w, trace_json
 from .irreps import Irrep, dimension
 from .weitzenboeck import conformal_weights
 
@@ -40,14 +40,6 @@ class FormClass(enum.Enum):
     TWISTOR = "twistor"
     KILLING = "killing"
     STAR_KILLING = "star-killing"
-
-    @property
-    def dual(self) -> "FormClass":
-        if self is FormClass.KILLING:
-            return FormClass.STAR_KILLING
-        if self is FormClass.STAR_KILLING:
-            return FormClass.KILLING
-        return FormClass.TWISTOR
 
 
 class KilledBy(enum.Enum):
@@ -63,6 +55,7 @@ class SummandStatus:
     occ_plus: int
     occ_minus: int
     killed_by: KilledBy
+    b: Fraction
 
 
 @dataclass(frozen=True)
@@ -112,22 +105,16 @@ class TheoremReport:
     hypotheses: tuple[str, ...] = citations.HYPOTHESES
 
 
-# claim sets of the two parallelism theorems
+# claim sets of the two parallelism theorems: Killing and *-Killing forms
+# are parallel in every degree 1..n-1, twistor forms in the listed degrees
 EXPECTED_PARALLEL = {
-    "g2": tuple(
+    ctx_id: tuple(
         sorted(
-            [("killing", p) for p in range(1, 7)]
-            + [("star-killing", p) for p in range(1, 7)]
-            + [("twistor", p) for p in (1, 2, 5, 6)]
+            [(cls, p) for cls in ("killing", "star-killing") for p in range(1, n)]
+            + [("twistor", p) for p in twistor_degrees]
         )
-    ),
-    "spin7": tuple(
-        sorted(
-            [("killing", p) for p in range(1, 8)]
-            + [("star-killing", p) for p in range(1, 8)]
-            + [("twistor", p) for p in (1, 2, 6, 7)]
-        )
-    ),
+    )
+    for ctx_id, n, twistor_degrees in (("g2", 7, (1, 2, 5, 6)), ("spin7", 8, (1, 2, 6, 7)))
 }
 
 
@@ -140,10 +127,6 @@ def _require_prover_context(ctx: HolonomyContext) -> None:
 
 def _step(rule: str, detail: str) -> TraceStep:
     return TraceStep(rule, citations.CITATIONS[rule], detail)
-
-
-def _wname(irrep: Irrep) -> str:
-    return "(" + ",".join(str(c) for c in irrep.highest_weight) + ")"
 
 
 def vanishing_analysis(
@@ -175,7 +158,7 @@ def vanishing_analysis(
             killed = KilledBy.COCLOSEDNESS
         else:
             killed = KilledBy.NONE
-        statuses.append(SummandStatus(s.irrep, occ_plus, occ_minus, killed))
+        statuses.append(SummandStatus(s.irrep, occ_plus, occ_minus, killed, s.b))
     return tuple(statuses)
 
 
@@ -195,12 +178,19 @@ def integrability_factor(form_class: FormClass, p: int, n: int) -> Fraction | No
     return None
 
 
-def _factor_rule(form_class: FormClass) -> str:
-    if form_class is FormClass.KILLING:
-        return "integrability-killing"
-    if form_class is FormClass.STAR_KILLING:
-        return "integrability-star-killing"
-    return "integrability-middle-twistor"
+_FACTOR_RULE = {
+    FormClass.KILLING: "integrability-killing",
+    FormClass.STAR_KILLING: "integrability-star-killing",
+    FormClass.TWISTOR: "integrability-middle-twistor",
+}
+
+# trace step for each kind of killed operator: rule, separator of the
+# operator names T1, T3, ... and the detail they are filled into
+_KILL_STEPS = (
+    (KilledBy.TWISTOR_GAP, "twistor-gap", ", ", "{} vanish on every twistor form"),
+    (KilledBy.CLOSEDNESS, "closedness", "u = ", "du = 0 forces {}u = 0"),
+    (KilledBy.COCLOSEDNESS, "coclosedness", "u = ", "d*u = 0 forces {}u = 0"),
+)
 
 
 def prove_component(
@@ -217,7 +207,7 @@ def prove_component(
             TraceStep(
                 "qr-registry",
                 qr_citation(ctx, e),
-                f"q(R) acts trivially on {_wname(e)}; any twistor form in this "
+                f"q(R) acts trivially on {fmt_w(e.highest_weight)}; any twistor form in this "
                 "bundle is parallel on a compact manifold",
             ),
         )
@@ -233,45 +223,21 @@ def prove_component(
         )
 
     statuses = vanishing_analysis(ctx, e, p, form_class)
-    formula = conformal_weights(ctx, e)
-    b_of = {s.irrep: s.b for s in formula.summands}
     trace: list[TraceStep] = [
         _step(
             "conformal-weights",
-            f"T (x) {_wname(e)} has summands "
-            + ", ".join(_wname(st.summand) for st in statuses)
+            f"T (x) {fmt_w(e.highest_weight)} has summands "
+            + ", ".join(fmt_w(st.summand.highest_weight) for st in statuses)
             + "; q(R) = sum(-b_i) T_i*T_i",
         )
     ]
 
-    killed_gap = [i + 1 for i, st in enumerate(statuses) if st.killed_by is KilledBy.TWISTOR_GAP]
-    if killed_gap:
-        trace.append(
-            _step(
-                "twistor-gap",
-                "T" + ", T".join(str(i) for i in killed_gap) + " vanish on every twistor form",
-            )
-        )
-    killed_closed = [i + 1 for i, st in enumerate(statuses) if st.killed_by is KilledBy.CLOSEDNESS]
-    if killed_closed:
-        trace.append(
-            _step(
-                "closedness",
-                "du = 0 forces T" + "u = T".join(str(i) for i in killed_closed) + "u = 0",
-            )
-        )
-        trace.append(_step("schur-factorization", "used by the closedness rule"))
-    killed_coclosed = [
-        i + 1 for i, st in enumerate(statuses) if st.killed_by is KilledBy.COCLOSEDNESS
-    ]
-    if killed_coclosed:
-        trace.append(
-            _step(
-                "coclosedness",
-                "d*u = 0 forces T" + "u = T".join(str(i) for i in killed_coclosed) + "u = 0",
-            )
-        )
-        trace.append(_step("schur-factorization", "used by the coclosedness rule"))
+    for killed_by, rule, sep, detail in _KILL_STEPS:
+        ops = [f"T{i + 1}" for i, st in enumerate(statuses) if st.killed_by is killed_by]
+        if ops:
+            trace.append(_step(rule, detail.format(sep.join(ops))))
+            if killed_by is not KilledBy.TWISTOR_GAP:
+                trace.append(_step("schur-factorization", f"used by the {rule} rule"))
 
     factor = integrability_factor(form_class, p, ctx.n)
     surviving = [(i, st) for i, st in enumerate(statuses) if st.killed_by is KilledBy.NONE]
@@ -280,33 +246,26 @@ def prove_component(
         trace.append(_step("all-operators-vanish", "no twistor operator survives"))
         survivors: tuple[Survivor, ...] = ()
         verdict = PARALLEL
-        factor_out = factor
     elif factor is None:
-        survivors = tuple(
-            Survivor(st.summand, b_of[st.summand], None) for _, st in surviving
-        )
+        survivors = tuple(Survivor(st.summand, st.b, None) for _, st in surviving)
         trace.append(
             _step(
                 "no-factor",
-                "operators T"
-                + ", T".join(str(i + 1) for i, _ in surviving)
+                "operators "
+                + ", ".join(f"T{i + 1}" for i, _ in surviving)
                 + " survive but no integrability identity applies",
             )
         )
         verdict = INCONCLUSIVE
-        factor_out = None
     else:
         trace.append(
             _step(
-                _factor_rule(form_class),
+                _FACTOR_RULE[form_class],
                 f"{fmt_q(factor)} nabla*nabla u = q(R) u for {form_class.value} "
                 f"{p}-forms (n = {ctx.n})",
             )
         )
-        survivors = tuple(
-            Survivor(st.summand, b_of[st.summand], factor + b_of[st.summand])
-            for _, st in surviving
-        )
+        survivors = tuple(Survivor(st.summand, st.b, factor + st.b) for _, st in surviving)
         residuals = [s.residual for s in survivors]
         detail = "0 = " + " + ".join(
             f"({fmt_q(factor)} + ({fmt_q(s.b)})) ||T{i + 1} u||^2"
@@ -330,14 +289,13 @@ def prove_component(
         else:
             verdict = INCONCLUSIVE
             trace.append(_step("mixed-signs", detail))
-        factor_out = factor
 
     return ComponentVerdict(
         bundle=e,
         degree=p,
         form_class=form_class,
         statuses=statuses,
-        factor=factor_out,
+        factor=factor,
         survivors=survivors,
         verdict=verdict,
         trace=tuple(trace),
@@ -361,14 +319,7 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
             )
         )
         delegate = prove_degree(ctx, ctx.n - p, form_class)
-        return DegreeReport(
-            context_id=ctx.id,
-            degree=p,
-            form_class=form_class,
-            reductions=tuple(reductions) + delegate.reductions,
-            components=delegate.components,
-            verdict=delegate.verdict,
-        )
+        return replace(delegate, degree=p, reductions=tuple(reductions) + delegate.reductions)
 
     # R2: on compact Ricci-flat manifolds twistor 2-forms are coclosed
     effective_class = form_class
@@ -476,9 +427,7 @@ def component_json(c: ComponentVerdict) -> dict:
             for s in c.survivors
         ],
         "verdict": c.verdict,
-        "trace": [
-            {"rule": t.rule, "citation": t.citation, "detail": t.detail} for t in c.trace
-        ],
+        "trace": trace_json(c.trace),
     }
 
 
@@ -488,10 +437,7 @@ def degree_report_json(r: DegreeReport) -> dict:
         "degree": r.degree,
         "class": r.form_class.value,
         "hypotheses": list(r.hypotheses),
-        "reductions": [
-            {"rule": t.rule, "citation": t.citation, "detail": t.detail}
-            for t in r.reductions
-        ],
+        "reductions": trace_json(r.reductions),
         "components": [component_json(c) for c in r.components],
         "verdict": r.verdict,
     }

@@ -17,6 +17,10 @@ functions (``inner``, ``reflect``, ``to_dominant_chamber``,
 input orthogonal to the root span through unchanged.
 
 All values are immutable after construction and every function is pure.
+A ``RootSystem`` compares and hashes by identity: ``build_root_system``
+is its only constructor and caches its result, so there is one instance
+per type and rank, and an ``Irrep``-keyed cache lookup hashes no roots.
+A copy made with ``dataclasses.replace`` is a different root system.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def vector(coords: Iterable) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """One simple type: roots, invariant form and derived data.
 
@@ -154,8 +158,9 @@ def _join(rs: RootSystem, labels: Sequence, off: Weight) -> Weight:
 
 def reflect(rs: RootSystem, w: Weight, i: int) -> Weight:
     """Reflection of ``w`` in the wall orthogonal to the i-th simple root."""
-    c = to_fundamental(rs, w)[i]
-    return tuple(x - c * a for x, a in zip(w, rs.simple_roots[i]))
+    a = rs.simple_roots[i]
+    c = 2 * inner(rs, w, a) / inner(rs, a, a)
+    return tuple(x - c * y for x, y in zip(w, a))
 
 
 def is_dominant(rs: RootSystem, w: Weight) -> bool:

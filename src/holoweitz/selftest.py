@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .contexts import form_space, make_context
 from .decompose import tensor
-from .fmt import fmt_q
+from .fmt import deco_json, fmt_q, weight_key
 from .irreps import Irrep, casimir_lambda2, dimension
-from .prover import FormClass, prove_component, prove_theorems
+from .prover import FormClass, component_json, prove_component, prove_theorems, theorem_report_json
 from .weitzenboeck import conformal_weights, to_json_dict
 
 GOLDEN_RESOURCE = "fixtures/golden.json"
@@ -47,17 +47,6 @@ FORMULA_WEIGHTS = {
 }
 
 
-def _wkey(hw) -> str:
-    return ",".join(str(c) for c in hw)
-
-
-def _deco_json(deco) -> list:
-    return [
-        {"weight": list(irr.highest_weight), "multiplicity": m, "dim": dimension(irr)}
-        for irr, m in deco
-    ]
-
-
 def compute_golden() -> dict:
     out: dict = {
         "casimir_tables": {},
@@ -71,46 +60,32 @@ def compute_golden() -> dict:
         ctx = make_context(ctx_id)
         rs = ctx.root_system
         out["casimir_tables"][ctx_id] = {
-            _wkey(hw): fmt_q(casimir_lambda2(ctx, Irrep(rs, hw)))
+            weight_key(hw): fmt_q(casimir_lambda2(ctx, Irrep(rs, hw)))
             for hw in TABLE_WEIGHTS[ctx_id]
         }
         out["dimensions"][ctx_id] = {
-            _wkey(hw): dimension(Irrep(rs, hw)) for hw in TABLE_WEIGHTS[ctx_id]
+            weight_key(hw): dimension(Irrep(rs, hw)) for hw in TABLE_WEIGHTS[ctx_id]
         }
         out["form_spaces"][ctx_id] = {
-            str(p): _deco_json(form_space(ctx, p)) for p in range(ctx.n + 1)
+            str(p): deco_json(form_space(ctx, p)) for p in range(ctx.n + 1)
         }
         out["tensor_products"][ctx_id] = {
-            _wkey(hw): _deco_json(tensor(ctx.holonomy_rep, Irrep(rs, hw)))
+            weight_key(hw): deco_json(tensor(ctx.holonomy_rep, Irrep(rs, hw)))
             for hw in FORMULA_WEIGHTS[ctx_id]
         }
         out["weitzenboeck"][ctx_id] = {
-            _wkey(hw): to_json_dict(conformal_weights(ctx, Irrep(rs, hw)))
+            weight_key(hw): to_json_dict(conformal_weights(ctx, Irrep(rs, hw)))
             for hw in FORMULA_WEIGHTS[ctx_id]
         }
-        theorem = prove_theorems(ctx)
-        out["theorems"][ctx_id] = {
-            "claims": [
-                {"class": c, "degree": p, "verdict": v} for c, p, v in theorem.claims
-            ],
-            "matches_expected": theorem.matches_expected,
-        }
+        theorem = theorem_report_json(prove_theorems(ctx))
+        out["theorems"][ctx_id] = {k: theorem[k] for k in ("claims", "matches_expected")}
 
     # the one undecided middle-degree case, pinned with its residuals
     s7 = make_context("spin7")
-    open_case = prove_component(
-        s7, Irrep(s7.root_system, (0, 0, 2)), 4, FormClass.TWISTOR
+    case = component_json(
+        prove_component(s7, Irrep(s7.root_system, (0, 0, 2)), 4, FormClass.TWISTOR)
     )
-    out["theorems"]["spin7"]["open_case_l4_35"] = {
-        "verdict": open_case.verdict,
-        "survivors": [
-            {
-                "weight": list(s.summand.highest_weight),
-                "residual": fmt_q(s.residual),
-            }
-            for s in open_case.survivors
-        ],
-    }
+    out["theorems"]["spin7"]["open_case_l4_35"] = {k: case[k] for k in ("verdict", "survivors")}
     return out
 
 

@@ -29,7 +29,7 @@ from . import citations
 from .contexts import HolonomyContext
 from .decompose import sort_key, tensor
 from .errors import MixedRootSystems, MultiplicityViolation
-from .fmt import fmt_q, parse_q
+from .fmt import fmt_q, fmt_w, parse_q, weight_key
 from .irreps import Irrep, casimir_lambda2, dimension
 
 
@@ -72,8 +72,7 @@ def _printed_formulas() -> dict:
 
 def printed_formula(ctx_id: str, bundle_hw: tuple[int, ...]) -> dict | None:
     """Recorded printed ordering/coefficients for one bundle, if any."""
-    key = ",".join(str(c) for c in bundle_hw)
-    return _printed_formulas().get(ctx_id, {}).get(key)
+    return _printed_formulas().get(ctx_id, {}).get(weight_key(bundle_hw))
 
 
 def _check_multiplicity_free(deco) -> None:
@@ -215,18 +214,17 @@ def formula_line(formula: WeitzenboeckFormula) -> str:
 
 def to_table(formula: WeitzenboeckFormula, quiet: bool = False) -> str:
     """ASCII table of the summands, weights and coefficients."""
-    weight_str = "(" + ",".join(str(c) for c in formula.bundle.highest_weight) + ")"
     lines = [
-        f"Weitzenboeck formula on {weight_str} "
+        f"Weitzenboeck formula on {fmt_w(formula.bundle.highest_weight)} "
         f"[dim {dimension(formula.bundle)}], holonomy {formula.context_id}",
         formula_line(formula),
         "",
         f"{'i':>2}  {'summand':<12} {'dim':>5}  {'b':>8}  {'coeff':>8}",
     ]
     for idx, s in enumerate(formula.summands, start=1):
-        w = "(" + ",".join(str(c) for c in s.irrep.highest_weight) + ")"
         lines.append(
-            f"{idx:>2}  {w:<12} {dimension(s.irrep):>5}  {fmt_q(s.b):>8}  {fmt_q(s.coeff):>8}"
+            f"{idx:>2}  {fmt_w(s.irrep.highest_weight):<12} {dimension(s.irrep):>5}  "
+            f"{fmt_q(s.b):>8}  {fmt_q(s.coeff):>8}"
         )
     lines.append(f"trace residual: {fmt_q(trace_residual(formula))}")
     if formula.discrepancies and not quiet:
@@ -235,7 +233,7 @@ def to_table(formula: WeitzenboeckFormula, quiet: bool = False) -> str:
             printed = "absent" if d.printed is None else fmt_q(d.printed)
             lines.append(
                 f"discrepancy at T{d.index} "
-                f"({','.join(str(c) for c in d.weight)}): computed {fmt_q(d.computed)}, "
+                f"{fmt_w(d.weight)}: computed {fmt_q(d.computed)}, "
                 f"printed {printed} -- {d.note}"
             )
     return "\n".join(lines)

@@ -179,6 +179,10 @@ def test_usage_errors_exit_2(capsys):
         main(["casimir", "--holonomy", "g2", "--weight", "1,0", "--bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["exterior", "--holonomy", "nope", "--degree", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_domain_errors_exit_1(capsys):
@@ -238,3 +242,54 @@ def test_no_color_respected(capsys, monkeypatch):
     code, out, _ = run(capsys, "theorem", "--holonomy", "g2")
     assert code == 0
     assert "\033[" not in out
+
+
+# exact stdout of two table-format commands, so a layout change shows up here
+WEITZENBOECK_SPIN7_21_TABLE = (
+    "Weitzenboeck formula on (0,1,0) [dim 21], holonomy spin7\n"
+    "q(R) = 5 T1*T1 + 3/2 T2*T2 - T3*T3\n"
+    "\n"
+    " i  summand        dim         b     coeff\n"
+    " 1  (0,0,1)          8        -5         5\n"
+    " 2  (1,0,1)         48      -3/2       3/2\n"
+    " 3  (0,1,1)        112         1        -1\n"
+    "trace residual: 0\n"
+    "\n"
+    "discrepancy at T1 (0,0,1): computed 5, printed 10 -- derived coefficient disagrees with the printed value (Prop. final1 / Prop. final2); the trace identity sum(dim * b) = 0 holds for the derived value only\n"
+    "discrepancy at T2 (1,0,1): computed 3/2, printed 3 -- derived coefficient disagrees with the printed value (Prop. final1 / Prop. final2); the trace identity sum(dim * b) = 0 holds for the derived value only\n"
+)
+
+PROVE_G2_KILLING_2_TABLE = (
+    "g2: killing 2-forms -> Parallel\n"
+    "  hypotheses: compact Riemannian manifold; holonomy group exactly the stated one\n"
+    "  [Lemma holdeco] a killing form is one iff all its components are\n"
+    "  component (1,0) [dim 7]: Parallel\n"
+    "    [Cor. ricci (q(R) acts as Ricci curvature on T; the holonomy is Ricci-flat)] q(R) acts trivially on (1,0); any twistor form in this bundle is parallel on a compact manifold\n"
+    "  component (0,1) [dim 14]: Parallel\n"
+    "    summand (1,0): occ(p+1)=1 occ(p-1)=1 killed_by=Coclosedness\n"
+    "    summand (2,0): occ(p+1)=1 occ(p-1)=0 killed_by=None\n"
+    "    summand (1,1): occ(p+1)=0 occ(p-1)=0 killed_by=TwistorGap\n"
+    "    integrability factor: 2\n"
+    "    survivor (2,0): b=-4/3 residual=2/3\n"
+    "    [Cor. confW, Eq. (bi)] T (x) (0,1) has summands (1,0), (2,0), (1,1); q(R) = sum(-b_i) T_i*T_i\n"
+    "    [§4.2 (the summand occurs in neither adjacent form space)] T3 vanish on every twistor form\n"
+    "    [§4.3 (d*u = 0 kills the operators into summands occurring in the (p-1)-forms)] d*u = 0 forces T1u = 0\n"
+    "    [§4.2 (pr_i factors through the form space; the nonzero equivariant composition is assumed)] used by the coclosedness rule\n"
+    "    [Prop. integrabl] 2 nabla*nabla u = q(R) u for killing 2-forms (n = 7)\n"
+    "    [§4.2 (integrate the Weitzenboeck identity over the compact manifold)] 0 = (2 + (-4/3)) ||T2 u||^2; all residuals of one strict sign, so every surviving operator vanishes\n"
+    "    [§4.2 (all twistor operators vanish, hence the form is parallel)] the form is parallel\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["weitzenboeck", "--holonomy", "spin7", "--bundle", "0,1,0"], WEITZENBOECK_SPIN7_21_TABLE),
+        (["prove", "--holonomy", "g2", "--degree", "2", "--class", "killing"], PROVE_G2_KILLING_2_TABLE),
+    ],
+    ids=["weitzenboeck-spin7-21", "prove-g2-2-killing"],
+)
+def test_text_output_is_pinned(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == want

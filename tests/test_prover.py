@@ -23,6 +23,7 @@ from holoweitz.prover import (
     theorem_report_json,
     vanishing_analysis,
 )
+from holoweitz.weitzenboeck import conformal_weights
 
 G2 = make_context("g2")
 S7 = make_context("spin7")
@@ -75,6 +76,30 @@ def test_component_g2_lambda2_14_killing():
     assert c.verdict == PARALLEL
     assert [(s.summand.highest_weight, s.residual) for s in c.survivors] == [
         ((2, 0), Fraction(2, 3))
+    ]
+
+
+def test_component_computes_its_weitzenboeck_formula_once(monkeypatch):
+    from holoweitz import prover
+
+    calls = []
+
+    def counting(ctx, e):
+        calls.append(e)
+        return conformal_weights(ctx, e)
+
+    monkeypatch.setattr(prover, "conformal_weights", counting)
+    e = Irrep(G2.root_system, (0, 1))  # not in the q(R)-trivial registry
+    prove_component(G2, e, 2, FormClass.KILLING)
+    assert calls == [e]
+
+
+def test_component_trace_names_every_killed_operator():
+    c = prove_component(G2, Irrep(G2.root_system, (2, 0)), 3, FormClass.STAR_KILLING)
+    assert [(t.rule, t.detail) for t in c.trace[1:4]] == [
+        ("twistor-gap", "T4, T5 vanish on every twistor form"),
+        ("closedness", "du = 0 forces T1u = T2u = 0"),
+        ("schur-factorization", "used by the closedness rule"),
     ]
 
 

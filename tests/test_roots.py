@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from holoweitz.errors import DimensionMismatch, NotDominant, UnsupportedType
-from holoweitz.irreps import adjoint_irrep, dimension
+from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
     _to_dominant_with_word,
     build_root_system,
@@ -55,6 +56,13 @@ def test_b3_positive_roots_are_the_standard_nine():
 def test_a1_single_positive_root():
     a1 = build_root_system("A", 1)
     assert len(a1.positive_roots) == 1
+
+
+def test_root_systems_compare_by_identity():
+    b3 = build_root_system("B", 3)
+    assert build_root_system("B", 3) is b3
+    # a copy is another root system, so irreps on it are other irreps
+    assert Irrep(replace(b3), (1, 0, 0)) != Irrep(b3, (1, 0, 0))
 
 
 def test_unsupported_types_rejected():
