@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holonomy", required=True)
     p.add_argument("--bundle", required=True, help="fundamental coordinates of E")
     p.add_argument("--quiet", action="store_true", help="suppress discrepancy notes")
-    p.add_argument("--registry", help="JSON file with extra q(R)-trivial bundles")
     add_format(p)
     p.set_defaults(func=_cmd_weitzenboeck)
 

@@ -10,7 +10,6 @@ loaded from a JSON file, see :func:`load_registry`.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -110,6 +109,11 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
             raise UnsupportedContext(
                 f"registry weight {entry.highest_weight} has wrong arity for {ctx_id}"
             )
+        if entry.highest_weight == hol.highest_weight and not ricci_flat:
+            raise UnsupportedContext(
+                f"registry weight {entry.highest_weight} is the holonomy "
+                f"representation of {ctx_id}, which is not Ricci-flat"
+            )
         if entry.highest_weight not in {e.highest_weight for e in registry}:
             registry.append(entry)
 
@@ -158,9 +162,6 @@ def qr_citation(ctx: HolonomyContext, e: Irrep) -> str:
     raise KeyError(f"{e} is not in the registry of {ctx.id}")
 
 
-_WEIGHT_RE = re.compile(r"^\d+(,\d+)*$")
-
-
 def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:
     """Load registry extensions from a JSON file.
 
@@ -182,7 +183,7 @@ def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:
             )
         ctx_id = normalize_context_id(str(rec["context"]))
         hw = rec["highest_weight"]
-        if not isinstance(hw, list) or any(not isinstance(c, int) or c < 0 for c in hw):
+        if not isinstance(hw, list) or any(type(c) is not int or c < 0 for c in hw):
             raise UnsupportedContext(
                 f"registry entry {rec} must carry non-negative integer weights"
             )

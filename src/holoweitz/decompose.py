@@ -8,6 +8,9 @@ the scale of the supported holonomy representations (n <= 8) but grows
 as C(n, p), so it is not intended for n much beyond 14.  Characters are
 split by greedy highest-weight extraction.  Only the input of
 :func:`decompose_character` is in ambient coordinates.
+
+The summand order (see :class:`Decomposition`) is decided here alone; it
+numbers the twistor operators T_i downstream.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .roots import Labels, RootSystem, Weight
 class Decomposition:
     """Multiset of irreducible summands with multiplicities.
 
-    Entries are sorted by (dimension ascending, highest weight
-    lexicographic in ambient coordinates); no irrep repeats.
+    Invariant, set only by :func:`_make_decomposition`: entries are sorted
+    by dimension, then highest weight lexicographic in ambient coordinates;
+    no irrep repeats.
     """
 
     entries: tuple[tuple[Irrep, int], ...]
@@ -60,14 +64,9 @@ class Decomposition:
         return len(self.entries)
 
 
-def sort_key(irrep: Irrep):
-    """Canonical summand order: dimension, then highest weight lex."""
-    return (dimension(irrep), irrep.hw_orthogonal)
-
-
 def _make_decomposition(rs: RootSystem, acc: dict[tuple[int, ...], int]) -> Decomposition:
     entries = [(Irrep(rs, hw), m) for hw, m in acc.items() if m != 0]
-    entries.sort(key=lambda em: sort_key(em[0]))
+    entries.sort(key=lambda em: (dimension(em[0]), em[0].hw_orthogonal))
     return Decomposition(tuple(entries))
 
 
@@ -104,8 +103,9 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
     """
     if a.root_system != b.root_system:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
-    anchor, expanded = sorted((a, b), key=sort_key, reverse=True)
-    return _make_decomposition(a.root_system, _klimyk_expand(anchor, expanded))
+    if dimension(a) < dimension(b):
+        a, b = b, a
+    return _make_decomposition(a.root_system, _klimyk_expand(a, b))
 
 
 def decompose_character(rs: RootSystem, char: dict[Weight, int]) -> Decomposition:

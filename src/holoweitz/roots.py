@@ -129,8 +129,7 @@ def inner(rs: RootSystem, u: Weight, v: Weight) -> Fraction:
         raise DimensionMismatch(
             f"expected coordinate length {rs.dim}, got {len(u)} and {len(v)}"
         )
-    g = rs.base_form
-    return sum(u[i] * g[i][j] * v[j] for i in range(rs.dim) for j in range(rs.dim))
+    return sum(x * g * y for x, row in zip(u, rs.base_form) if x for g, y in zip(row, v) if g)
 
 
 def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:

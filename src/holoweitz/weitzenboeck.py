@@ -11,6 +11,9 @@ curvature endomorphism satisfies q(R) = sum_i (-b_i) T_i* T_i on
 sections of E.  Summands keep zero weights as explicit records; the
 table renderer suppresses them to match the usual printed form.
 
+The index i keeps the summand order of :func:`decompose.tensor`, except
+that a bundle with a recorded printed formula takes the printed order.
+
 Where a recorded printed formula disagrees with the derived
 coefficients, the formula carries machine-readable discrepancy
 annotations citing both values; the trace identity
@@ -27,7 +30,7 @@ from importlib import resources
 
 from . import citations
 from .contexts import HolonomyContext
-from .decompose import sort_key, tensor
+from .decompose import tensor
 from .errors import MixedRootSystems, MultiplicityViolation
 from .fmt import fmt_q, fmt_w, parse_q, weight_key
 from .irreps import Irrep, casimir_lambda2, dimension
@@ -84,34 +87,23 @@ def _check_multiplicity_free(deco) -> None:
         )
 
 
-def summand_order(ctx: HolonomyContext, e: Irrep) -> tuple[Irrep, ...]:
-    """Summands of T (x) E in the order that numbers the twistor operators.
-
-    Bundles with a recorded printed formula keep that ordering so the
-    T_i indices line up with the printed proofs; everything else uses
-    the canonical (dimension, lex) order.
-    """
+def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
+    """Conformal weights b_i of T (x) E and the induced Weitzenboeck formula."""
     if e.root_system != ctx.root_system:
         raise MixedRootSystems(f"{e} does not live on the {ctx.id} root system")
     deco = tensor(ctx.holonomy_rep, e)
     _check_multiplicity_free(deco)
-    irreps = sorted(deco.irreps(), key=sort_key)
+    order = deco.irreps()
     recorded = printed_formula(ctx.id, e.highest_weight)
-    if recorded is None:
-        return tuple(irreps)
-    order = [tuple(hw) for hw in recorded["order"]]
-    if sorted(order) != sorted(i.highest_weight for i in irreps):
-        raise RuntimeError(
-            f"recorded ordering for {ctx.id} {e.highest_weight} does not "
-            "match the computed tensor decomposition"
-        )
-    by_weight = {i.highest_weight: i for i in irreps}
-    return tuple(by_weight[hw] for hw in order)
-
-
-def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
-    """Conformal weights b_i of T (x) E and the induced Weitzenboeck formula."""
-    order = summand_order(ctx, e)
+    if recorded is not None:
+        by_weight = {i.highest_weight: i for i in order}
+        printed_order = [tuple(hw) for hw in recorded["order"]]
+        if sorted(printed_order) != sorted(by_weight):
+            raise RuntimeError(
+                f"recorded ordering for {ctx.id} {e.highest_weight} does not "
+                "match the computed tensor decomposition"
+            )
+        order = tuple(by_weight[hw] for hw in printed_order)
     c_t = casimir_lambda2(ctx, ctx.holonomy_rep)
     c_e = casimir_lambda2(ctx, e)
     summands = tuple(
@@ -121,14 +113,13 @@ def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
         context_id=ctx.id,
         bundle=e,
         summands=summands,
-        discrepancies=_find_discrepancies(ctx.id, e, summands),
+        discrepancies=_find_discrepancies(recorded, summands),
     )
 
 
 def _find_discrepancies(
-    ctx_id: str, e: Irrep, summands: tuple[Summand, ...]
+    recorded: dict | None, summands: tuple[Summand, ...]
 ) -> tuple[Discrepancy, ...]:
-    recorded = printed_formula(ctx_id, e.highest_weight)
     if recorded is None:
         return ()
     printed = recorded["printed"]

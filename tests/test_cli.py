@@ -150,16 +150,21 @@ def test_registry_applies_to_every_spelling_of_the_holonomy(capsys, tmp_path, sp
 
 
 @pytest.mark.parametrize(
-    "content",
-    [None, "{not json", json.dumps({"entries": [{"highest_weight": [0, 0, 2]}]})],
-    ids=["missing-file", "not-json", "entry-without-context"],
+    "holonomy,content",
+    [
+        ("spin7", None),
+        ("spin7", "{not json"),
+        ("spin7", json.dumps({"entries": [{"highest_weight": [0, 0, 2]}]})),
+        ("so7", json.dumps({"entries": [{"context": "so7", "highest_weight": [1, 0, 0]}]})),
+    ],
+    ids=["missing-file", "not-json", "entry-without-context", "non-ricci-flat-holonomy-rep"],
 )
-def test_bad_registry_file_is_a_usage_error(capsys, tmp_path, content):
+def test_bad_registry_file_is_a_usage_error(capsys, tmp_path, holonomy, content):
     reg = tmp_path / "reg.json"
     if content is not None:
         reg.write_text(content)
     with pytest.raises(SystemExit) as exc:
-        main(["prove", "--holonomy", "spin7", "--degree", "4", "--class", "twistor",
+        main(["prove", "--holonomy", holonomy, "--degree", "4", "--class", "twistor",
               "--registry", str(reg)])
     assert exc.value.code == 2
     err = capsys.readouterr().err

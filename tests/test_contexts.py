@@ -137,3 +137,11 @@ def test_registry_json_rejects_bad_records(tmp_path):
     path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1, 0], "citation": "x"}]}))
     with pytest.raises(UnsupportedContext):
         make_context("g2", load_registry(path)["g2"])
+    # JSON booleans are not labels, although bool is an int subclass
+    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [False, True]}]}))
+    with pytest.raises(UnsupportedContext):
+        load_registry(path)
+    # the holonomy representation of a non-Ricci-flat context cannot be q(R)-trivial
+    path.write_text(json.dumps({"entries": [{"context": "so7", "highest_weight": [1, 0, 0]}]}))
+    with pytest.raises(UnsupportedContext):
+        make_context("so7", load_registry(path)["so7"])

@@ -23,6 +23,7 @@ from helpers import character_product, subset_sums
 
 G2 = build_root_system("G", 2)
 B3 = build_root_system("B", 3)
+D4 = build_root_system("D", 4)
 
 
 def entries(deco: Decomposition):
@@ -119,6 +120,9 @@ def test_tensor_against_brute_force_character_product():
     cases = [
         (Irrep(G2, (1, 0)), Irrep(G2, (0, 1))),
         (Irrep(B3, (0, 0, 1)), Irrep(B3, (1, 0, 0))),
+        # equal dimensions (8 and 8): either factor may be the expanded one
+        (Irrep(D4, (1, 0, 0, 0)), Irrep(D4, (0, 0, 1, 0))),
+        (Irrep(D4, (0, 0, 1, 0)), Irrep(D4, (1, 0, 0, 0))),
     ]
     for a, b in cases:
         product = character_product(full_weights(a), full_weights(b))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from holoweitz import roots
 from holoweitz.contexts import form_space, make_context
 from holoweitz.decompose import Decomposition
 from holoweitz.errors import MultiplicityViolation
@@ -160,6 +161,17 @@ def test_multiplicity_guard():
     doctored = Decomposition(((Irrep(rs, (1, 0)), 2),))
     with pytest.raises(MultiplicityViolation):
         _check_multiplicity_free(doctored)
+
+
+def test_warm_conformal_weights_converts_no_weight_to_ambient(monkeypatch):
+    # the summand order comes from the tensor decomposition as given
+    bundles = [Irrep(S7.root_system, hw) for hw in [(1, 0, 1), (0, 1, 1)]]
+    expected = [conformal_weights(S7, e) for e in bundles]
+    calls = []
+    real = roots.to_orthogonal
+    monkeypatch.setattr(roots, "to_orthogonal", lambda *a: calls.append(a) or real(*a))
+    assert [conformal_weights(S7, e) for e in bundles] == expected
+    assert calls == []
 
 
 def test_json_rendering_schema_and_canonical_rationals():
