@@ -136,6 +136,8 @@ def _cmd_tensor(parser, args) -> int:
 
 
 def _cmd_exterior(parser, args) -> int:
+    if args.holonomy and (args.algebra or args.weight):
+        parser.error("exterior takes --holonomy alone, or --algebra together with --weight")
     if args.holonomy:
         ctx = _context(parser, args)
         t = ctx.holonomy_rep

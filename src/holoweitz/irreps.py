@@ -38,8 +38,14 @@ class Irrep:
     highest_weight: tuple[int, ...]
 
     def __post_init__(self):
-        hw = tuple(int(c) for c in self.highest_weight)
-        if len(hw) != self.root_system.rank or any(c < 0 for c in hw):
+        hw = given = tuple(self.highest_weight)
+        if set(map(type, given)) != {int}:
+            try:  # == keeps 2.0 and Fraction(2) but not the truncated 1.5 or "1"
+                hw = tuple(map(int, given))
+            except (TypeError, ValueError, OverflowError):
+                hw = ()
+        rank = self.root_system.rank
+        if hw != given or bool in map(type, given) or len(hw) != rank or min(hw) < 0:
             raise ValueError(
                 f"highest weight {self.highest_weight} invalid for {self.root_system}"
             )
@@ -176,29 +182,27 @@ def full_weights(irrep: Irrep) -> tuple[Weight, ...]:
     return out
 
 
+def _casimir_number(rs: RootSystem, lam: Labels) -> int:
+    """(lam, lam + 2 rho) in gram units, an integer."""
+    return dot(rs, lam, tuple(c + 2 for c in lam))
+
+
 def casimir_base(irrep: Irrep) -> Fraction:
     """Casimir eigenvalue -(lam, lam + 2 rho) under the root system's base form."""
     rs = irrep.root_system
-    lam = irrep.highest_weight
-    return -rs.form_scale * dot(rs, lam, tuple(c + 2 for c in lam))
-
-
-def casimir_lambda2_ratio(t: Irrep, dim_g: int, irrep: Irrep) -> Fraction:
-    """Casimir eigenvalue normalized by the form induced on g inside Lambda2(T).
-
-    c_T in that normalization is -2 dim(g)/dim(T); for any other irrep
-    the eigenvalue follows from the base-form value by the common ratio,
-    which makes the result independent of base-form scaling.
-    """
-    c_base_t = casimir_base(t)
-    if c_base_t == 0:
-        raise TrivialHolonomyRep("holonomy representation has zero Casimir")
-    c_l2_t = Fraction(-2 * dim_g, dimension(t))
-    return (c_l2_t / c_base_t) * casimir_base(irrep)
+    return -rs.form_scale * _casimir_number(rs, irrep.highest_weight)
 
 
 def casimir_lambda2(ctx, irrep: Irrep) -> Fraction:
-    """Lambda2(T)-normalized Casimir eigenvalue in a holonomy context."""
-    if irrep.root_system != ctx.root_system:
-        raise MixedRootSystems(f"{irrep} does not live on {ctx.root_system}")
-    return casimir_lambda2_ratio(ctx.holonomy_rep, ctx.dim_g, irrep)
+    """Lambda2(T)-normalized Casimir eigenvalue in a holonomy context.
+
+    c_lam = -2 dim(g) (lam, lam + 2 rho) / (n (T, T + 2 rho)), since c_T =
+    -2 dim(g)/n in this normalization; the scale of the invariant form cancels.
+    """
+    rs = ctx.root_system
+    if irrep.root_system != rs:
+        raise MixedRootSystems(f"{irrep} does not live on {rs}")
+    c_t = _casimir_number(rs, ctx.holonomy_rep.highest_weight)
+    if c_t == 0:
+        raise TrivialHolonomyRep("holonomy representation has zero Casimir")
+    return Fraction(-2 * ctx.dim_g * _casimir_number(rs, irrep.highest_weight), ctx.n * c_t)

@@ -12,9 +12,9 @@ API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
 for G2, with the form carried as an explicit Gram matrix (``base_form``),
 so the G2 model can realize the normalization (w1, w1) = 1,
 (w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The ambient
-functions (``inner``, ``reflect``, ``to_dominant_chamber``,
-``weyl_orbit``) work through the labels and carry any component of the
-input orthogonal to the root span through unchanged.
+functions (``inner``, ``to_dominant_chamber``, ``weyl_orbit``) work
+through the labels and carry any component of the input orthogonal to
+the root span through unchanged.
 
 All values are immutable after construction and every function is pure.
 A ``RootSystem`` compares and hashes by identity: ``build_root_system``
@@ -153,13 +153,6 @@ def _split(rs: RootSystem, w: Weight) -> tuple[tuple[Fraction, ...], Weight]:
 
 def _join(rs: RootSystem, labels: Sequence, off: Weight) -> Weight:
     return tuple(x + y for x, y in zip(to_orthogonal(rs, labels), off))
-
-
-def reflect(rs: RootSystem, w: Weight, i: int) -> Weight:
-    """Reflection of ``w`` in the wall orthogonal to the i-th simple root."""
-    a = rs.simple_roots[i]
-    c = 2 * inner(rs, w, a) / inner(rs, a, a)
-    return tuple(x - c * y for x, y in zip(w, a))
 
 
 def is_dominant(rs: RootSystem, w: Weight) -> bool:

@@ -123,35 +123,20 @@ def _find_discrepancies(
     if recorded is None:
         return ()
     printed = recorded["printed"]
+    cite = citations.CITATIONS["printed-formula"]
     out = []
     for idx, s in enumerate(summands, start=1):
         value = printed.get(str(idx))
-        if value is None:
-            if s.coeff != 0:
-                out.append(
-                    Discrepancy(
-                        idx,
-                        s.irrep.highest_weight,
-                        s.coeff,
-                        None,
-                        "printed formula omits a nonzero coefficient "
-                        f"({citations.CITATIONS['printed-formula']})",
-                    )
-                )
+        p = None if value is None else parse_q(value)
+        if p == s.coeff or (p is None and s.coeff == 0):
             continue
-        p = parse_q(value)
-        if p != s.coeff:
-            out.append(
-                Discrepancy(
-                    idx,
-                    s.irrep.highest_weight,
-                    s.coeff,
-                    p,
-                    "derived coefficient disagrees with the printed value "
-                    f"({citations.CITATIONS['printed-formula']}); the trace "
-                    "identity sum(dim * b) = 0 holds for the derived value only",
-                )
-            )
+        note = (
+            f"printed formula omits a nonzero coefficient ({cite})"
+            if p is None
+            else f"derived coefficient disagrees with the printed value ({cite}); "
+            "the trace identity sum(dim * b) = 0 holds for the derived value only"
+        )
+        out.append(Discrepancy(idx, s.irrep.highest_weight, s.coeff, p, note))
     return tuple(out)
 
 

@@ -188,6 +188,13 @@ def test_usage_errors_exit_2(capsys):
         main(["exterior", "--holonomy", "nope", "--degree", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # --holonomy with --algebra or --weight was answered for the holonomy alone
+    for extra in (["--algebra", "B3", "--weight", "0,0,1"], ["--weight", "1,0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["exterior", "--holonomy", "g2", *extra, "--degree", "2"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--holonomy alone" in err.splitlines()[-1]
 
 
 def test_domain_errors_exit_1(capsys):

@@ -14,7 +14,6 @@ from holoweitz.irreps import (
     Irrep,
     casimir_base,
     casimir_lambda2,
-    casimir_lambda2_ratio,
     dimension,
     full_weights,
     trivial_irrep,
@@ -175,25 +174,49 @@ def test_g2_casimir_closed_form_grid():
             assert casimir_lambda2(g2, Irrep(G2, (a, b))) == want
 
 
-def test_spin7_lambda2_equals_base_casimir():
-    s7 = make_context("spin7")
+@pytest.mark.parametrize("ctx_id", ["spin7", "so5", "so6", "so7", "so8", "so9", "so10"])
+def test_spin7_lambda2_equals_base_casimir(ctx_id):
+    # on the vector representation of so(n) (and the spin rep of spin7)
+    # the Lambda2 normalization is the base form itself
+    ctx = make_context(ctx_id)
+    rs = ctx.root_system
     rng = random.Random(4)
     for _ in range(20):
-        hw = tuple(rng.randint(0, 3) for _ in range(3))
-        irr = Irrep(B3, hw)
-        assert casimir_lambda2(s7, irr) == casimir_base(irr)
+        irr = Irrep(rs, tuple(rng.randint(0, 3) for _ in range(rs.rank)))
+        assert casimir_lambda2(ctx, irr) == casimir_base(irr)
 
 
 def test_casimir_lambda2_invariant_under_form_scaling():
-    # rebuild G2 with the form scaled by c; the ratio formula must not move
-    for c in (Fraction(2), Fraction(1, 3), Fraction(5)):
-        scaled_form = tuple(tuple(c * x for x in row) for row in G2.base_form)
-        rs = replace(G2, base_form=scaled_form, form_scale=c * G2.form_scale)
-        t = Irrep(rs, (1, 0))
+    # scale the form (form_scale * gram, and base_form) by c; the value must not move
+    for c in (2, 3, 5):
+        rs = replace(
+            G2,
+            base_form=tuple(tuple(c * x for x in row) for row in G2.base_form),
+            gram=tuple(tuple(c * x for x in row) for row in G2.gram),
+        )
+        ctx = replace(make_context("g2"), root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
         for hw in G2_CASIMIRS:
-            assert casimir_lambda2_ratio(t, 14, Irrep(rs, hw)) == G2_CASIMIRS[hw]
+            assert casimir_lambda2(ctx, Irrep(rs, hw)) == G2_CASIMIRS[hw]
 
 
 def test_trivial_holonomy_rep_rejected():
+    ctx = replace(make_context("g2"), holonomy_rep=trivial_irrep(G2))
     with pytest.raises(TrivialHolonomyRep):
-        casimir_lambda2_ratio(trivial_irrep(G2), 14, Irrep(G2, (1, 0)))
+        casimir_lambda2(ctx, Irrep(G2, (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [(1.5, 0), (Fraction(3, 2), 0), ("1", 0), (True, False), (1, True), (None, 0)],
+    ids=["float", "fraction", "str", "bool", "int-and-bool", "none"],
+)
+def test_irrep_rejects_labels_that_are_not_integers(labels):
+    with pytest.raises(ValueError):
+        Irrep(G2, labels)
+
+
+def test_irrep_accepts_integral_labels_of_any_numeric_type():
+    for labels in ((2.0, 0), (Fraction(2), 1), [1, 0]):
+        irr = Irrep(G2, labels)
+        assert irr.highest_weight == tuple(int(x) for x in labels)
+        assert all(type(x) is int for x in irr.highest_weight)

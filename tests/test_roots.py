@@ -14,7 +14,6 @@ from holoweitz.roots import (
     _to_dominant_with_word,
     build_root_system,
     inner,
-    reflect,
     to_dominant_chamber,
     to_fundamental,
     to_orthogonal,
@@ -22,7 +21,7 @@ from holoweitz.roots import (
     weyl_orbit,
 )
 
-from helpers import brute_orbit, weyl_group
+from helpers import brute_orbit, mat_vec, reflection_matrix, weyl_group
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -163,7 +162,7 @@ def test_to_dominant_is_idempotent_and_word_reconstructs():
             _, _, word = _to_dominant_with_word(rs, w)
             v = dom
             for i in reversed(word):
-                v = reflect(rs, v, i)
+                v = mat_vec(reflection_matrix(rs.base_form, rs.simple_roots[i]), v)
             assert v == w
 
 

@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from holoweitz import roots
+from holoweitz import citations, roots
 from holoweitz.contexts import form_space, make_context
 from holoweitz.decompose import Decomposition
 from holoweitz.errors import MultiplicityViolation
 from holoweitz.fmt import fmt_q, parse_q
 from holoweitz.irreps import Irrep, casimir_lambda2, dimension, trivial_irrep
 from holoweitz.weitzenboeck import (
+    Summand,
     _check_multiplicity_free,
+    _find_discrepancies,
     conformal_weights,
     formula_line,
     to_json_dict,
@@ -83,6 +85,28 @@ def test_spin7_lambda4_27_discrepancy_annotation():
     assert [(d.index, d.computed, d.printed) for d in f.discrepancies] == [
         (2, Fraction(-1), Fraction(-2))
     ]
+
+
+def test_discrepancies_cover_every_printed_case():
+    # printed equal, printed different, absent with a zero and absent with a
+    # nonzero derived coefficient: the second and the fourth are discrepancies
+    rs = G2.root_system
+    summands = tuple(
+        Summand(Irrep(rs, hw), Fraction(b))
+        for hw, b in (((1, 0), -4), ((2, 0), -1), ((0, 1), 0), ((1, 1), 2))
+    )
+    got = _find_discrepancies({"printed": {"1": "4", "2": "2"}}, summands)
+    assert [(d.index, d.weight, d.computed, d.printed) for d in got] == [
+        (2, (2, 0), Fraction(1), Fraction(2)),
+        (4, (1, 1), Fraction(-2), None),
+    ]
+    cite = citations.CITATIONS["printed-formula"]
+    assert got[0].note == (
+        f"derived coefficient disagrees with the printed value ({cite}); the trace "
+        "identity sum(dim * b) = 0 holds for the derived value only"
+    )
+    assert got[1].note == f"printed formula omits a nonzero coefficient ({cite})"
+    assert _find_discrepancies(None, summands) == ()
 
 
 def test_trace_residual_examples():
