@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True, help="simple type, e.g. G2, B3, D4")
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 1,0,1")
     add_format(p)
-    p.set_defaults(func=_cmd_dim)
+    p.set_defaults(func=_cmd_dim, parser=p)
 
     p = sub.add_parser(
         "casimir",
@@ -273,14 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holonomy", required=True, help="context: g2, spin7, so5..so10")
     p.add_argument("--weight", required=True)
     add_format(p)
-    p.set_defaults(func=_cmd_casimir)
+    p.set_defaults(func=_cmd_casimir, parser=p)
 
     p = sub.add_parser("tensor", help="tensor product decomposition")
     p.add_argument("--algebra", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     add_format(p)
-    p.set_defaults(func=_cmd_tensor)
+    p.set_defaults(func=_cmd_tensor, parser=p)
 
     p = sub.add_parser("exterior", help="exterior power decomposition")
     p.add_argument("--holonomy", help="context whose holonomy representation is used")
@@ -288,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", help="highest weight of the explicit rep")
     p.add_argument("--degree", required=True, type=int)
     add_format(p)
-    p.set_defaults(func=_cmd_exterior)
+    p.set_defaults(func=_cmd_exterior, parser=p)
 
     p = sub.add_parser("weitzenboeck", help="conformal weights and q(R) formula")
     p.add_argument("--holonomy", required=True)
     p.add_argument("--bundle", required=True, help="fundamental coordinates of E")
     p.add_argument("--quiet", action="store_true", help="suppress discrepancy notes")
     add_format(p)
-    p.set_defaults(func=_cmd_weitzenboeck)
+    p.set_defaults(func=_cmd_weitzenboeck, parser=p)
 
     p = sub.add_parser("prove", help="parallelism analysis for one degree and class")
     p.add_argument("--holonomy", required=True)
@@ -308,18 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--registry", help="JSON file with extra q(R)-trivial bundles")
     add_format(p)
-    p.set_defaults(func=_cmd_prove)
+    p.set_defaults(func=_cmd_prove, parser=p)
 
     p = sub.add_parser("theorem", help="full parallelism claim set for a context")
     p.add_argument("--holonomy", required=True)
     p.add_argument("--trace", action="store_true", help="print per-degree traces")
     p.add_argument("--registry", help="JSON file with extra q(R)-trivial bundles")
     add_format(p)
-    p.set_defaults(func=_cmd_theorem)
+    p.set_defaults(func=_cmd_theorem, parser=p)
 
     p = sub.add_parser("selftest", help="run the golden corpus")
     p.add_argument("--bless", action="store_true", help="regenerate the golden fixtures")
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(func=_cmd_selftest, parser=p)
 
     return parser
 
@@ -328,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except HoloweitzError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

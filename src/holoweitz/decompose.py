@@ -1,13 +1,16 @@
 """Tensor products, exterior powers and character decomposition.
 
-All three run on integer Dynkin labels (see :mod:`roots`).  Tensor
-products use Klimyk's reflection rule over the Weyl orbits of the
-smaller factor's dominant weights.  Exterior powers enumerate p-element
-subset sums of the weight multiset directly; this is exact and fast at
-the scale of the supported holonomy representations (n <= 8) but grows
-as C(n, p), so it is not intended for n much beyond 14.  Characters are
-split by greedy highest-weight extraction.  Only the input of
-:func:`decompose_character` is in ambient coordinates.
+All three run on integer Dynkin labels (see :mod:`roots`) and go through
+one straightening kernel, Klimyk's reflection rule: V(lam) (x) char is
+read off by reflecting lam + nu + rho, for every weight nu of char, into
+the dominant chamber.  Tensor products straighten the highest weight of
+the larger factor against the weights of the smaller one.  Exterior
+powers and characters straighten with lam = 0 (the Brauer/Racah-Speiser
+rule); there is no greedy extraction.  Exterior powers enumerate
+p-element subset sums of the weight multiset directly; this is exact and
+fast at the scale of the supported holonomy representations (n <= 8) but
+grows as C(n, p), so it is not intended for n much beyond 14.  Only the
+input of :func:`decompose_character` is in ambient coordinates.
 
 The summand order (see :class:`Decomposition`) is decided here alone; it
 numbers the twistor operators T_i downstream.
@@ -35,7 +38,7 @@ from .roots import Labels, RootSystem, Weight
 class Decomposition:
     """Multiset of irreducible summands with multiplicities.
 
-    Invariant, set only by :func:`_make_decomposition`: entries are sorted
+    Invariant, set only by :func:`_straighten`: entries are sorted
     by dimension, then highest weight lexicographic in ambient coordinates;
     no irrep repeats.
     """
@@ -64,33 +67,30 @@ class Decomposition:
         return len(self.entries)
 
 
-def _make_decomposition(rs: RootSystem, acc: dict[tuple[int, ...], int]) -> Decomposition:
-    entries = [(Irrep(rs, hw), m) for hw, m in acc.items() if m != 0]
-    entries.sort(key=lambda em: (dimension(em[0]), em[0].hw_orthogonal))
-    return Decomposition(tuple(entries))
+def _straighten(rs: RootSystem, lam: Labels, char: dict[Labels, int]) -> Decomposition:
+    """Brauer-Klimyk straightening of V(lam) (x) char into irreps.
 
-
-def _klimyk_expand(anchor: Irrep, expanded: Irrep) -> dict[Labels, int]:
-    """Klimyk accumulation: anchor highest weight + weights of ``expanded``.
-
-    For each weight nu of ``expanded``, reflect lambda + nu + rho into the
-    dominant chamber, drop singular points and accumulate the reflection
-    parity, times the multiplicity of nu, on the irrep at (dominant - rho).
+    ``char`` maps dominant weights in Dynkin labels to multiplicities.
+    For each weight nu in their Weyl orbits, reflect lam + nu + rho into
+    the dominant chamber, drop singular points and accumulate the
+    reflection parity, times the multiplicity of nu, on the irrep at
+    (dominant - rho) (Klimyk 1968).  With lam = 0 this decomposes
+    ``char`` itself.  A negative result raises
+    :class:`InternalNegativeMultiplicity`.
     """
-    rs = anchor.root_system
-    lam_rho = tuple(c + 1 for c in anchor.highest_weight)
+    lam_rho = tuple(c + 1 for c in lam)
     acc: Counter[Labels] = Counter()
-    for mu, m in dominant_multiplicities(expanded).items():
+    for mu, m in char.items():
         for nu in roots.orbit(rs, mu):
             dom, word = roots.dominant(rs, [a + b for a, b in zip(lam_rho, nu)])
             if 0 not in dom:
                 acc[tuple(c - 1 for c in dom)] += -m if len(word) % 2 else m
-    for hw, m in acc.items():
+    entries = [(Irrep(rs, hw), m) for hw, m in acc.items() if m != 0]
+    for irr, m in entries:
         if m < 0:
-            raise InternalNegativeMultiplicity(
-                f"Klimyk produced multiplicity {m} at {hw} in {anchor} x {expanded}"
-            )
-    return {hw: m for hw, m in acc.items() if m != 0}
+            raise InternalNegativeMultiplicity(f"negative multiplicity {m} at {irr}")
+    entries.sort(key=lambda em: (dimension(em[0]), em[0].hw_orthogonal))
+    return Decomposition(tuple(entries))
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +105,15 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
     if dimension(a) < dimension(b):
         a, b = b, a
-    return _make_decomposition(a.root_system, _klimyk_expand(a, b))
+    return _straighten(a.root_system, a.highest_weight, dominant_multiplicities(b))
 
 
 def decompose_character(rs: RootSystem, char: dict[Weight, int]) -> Decomposition:
     """Decompose a character given by its dominant weight multiplicities.
 
-    The weights are ambient vectors; see :func:`_extract`.
+    The weights are ambient vectors.  A non-integral weight or a negative
+    multiplicity in the result raises :class:`NotACharacter`; a weight
+    that is not dominant raises ``ValueError``.
     """
     labels: Counter[Labels] = Counter()
     for w, m in char.items():
@@ -119,40 +121,21 @@ def decompose_character(rs: RootSystem, char: dict[Weight, int]) -> Decompositio
         if any(c.denominator != 1 for c in fund):
             raise NotACharacter(f"{w} is not an integral weight")
         labels[tuple(map(int, fund))] += m
-    return _extract(rs, labels)
-
-
-def _extract(rs: RootSystem, char: dict[Labels, int]) -> Decomposition:
-    """Greedy highest-weight extraction on dominant weights in Dynkin labels.
-
-    Repeatedly take a remaining weight of largest (mu, rho), which is
-    maximal, and subtract that irrep's dominant multiplicities scaled by
-    the current multiplicity.
-    """
-    rho = (1,) * rs.rank
-    remaining = {w: m for w, m in char.items() if m != 0}
-    acc: dict[Labels, int] = {}
-    while remaining:
-        top = max(remaining, key=lambda w: roots.dot(rs, w, rho))
-        m = remaining[top]
-        if m < 0:
-            raise NotACharacter(f"negative multiplicity {m} at {top}")
-        for w, mw in dominant_multiplicities(Irrep(rs, top)).items():
-            left = remaining.get(w, 0) - m * mw
-            if left:
-                remaining[w] = left
-            else:
-                remaining.pop(w, None)
-        acc[top] = m
-    return _make_decomposition(rs, acc)
+    for mu, m in labels.items():
+        if m and min(mu) < 0:
+            raise ValueError(f"weight {mu} of the character is not dominant")
+    try:
+        return _straighten(rs, (0,) * rs.rank, labels)
+    except InternalNegativeMultiplicity as exc:
+        raise NotACharacter(str(exc)) from exc
 
 
 @lru_cache(maxsize=None)
 def exterior_power(t: Irrep, p: int) -> Decomposition:
     """Decomposition of the p-th exterior power of an irrep.
 
-    Forms all p-element subset sums of the weight multiset, keeps the
-    dominant ones as a character and extracts irreps greedily.
+    Forms all p-element subset sums of the weight multiset and
+    straightens the dominant ones as a character.
     """
     n = dimension(t)
     if not 0 <= p <= n:
@@ -164,4 +147,4 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
         s = tuple(map(sum, zip(zero, *subset)))
         if min(s) >= 0:
             char[s] += 1
-    return _extract(rs, char)
+    return _straighten(rs, zero, char)

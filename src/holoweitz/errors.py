@@ -26,7 +26,7 @@ class MixedRootSystems(HoloweitzError):
 
 
 class InternalNegativeMultiplicity(HoloweitzError):
-    """Klimyk accumulation ended negative; signals an implementation bug."""
+    """Straightening ended negative in a tensor product or exterior power; a bug."""
 
 
 class DegreeOutOfRange(HoloweitzError):
@@ -34,7 +34,7 @@ class DegreeOutOfRange(HoloweitzError):
 
 
 class NotACharacter(HoloweitzError):
-    """Greedy extraction hit a negative multiplicity; input was not a character."""
+    """Input was not a character: a non-integral weight or a negative multiplicity."""
 
 
 class UnsupportedContext(HoloweitzError):

@@ -38,7 +38,10 @@ class Irrep:
     highest_weight: tuple[int, ...]
 
     def __post_init__(self):
-        hw = given = tuple(self.highest_weight)
+        try:
+            hw = given = tuple(self.highest_weight)
+        except TypeError:  # not a sequence, e.g. 5 or None
+            hw = given = ()
         if set(map(type, given)) != {int}:
             try:  # == keeps 2.0 and Fraction(2) but not the truncated 1.5 or "1"
                 hw = tuple(map(int, given))

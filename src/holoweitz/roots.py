@@ -167,20 +167,10 @@ def to_dominant_chamber(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
     wall report ``singular=True`` with parity +1; callers performing
     signed accumulation must discard them.
     """
-    dom, parity, _word = _to_dominant_with_word(rs, w)
-    singular = 0 in to_fundamental(rs, dom)
-    return dom, (1 if singular else parity), singular
-
-
-def _to_dominant_with_word(rs: RootSystem, w: Weight) -> tuple[Weight, int, tuple[int, ...]]:
-    """to_dominant_chamber of an ambient vector, keeping the reflection word.
-
-    The word lists simple reflections applied to ``w`` in order; applying
-    them to the dominant output in reverse order reconstructs ``w``.
-    """
     labels, off = _split(rs, w)
     dom, word = dominant(rs, labels)
-    return _join(rs, dom, off), (-1) ** len(word), word
+    singular = 0 in dom
+    return _join(rs, dom, off), (1 if singular else (-1) ** len(word)), singular
 
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:

@@ -197,6 +197,24 @@ def test_usage_errors_exit_2(capsys):
         assert out == "" and "--holonomy alone" in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["casimir", "--holonomy", "g2", "--weight", "1,0,0"],
+        ["dim", "--algebra", "Q2", "--weight", "1,0"],
+        ["exterior", "--holonomy", "g2", "--weight", "1,0", "--degree", "2"],
+    ],
+    ids=["casimir", "dim", "exterior"],
+)
+def test_usage_error_shows_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: holoweitz {argv[0]} ")
+    assert err.splitlines()[-1].startswith(f"holoweitz {argv[0]}: error: ")
+
+
 def test_domain_errors_exit_1(capsys):
     code, out, err = run(capsys, "exterior", "--algebra", "B3", "--weight", "0,0,1", "--degree", "99")
     assert code == 1

@@ -10,14 +10,21 @@ import pytest
 from holoweitz.contexts import make_context
 from holoweitz.decompose import (
     Decomposition,
-    _klimyk_expand,
+    _straighten,
     decompose_character,
     exterior_power,
     tensor,
 )
 from holoweitz.errors import DegreeOutOfRange, MixedRootSystems, NotACharacter
-from holoweitz.irreps import Irrep, dimension, full_weights, trivial_irrep, weight_system
-from holoweitz.roots import build_root_system, is_dominant
+from holoweitz.irreps import (
+    Irrep,
+    dimension,
+    dominant_multiplicities,
+    full_weights,
+    trivial_irrep,
+    weight_system,
+)
+from holoweitz.roots import build_root_system, is_dominant, to_orthogonal
 
 from helpers import character_product, subset_sums
 
@@ -112,7 +119,9 @@ def test_klimyk_is_symmetric_in_both_iteration_orders():
         for _ in range(8):
             a = _random_small_irrep(rng, rs, 80)
             b = _random_small_irrep(rng, rs, 80)
-            assert _klimyk_expand(a, b) == _klimyk_expand(b, a), (a, b)
+            a_b = _straighten(rs, a.highest_weight, dominant_multiplicities(b))
+            b_a = _straighten(rs, b.highest_weight, dominant_multiplicities(a))
+            assert a_b == b_a, (a, b)
 
 
 def test_tensor_against_brute_force_character_product():
@@ -183,18 +192,21 @@ def test_exterior_power_binomial_dimensions():
 def test_exterior_power_against_subset_sum_character():
     # the dominant part of the subset-sum multiset must equal the union of
     # the summands' dominant weight systems
-    T = Irrep(B3, (0, 0, 1))
-    for p in (2, 3, 4):
+    cases = [(Irrep(B3, (0, 0, 1)), p) for p in (2, 3, 4)]
+    cases += [(Irrep(G2, (1, 0)), p) for p in range(8)]
+    cases.append((Irrep(build_root_system("B", 4), (0, 0, 0, 1)), 3))
+    for T, p in cases:
+        rs = T.root_system
         char = {
             w: m
             for w, m in subset_sums(full_weights(T), p).items()
-            if is_dominant(B3, w)
+            if is_dominant(rs, w)
         }
         combined: dict = {}
         for irr, m in exterior_power(T, p):
             for w, mw in weight_system(irr).items():
                 combined[w] = combined.get(w, 0) + m * mw
-        assert combined == char
+        assert combined == char, (T, p)
 
 
 def test_multiplicity_freeness_of_holonomy_tensor_products():
@@ -239,6 +251,31 @@ def test_decompose_character_rejects_non_characters():
     ws[zero] = 1  # true multiplicity is 2
     with pytest.raises(NotACharacter):
         decompose_character(G2, ws)
+    # char V(2,0) - char V(1,0): the top coefficient is +1, the one below -1
+    diff = dict(weight_system(Irrep(G2, (2, 0))))
+    for w, m in weight_system(Irrep(G2, (1, 0))).items():
+        diff[w] -= m
+    with pytest.raises(NotACharacter):
+        decompose_character(G2, diff)
     # a weight off the integral weight lattice
     with pytest.raises(NotACharacter):
         decompose_character(B3, {(Fraction(1, 3), Fraction(0), Fraction(0)): 1})
+    # a weight outside the dominant chamber is not a dominant multiplicity
+    with pytest.raises(ValueError):
+        decompose_character(G2, {to_orthogonal(G2, (-1, 1)): 1})
+
+
+def test_decompose_character_recovers_random_sums_of_irreps():
+    rng = random.Random(61)
+    for fam, rank in [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
+        rs = build_root_system(fam, rank)
+        for _ in range(10):
+            summands: dict = {}
+            for _ in range(rng.randint(1, 3)):
+                irr = _random_small_irrep(rng, rs, 150)
+                summands[irr.highest_weight] = summands.get(irr.highest_weight, 0) + 1
+            char: dict = {}
+            for hw, k in summands.items():
+                for w, m in weight_system(Irrep(rs, hw)).items():
+                    char[w] = char.get(w, 0) + k * m
+            assert dict(entries(decompose_character(rs, char))) == summands, summands

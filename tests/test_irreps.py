@@ -207,8 +207,10 @@ def test_trivial_holonomy_rep_rejected():
 
 @pytest.mark.parametrize(
     "labels",
-    [(1.5, 0), (Fraction(3, 2), 0), ("1", 0), (True, False), (1, True), (None, 0)],
-    ids=["float", "fraction", "str", "bool", "int-and-bool", "none"],
+    [(1.5, 0), (Fraction(3, 2), 0), ("1", 0), (True, False), (1, True), (None, 0),
+     5, None],
+    ids=["float", "fraction", "str", "bool", "int-and-bool", "none",
+         "int-weight", "none-weight"],
 )
 def test_irrep_rejects_labels_that_are_not_integers(labels):
     with pytest.raises(ValueError):

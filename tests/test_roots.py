@@ -11,8 +11,8 @@ import pytest
 from holoweitz.errors import DimensionMismatch, NotDominant, UnsupportedType
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
-    _to_dominant_with_word,
     build_root_system,
+    dominant,
     inner,
     to_dominant_chamber,
     to_fundamental,
@@ -159,7 +159,7 @@ def test_to_dominant_is_idempotent_and_word_reconstructs():
             again, parity2, singular2 = to_dominant_chamber(rs, dom)
             assert again == dom and parity2 == 1 and singular2 == singular
             # replay the reflection word backwards to reconstruct w
-            _, _, word = _to_dominant_with_word(rs, w)
+            _, word = dominant(rs, fund)
             v = dom
             for i in reversed(word):
                 v = mat_vec(reflection_matrix(rs.base_form, rs.simple_roots[i]), v)
