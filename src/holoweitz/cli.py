@@ -17,7 +17,7 @@ import re
 import sys
 
 from . import prover, selftest, weitzenboeck
-from .contexts import form_space, load_registry, make_context, normalize_context_id
+from .contexts import HolonomyContext, form_space, load_registry, make_context, normalize_context_id
 from .decompose import Decomposition, exterior_power, tensor
 from .errors import HoloweitzError
 from .fmt import deco_json, fmt_q, fmt_w
@@ -66,7 +66,7 @@ def _algebra(parser: argparse.ArgumentParser, raw: str):
         parser.error(str(exc))
 
 
-def _context(parser: argparse.ArgumentParser, args) -> "make_context":
+def _context(parser: argparse.ArgumentParser, args) -> HolonomyContext:
     try:
         extra = ()
         registry_path = getattr(args, "registry", None)

@@ -14,7 +14,10 @@ so the G2 model can realize the normalization (w1, w1) = 1,
 (w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The ambient
 functions (``inner``, ``to_dominant_chamber``, ``weyl_orbit``) work
 through the labels and carry any component of the input orthogonal to
-the root span through unchanged.
+the root span through unchanged.  One sparse form evaluator, ``_form``,
+serves ``inner`` and construction, which starts from the simple roots'
+Gram matrix; one linear-combination routine, ``_combine``, forms every
+ambient vector (``to_orthogonal``, fundamental weights, positive roots).
 
 All values are immutable after construction and every function is pure.
 A ``RootSystem`` compares and hashes by identity: ``build_root_system``
@@ -37,6 +40,7 @@ Weight = tuple[Fraction, ...]
 Labels = tuple[int, ...]
 
 _SUPPORTED = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
+MAX_RANK = 40
 
 
 def vector(coords: Iterable) -> Weight:
@@ -123,13 +127,27 @@ def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
 # --- ambient coordinates, at the API edge -----------------------------------
 
 
+def _form(base_form: Sequence[Sequence], u: Sequence, v: Sequence) -> Fraction:
+    """The form evaluator: u^T base_form v, skipping zero entries of u and the form."""
+    return sum(x * g * y for x, row in zip(u, base_form) if x for g, y in zip(row, v) if g)
+
+
+def _combine(coeffs: Sequence, vectors: Sequence[Weight]) -> Weight:
+    """The combination routine: sum_i coeffs[i] vectors[i], skipping zero terms."""
+    out = [Fraction(0)] * len(vectors[0])
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for k, x in enumerate(v):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
+
+
 def inner(rs: RootSystem, u: Weight, v: Weight) -> Fraction:
     """Invariant bilinear form of ``rs`` evaluated on two ambient vectors."""
     if len(u) != rs.dim or len(v) != rs.dim:
-        raise DimensionMismatch(
-            f"expected coordinate length {rs.dim}, got {len(u)} and {len(v)}"
-        )
-    return sum(x * g * y for x, row in zip(u, rs.base_form) if x for g, y in zip(row, v) if g)
+        raise DimensionMismatch(f"expected coordinate length {rs.dim}, got {len(u)} and {len(v)}")
+    return _form(rs.base_form, u, v)
 
 
 def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
@@ -139,10 +157,7 @@ def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
 
 def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
     """Ambient coordinates of a weight given in Dynkin labels."""
-    return tuple(
-        sum((c * omega[k] for c, omega in zip(fund, rs.fundamental_weights)), Fraction(0))
-        for k in range(rs.dim)
-    )
+    return _combine(fund, rs.fundamental_weights)
 
 
 def _split(rs: RootSystem, w: Weight) -> tuple[tuple[Fraction, ...], Weight]:
@@ -153,10 +168,6 @@ def _split(rs: RootSystem, w: Weight) -> tuple[tuple[Fraction, ...], Weight]:
 
 def _join(rs: RootSystem, labels: Sequence, off: Weight) -> Weight:
     return tuple(x + y for x, y in zip(to_orthogonal(rs, labels), off))
-
-
-def is_dominant(rs: RootSystem, w: Weight) -> bool:
-    return min(to_fundamental(rs, w)) >= 0
 
 
 def to_dominant_chamber(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
@@ -187,10 +198,8 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
 def _invert(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
     """Exact Gauss-Jordan inverse of a small rational matrix."""
     n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [[Fraction(x) for x in row] + e for row, e in zip(matrix, eye)]
     for col in range(n):
         piv = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -203,15 +212,10 @@ def _invert(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _simple_root_data(
-    family: str, rank: int
-) -> tuple[list[Weight], tuple[tuple[Fraction, ...], ...]]:
+def _simple_root_data(family: str, rank: int) -> tuple[list[Weight], tuple[Weight, ...]]:
     """Simple roots in ambient coordinates plus the Gram matrix of the space."""
     if family == "G":  # simple-root coordinates, Gram pinned by (w1, w1) = 1
-        gram = (
-            (Fraction(1), Fraction(-3, 2)),
-            (Fraction(-3, 2), Fraction(3)),
-        )
+        gram = (vector((1, Fraction(-3, 2))), vector((Fraction(-3, 2), 3)))
         return [vector((1, 0)), vector((0, 1))], gram
 
     dim = rank + 1 if family == "A" else rank
@@ -230,27 +234,26 @@ def _simple_root_data(
     return roots, identity
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system of type ``family``/``rank``.
+    """Construct the root system of type ``family``/``rank`` (an ``int`` up to MAX_RANK).
 
-    The positive roots are the closure of the simple roots under the
-    simple reflections, each of which permutes the positive roots other
-    than its own; they are ordered by (height, lexicographic).
-    Construction verifies that the positive roots sum to 2 rho.
+    The form is evaluated once, on the simple roots: their Gram matrix
+    b = ((a_i, a_j)) gives the Cartan matrix 2 b_ij / b_jj and the root
+    lengths in ``gram = C^-1 D / 2``.  The positive roots are the closure
+    of the simple roots under the simple reflections, each of which
+    permutes the positive roots other than its own; they are ordered by
+    (height, ambient lexicographic), each ambient vector formed once by
+    ``_combine``.  Construction verifies that the positive roots sum to
+    2 rho.
     """
-    if family not in _SUPPORTED or rank < _SUPPORTED[family] or (family == "G" and rank != 2):
+    top = 2 if family == "G" else MAX_RANK
+    if family not in _SUPPORTED or type(rank) is not int or not _SUPPORTED[family] <= rank <= top:
         raise UnsupportedType(f"unsupported root system {family}{rank}")
 
     simple, base_form = _simple_root_data(family, rank)
-    dim = len(simple[0])
-
-    def form(u: Weight, v: Weight) -> Fraction:
-        return sum(u[i] * base_form[i][j] * v[j] for i in range(dim) for j in range(dim))
-
-    cartan = tuple(
-        tuple(int(2 * form(a, b) / form(b, b)) for b in simple) for a in simple
-    )
+    b = [[_form(base_form, u, v) for v in simple] for u in simple]
+    cartan = tuple(tuple(int(2 * x / b[j][j]) for j, x in enumerate(row)) for row in b)
 
     # positive roots as Dynkin labels -> simple-root coefficients
     found = {cartan[i]: tuple(int(i == j) for j in range(rank)) for i in range(rank)}
@@ -267,22 +270,18 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     nxt.append(r)
         frontier = nxt
 
-    def ambient(coeffs: Sequence) -> Weight:
-        return tuple(
-            sum((k * a[d] for k, a in zip(coeffs, simple)), Fraction(0)) for d in range(dim)
-        )
-
-    positive = sorted(found, key=lambda r: (sum(found[r]), ambient(found[r])))
+    ambient = {r: _combine(coeffs, simple) for r, coeffs in found.items()}
+    positive = sorted(found, key=lambda r: (sum(found[r]), ambient[r]))
     if any(sum(col) != 2 for col in zip(*positive)):
         raise RuntimeError(
             f"{family}{rank}: half-sum of positive roots disagrees with the sum "
             "of fundamental weights; root conventions are broken"
         )
 
-    # w_i = sum_j (C^-1)_ij a_j, so (w_i, w_j) = (C^-1)_ij (a_j, a_j) / 2
+    # w_i = sum_j (C^-1)_ij a_j, so (w_i, w_j) = (C^-1)_ij b_jj / 2
     cartan_inv = _invert(cartan)
-    fundamental = [ambient(row) for row in cartan_inv]
-    gram = [[x * form(a, a) / 2 for x, a in zip(row, simple)] for row in cartan_inv]
+    fundamental = [_combine(row, simple) for row in cartan_inv]
+    gram = [[x * b[j][j] / 2 for j, x in enumerate(row)] for row in cartan_inv]
     scale = lcm(*(x.denominator for row in gram for x in row))
 
     return RootSystem(
@@ -290,7 +289,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         rank=rank,
         simple_roots=tuple(simple),
         fundamental_weights=tuple(fundamental),
-        positive_roots=tuple(ambient(found[r]) for r in positive),
+        positive_roots=tuple(ambient[r] for r in positive),
         cartan_matrix=cartan,
         base_form=base_form,
         rho=tuple(map(sum, zip(*fundamental))),

@@ -10,6 +10,7 @@ import pytest
 
 from holoweitz import selftest
 from holoweitz.cli import main
+from holoweitz.roots import MAX_RANK
 
 
 def run(capsys, *argv):
@@ -35,6 +36,12 @@ def test_dim_json(capsys):
     code, out, _ = run(capsys, "dim", "--algebra", "B3", "--weight", "1,0,1", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"value": 48}
+
+
+def test_dim_of_the_a40_vector_representation(capsys):
+    code, out, _ = run(capsys, "dim", "--algebra", "A40", "--weight", "1" + ",0" * 39)
+    assert code == 0
+    assert out.rstrip().endswith("= 41")
 
 
 def test_weitzenboeck_table_has_six_rows(capsys):
@@ -195,6 +202,11 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "--holonomy alone" in err.splitlines()[-1]
+    # a rank above the cap is refused before the weight is parsed
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--algebra", f"A{MAX_RANK + 1}", "--weight", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

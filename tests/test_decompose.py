@@ -24,7 +24,7 @@ from holoweitz.irreps import (
     trivial_irrep,
     weight_system,
 )
-from holoweitz.roots import build_root_system, is_dominant, to_orthogonal
+from holoweitz.roots import build_root_system, to_fundamental, to_orthogonal
 
 from helpers import character_product, subset_sums
 
@@ -200,7 +200,7 @@ def test_exterior_power_against_subset_sum_character():
         char = {
             w: m
             for w, m in subset_sums(full_weights(T), p).items()
-            if is_dominant(rs, w)
+            if min(to_fundamental(rs, w)) >= 0
         }
         combined: dict = {}
         for irr, m in exterior_power(T, p):
@@ -237,7 +237,7 @@ def test_decompose_character_single_and_sum():
 def test_decompose_character_matches_tensor_on_t_squared():
     T = Irrep(G2, (1, 0))
     product = character_product(full_weights(T), full_weights(T))
-    char = {w: m for w, m in product.items() if is_dominant(G2, w)}
+    char = {w: m for w, m in product.items() if min(to_fundamental(G2, w)) >= 0}
     deco = decompose_character(G2, char)
     assert deco.as_multiset() == tensor(T, T).as_multiset()
     assert entries(deco) == [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((2, 0), 1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ import pytest
 from holoweitz.errors import DimensionMismatch, NotDominant, UnsupportedType
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
+    MAX_RANK,
     build_root_system,
     dominant,
     inner,
@@ -21,7 +23,7 @@ from holoweitz.roots import (
     weyl_orbit,
 )
 
-from helpers import brute_orbit, mat_vec, reflection_matrix, weyl_group
+from helpers import brute_orbit, mat_vec, reflection_matrix, root_basis_coords, weyl_group
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -65,9 +67,47 @@ def test_root_systems_compare_by_identity():
 
 
 def test_unsupported_types_rejected():
-    for fam, rank in [("F", 4), ("E", 6), ("E", 7), ("E", 8), ("B", 1), ("D", 2), ("G", 3), ("X", 2)]:
+    bad = [("F", 4), ("E", 6), ("E", 7), ("E", 8), ("B", 1), ("D", 2), ("G", 3), ("X", 2)]
+    # a bool or float rank must not reach (or poison) the cache; ranks are capped
+    bad += [("A", True), ("A", 2.0), ("A", MAX_RANK + 1)]
+    for fam, rank in bad:
         with pytest.raises(UnsupportedType):
             build_root_system(fam, rank)
+    assert type(build_root_system("A", 1).rank) is int
+
+
+def test_rank_12_cartan_matrices_have_the_closed_form():
+    # Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IV; row i
+    # holds the Dynkin labels of the simple root a_i
+    r = 12
+    start = time.perf_counter()
+    systems = {fam: build_root_system(fam, r) for fam in "ABCD"}
+    assert time.perf_counter() - start < 0.5
+    for fam, rs in systems.items():
+        expected = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(r)] for i in range(r)]
+        if fam == "B":
+            expected[r - 2][r - 1] = -2
+        elif fam == "C":
+            expected[r - 1][r - 2] = -2
+        elif fam == "D":
+            expected[r - 2][r - 1] = expected[r - 1][r - 2] = 0
+            expected[r - 3][r - 1] = expected[r - 1][r - 3] = -1
+        assert rs.cartan_matrix == tuple(map(tuple, expected)), fam
+        count = {"A": r * (r + 1) // 2, "B": r * r, "C": r * r, "D": r * (r - 1)}[fam]
+        assert len(rs.positive_roots) == len(rs.positive_labels) == count, fam
+
+
+def test_positive_roots_are_in_height_then_ambient_order():
+    minimum = {"A": 1, "B": 2, "C": 2, "D": 3}
+    cases = [("G", 2)] + [(f, r) for f in "ABCD" for r in range(minimum[f], 7)]
+    for fam, rank in cases:
+        rs = build_root_system(fam, rank)
+        keys = [(sum(root_basis_coords(rs, a)), a) for a in rs.positive_roots]
+        assert keys == sorted(keys), (fam, rank)
+        for labels, a in zip(rs.positive_labels, rs.positive_roots):
+            assert to_orthogonal(rs, labels) == a
+        for i, w in enumerate(rs.fundamental_weights):
+            assert to_fundamental(rs, w) == tuple(int(i == j) for j in range(rank))
 
 
 def test_g2_gram_matches_the_normalization():
@@ -142,9 +182,7 @@ def test_singular_weight_detected_against_brute_force():
     orbit = brute_orbit(b3, w)
     # stabilizer nontrivial exactly when the orbit is smaller than the group
     assert len(orbit) < len(group)
-    from holoweitz.roots import is_dominant
-
-    dominant_images = {v for v in orbit if is_dominant(b3, v)}
+    dominant_images = {v for v in orbit if min(to_fundamental(b3, v)) >= 0}
     assert dominant_images == {dom}
 
 
