@@ -3,14 +3,14 @@
 All three run on integer Dynkin labels (see :mod:`roots`) and go through
 one straightening kernel, Klimyk's reflection rule: V(lam) (x) char is
 read off by reflecting lam + nu + rho, for every weight nu of char, into
-the dominant chamber.  Tensor products straighten the highest weight of
-the larger factor against the weights of the smaller one.  Exterior
-powers and characters straighten with lam = 0 (the Brauer/Racah-Speiser
-rule); there is no greedy extraction.  Exterior powers enumerate
-p-element subset sums of the weight multiset directly; this is exact and
-fast at the scale of the supported holonomy representations (n <= 8) but
-grows as C(n, p), so it is not intended for n much beyond 14.  Only the
-input of :func:`decompose_character` is in ambient coordinates.
+the dominant chamber.  Tensor products straighten the larger factor's
+highest weight against the smaller one's weights; characters straighten
+with lam = 0 (Brauer/Racah-Speiser).  Exterior powers follow Newton's
+identity in the representation ring (Fulton-Harris; LiE's ``alt_tensor``),
+q Lambda^q(T) = sum_{k=1..q} (-1)^(k-1) psi^k(T) Lambda^(q-k)(T), where
+the Adams operation psi^k(T) is T's weight multiset scaled by k; degrees
+above n/2 are duals of degrees below.  Only the input of
+:func:`decompose_character` is in ambient coordinates.
 
 The summand order (see :class:`Decomposition`) is decided here alone; it
 numbers the twistor operators T_i downstream.
@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import roots
 from .errors import (
@@ -38,7 +37,7 @@ from .roots import Labels, RootSystem, Weight
 class Decomposition:
     """Multiset of irreducible summands with multiplicities.
 
-    Invariant, set only by :func:`_straighten`: entries are sorted
+    Invariant, set only by :func:`_decomposition`: entries are sorted
     by dimension, then highest weight lexicographic in ambient coordinates;
     no irrep repeats.
     """
@@ -67,30 +66,40 @@ class Decomposition:
         return len(self.entries)
 
 
-def _straighten(rs: RootSystem, lam: Labels, char: dict[Labels, int]) -> Decomposition:
-    """Brauer-Klimyk straightening of V(lam) (x) char into irreps.
+def _accumulate(rs: RootSystem, acc: Counter, lam: Labels, weights, m: int = 1) -> None:
+    """The kernel: add m V(lam) (x) weights to ``acc``, signed (Klimyk 1968).
 
-    ``char`` maps dominant weights in Dynkin labels to multiplicities.
-    For each weight nu in their Weyl orbits, reflect lam + nu + rho into
-    the dominant chamber, drop singular points and accumulate the
-    reflection parity, times the multiplicity of nu, on the irrep at
-    (dominant - rho) (Klimyk 1968).  With lam = 0 this decomposes
-    ``char`` itself.  A negative result raises
-    :class:`InternalNegativeMultiplicity`.
+    ``weights`` lists (nu, multiplicity) over a Weyl-invariant multiset.  The
+    irrep at dominant(lam + nu + rho) - rho gains the reflection parity times
+    m times the multiplicity; singular points drop out.
     """
     lam_rho = tuple(c + 1 for c in lam)
-    acc: Counter[Labels] = Counter()
-    for mu, m in char.items():
-        for nu in roots.orbit(rs, mu):
-            dom, word = roots.dominant(rs, [a + b for a, b in zip(lam_rho, nu)])
-            if 0 not in dom:
-                acc[tuple(c - 1 for c in dom)] += -m if len(word) % 2 else m
-    entries = [(Irrep(rs, hw), m) for hw, m in acc.items() if m != 0]
-    for irr, m in entries:
-        if m < 0:
-            raise InternalNegativeMultiplicity(f"negative multiplicity {m} at {irr}")
+    for nu, k in weights:
+        dom, word = roots.dominant(rs, [a + b for a, b in zip(lam_rho, nu)])
+        if 0 not in dom:
+            acc[tuple(c - 1 for c in dom)] += -m * k if len(word) % 2 else m * k
+
+
+def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomposition:
+    """The checked step: ``acc / q`` as a sorted :class:`Decomposition`, or
+    :class:`InternalNegativeMultiplicity` on a negative or indivisible entry."""
+    entries = []
+    for hw, m in acc.items():
+        if m:
+            value, rest = divmod(m, q)
+            if rest or value < 0:
+                why = "negative" if m < 0 else f"not divisible by {q}"
+                raise InternalNegativeMultiplicity(f"multiplicity {m} at {Irrep(rs, hw)}: {why}")
+            entries.append((Irrep(rs, hw), value))
     entries.sort(key=lambda em: (dimension(em[0]), em[0].hw_orthogonal))
     return Decomposition(tuple(entries))
+
+
+def _straighten(rs: RootSystem, lam: Labels, char: dict[Labels, int]) -> Decomposition:
+    """V(lam) (x) char, for ``char`` given on dominant labels; lam = 0 decomposes char."""
+    acc: Counter[Labels] = Counter()
+    _accumulate(rs, acc, lam, [(nu, m) for mu, m in char.items() for nu in roots.orbit(rs, mu)])
+    return _decomposition(rs, acc)
 
 
 @lru_cache(maxsize=None)
@@ -132,19 +141,29 @@ def decompose_character(rs: RootSystem, char: dict[Weight, int]) -> Decompositio
 
 @lru_cache(maxsize=None)
 def exterior_power(t: Irrep, p: int) -> Decomposition:
-    """Decomposition of the p-th exterior power of an irrep.
+    """Decomposition of the p-th exterior power of an irrep of dimension n.
 
-    Forms all p-element subset sums of the weight multiset and
-    straightens the dominant ones as a character.
+    For 2p <= n, Newton's identity: each summand V(lam) of Lambda^(p-k)
+    is straightened against psi^k(T) with sign (-1)^(k-1), and the signed
+    sum is divided by p.  The lower degrees come from this function's
+    cache, filled in increasing degree so the recursion stays shallow.  For 2p > n, Lambda^p is the dual of Lambda^(n-p): V(lam)
+    becomes V(-w0 lam), the dominant representative of -lam.
     """
     n = dimension(t)
     if not 0 <= p <= n:
         raise DegreeOutOfRange(f"degree {p} outside [0, {n}]")
     rs = t.root_system
-    zero = (0,) * rs.rank
-    char: Counter[Labels] = Counter()
-    for subset in combinations(weight_labels(t), p):
-        s = tuple(map(sum, zip(zero, *subset)))
-        if min(s) >= 0:
-            char[s] += 1
-    return _straighten(rs, zero, char)
+    if 2 * p > n:
+        dual = {roots.dominant(rs, [-c for c in v.highest_weight])[0]: m
+                for v, m in exterior_power(t, n - p)}
+        return _decomposition(rs, dual)
+    if p == 0:
+        return _decomposition(rs, {(0,) * rs.rank: 1})
+    lower = [exterior_power(t, q) for q in range(p)]
+    weights = Counter(weight_labels(t)).items()
+    acc: Counter[Labels] = Counter()
+    for k in range(1, p + 1):
+        psi = [(tuple(k * c for c in nu), mult) for nu, mult in weights]
+        for irr, m in lower[p - k]:
+            _accumulate(rs, acc, irr.highest_weight, psi, m if k % 2 else -m)
+    return _decomposition(rs, acc, p)

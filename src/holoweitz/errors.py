@@ -26,7 +26,8 @@ class MixedRootSystems(HoloweitzError):
 
 
 class InternalNegativeMultiplicity(HoloweitzError):
-    """Straightening ended negative in a tensor product or exterior power; a bug."""
+    """Straightening ended in a negative multiplicity, or, in the Newton recursion
+    for Lambda^q, in one not divisible by q; a bug in a tensor product or exterior power."""
 
 
 class DegreeOutOfRange(HoloweitzError):

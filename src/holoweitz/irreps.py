@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import roots
 from .errors import MixedRootSystems, TrivialHolonomyRep
@@ -76,11 +77,11 @@ def dimension(irrep: Irrep) -> int:
     """Weyl dimension formula: prod over positive roots of (l+rho,a)/(rho,a)."""
     rs = irrep.root_system
     lam_rho = tuple(c + 1 for c in irrep.highest_weight)
-    rho = (1,) * rs.rank
     num = den = 1
     for a in rs.positive_labels:
-        num *= dot(rs, lam_rho, a)
-        den *= dot(rs, rho, a)
+        wa = [sum(map(mul, row, a)) for row in rs.gram]  # (w_i, a) in gram units
+        num *= sum(map(mul, lam_rho, wa))
+        den *= sum(wa)
     value, rest = divmod(num, den)
     if rest:
         raise RuntimeError(f"Weyl dimension of {irrep} is not an integer: {num}/{den}")

@@ -247,9 +247,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     ``_combine``.  Construction verifies that the positive roots sum to
     2 rho.
     """
-    top = 2 if family == "G" else MAX_RANK
-    if family not in _SUPPORTED or type(rank) is not int or not _SUPPORTED[family] <= rank <= top:
+    if family not in _SUPPORTED or type(rank) is not int:
         raise UnsupportedType(f"unsupported root system {family}{rank}")
+    top = 2 if family == "G" else MAX_RANK
+    if not _SUPPORTED[family] <= rank <= top:
+        need = "rank = 2" if family == "G" else f"{_SUPPORTED[family]} <= rank <= MAX_RANK = {top}"
+        raise UnsupportedType(f"unsupported root system {family}{rank}: type {family} needs {need}")
 
     simple, base_form = _simple_root_data(family, rank)
     b = [[_form(base_form, u, v) for v in simple] for u in simple]

@@ -202,11 +202,15 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "--holonomy alone" in err.splitlines()[-1]
-    # a rank above the cap is refused before the weight is parsed
-    with pytest.raises(SystemExit) as exc:
-        main(["dim", "--algebra", f"A{MAX_RANK + 1}", "--weight", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # a rank above the cap is refused before the weight is parsed, naming the cap
+    for algebra in (f"A{MAX_RANK + 1}", "A200"):
+        with pytest.raises(SystemExit) as exc:
+            main(["dim", "--algebra", algebra, "--weight", "1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1].endswith(
+            f"unsupported root system {algebra}: type A needs 1 <= rank <= MAX_RANK = {MAX_RANK}"
+        )
 
 
 @pytest.mark.parametrize(

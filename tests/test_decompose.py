@@ -4,27 +4,36 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from holoweitz.contexts import make_context
+from holoweitz import decompose
+from holoweitz.contexts import CONTEXT_IDS, make_context
 from holoweitz.decompose import (
     Decomposition,
+    _decomposition,
     _straighten,
     decompose_character,
     exterior_power,
     tensor,
 )
-from holoweitz.errors import DegreeOutOfRange, MixedRootSystems, NotACharacter
+from holoweitz.errors import (
+    DegreeOutOfRange,
+    InternalNegativeMultiplicity,
+    MixedRootSystems,
+    NotACharacter,
+)
 from holoweitz.irreps import (
     Irrep,
     dimension,
     dominant_multiplicities,
     full_weights,
     trivial_irrep,
+    weight_labels,
     weight_system,
 )
-from holoweitz.roots import build_root_system, to_fundamental, to_orthogonal
+from holoweitz.roots import build_root_system, dominant, to_fundamental, to_orthogonal
 
 from helpers import character_product, subset_sums
 
@@ -207,6 +216,75 @@ def test_exterior_power_against_subset_sum_character():
             for w, mw in weight_system(irr).items():
                 combined[w] = combined.get(w, 0) + m * mw
         assert combined == char, (T, p)
+
+
+# every context's holonomy rep, the exterior-power reps of perfbench's ladder
+# plus the G2 (1,1) cliff, and reps that are not self-dual (-w0 != 1)
+ORACLE_REPS = [make_context(ctx_id).holonomy_rep for ctx_id in CONTEXT_IDS] + [
+    Irrep(build_root_system(*where), hw)
+    for where, hw in [
+        (("B", 4), (1, 0, 0, 0)),
+        (("B", 4), (0, 0, 0, 1)),
+        (("G", 2), (2, 0)),
+        (("G", 2), (1, 1)),
+        (("A", 3), (1, 0, 0)),
+        (("A", 4), (0, 1, 0, 0)),
+        (("D", 5), (0, 0, 0, 0, 1)),
+    ]
+]
+
+
+@pytest.mark.parametrize("t", ORACLE_REPS, ids=repr)
+def test_exterior_power_matches_the_subset_route_exactly(t):
+    # the subset-sum character straightened on its own is the oracle for the
+    # Newton recursion and the duality; entries must agree in order too
+    rs, n = t.root_system, dimension(t)
+    for p in range(n + 1):
+        if comb(n, p) > 10**5:
+            continue
+        char = {}
+        for w, m in subset_sums(weight_labels(t), p).items():
+            if min(w) >= 0:
+                char[tuple(map(int, w))] = m
+        assert exterior_power(t, p).entries == _straighten(rs, (0,) * rs.rank, char).entries, p
+
+
+@pytest.mark.parametrize("t", ORACLE_REPS, ids=repr)
+def test_exterior_powers_of_complementary_degree_are_dual(t):
+    rs, n = t.root_system, dimension(t)
+    for p in range(n + 1):
+        if comb(n, p) > 10**8:  # keeps the 64-dimensional G2 (1,1) below Lambda^7
+            continue
+        lower = exterior_power(t, n - p)
+        dual = {dominant(rs, [-c for c in irr.highest_weight])[0]: m for irr, m in lower}
+        assert dict(entries(exterior_power(t, p))) == dual, p
+
+
+def test_a_wrong_lower_degree_raises_instead_of_answering(monkeypatch):
+    # Lambda^3(T) of G2 read from a Lambda^2 without V(1,0): 3 Lambda^3 then
+    # misses T (x) V(1,0), which leaves a negative entry and a remainder mod 3
+    T = Irrep(G2, (1, 0))
+    exterior_power.cache_clear()
+    try:
+        true_two = exterior_power(T, 2)
+        poisoned = Decomposition(tuple((irr, m) for irr, m in true_two if irr != T))
+
+        def lower(t, p):
+            return poisoned if (t, p) == (T, 2) else exterior_power(t, p)
+
+        monkeypatch.setattr(decompose, "exterior_power", lower)
+        with pytest.raises(InternalNegativeMultiplicity):
+            exterior_power(T, 3)
+    finally:
+        exterior_power.cache_clear()
+
+
+def test_the_checked_step_rejects_negative_and_indivisible_multiplicities():
+    assert entries(_decomposition(G2, {(1, 0): 6, (0, 0): 3}, 3)) == [((0, 0), 1), ((1, 0), 2)]
+    with pytest.raises(InternalNegativeMultiplicity):
+        _decomposition(G2, {(1, 0): 4}, 3)
+    with pytest.raises(InternalNegativeMultiplicity):
+        _decomposition(G2, {(1, 0): -3}, 3)
 
 
 def test_multiplicity_freeness_of_holonomy_tensor_products():

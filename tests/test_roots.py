@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -74,6 +75,20 @@ def test_unsupported_types_rejected():
         with pytest.raises(UnsupportedType):
             build_root_system(fam, rank)
     assert type(build_root_system("A", 1).rank) is int
+    # a rank out of range names the family's range, cap included, not just the type
+    limits = [
+        (("A", MAX_RANK + 1), f"type A needs 1 <= rank <= MAX_RANK = {MAX_RANK}"),
+        (("A", 200), f"type A needs 1 <= rank <= MAX_RANK = {MAX_RANK}"),
+        (("B", 1), f"type B needs 2 <= rank <= MAX_RANK = {MAX_RANK}"),
+        (("D", 2), f"type D needs 3 <= rank <= MAX_RANK = {MAX_RANK}"),
+        (("G", 3), "type G needs rank = 2"),
+    ]
+    for (fam, rank), text in limits:
+        with pytest.raises(UnsupportedType, match=re.escape(text)):
+            build_root_system(fam, rank)
+    with pytest.raises(UnsupportedType) as exc:
+        build_root_system("F", 4)
+    assert str(exc.value) == "unsupported root system F4"
 
 
 def test_rank_12_cartan_matrices_have_the_closed_form():
