@@ -1,6 +1,8 @@
 """Holonomy contexts: the group, its holonomy representation, and the
 registry of bundles on which the curvature endomorphism q(R) vanishes.
 
+The catalogue is one table, ``_CONTEXTS``; adding a context is adding
+a row, which :func:`make_context` checks against the Weyl dimensions.
 Registry entries are context data with citations, not computations: the
 facts behind them (Ricci-flatness, the spinor-bundle argument for the
 7-dimensional Spin7 bundle) are analytic inputs.  Extra entries can be
@@ -20,7 +22,19 @@ from .errors import MixedRootSystems, UnsupportedContext
 from .irreps import Irrep, adjoint_irrep, dimension
 from .roots import RootSystem, build_root_system
 
-CONTEXT_IDS = ("g2", "spin7", "so5", "so6", "so7", "so8", "so9", "so10")
+# id: family, rank, holonomy weight, the pins dim T and dim g, Ricci-flatness, and the
+# q(R) registry after the trivial bundle as (weight, citation key) pairs
+_CONTEXTS = {
+    "g2": ("G", 2, (1, 0), 7, 14, True, (((1, 0), "qr-ricci-flat"),)),
+    "spin7": ("B", 3, (0, 0, 1), 8, 21, True, (((0, 0, 1), "qr-ricci-flat"), ((1, 0, 0), "qr-spinor-bundle"))),
+    "so5": ("B", 2, (1, 0), 5, 10, False, ()),
+    "so6": ("D", 3, (1, 0, 0), 6, 15, False, ()),
+    "so7": ("B", 3, (1, 0, 0), 7, 21, False, ()),
+    "so8": ("D", 4, (1, 0, 0, 0), 8, 28, False, ()),
+    "so9": ("B", 4, (1, 0, 0, 0), 9, 36, False, ()),
+    "so10": ("D", 5, (1, 0, 0, 0, 0), 10, 45, False, ()),
+}
+CONTEXT_IDS = tuple(_CONTEXTS)
 
 
 @dataclass(frozen=True)
@@ -55,44 +69,11 @@ def normalize_context_id(raw: str) -> str:
     raise UnsupportedContext(f"unknown holonomy context {raw!r}; supported: {', '.join(CONTEXT_IDS)}")
 
 
-def _base_registry(ctx_id: str, rs: RootSystem) -> tuple[RegistryEntry, ...]:
-    trivial = RegistryEntry((0,) * rs.rank, citations.CITATIONS["qr-trivial-bundle"])
-    if ctx_id == "g2":
-        return (
-            trivial,
-            RegistryEntry((1, 0), citations.CITATIONS["qr-ricci-flat"]),
-        )
-    if ctx_id == "spin7":
-        return (
-            trivial,
-            RegistryEntry((0, 0, 1), citations.CITATIONS["qr-ricci-flat"]),
-            RegistryEntry((1, 0, 0), citations.CITATIONS["qr-spinor-bundle"]),
-        )
-    return (trivial,)
-
-
 @lru_cache(maxsize=None)
 def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> HolonomyContext:
-    if ctx_id == "g2":
-        rs = build_root_system("G", 2)
-        hol = Irrep(rs, (1, 0))
-        ricci_flat = True
-        expect_n, expect_dim_g = 7, 14
-    elif ctx_id == "spin7":
-        rs = build_root_system("B", 3)
-        hol = Irrep(rs, (0, 0, 1))
-        ricci_flat = True
-        expect_n, expect_dim_g = 8, 21
-    else:
-        n = int(ctx_id[2:])
-        if n % 2:
-            rs = build_root_system("B", (n - 1) // 2)
-        else:
-            rs = build_root_system("D", n // 2)
-        hol = Irrep(rs, (1,) + (0,) * (rs.rank - 1))
-        ricci_flat = False
-        expect_n, expect_dim_g = n, n * (n - 1) // 2
-
+    family, rank, hol_weight, expect_n, expect_dim_g, ricci_flat, base = _CONTEXTS[ctx_id]
+    rs = build_root_system(family, rank)
+    hol = Irrep(rs, hol_weight)
     n = dimension(hol)
     dim_g = dimension(adjoint_irrep(rs))
     if (n, dim_g) != (expect_n, expect_dim_g):
@@ -103,7 +84,8 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
             "root system conventions are broken"
         )
 
-    registry = list(_base_registry(ctx_id, rs))
+    registry = [RegistryEntry((0,) * rank, citations.CITATIONS["qr-trivial-bundle"])]
+    registry += (RegistryEntry(w, citations.CITATIONS[key]) for w, key in base)
     for entry in extra:
         if len(entry.highest_weight) != rs.rank:
             raise UnsupportedContext(

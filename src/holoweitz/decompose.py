@@ -29,7 +29,7 @@ from .errors import (
     MixedRootSystems,
     NotACharacter,
 )
-from .irreps import Irrep, dimension, dominant_multiplicities, weight_labels
+from .irreps import Irrep, dimension, dominant_multiplicities
 from .roots import Labels, RootSystem, Weight
 
 
@@ -75,9 +75,9 @@ def _accumulate(rs: RootSystem, acc: Counter, lam: Labels, weights, m: int = 1) 
     """
     lam_rho = tuple(c + 1 for c in lam)
     for nu, k in weights:
-        dom, word = roots.dominant(rs, [a + b for a, b in zip(lam_rho, nu)])
+        dom, sign = roots.dominant(rs, [a + b for a, b in zip(lam_rho, nu)])
         if 0 not in dom:
-            acc[tuple(c - 1 for c in dom)] += -m * k if len(word) % 2 else m * k
+            acc[tuple(c - 1 for c in dom)] += sign * m * k
 
 
 def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomposition:
@@ -95,10 +95,15 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomp
     return Decomposition(tuple(entries))
 
 
+def _weights(rs: RootSystem, char: dict[Labels, int]) -> list[tuple[Labels, int]]:
+    """Every weight of ``char``, given on dominant labels, with its multiplicity."""
+    return [(nu, m) for mu, m in char.items() for nu in roots.orbit(rs, mu)]
+
+
 def _straighten(rs: RootSystem, lam: Labels, char: dict[Labels, int]) -> Decomposition:
     """V(lam) (x) char, for ``char`` given on dominant labels; lam = 0 decomposes char."""
     acc: Counter[Labels] = Counter()
-    _accumulate(rs, acc, lam, [(nu, m) for mu, m in char.items() for nu in roots.orbit(rs, mu)])
+    _accumulate(rs, acc, lam, _weights(rs, char))
     return _decomposition(rs, acc)
 
 
@@ -160,7 +165,7 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     if p == 0:
         return _decomposition(rs, {(0,) * rs.rank: 1})
     lower = [exterior_power(t, q) for q in range(p)]
-    weights = Counter(weight_labels(t)).items()
+    weights = _weights(rs, dominant_multiplicities(t))
     acc: Counter[Labels] = Counter()
     for k in range(1, p + 1):
         psi = [(tuple(k * c for c in nu), mult) for nu, mult in weights]

@@ -85,22 +85,23 @@ def dot(rs: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * sum(g * b for g, b in zip(row, v)) for a, row in zip(u, rs.gram))
 
 
-def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, tuple[int, ...]]:
+def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, int]:
     """Dominant Weyl-orbit representative of a weight in Dynkin labels.
 
-    Returns ``(dominant, word)``: the word lists the simple reflections
-    applied to ``mu`` in order, so its length gives the parity.
+    Returns ``(dominant, sign)``: the sign is (-1)^length of the simple
+    reflections applied to ``mu``, the determinant of the Weyl element
+    that carries ``mu`` into the dominant chamber.
     """
     mu = tuple(mu)
-    word: list[int] = []
+    sign = 1
     while True:
         for i, c in enumerate(mu):
             if c < 0:
                 mu = tuple(m - c * a for m, a in zip(mu, rs.cartan_matrix[i]))
-                word.append(i)
+                sign = -sign
                 break
         else:
-            return mu, tuple(word)
+            return mu, sign
 
 
 def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
@@ -179,9 +180,9 @@ def to_dominant_chamber(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
     signed accumulation must discard them.
     """
     labels, off = _split(rs, w)
-    dom, word = dominant(rs, labels)
+    dom, sign = dominant(rs, labels)
     singular = 0 in dom
-    return _join(rs, dom, off), (1 if singular else (-1) ** len(word)), singular
+    return _join(rs, dom, off), (1 if singular else sign), singular
 
 
 def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:

@@ -15,7 +15,8 @@ from itertools import combinations
 
 
 def mat_vec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    # skipping zero products keeps brute-force orbits of rank-5 types affordable
+    return tuple(sum(x * y for x, y in zip(row, v) if x and y) for row in m)
 
 
 def mat_mul(a, b):

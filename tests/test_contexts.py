@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from holoweitz.contexts import (
+    CONTEXT_IDS,
     RegistryEntry,
     form_space,
     load_registry,
@@ -17,6 +18,39 @@ from holoweitz.contexts import (
 )
 from holoweitz.errors import DegreeOutOfRange, MixedRootSystems, UnsupportedContext
 from holoweitz.irreps import Irrep, trivial_irrep
+
+
+TRIVIAL = "Cor. ricci (the Lie algebra acts by zero on the trivial bundle)"
+RICCI_FLAT = "Cor. ricci (q(R) acts as Ricci curvature on T; the holonomy is Ricci-flat)"
+SPINOR = "Cor. ricci (spinor bundle splits off a rank-7 summand on which q(R) = s/16 = 0)"
+
+# id: family, rank, holonomy weight, n, dim g, Ricci-flat, q(R) registry in order
+CONTEXT_ROWS = {
+    "g2": ("G", 2, (1, 0), 7, 14, True, [((0, 0), TRIVIAL), ((1, 0), RICCI_FLAT)]),
+    "spin7": ("B", 3, (0, 0, 1), 8, 21, True,
+              [((0, 0, 0), TRIVIAL), ((0, 0, 1), RICCI_FLAT), ((1, 0, 0), SPINOR)]),
+    "so5": ("B", 2, (1, 0), 5, 10, False, [((0, 0), TRIVIAL)]),
+    "so6": ("D", 3, (1, 0, 0), 6, 15, False, [((0, 0, 0), TRIVIAL)]),
+    "so7": ("B", 3, (1, 0, 0), 7, 21, False, [((0, 0, 0), TRIVIAL)]),
+    "so8": ("D", 4, (1, 0, 0, 0), 8, 28, False, [((0, 0, 0, 0), TRIVIAL)]),
+    "so9": ("B", 4, (1, 0, 0, 0), 9, 36, False, [((0, 0, 0, 0), TRIVIAL)]),
+    "so10": ("D", 5, (1, 0, 0, 0, 0), 10, 45, False, [((0, 0, 0, 0, 0), TRIVIAL)]),
+}
+
+
+def test_context_ids_in_order():
+    assert CONTEXT_IDS == ("g2", "spin7", "so5", "so6", "so7", "so8", "so9", "so10")
+
+
+@pytest.mark.parametrize("ctx_id", CONTEXT_IDS)
+def test_every_context_row_is_pinned(ctx_id):
+    ctx = make_context(ctx_id)
+    assert ctx.id == ctx_id
+    rs = ctx.root_system
+    assert ctx.holonomy_rep.root_system is rs
+    registry = [(e.highest_weight, e.citation) for e in ctx.qr_registry]
+    row = (rs.family, rs.rank, ctx.holonomy_rep.highest_weight, ctx.n, ctx.dim_g, ctx.ricci_flat, registry)
+    assert row == CONTEXT_ROWS[ctx_id]
 
 
 def test_g2_context_fields():
