@@ -1,9 +1,11 @@
 """Command line front end.
 
 Weights are always given in fundamental coordinates as comma-separated
-non-negative integers.  Casimir eigenvalues follow the convention
-Cas = sum X_i^2, so they are negative (zero only on the trivial
-representation); most references use the opposite sign.
+non-negative integers in ASCII digits, spaces around each allowed;
+``--degree`` takes the same digits with an optional leading minus.
+Casimir eigenvalues follow the convention Cas = sum X_i^2, so they are
+negative (zero only on the trivial representation); most references use
+the opposite sign.
 
 Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
 """
@@ -44,16 +46,32 @@ def _mark(ok: bool) -> str:
     return text
 
 
+def _is_integer(raw: str) -> bool:
+    """ASCII digits with an optional leading minus, spaces around them allowed.
+
+    int() alone would also read "1_0" as 10, and a non-ASCII digit such as
+    U+0663 (Arabic-Indic three) as 3.
+    """
+    digits = raw.strip().removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
 def _parse_weight(parser: argparse.ArgumentParser, raw: str, rank: int) -> tuple[int, ...]:
-    try:
-        coords = tuple(int(c) for c in raw.split(","))
-    except ValueError:
+    parts = raw.split(",")
+    if not all(map(_is_integer, parts)):
         parser.error(f"weight {raw!r} is not a comma-separated integer list")
+    coords = tuple(int(c) for c in parts)
     if len(coords) != rank:
         parser.error(f"weight {raw!r} has {len(coords)} coordinates, expected {rank}")
     if any(c < 0 for c in coords):
         parser.error(f"weight {raw!r} must have non-negative coordinates")
     return coords
+
+
+def _degree(raw: str) -> int:
+    if not _is_integer(raw):
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    return int(raw)
 
 
 def _algebra(parser: argparse.ArgumentParser, raw: str):
@@ -286,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holonomy", help="context whose holonomy representation is used")
     p.add_argument("--algebra", help="alternative: simple type of an explicit rep")
     p.add_argument("--weight", help="highest weight of the explicit rep")
-    p.add_argument("--degree", required=True, type=int)
+    p.add_argument("--degree", required=True, type=_degree)
     add_format(p)
     p.set_defaults(func=_cmd_exterior, parser=p)
 
@@ -299,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="parallelism analysis for one degree and class")
     p.add_argument("--holonomy", required=True)
-    p.add_argument("--degree", required=True, type=int)
+    p.add_argument("--degree", required=True, type=_degree)
     p.add_argument(
         "--class",
         dest="form_class",
@@ -328,9 +346,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args.parser, args)
+        status = args.func(args.parser, args)
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+        return status
     except HoloweitzError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull, so the
+        # interpreter's own flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

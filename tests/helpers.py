@@ -3,143 +3,228 @@
 Everything here reimplements the math from scratch on top of plain
 matrix/vector arithmetic: Weyl groups as explicit matrices, Kostant's
 partition-function multiplicity formula, brute-force orbits, exact
-nullspaces.  None of it calls the package's own chamber/orbit/weight
-machinery, so agreement is a genuine two-route check.
+nullspaces and inverses.  It imports only the standard library, nothing
+from the package under test, and of a root system it reads only the data
+fields ``simple_roots``, ``positive_roots``, ``base_form``, ``rho`` and
+``rank`` (and ``dim``, the length of a simple root), never the package's
+own chamber/orbit/weight machinery, so agreement is a genuine two-route
+check.
+
+Work is done in integers wherever the values are integral.  The simple
+reflections of every supported type are integer matrices in ambient
+coordinates; this is the precondition of every integer routine below,
+and ``reflection_matrix`` raises ``ValueError`` where it fails.  A
+rational vector v is carried as the pair (d, d * v), d the lcm of its
+denominators (``scaled``), so Weyl group elements, orbits and Kostant's
+alternating sum run on integers and return to ``Fraction`` only at the
+end.  ``row_reduce`` is the one rational Gauss-Jordan elimination;
+simple-root coordinates, nullspaces and inverses are all read off it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
+from operator import add
+
+
+def scaled(v):
+    """(d, d * v) for the least positive integer d that makes d * v integral."""
+    d = lcm(*(x.denominator for x in v))
+    return d, tuple(int(x * d) for x in v)
 
 
 def mat_vec(m, v):
-    # skipping zero products keeps brute-force orbits of rank-5 types affordable
+    # skipping zero products keeps Kostant's alternating sum over sparse Weyl matrices cheap
     return tuple(sum(x * y for x, y in zip(row, v) if x and y) for row in m)
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def gram_inner(gram, u, v):
-    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+def trace(m):
+    return sum(m[i][i] for i in range(len(m)))
 
 
-def reflection_matrix(gram, alpha):
-    """Matrix of the reflection in the hyperplane orthogonal to alpha."""
-    n = len(alpha)
-    c = Fraction(2) / gram_inner(gram, alpha, alpha)
-    g_alpha = [sum(gram[j][l] * alpha[l] for l in range(n)) for j in range(n)]
-    return tuple(
-        tuple(Fraction(int(k == j)) - c * alpha[k] * g_alpha[j] for j in range(n))
-        for k in range(n)
-    )
+def combine(coeffs, matrices):
+    """The linear combination sum_k coeffs[k] * matrices[k], skipping zero terms."""
+    terms = [(c, m) for c, m in zip(coeffs, matrices) if c]
+    rows, cols = len(matrices[0]), len(matrices[0][0])
+    return [[sum(c * m[i][j] for c, m in terms) for j in range(cols)] for i in range(rows)]
 
 
-def weyl_group(rs):
-    """All Weyl group elements as (matrix, determinant) pairs."""
-    gens = [reflection_matrix(rs.base_form, a) for a in rs.simple_roots]
-    n = rs.dim
-    seen = {identity(n): 1}
-    frontier = [identity(n)]
+def reflection_matrix(form, alpha):
+    """Integer matrix of the reflection in the hyperplane orthogonal to alpha."""
+    form_alpha = [sum(g * x for g, x in zip(row, alpha)) for row in form]
+    c = Fraction(2) / sum(x * y for x, y in zip(alpha, form_alpha))
+    m = [[int(k == j) - c * a * fa for j, fa in enumerate(form_alpha)] for k, a in enumerate(alpha)]
+    if any(x.denominator != 1 for row in m for x in row):
+        raise ValueError(f"the reflection in {alpha} is not an integer matrix")
+    return tuple(tuple(int(x) for x in row) for row in m)
+
+
+@lru_cache(maxsize=None)
+def simple_reflections(rs):
+    return tuple(reflection_matrix(rs.base_form, a) for a in rs.simple_roots)
+
+
+def _closure(start, gens, act):
+    """Breadth-first closure of start under x -> act(g, x), each element mapped
+    to (-1)^(length of the shortest word in gens that reaches it)."""
+    seen = {start: 1}
+    frontier = [start]
     while frontier:
         nxt = []
-        for w in frontier:
-            det = seen[w]
+        for x in frontier:
             for g in gens:
-                wg = mat_mul(g, w)
-                if wg not in seen:
-                    seen[wg] = -det
-                    nxt.append(wg)
-        frontier = nxt
-    return list(seen.items())
-
-
-def brute_orbit(rs, w):
-    """Weyl orbit by direct closure with reflection matrices."""
-    gens = [reflection_matrix(rs.base_form, a) for a in rs.simple_roots]
-    seen = {tuple(w)}
-    frontier = [tuple(w)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                u = mat_vec(g, v)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
+                y = act(g, x)
+                if y not in seen:
+                    seen[y] = -seen[x]
+                    nxt.append(y)
         frontier = nxt
     return seen
 
 
-def root_basis_coords(rs, v):
-    """Coefficients of v in the simple-root basis (None if not in the span)."""
-    n = rs.dim
-    cols = list(rs.simple_roots)
-    # solve sum c_i alpha_i = v by Gaussian elimination on [alpha | v]
-    rows = [[cols[j][i] for j in range(len(cols))] + [v[i]] for i in range(n)]
-    rank = len(cols)
-    pivot_row = 0
+@lru_cache(maxsize=None)
+def weyl_group(rs):
+    """All Weyl group elements as (integer matrix, determinant) pairs."""
+    return tuple(_closure(identity(rs.dim), simple_reflections(rs), mat_mul).items())
+
+
+def _reflect(moved, v):
+    """Apply a reflection, given as its sparse non-unit rows, to v."""
+    u = list(v)
+    for i, row in moved:
+        u[i] = sum(x * v[j] for j, x in row)
+    return tuple(u)
+
+
+def brute_orbit(rs, w):
+    """Weyl orbit of w by direct closure under the simple reflection matrices."""
+    unit = identity(rs.dim)
+    # a reflection moves few coordinates: keep only its rows that are not unit rows, sparse
+    moves = [
+        [(i, [(j, x) for j, x in enumerate(row) if x]) for i, row in enumerate(g) if row != unit[i]]
+        for g in simple_reflections(rs)
+    ]
+    d, start = scaled(w)
+    seen = _closure(start, moves, _reflect)
+    if d == 1:  # integer tuples hash and compare equal to their Fraction values
+        return set(seen)
+    return {tuple(Fraction(x, d) for x in v) for v in seen}
+
+
+# --- the one exact row reduction --------------------------------------------
+
+
+def row_reduce(rows):
+    """Reduced row echelon form of a rational matrix and its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in rows]
     pivots = []
-    for col in range(rank):
-        piv = next((r for r in range(pivot_row, n) if rows[r][col] != 0), None)
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
             continue
-        rows[pivot_row], rows[piv] = rows[piv], rows[pivot_row]
-        scale = rows[pivot_row][col]
-        rows[pivot_row] = [x / scale for x in rows[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    coeffs = [Fraction(0)] * rank
-    for i, col in enumerate(pivots):
-        coeffs[col] = rows[i][rank]
-    for r in range(pivot_row, n):
-        if rows[r][rank] != 0:
-            return None
-    return tuple(coeffs)
+        a[r], a[piv] = a[piv], a[r]
+        scale = a[r][c]
+        a[r] = [x / scale for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
 
 
+def nullspace(rows):
+    """Integer basis of the nullspace of a rational matrix."""
+    if not rows:
+        return []
+    a, pivots = row_reduce(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(len(rows[0]))]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -a[r][fc]
+        basis.append(list(scaled(vec)[1]))
+    return basis
+
+
+def invert(m):
+    """Inverse of a square rational matrix."""
+    n = len(m)
+    a, pivots = row_reduce([list(row) + list(e) for row, e in zip(m, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in a]
+
+
+@lru_cache(maxsize=None)
+def _root_coordinate_map(rs):
+    """(L, E): integer E with E v = L * (simple-root coordinates of v, then zeros)
+    for v in the root span, and a nonzero tail for every v outside it."""
+    # row reduce [A | I], A with the simple roots as columns: the right block becomes E / L
+    a, _ = row_reduce([row + unit for row, unit in zip(zip(*rs.simple_roots), identity(rs.dim))])
+    big = lcm(*(x.denominator for row in a for x in row[rs.rank:]))
+    return big, tuple(tuple(int(x * big) for x in row[rs.rank:]) for row in a)
+
+
+def root_basis_coords(rs, v):
+    """Coefficients of v in the simple-root basis (None if not in the span)."""
+    big, e = _root_coordinate_map(rs)
+    d, v = scaled(v)
+    c = mat_vec(e, v)
+    if any(c[rs.rank:]):
+        return None
+    return tuple(Fraction(x, big * d) for x in c[:rs.rank])
+
+
+# --- Kostant's multiplicity formula -----------------------------------------
+
+
+@lru_cache(maxsize=None)
 def kostant_partition(rs):
     """Kostant partition function over the positive roots of rs.
 
-    Returns a callable P(v) counting the ways to write the ambient
-    vector v as a non-negative integer combination of positive roots.
+    Returns a callable P(v, d) counting the ways to write the ambient
+    vector v / d (v integral) as a non-negative integer combination of
+    positive roots.
     """
-    pos = [root_basis_coords(rs, a) for a in rs.positive_roots]
+    big, e = _root_coordinate_map(rs)
+    pos = [tuple(int(c) for c in root_basis_coords(rs, a)) for a in rs.positive_roots]
 
     @lru_cache(maxsize=None)
     def count(coords, idx):
-        if all(c == 0 for c in coords):
+        if not any(coords):
             return 1
         if idx == len(pos):
             return 0
         root = pos[idx]
         total = 0
         step = coords
-        while all(c >= 0 for c in step):
+        while min(step) >= 0:
             total += count(step, idx + 1)
             step = tuple(c - r for c, r in zip(step, root))
         return total
 
-    def p(v):
-        coords = root_basis_coords(rs, v)
-        if coords is None or any(c < 0 or c.denominator != 1 for c in coords):
+    def p(v, d):
+        c = mat_vec(e, v)
+        head, q = c[:rs.rank], big * d
+        if any(c[rs.rank:]) or any(x < 0 or x % q for x in head):
             return 0
-        return count(coords, 0)
+        return count(tuple(x // q for x in head), 0)
 
     return p
 
@@ -147,88 +232,29 @@ def kostant_partition(rs):
 def kostant_multiplicity(rs, lam, mu):
     """Weight multiplicity via Kostant's formula (alternating Weyl sum)."""
     p = kostant_partition(rs)
-    rho = rs.rho
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    mu_rho = tuple(a + b for a, b in zip(mu, rho))
-    total = 0
-    for w, det in weyl_group(rs):
-        arg = tuple(a - b for a, b in zip(mat_vec(w, lam_rho), mu_rho))
-        total += det * p(arg)
-    return total
+    n = rs.dim
+    d, both = scaled([a + b for a, b in zip(lam, rs.rho)] + [a + b for a, b in zip(mu, rs.rho)])
+    lam_rho, mu_rho = both[:n], both[n:]
+    return sum(
+        det * p(tuple(a - b for a, b in zip(mat_vec(w, lam_rho), mu_rho)), d)
+        for w, det in weyl_group(rs)
+    )
+
+
+# --- characters --------------------------------------------------------------
 
 
 def character_product(weights_a, weights_b):
     """Weight multiset of a tensor product: all pairwise sums."""
-    out = {}
-    for u in weights_a:
-        for v in weights_b:
-            s = tuple(a + b for a, b in zip(u, v))
-            out[s] = out.get(s, 0) + 1
-    return out
+    return Counter(tuple(map(add, u, v)) for u in weights_a for v in weights_b)
 
 
 def subset_sums(weights, p):
     """Weight multiset of an exterior power: p-element subset sums."""
-    out = {}
-    for subset in combinations(weights, p):
-        s = tuple(sum(col) for col in zip(*subset)) if p else (Fraction(0),) * len(weights[0])
-        out[s] = out.get(s, 0) + 1
-    return out
-
-
-# --- exact linear algebra for the structure-constant checks -----------------
-
-
-def nullspace(rows):
-    """Basis of the nullspace of a rational matrix, denominators cleared."""
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    a = [list(map(Fraction, row)) for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        scale = a[r][c]
-        a[r] = [x / scale for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-        if r == m:
-            break
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for pc, pr in pivots.items():
-            vec[pc] = -a[pr][fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        basis.append([x * lcm for x in vec])
-    return basis
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    zero = (0,) * len(weights[0])  # keeps the empty subset's sum at the weights' length
+    return Counter(tuple(map(sum, zip(zero, *subset))) for subset in combinations(weights, p))
 
 
 def kron(a, b):
-    """Kronecker product of two square matrices."""
-    na, nb = len(a), len(b)
-    out = [[None] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
-    return out
+    """Kronecker product of two matrices."""
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]

@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import comb
 
 from holoweitz.contexts import form_space, make_context
-from holoweitz.decompose import _straighten, exterior_power, tensor
+from holoweitz.decompose import _straighten, tensor
 from holoweitz.irreps import (
     Irrep,
-    casimir_base,
     casimir_lambda2,
     dimension,
     dominant_multiplicities,
@@ -75,6 +74,7 @@ def test_c2_g2_casimir_closed_form_on_the_grid():
 def test_c3_dimension_tables_exact():
     g2_dims = {(1, 0): 7, (0, 1): 14, (2, 0): 27, (1, 1): 64, (3, 0): 77}
     spin7_dims = {
+        (1, 0, 0): 7,
         (0, 0, 1): 8,
         (0, 1, 0): 21,
         (2, 0, 0): 27,

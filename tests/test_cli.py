@@ -179,38 +179,41 @@ def test_bad_registry_file_is_a_usage_error(capsys, tmp_path, holonomy, content)
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["casimir", "--holonomy", "nope", "--weight", "1,0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["casimir", "--holonomy", "g2", "--weight", "1,0,0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["casimir", "--holonomy", "g2", "--weight", "1,0", "--bogus"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["exterior", "--holonomy", "nope", "--degree", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    # --holonomy with --algebra or --weight was answered for the holonomy alone
-    for extra in (["--algebra", "B3", "--weight", "0,0,1"], ["--weight", "1,0"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["exterior", "--holonomy", "g2", *extra, "--degree", "2"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "--holonomy alone" in err.splitlines()[-1]
+    alone = "exterior takes --holonomy alone, or --algebra together with --weight"
+    cases = [
+        (["casimir", "--holonomy", "nope", "--weight", "1,0"], ""),
+        (["casimir", "--holonomy", "g2", "--weight", "1,0,0"], ""),
+        (["casimir", "--holonomy", "g2", "--weight", "1,0", "--bogus"], ""),
+        (["exterior", "--holonomy", "nope", "--degree", "2"], ""),
+        # --holonomy with --algebra or --weight was answered for the holonomy alone
+        (["exterior", "--holonomy", "g2", "--algebra", "B3", "--weight", "0,0,1", "--degree", "2"], alone),
+        (["exterior", "--holonomy", "g2", "--weight", "1,0", "--degree", "2"], alone),
+        # a negative label keeps its own message
+        (["dim", "--algebra", "G2", "--weight=-1,0"], "weight '-1,0' must have non-negative coordinates"),
+    ]
     # a rank above the cap is refused before the weight is parsed, naming the cap
-    for algebra in (f"A{MAX_RANK + 1}", "A200"):
+    cases += [
+        (["dim", "--algebra", a, "--weight", "1"],
+         f"unsupported root system {a}: type A needs 1 <= rank <= MAX_RANK = {MAX_RANK}")
+        for a in (f"A{MAX_RANK + 1}", "A200")
+    ]
+    # integers are ASCII digits: int() alone reads "1_0" as 10 and the Arabic-Indic "\u0663" as 3
+    cases += [
+        (["dim", "--algebra", "G2", "--weight", w], f"weight {w!r} is not a comma-separated integer list")
+        for w in ("1_0,0", "\u0663,0", "+1,0", "1.0,0")
+    ]
+    cases += [
+        (["exterior", "--holonomy", "g2", "--degree", d], f"argument --degree: invalid int value: {d!r}")
+        for d in ("1_0", "\u0663", "+2", "x")
+    ]
+    for argv, tail in cases:
         with pytest.raises(SystemExit) as exc:
-            main(["dim", "--algebra", algebra, "--weight", "1"])
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
-        assert out == "" and err.splitlines()[-1].endswith(
-            f"unsupported root system {algebra}: type A needs 1 <= rank <= MAX_RANK = {MAX_RANK}"
-        )
+        assert out == "" and err.splitlines()[-1].endswith(tail), argv
+    # spaces around a label stay allowed
+    assert run(capsys, "dim", "--algebra", "G2", "--weight", " 1 , 0 ") == (0, "dim (1,0) on G2 = 7\n", "")
 
 
 @pytest.mark.parametrize(
@@ -236,6 +239,8 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     assert out == ""
     assert "error[DegreeOutOfRange]" in err
+    code, out, err = run(capsys, "exterior", "--holonomy", "g2", "--degree", "-1")
+    assert (code, out) == (1, "") and "error[DegreeOutOfRange]" in err
 
 
 def test_selftest_passes_and_detects_mismatch(capsys, tmp_path, monkeypatch):
@@ -273,6 +278,21 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"value": "-85/4"}
+
+
+# a short table stays in the stdout buffer until the flush; a long trace breaks mid-print
+@pytest.mark.parametrize("extra", [[], ["--trace", "--format", "json"]], ids=["table", "json"])
+def test_a_closed_stdout_ends_without_a_traceback(extra):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "holoweitz", "theorem", "--holonomy", "g2", *extra],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the child writes anything
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
 
 
 def test_cli_json_outputs_are_byte_deterministic():

@@ -19,7 +19,7 @@ from holoweitz.irreps import (
     trivial_irrep,
     weight_system,
 )
-from holoweitz.roots import build_root_system, to_orthogonal, weyl_orbit
+from holoweitz.roots import build_root_system, weyl_orbit
 
 from helpers import kostant_multiplicity
 
@@ -29,27 +29,12 @@ A3 = build_root_system("A", 3)
 C3 = build_root_system("C", 3)
 D4 = build_root_system("D", 4)
 
-G2_DIMS = {(1, 0): 7, (0, 1): 14, (2, 0): 27, (1, 1): 64, (3, 0): 77}
-SPIN7_DIMS = {
-    (1, 0, 0): 7,
-    (0, 0, 1): 8,
-    (0, 1, 0): 21,
-    (2, 0, 0): 27,
-    (0, 0, 2): 35,
-    (1, 0, 1): 48,
-    (1, 1, 0): 105,
-    (0, 1, 1): 112,
-    (0, 0, 3): 112,
-    (2, 0, 1): 168,
-    (1, 0, 2): 189,
-}
-
-
-def test_dimension_tables():
-    for hw, want in G2_DIMS.items():
-        assert dimension(Irrep(G2, hw)) == want
-    for hw, want in SPIN7_DIMS.items():
-        assert dimension(Irrep(B3, hw)) == want
+# the bundles of the paper's tables (their dimensions and Casimirs are pinned in test_acceptance)
+G2_TABLE = [(1, 0), (0, 1), (2, 0), (1, 1), (3, 0)]
+SPIN7_TABLE = [
+    (1, 0, 0), (0, 0, 1), (0, 1, 0), (2, 0, 0), (0, 0, 2), (1, 0, 1),
+    (1, 1, 0), (0, 1, 1), (0, 0, 3), (2, 0, 1), (1, 0, 2),
+]
 
 
 def test_trivial_dimension_is_one():
@@ -98,7 +83,7 @@ def test_freudenthal_against_kostant_formula(rs, hw):
 
 
 def test_freudenthal_totals_match_weyl_dimension():
-    cases = [Irrep(G2, hw) for hw in G2_DIMS] + [Irrep(B3, hw) for hw in SPIN7_DIMS]
+    cases = [Irrep(G2, hw) for hw in G2_TABLE] + [Irrep(B3, hw) for hw in SPIN7_TABLE]
     cases += [Irrep(A3, (1, 1, 0)), Irrep(C3, (1, 0, 1)), Irrep(D4, (1, 0, 1, 1))]
     # the ladder inputs of the benchmark
     cases += [
@@ -126,52 +111,12 @@ def test_casimir_base_values():
     assert casimir_base(Irrep(B3, (0, 0, 1))) == Fraction(-21, 4)
 
 
-G2_CASIMIRS = {
-    (2, 0): Fraction(-28, 3),
-    (0, 1): -8,
-    (1, 0): -4,
-    (1, 1): -14,
-    (3, 0): -16,
-}
-SPIN7_CASIMIRS = {
-    (0, 1, 0): -10,
-    (0, 0, 1): Fraction(-21, 4),
-    (2, 0, 0): -14,
-    (0, 0, 2): -12,
-    (1, 0, 1): Fraction(-49, 4),
-    (0, 1, 1): Fraction(-69, 4),
-    (1, 1, 0): -18,
-    (1, 0, 2): -20,
-    (2, 0, 1): Fraction(-85, 4),
-    (0, 0, 3): Fraction(-81, 4),
-}
-
-
-def test_casimir_lambda2_tables():
-    g2 = make_context("g2")
-    for hw, want in G2_CASIMIRS.items():
-        assert casimir_lambda2(g2, Irrep(G2, hw)) == want
-    s7 = make_context("spin7")
-    for hw, want in SPIN7_CASIMIRS.items():
-        assert casimir_lambda2(s7, Irrep(B3, hw)) == want
-
-
 def test_casimir_lambda2_of_holonomy_rep_closed_form():
     # c_T = -2 dim(g) / dim(T)
     g2 = make_context("g2")
     assert casimir_lambda2(g2, g2.holonomy_rep) == Fraction(-2 * 14, 7)
     s7 = make_context("spin7")
     assert casimir_lambda2(s7, s7.holonomy_rep) == Fraction(-2 * 21, 8)
-
-
-def test_g2_casimir_closed_form_grid():
-    g2 = make_context("g2")
-    for a in range(5):
-        for b in range(5):
-            want = Fraction(-2, 3) * (
-                a * a + 3 * b * b + 3 * a * b + 5 * a + 9 * b
-            )
-            assert casimir_lambda2(g2, Irrep(G2, (a, b))) == want
 
 
 @pytest.mark.parametrize("ctx_id", ["spin7", "so5", "so6", "so7", "so8", "so9", "so10"])
@@ -188,15 +133,16 @@ def test_spin7_lambda2_equals_base_casimir(ctx_id):
 
 def test_casimir_lambda2_invariant_under_form_scaling():
     # scale the form (form_scale * gram, and base_form) by c; the value must not move
+    g2 = make_context("g2")
     for c in (2, 3, 5):
         rs = replace(
             G2,
             base_form=tuple(tuple(c * x for x in row) for row in G2.base_form),
             gram=tuple(tuple(c * x for x in row) for row in G2.gram),
         )
-        ctx = replace(make_context("g2"), root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
-        for hw in G2_CASIMIRS:
-            assert casimir_lambda2(ctx, Irrep(rs, hw)) == G2_CASIMIRS[hw]
+        ctx = replace(g2, root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
+        for hw in G2_TABLE:
+            assert casimir_lambda2(ctx, Irrep(rs, hw)) == casimir_lambda2(g2, Irrep(G2, hw))
 
 
 def test_trivial_holonomy_rep_rejected():

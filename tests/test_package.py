@@ -1,4 +1,4 @@
-"""Package-wide properties: the engine depends on the standard library only."""
+"""Package-wide properties: the engine and its tests depend on the standard library only."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import ast
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "holoweitz").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "holoweitz").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_top_level_modules(path: Path) -> set[str]:
@@ -26,3 +28,13 @@ def test_package_imports_only_the_standard_library():
     for path in SOURCES:
         stray = imported_top_level_modules(path) - allowed
         assert not stray, f"{path.name} imports {sorted(stray)}"
+
+
+def test_tests_import_only_the_standard_library_pytest_and_the_package():
+    assert len(TESTS) > 5
+    allowed = set(sys.stdlib_module_names) | {"holoweitz", "pytest", "helpers"}
+    for path in TESTS:
+        stray = imported_top_level_modules(path) - allowed
+        assert not stray, f"{path.name} imports {sorted(stray)}"
+    # the oracles stay independent of the engine they check
+    assert imported_top_level_modules(ROOT / "tests" / "helpers.py") <= set(sys.stdlib_module_names)

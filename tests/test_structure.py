@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from holoweitz.contexts import make_context
-from holoweitz.irreps import Irrep, dimension
+from holoweitz.irreps import dimension
 from holoweitz.weitzenboeck import conformal_weights
 
-from helpers import kron, nullspace
+from helpers import combine, identity, invert, kron, mat_mul, nullspace, trace
 
 # the associative 3-form on R^7 (1-indexed triples)
 PHI = {
@@ -36,30 +37,17 @@ TRIPLES = list(combinations(range(1, 8), 3))
 
 def phi_coeff(i, j, k):
     """Coefficient of phi on e_i ^ e_j ^ e_k for arbitrary index order."""
-    idx = (i, j, k)
-    order = tuple(sorted(idx))
-    if len(set(idx)) < 3:
-        return 0
-    sign = 1
-    perm = list(idx)
-    for a in range(3):
-        for b in range(2 - a):
-            if perm[b] > perm[b + 1]:
-                perm[b], perm[b + 1] = perm[b + 1], perm[b]
-                sign = -sign
-    return sign * PHI.get(order, 0)
+    # p has the sign of the permutation that sorts (i, j, k), and is 0 on a repeated index
+    p = (j - i) * (k - i) * (k - j)
+    return ((p > 0) - (p < 0)) * PHI.get(tuple(sorted((i, j, k))), 0)
 
 
 def so7_basis():
     """E_ij - E_ji for i < j, as 7x7 integer matrices."""
-    out = []
-    for i in range(7):
-        for j in range(i + 1, 7):
-            m = [[0] * 7 for _ in range(7)]
-            m[i][j] = 1
-            m[j][i] = -1
-            out.append(m)
-    return out
+    return [
+        [[int((r, c) == (i, j)) - int((r, c) == (j, i)) for c in range(7)] for r in range(7)]
+        for i, j in combinations(range(7), 2)
+    ]
 
 
 def action_on_phi(a):
@@ -72,93 +60,35 @@ def action_on_phi(a):
             total += a[m - 1][i - 1] * phi_coeff(m, j, k)
             total += a[m - 1][j - 1] * phi_coeff(i, m, k)
             total += a[m - 1][k - 1] * phi_coeff(i, j, m)
-        coeffs.append(Fraction(total))
+        coeffs.append(total)
     return coeffs
 
 
 def g2_matrices():
     """Integer basis of the stabilizer algebra of phi inside so(7)."""
     basis = so7_basis()
-    columns = [action_on_phi(a) for a in basis]
-    rows = [[columns[c][r] for c in range(len(basis))] for r in range(len(TRIPLES))]
-    kernel = nullspace(rows)
-    mats = []
-    for vec in kernel:
-        m = [[Fraction(0)] * 7 for _ in range(7)]
-        for coeff, base in zip(vec, basis):
-            if coeff:
-                for i in range(7):
-                    for j in range(7):
-                        m[i][j] += coeff * base[i][j]
-        mats.append(m)
-    return mats
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-
-
-def trace(m):
-    return sum(m[i][i] for i in range(len(m)))
-
-
-def invert(matrix):
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        s = aug[col][col]
-        aug[col] = [x / s for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    rows = list(zip(*(action_on_phi(a) for a in basis)))
+    return [combine(vec, basis) for vec in nullspace(rows)]
 
 
 def test_conformal_weight_operator_from_structure_constants():
     mats = g2_matrices()
     assert len(mats) == 14  # the stabilizer of phi is 14-dimensional
 
-    # Gram matrix of the scalar product induced from Lambda^2(T)
-    gram = [
-        [Fraction(-1, 2) * trace(mat_mul(a, b)) for b in mats] for a in mats
-    ]
-    gram_inv = invert(gram)
+    # Gram matrix G_ab = -tr(Y_a Y_b)/2 of the scalar product induced from
+    # Lambda^2(T); scale * G^-1 is an integer matrix, and so is everything below
+    gram_inv = invert([[Fraction(-trace(mat_mul(a, b)), 2) for b in mats] for a in mats])
+    scale = lcm(*(x.denominator for row in gram_inv for x in row))
+    # z[a] = scale * sum_b (G^-1)_ab Y_b
+    z = [combine([int(c * scale) for c in row], mats) for row in gram_inv]
 
     # Casimir on T: sum (G^-1)_ab Y_a Y_b must act as -4 = -2 dim(g)/dim(T)
-    cas = [[Fraction(0)] * 7 for _ in range(7)]
-    for a in range(14):
-        for b in range(14):
-            c = gram_inv[a][b]
-            if c == 0:
-                continue
-            prod = mat_mul(mats[a], mats[b])
-            for i in range(7):
-                for j in range(7):
-                    cas[i][j] += c * prod[i][j]
-    for i in range(7):
-        for j in range(7):
-            assert cas[i][j] == (Fraction(-4) if i == j else 0)
+    cas = combine([1] * 14, [mat_mul(y, za) for y, za in zip(mats, z)])
+    assert cas == combine([-4 * scale], [identity(7)])
 
-    # B = -sum (G^-1)_ab Y_a (x) Y_b on T (x) T, as one 49x49 matrix
-    bmat = [[Fraction(0)] * 49 for _ in range(49)]
-    for a in range(14):
-        for b in range(14):
-            c = gram_inv[a][b]
-            if c == 0:
-                continue
-            k = kron(mats[a], mats[b])
-            for i in range(49):
-                row = k[i]
-                out = bmat[i]
-                for j in range(49):
-                    if row[j]:
-                        out[j] -= c * row[j]
-
-    assert trace(bmat) == 0
+    # m = scale * B for B = -sum (G^-1)_ab Y_a (x) Y_b on T (x) T, one 49x49 matrix
+    m = combine([-1] * 14, [kron(y, za) for y, za in zip(mats, z)])
+    assert trace(m) == 0
 
     # expected spectrum: conformal weights of T (x) T with the summand dims
     ctx = make_context("g2")
@@ -171,57 +101,27 @@ def test_conformal_weight_operator_from_structure_constants():
         Fraction(2, 3): 27,
     }
     assert sum(b * d for b, d in expected.items()) == 0
-
-    # clear denominators and work with integer matrices from here on
-    scale = 1
-    for row in bmat:
-        for x in row:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-    m = [[int(x * scale) for x in row] for row in bmat]
     eigen = {}
     for b, d in expected.items():
         lam = b * scale
         assert lam.denominator == 1
         eigen[int(lam)] = d
 
+    def shifted(lam):  # m - lam * I
+        return combine([1, -lam], [m, identity(49)])
+
     # annihilating polynomial: prod (M - lam I) = 0
-    prod = _identity_int(49)
+    prod = identity(49)
     for lam in eigen:
-        prod = _int_mul(prod, _shift(m, lam))
-    assert all(x == 0 for row in prod for x in row)
+        prod = mat_mul(prod, shifted(lam))
+    assert not any(any(row) for row in prod)
 
     # multiplicities: tr prod_{mu != lam} (M - mu I) = dim * prod (lam - mu)
     for lam, dim in eigen.items():
-        partial = _identity_int(49)
+        partial = identity(49)
         factor = 1
         for mu in eigen:
             if mu != lam:
-                partial = _int_mul(partial, _shift(m, mu))
+                partial = mat_mul(partial, shifted(mu))
                 factor *= lam - mu
-        assert sum(partial[i][i] for i in range(49)) == dim * factor
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _identity_int(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _shift(m, lam):
-    out = [row[:] for row in m]
-    for i in range(len(m)):
-        out[i][i] -= lam
-    return out
-
-
-def _int_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in bt]
-        for row in a
-    ]
+        assert trace(partial) == dim * factor
