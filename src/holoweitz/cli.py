@@ -28,6 +28,7 @@ from .prover import FormClass, prove_degree, prove_theorems
 from .roots import build_root_system
 
 _ALGEBRA_RE = re.compile(r"^([ABCDGabcdg])([0-9]+)$")
+_WEIGHT_OPTIONS = ("--weight", "--left", "--right", "--bundle")
 
 SIGN_NOTE = (
     "Casimir sign convention: Cas = sum X_i^2, eigenvalues are <= 0 "
@@ -66,6 +67,21 @@ def _parse_weight(parser: argparse.ArgumentParser, raw: str, rank: int) -> tuple
     if any(c < 0 for c in coords):
         parser.error(f"weight {raw!r} must have non-negative coordinates")
     return coords
+
+
+def _glue_negative_weights(argv: list[str]) -> list[str]:
+    """Join ``--weight -1,0`` into ``--weight=-1,0`` (and so for every weight option).
+
+    argparse reads a value that starts with ``-`` and is not a plain negative
+    number as an option, so the weight would never reach its own message.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _WEIGHT_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _degree(raw: str) -> int:
@@ -344,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_weights(sys.argv[1:] if argv is None else argv))
     try:
         status = args.func(args.parser, args)
         if sys.stdout is not None:  # None when the process started with fd 1 closed

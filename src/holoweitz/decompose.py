@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from dataclasses import dataclass
+from operator import mul
 
 from . import roots
 from .errors import (
@@ -91,7 +92,9 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomp
                 why = "negative" if m < 0 else f"not divisible by {q}"
                 raise InternalNegativeMultiplicity(f"multiplicity {m} at {Irrep(rs, hw)}: {why}")
             entries.append((Irrep(rs, hw), value))
-    entries.sort(key=lambda em: (dimension(em[0]), em[0].hw_orthogonal))
+    columns = list(zip(*rs.scaled_fundamentals))  # den * ambient: den > 0 keeps the order
+    entries.sort(key=lambda em: (
+        dimension(em[0]), [sum(map(mul, em[0].highest_weight, col)) for col in columns]))
     return Decomposition(tuple(entries))
 
 

@@ -31,7 +31,8 @@ class InternalNegativeMultiplicity(HoloweitzError):
 
 
 class DegreeOutOfRange(HoloweitzError):
-    """Exterior power degree outside [0, dim]."""
+    """Degree outside its range: [0, dim] for an exterior power, 1..n-1 for a
+    form degree in the prover."""
 
 
 class NotACharacter(HoloweitzError):

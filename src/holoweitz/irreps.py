@@ -14,10 +14,11 @@ negative (zero only on the trivial representation).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 from . import roots
 from .errors import MixedRootSystems, TrivialHolonomyRep
@@ -78,8 +79,7 @@ def dimension(irrep: Irrep) -> int:
     rs = irrep.root_system
     lam_rho = tuple(c + 1 for c in irrep.highest_weight)
     num = den = 1
-    for a in rs.positive_labels:
-        wa = [sum(map(mul, row, a)) for row in rs.gram]  # (w_i, a) in gram units
+    for wa in rs.root_pairings:
         num *= sum(map(mul, lam_rho, wa))
         den *= sum(wa)
     value, rest = divmod(num, den)
@@ -96,52 +96,68 @@ def _dominant_closure(rs: RootSystem, lam: Labels) -> list[Labels]:
     by positive roots (Stembridge, Adv. Math. 136, 1998).  The order is by
     decreasing (mu, rho), so every weight comes after all weights above it.
     """
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for a in rs.positive_labels:
-                nu = tuple(m - x for m, x in zip(mu, a))
-                if min(nu) >= 0 and nu not in seen:
-                    seen.add(nu)
-                    nxt.append(nu)
-        frontier = nxt
+    seen, queue = {lam}, [lam]
+    for mu in queue:  # breadth first; the loop also visits what it appends
+        for a in rs.positive_labels:
+            nu = tuple(map(sub, mu, a))
+            if min(nu) >= 0 and nu not in seen:
+                seen.add(nu)
+                queue.append(nu)
     rho = (1,) * rs.rank
     return sorted(seen, key=lambda mu: -dot(rs, mu, rho))
+
+
+def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
+    """Classes of positive roots under W_mu up to sign, W_mu generated by the s_i
+    with i in ``zeros``: each class's one root with no negative label in ``zeros``,
+    reached by raising reflections, mapped to the class size."""
+    classes: Counter[Labels] = Counter()
+    for a in rs.positive_labels:
+        while (i := next((i for i in zeros if a[i] < 0), None)) is not None:
+            a = tuple(x - a[i] * y for x, y in zip(a, rs.cartan_matrix[i]))
+        classes[a] += 1
+    return classes
 
 
 @lru_cache(maxsize=None)
 def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     """Multiplicities of the dominant weights, by the Freudenthal recursion.
 
-    m(mu) * (||lam+rho||^2 - ||mu+rho||^2)
+    m(mu) * (lam - mu, lam + mu + 2 rho)        [= ||lam+rho||^2 - ||mu+rho||^2]
         = 2 * sum_{a>0} sum_{k>=1} m(mu + k a) * (mu + k a, a)
 
     evaluated over the dominant closure, highest first; m(mu + k a) is
-    read at the dominant representative of mu + k a.
+    read at the dominant representative of mu + k a, and (mu + k a, a)
+    is a running sum with step (a, a).  The right side is summed by
+    classes (Moody-Patera, Bull. AMS 7, 1982): the stabiliser W_mu of mu,
+    generated by the s_i with mu_i = 0, keeps the inner sum of a, and so
+    does a -> -a for a orthogonal to mu.  So each class of positive roots
+    under W_mu up to sign adds its size times the inner sum of one root;
+    a W_mu-orbit of roots orthogonal to mu counts half its size.  The
+    class tables are built per zero pattern of mu, inside the call.
     """
-    rs = irrep.root_system
-    lam = irrep.highest_weight
-
-    def norm(mu: Labels) -> int:
-        mu_rho = tuple(c + 1 for c in mu)
-        return dot(rs, mu_rho, mu_rho)
-
-    top = norm(lam)
+    rs, lam = irrep.root_system, irrep.highest_weight
+    index = {a: k for k, a in enumerate(rs.positive_labels)}
+    tables: dict[tuple[int, ...], list[tuple[Labels, Labels, int, int]]] = {}
     mult = {lam: 1}
     for mu in _dominant_closure(rs, lam)[1:]:
+        zeros = tuple(i for i, c in enumerate(mu) if not c)
+        if zeros not in tables:  # (root, its pairings, (a, a), class size) per class
+            tables[zeros] = [(a, wa := rs.root_pairings[index[a]], sum(map(mul, a, wa)), size)
+                             for a, size in _root_classes(rs, zeros).items()]
         total = 0
-        for a in rs.positive_labels:
-            nu = tuple(m + x for m, x in zip(mu, a))
+        for a, wa, step, size in tables[zeros]:
+            pairing, string = sum(map(mul, mu, wa)) + step, 0
+            nu = tuple(map(add, mu, a))
             while m := mult.get(roots.dominant(rs, nu)[0], 0):
-                total += m * dot(rs, nu, a)
-                nu = tuple(n + x for n, x in zip(nu, a))
-        value, rest = divmod(2 * total, top - norm(mu))
+                string += m * pairing
+                pairing += step
+                nu = tuple(map(add, nu, a))
+            total += size * string
+        gap = dot(rs, list(map(sub, lam, mu)), [x + y + 2 for x, y in zip(lam, mu)])
+        value, rest = divmod(2 * total, gap)
         if rest or value <= 0:
-            raise RuntimeError(
-                f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{top - norm(mu)}"
-            )
+            raise RuntimeError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
         mult[mu] = value
     return mult
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import citations
 from .contexts import HolonomyContext, form_space, qr_citation, qr_trivial
-from .errors import ContextNotSupported, NotAFormComponent
+from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
 from .fmt import fmt_q, fmt_w, trace_json
 from .irreps import Irrep, dimension
 from .weitzenboeck import conformal_weights
@@ -306,7 +306,7 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
     """Parallelism analysis for all forms of one class in one degree."""
     _require_prover_context(ctx)
     if not 1 <= p <= ctx.n - 1:
-        raise NotAFormComponent(f"degree {p} outside 1..{ctx.n - 1}")
+        raise DegreeOutOfRange(f"degree {p} outside 1..{ctx.n - 1}")
 
     reductions: list[TraceStep] = []
 

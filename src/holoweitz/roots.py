@@ -7,6 +7,14 @@ with respect to the fundamental weights.  The simple reflection s_i is
 ``gram``, the Gram matrix of the fundamental weights scaled to integers;
 the invariant form itself is ``form_scale * gram``.
 
+``dominant`` keeps a worklist of the negative labels: after s_i only the
+Dynkin neighbours of i can turn negative, and only those are pushed.  Each
+step lowers by one the number of positive roots that pair negatively with
+the weight, so the sign does not depend on the order of the steps.  The
+neighbours, the pairings ``gram . a`` of each positive root a and the
+integer fundamental weights ``den * w_i`` are fields derived in
+``__post_init__``: a ``dataclasses.replace`` copy derives them afresh.
+
 Ambient coordinates, tuples of ``fractions.Fraction``, appear only at the
 API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
 for G2, with the form carried as an explicit Gram matrix (``base_form``),
@@ -28,7 +36,7 @@ A copy made with ``dataclasses.replace`` is a different root system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -70,6 +78,25 @@ class RootSystem:
     # (w_i, w_j) = form_scale * gram[i][j] for the fundamental weights
     gram: tuple[Labels, ...]
     form_scale: Fraction
+    # derived in __post_init__: neighbours[i] lists (j, cartan_matrix[i][j]) for the
+    # Dynkin neighbours j of i; root_pairings[k][i] = (w_i, positive_labels[k]) in
+    # gram units; scaled_fundamentals[i] = den * w_i, den > 0 clearing all denominators
+    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
+    root_pairings: tuple[Labels, ...] = field(init=False)
+    scaled_fundamentals: tuple[Labels, ...] = field(init=False)
+
+    def __post_init__(self):
+        den = lcm(*(x.denominator for w in self.fundamental_weights for x in w))
+        sparse = [[(k, x) for k, x in enumerate(a) if x] for a in self.positive_labels]
+        for name, value in {
+            "neighbours": tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
+                                for i, row in enumerate(self.cartan_matrix)),
+            "root_pairings": tuple(tuple(sum(row[k] * x for k, x in nz) for row in self.gram)
+                                   for nz in sparse),
+            "scaled_fundamentals": tuple(tuple(int(x * den) for x in w)
+                                         for w in self.fundamental_weights),
+        }.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -93,35 +120,32 @@ def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, int]:
     that carries ``mu`` into the dominant chamber.
     """
     mu = tuple(mu)
-    sign = 1
-    while True:
-        for i, c in enumerate(mu):
-            if c < 0:
-                mu = tuple(m - c * a for m, a in zip(mu, rs.cartan_matrix[i]))
-                sign = -sign
-                break
-        else:
-            return mu, sign
+    if min(mu) >= 0:
+        return mu, 1
+    mu, sign = list(mu), 1
+    stack = [i for i, c in enumerate(mu) if c < 0]
+    while stack:
+        i = stack.pop()
+        c, mu[i], sign = mu[i], -mu[i], -sign
+        for j, a in rs.neighbours[i]:
+            was, mu[j] = mu[j], mu[j] - c * a
+            if was >= 0 > mu[j]:
+                stack.append(j)
+    return tuple(mu), sign
 
 
 def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
     """Weyl orbit of a dominant weight in Dynkin labels.
 
     Every orbit point is reached from the dominant one by reflections
-    s_i applied where the i-th label is positive.
+    s_i applied where the i-th label is positive, breadth first.
     """
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i, c in enumerate(v):
-                if c > 0:
-                    r = tuple(m - c * a for m, a in zip(v, rs.cartan_matrix[i]))
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-        frontier = nxt
+    seen, queue = {mu}, [mu]
+    for v in queue:  # the loop also visits what it appends
+        for i, c in enumerate(v):
+            if c > 0 and (r := tuple(m - c * a for m, a in zip(v, rs.cartan_matrix[i]))) not in seen:
+                seen.add(r)
+                queue.append(r)
     return seen
 
 
@@ -261,26 +285,20 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     # positive roots as Dynkin labels -> simple-root coefficients
     found = {cartan[i]: tuple(int(i == j) for j in range(rank)) for i in range(rank)}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for labels in frontier:
-            for i, c in enumerate(labels):
-                if c == 0 or labels == cartan[i]:
-                    continue
+    queue = list(found)
+    for labels in queue:  # breadth first; the loop also visits what it appends
+        for i, c in enumerate(labels):
+            if c and labels != cartan[i]:
                 r = tuple(m - c * a for m, a in zip(labels, cartan[i]))
                 if r not in found:
                     found[r] = tuple(k - c * (j == i) for j, k in enumerate(found[labels]))
-                    nxt.append(r)
-        frontier = nxt
+                    queue.append(r)
 
     ambient = {r: _combine(coeffs, simple) for r, coeffs in found.items()}
     positive = sorted(found, key=lambda r: (sum(found[r]), ambient[r]))
     if any(sum(col) != 2 for col in zip(*positive)):
-        raise RuntimeError(
-            f"{family}{rank}: half-sum of positive roots disagrees with the sum "
-            "of fundamental weights; root conventions are broken"
-        )
+        raise RuntimeError(f"{family}{rank}: half-sum of positive roots disagrees with the "
+                           "sum of fundamental weights; root conventions are broken")
 
     # w_i = sum_j (C^-1)_ij a_j, so (w_i, w_j) = (C^-1)_ij b_jj / 2
     cartan_inv = _invert(cartan)

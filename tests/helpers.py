@@ -5,10 +5,10 @@ matrix/vector arithmetic: Weyl groups as explicit matrices, Kostant's
 partition-function multiplicity formula, brute-force orbits, exact
 nullspaces and inverses.  It imports only the standard library, nothing
 from the package under test, and of a root system it reads only the data
-fields ``simple_roots``, ``positive_roots``, ``base_form``, ``rho`` and
-``rank`` (and ``dim``, the length of a simple root), never the package's
-own chamber/orbit/weight machinery, so agreement is a genuine two-route
-check.
+fields ``simple_roots``, ``positive_roots``, ``base_form``, ``rho``,
+``cartan_matrix`` and ``rank`` (and ``dim``, the length of a simple root),
+never the package's own chamber/orbit/weight machinery, so agreement is a
+genuine two-route check.
 
 Work is done in integers wherever the values are integral.  The simple
 reflections of every supported type are integer matrices in ambient
@@ -121,6 +121,25 @@ def brute_orbit(rs, w):
     if d == 1:  # integer tuples hash and compare equal to their Fraction values
         return set(seen)
     return {tuple(Fraction(x, d) for x in v) for v in seen}
+
+
+def parabolic_order(rs, indices):
+    """Order of the subgroup generated by the simple reflections s_i, i in indices:
+    the size of its orbit of the regular weight rho, on which it acts freely."""
+    gens = [simple_reflections(rs)[i] for i in indices]
+    return len(_closure(scaled(rs.rho)[1], gens, mat_vec))
+
+
+def restart_dominant(rs, mu):
+    """(dominant, (-1)^steps) for labels mu by the restart scan: reflect at the
+    first negative label, s_i mu = mu - mu_i * (row i of the Cartan matrix),
+    and scan again from label 0."""
+    mu, sign = tuple(mu), 1
+    while True:
+        i = next((i for i, c in enumerate(mu) if c < 0), None)
+        if i is None:
+            return mu, sign
+        mu, sign = tuple(m - mu[i] * a for m, a in zip(mu, rs.cartan_matrix[i])), -sign
 
 
 # --- the one exact row reduction --------------------------------------------

@@ -188,8 +188,17 @@ def test_usage_errors_exit_2(capsys):
         # --holonomy with --algebra or --weight was answered for the holonomy alone
         (["exterior", "--holonomy", "g2", "--algebra", "B3", "--weight", "0,0,1", "--degree", "2"], alone),
         (["exterior", "--holonomy", "g2", "--weight", "1,0", "--degree", "2"], alone),
-        # a negative label keeps its own message
-        (["dim", "--algebra", "G2", "--weight=-1,0"], "weight '-1,0' must have non-negative coordinates"),
+    ]
+    # a negative label keeps its own message, also as a separate argument of every weight option
+    negative = "weight '-1,0' must have non-negative coordinates"
+    cases += [
+        (["dim", "--algebra", "G2", "--weight=-1,0"], negative),
+        (["dim", "--algebra", "G2", "--weight", "-1,0"], negative),
+        (["casimir", "--holonomy", "g2", "--weight", "-1,0"], negative),
+        (["exterior", "--algebra", "G2", "--weight", "-1,0", "--degree", "2"], negative),
+        (["tensor", "--algebra", "G2", "--left", "-1,0", "--right", "1,0"], negative),
+        (["tensor", "--algebra", "G2", "--left", "1,0", "--right", "-1,0"], negative),
+        (["weitzenboeck", "--holonomy", "g2", "--bundle", "-1,0"], negative),
     ]
     # a rank above the cap is refused before the weight is parsed, naming the cap
     cases += [
@@ -241,6 +250,10 @@ def test_domain_errors_exit_1(capsys):
     assert "error[DegreeOutOfRange]" in err
     code, out, err = run(capsys, "exterior", "--holonomy", "g2", "--degree", "-1")
     assert (code, out) == (1, "") and "error[DegreeOutOfRange]" in err
+    # prove reports a degree outside 1..n-1 with the same class
+    for degree in ("8", "-1"):
+        code, out, err = run(capsys, "prove", "--holonomy", "g2", "--degree", degree, "--class", "killing")
+        assert (code, out) == (1, "") and err == f"error[DegreeOutOfRange]: degree {degree} outside 1..6\n"
 
 
 def test_selftest_passes_and_detects_mismatch(capsys, tmp_path, monkeypatch):

@@ -15,13 +15,14 @@ from holoweitz.irreps import (
     casimir_base,
     casimir_lambda2,
     dimension,
+    dominant_multiplicities,
     full_weights,
     trivial_irrep,
     weight_system,
 )
 from holoweitz.roots import build_root_system, weyl_orbit
 
-from helpers import kostant_multiplicity
+from helpers import kostant_multiplicity, parabolic_order
 
 G2 = build_root_system("G", 2)
 B3 = build_root_system("B", 3)
@@ -73,6 +74,8 @@ def test_b3_spin_rep_weight_system():
         (A3, (1, 0, 1)),
         (C3, (0, 1, 0)),
         (D4, (0, 1, 0, 0)),
+        # three zero labels: the classes of positive roots under a large stabiliser
+        (build_root_system("B", 4), (0, 0, 2, 0)),
     ],
 )
 def test_freudenthal_against_kostant_formula(rs, hw):
@@ -103,6 +106,34 @@ def test_freudenthal_totals_match_weyl_dimension():
         )
         assert total == dimension(irr), irr
         assert len(full_weights(irr)) == dimension(irr)
+
+
+def test_b5_orbit_sizes_times_multiplicities_give_the_weyl_dimension():
+    # |W| / |W_mu| points per dominant weight, the stabiliser W_mu generated by the
+    # s_i with mu_i = 0; the group orders come from helpers' reflection matrices
+    rs = build_root_system("B", 5)
+    irr = Irrep(rs, (2, 2, 1, 1, 2))
+    order = parabolic_order(rs, range(rs.rank))
+    assert order == 2**5 * 120
+    stabilisers: dict[tuple[int, ...], int] = {}
+    total = 0
+    for mu, m in dominant_multiplicities(irr).items():
+        zeros = tuple(i for i, c in enumerate(mu) if not c)
+        if zeros not in stabilisers:
+            stabilisers[zeros] = parabolic_order(rs, zeros)
+        total += m * order // stabilisers[zeros]
+    assert total == dimension(irr)
+    assert len(stabilisers) > 16
+
+
+def test_form_scaled_copies_derive_their_own_fields():
+    # a dataclasses.replace copy must not keep derived fields of the original
+    for rs, hw in ((B3, (2, 1, 1)), (G2, (3, 2))):
+        copy = replace(rs, gram=tuple(tuple(3 * x for x in row) for row in rs.gram))
+        assert copy.root_pairings == tuple(tuple(3 * x for x in row) for row in rs.root_pairings)
+        irr, scaled = Irrep(rs, hw), Irrep(copy, hw)
+        assert dominant_multiplicities(scaled) == dominant_multiplicities(irr)
+        assert dimension(scaled) == dimension(irr)
 
 
 def test_casimir_base_values():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from holoweitz.contexts import form_space, make_context
-from holoweitz.errors import ContextNotSupported, NotAFormComponent
+from holoweitz.errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
 from holoweitz.irreps import Irrep
 from holoweitz.prover import (
     EXPECTED_PARALLEL,
@@ -197,9 +197,10 @@ def test_degree_g2_twistor_3_unjustified_split():
 
 
 def test_degree_rejects_out_of_range_and_so_contexts():
-    with pytest.raises(NotAFormComponent):
+    # the exterior power's error class: one fault, one class
+    with pytest.raises(DegreeOutOfRange):
         prove_degree(G2, 0, FormClass.KILLING)
-    with pytest.raises(NotAFormComponent):
+    with pytest.raises(DegreeOutOfRange):
         prove_degree(G2, 7, FormClass.KILLING)
     with pytest.raises(ContextNotSupported):
         prove_degree(make_context("so7"), 2, FormClass.KILLING)

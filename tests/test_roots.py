@@ -24,7 +24,7 @@ from holoweitz.roots import (
     weyl_orbit,
 )
 
-from helpers import brute_orbit, root_basis_coords, weyl_group
+from helpers import brute_orbit, restart_dominant, root_basis_coords, weyl_group
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -220,6 +220,22 @@ def test_to_dominant_is_idempotent_in_the_orbit_with_the_inversion_parity():
                 assert parity == dominant(rs, fund)[1] == (-1) ** inversions
                 regular += 1
     assert regular > 50
+
+
+def test_worklist_dominant_matches_the_restart_scan():
+    # the worklist reflects in another order; the result and the sign must not move
+    types = [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 7)]
+    types += [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)] + [("G", 2)]
+    types += [(family, 40) for family in "ABCD"]
+    rng = random.Random(12)
+    singular = 0
+    for family, rank in types:
+        rs = build_root_system(family, rank)
+        for _ in range(40):
+            mu = tuple(rng.randint(-3, 3) for _ in range(rank))
+            assert dominant(rs, mu) == restart_dominant(rs, mu), (family, rank, mu)
+            singular += 0 in restart_dominant(rs, mu)[0]
+    assert singular > 200
 
 
 def test_fundamental_orthogonal_round_trip_on_random_weights():
