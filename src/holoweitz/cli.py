@@ -28,7 +28,6 @@ from .prover import FormClass, prove_degree, prove_theorems
 from .roots import build_root_system
 
 _ALGEBRA_RE = re.compile(r"^([ABCDGabcdg])([0-9]+)$")
-_WEIGHT_OPTIONS = ("--weight", "--left", "--right", "--bundle")
 
 SIGN_NOTE = (
     "Casimir sign convention: Cas = sum X_i^2, eigenvalues are <= 0 "
@@ -70,14 +69,18 @@ def _parse_weight(parser: argparse.ArgumentParser, raw: str, rank: int) -> tuple
 
 
 def _glue_negative_weights(argv: list[str]) -> list[str]:
-    """Join ``--weight -1,0`` into ``--weight=-1,0`` (and so for every weight option).
+    """Join ``--weight -1,0`` into ``--weight=-1,0``, after any long option without ``=``.
 
     argparse reads a value that starts with ``-`` and is not a plain negative
     number as an option, so the weight would never reach its own message.
+    Gluing to whatever long option precedes it, abbreviated or not, leaves
+    argparse to resolve the abbreviation itself.
     """
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _WEIGHT_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+        prev = out[-1] if out else ""
+        long_option = prev[:2] == "--" and prev[2:3].isalpha() and "=" not in prev
+        if long_option and tok[:1] == "-" and tok[1:2].isdigit():
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)

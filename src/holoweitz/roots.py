@@ -22,10 +22,14 @@ so the G2 model can realize the normalization (w1, w1) = 1,
 (w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The ambient
 functions (``inner``, ``to_dominant_chamber``, ``weyl_orbit``) work
 through the labels and carry any component of the input orthogonal to
-the root span through unchanged.  One sparse form evaluator, ``_form``,
-serves ``inner`` and construction, which starts from the simple roots'
-Gram matrix; one linear-combination routine, ``_combine``, forms every
-ambient vector (``to_orthogonal``, fundamental weights, positive roots).
+the root span through unchanged.
+
+Construction runs in integers.  The simple roots are integer ambient
+vectors, the positive roots and det C times the fundamental weights are
+integer combinations of them, and one fraction-free (Bareiss) elimination
+of the integer Cartan matrix C gives det C and the adjugate.  ``Fraction``
+enters only through the form's values on the simple roots (rational for
+G2) and through the ``Fraction``-typed field values.
 
 All values are immutable after construction and every function is pure.
 A ``RootSystem`` compares and hashes by identity: ``build_root_system``
@@ -152,27 +156,12 @@ def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
 # --- ambient coordinates, at the API edge -----------------------------------
 
 
-def _form(base_form: Sequence[Sequence], u: Sequence, v: Sequence) -> Fraction:
-    """The form evaluator: u^T base_form v, skipping zero entries of u and the form."""
-    return sum(x * g * y for x, row in zip(u, base_form) if x for g, y in zip(row, v) if g)
-
-
-def _combine(coeffs: Sequence, vectors: Sequence[Weight]) -> Weight:
-    """The combination routine: sum_i coeffs[i] vectors[i], skipping zero terms."""
-    out = [Fraction(0)] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for k, x in enumerate(v):
-                if x:
-                    out[k] += c * x
-    return tuple(out)
-
-
 def inner(rs: RootSystem, u: Weight, v: Weight) -> Fraction:
     """Invariant bilinear form of ``rs`` evaluated on two ambient vectors."""
     if len(u) != rs.dim or len(v) != rs.dim:
         raise DimensionMismatch(f"expected coordinate length {rs.dim}, got {len(u)} and {len(v)}")
-    return _form(rs.base_form, u, v)
+    # u^T base_form v, skipping zero entries of u and of the form
+    return sum(x * g * y for x, row in zip(u, rs.base_form) if x for g, y in zip(row, v) if g)
 
 
 def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
@@ -182,7 +171,13 @@ def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
 
 def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
     """Ambient coordinates of a weight given in Dynkin labels."""
-    return _combine(fund, rs.fundamental_weights)
+    out = [Fraction(0)] * rs.dim
+    for c, w in zip(fund, rs.fundamental_weights):
+        if c:
+            for k, x in enumerate(w):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
 
 
 def _split(rs: RootSystem, w: Weight) -> tuple[tuple[Fraction, ...], Weight]:
@@ -220,57 +215,32 @@ def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
 # --- construction -------------------------------------------------------------
 
 
-def _invert(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact Gauss-Jordan inverse of a small rational matrix."""
-    n = len(matrix)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    aug = [[Fraction(x) for x in row] + e for row, e in zip(matrix, eye)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _simple_root_data(family: str, rank: int) -> tuple[list[Weight], tuple[Weight, ...]]:
-    """Simple roots in ambient coordinates plus the Gram matrix of the space."""
+def _simple_root_data(family: str, rank: int) -> tuple[list[Labels], tuple[Weight, ...]]:
+    """Simple roots as integer ambient vectors plus the Gram matrix of the space."""
     if family == "G":  # simple-root coordinates, Gram pinned by (w1, w1) = 1
-        gram = (vector((1, Fraction(-3, 2))), vector((Fraction(-3, 2), 3)))
-        return [vector((1, 0)), vector((0, 1))], gram
-
+        return [(1, 0), (0, 1)], (vector((1, Fraction(-3, 2))), vector((Fraction(-3, 2), 3)))
     dim = rank + 1 if family == "A" else rank
-
-    def e(*coords: tuple[int, int]) -> Weight:
-        return vector(dict(coords).get(j, 0) for j in range(dim))
-
-    roots = [e((i, 1), (i + 1, -1)) for i in range(dim - 1)]
-    if family == "B":
-        roots.append(e((rank - 1, 1)))
-    elif family == "C":
-        roots.append(e((rank - 1, 2)))
-    elif family == "D":
-        roots.append(e((rank - 2, 1), (rank - 1, 1)))
-    identity = tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
-    return roots, identity
+    roots = [tuple(int(j == i) - int(j == i + 1) for j in range(dim)) for i in range(dim - 1)]
+    if family != "A":  # e_n, 2 e_n or e_(n-1) + e_n
+        roots.append((0,) * (rank - 2) + {"B": (0, 1), "C": (0, 2), "D": (1, 1)}[family])
+    return roots, tuple(vector(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 @lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system of type ``family``/``rank`` (an ``int`` up to MAX_RANK).
 
-    The form is evaluated once, on the simple roots: their Gram matrix
-    b = ((a_i, a_j)) gives the Cartan matrix 2 b_ij / b_jj and the root
-    lengths in ``gram = C^-1 D / 2``.  The positive roots are the closure
+    Construction runs in integers.  The form is evaluated once, on the
+    integer simple roots: their Gram matrix b = ((a_i, a_j)) gives the
+    Cartan matrix 2 b_ij / b_jj.  One fraction-free Gauss-Jordan pass
+    (Bareiss) turns C into det C and the adjugate det C . C^-1, from
+    which the fundamental weights and ``gram`` = C^-1 D / 2 are read off
+    with a single division by det C.  The positive roots are the closure
     of the simple roots under the simple reflections, each of which
     permutes the positive roots other than its own; they are ordered by
-    (height, ambient lexicographic), each ambient vector formed once by
-    ``_combine``.  Construction verifies that the positive roots sum to
-    2 rho.
+    (height, ambient lexicographic).  Every ambient vector is an integer
+    combination over the one or two nonzero entries of each simple root.
+    Construction verifies that the positive roots sum to 2 rho.
     """
     if family not in _SUPPORTED or type(rank) is not int:
         raise UnsupportedType(f"unsupported root system {family}{rank}")
@@ -280,8 +250,18 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise UnsupportedType(f"unsupported root system {family}{rank}: type {family} needs {need}")
 
     simple, base_form = _simple_root_data(family, rank)
-    b = [[_form(base_form, u, v) for v in simple] for u in simple]
+    support = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
+    b = [[sum(x * g * y for k, x in su for m, y in sv if (g := base_form[k][m])) for sv in support]
+         for su in support]
     cartan = tuple(tuple(int(2 * x / b[j][j]) for j, x in enumerate(row)) for row in b)
+
+    def combine(coeffs: Sequence[int]) -> list[int]:
+        out = [0] * len(simple[0])
+        for c, nz in zip(coeffs, support):
+            if c:
+                for k, x in nz:
+                    out[k] += c * x
+        return out
 
     # positive roots as Dynkin labels -> simple-root coefficients
     found = {cartan[i]: tuple(int(i == j) for j in range(rank)) for i in range(rank)}
@@ -294,27 +274,40 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     found[r] = tuple(k - c * (j == i) for j, k in enumerate(found[labels]))
                     queue.append(r)
 
-    ambient = {r: _combine(coeffs, simple) for r, coeffs in found.items()}
+    ambient = {r: tuple(combine(coeffs)) for r, coeffs in found.items()}
     positive = sorted(found, key=lambda r: (sum(found[r]), ambient[r]))
     if any(sum(col) != 2 for col in zip(*positive)):
         raise RuntimeError(f"{family}{rank}: half-sum of positive roots disagrees with the "
                            "sum of fundamental weights; root conventions are broken")
 
+    # fraction-free Gauss-Jordan (Bareiss) on [C | I]: by Sylvester's identity each division by
+    # the previous pivot is exact, and the pass ends at [det I | adj C].  No pivot search: the
+    # pivots are the leading principal minors of a finite-type Cartan matrix, all positive.
+    aug = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(cartan)]
+    det = 1
+    for k in range(rank):
+        pivot_row = aug[k]
+        pivot = pivot_row[k]
+        aug = [row if i == k else [(pivot * x - row[k] * y) // det for x, y in zip(row, pivot_row)]
+               for i, row in enumerate(aug)]
+        det = pivot
+    adj = [row[rank:] for row in aug]
+
     # w_i = sum_j (C^-1)_ij a_j, so (w_i, w_j) = (C^-1)_ij b_jj / 2
-    cartan_inv = _invert(cartan)
-    fundamental = [_combine(row, simple) for row in cartan_inv]
-    gram = [[x * b[j][j] / 2 for j, x in enumerate(row)] for row in cartan_inv]
+    fundamental = [combine(row) for row in adj]
+    gram = [[x * b[j][j] / (2 * det) for j, x in enumerate(row)] for row in adj]
     scale = lcm(*(x.denominator for row in gram for x in row))
+    frac = {x: Fraction(x) for x in set().union(*ambient.values())}  # one per distinct coordinate
 
     return RootSystem(
         family=family,
         rank=rank,
-        simple_roots=tuple(simple),
-        fundamental_weights=tuple(fundamental),
-        positive_roots=tuple(ambient[r] for r in positive),
+        simple_roots=tuple(map(vector, simple)),
+        fundamental_weights=tuple(tuple(Fraction(x, det) for x in w) for w in fundamental),
+        positive_roots=tuple(tuple(map(frac.get, ambient[r])) for r in positive),
         cartan_matrix=cartan,
         base_form=base_form,
-        rho=tuple(map(sum, zip(*fundamental))),
+        rho=tuple(Fraction(sum(col), det) for col in zip(*fundamental)),
         positive_labels=tuple(positive),
         gram=tuple(tuple(int(x * scale) for x in row) for row in gram),
         form_scale=Fraction(1, scale),

@@ -27,7 +27,6 @@ from holoweitz.prover import (
     PARALLEL,
     FormClass,
     prove_component,
-    prove_degree,
     prove_theorems,
 )
 from holoweitz.roots import build_root_system, to_fundamental, vector, weyl_orbit
@@ -257,33 +256,3 @@ def test_c9_property_suites():
             for w, m in weight_system(irr).items()
         )
         assert total == dimension(irr)
-
-    # normalization invariance of the Lambda^2 Casimir under form scalings
-    from dataclasses import replace
-
-    rs = G2.root_system
-    for c in (2, 3, 5):
-        scaled = replace(
-            rs,
-            base_form=tuple(tuple(c * x for x in row) for row in rs.base_form),
-            gram=tuple(tuple(c * x for x in row) for row in rs.gram),
-        )
-        ctx = replace(G2, root_system=scaled, holonomy_rep=Irrep(scaled, (1, 0)))
-        for hw, want in G2_CASIMIR_TABLE.items():
-            assert casimir_lambda2(ctx, Irrep(scaled, hw)) == want
-
-    # Hodge symmetry of the form spaces
-    for ctx in (G2, S7):
-        for p in range(ctx.n + 1):
-            assert (
-                form_space(ctx, p).as_multiset()
-                == form_space(ctx, ctx.n - p).as_multiset()
-            )
-
-    # duality coherence of the prover verdicts
-    for ctx in (G2, S7):
-        for p in range(1, ctx.n):
-            assert (
-                prove_degree(ctx, p, FormClass.KILLING).verdict
-                == prove_degree(ctx, ctx.n - p, FormClass.STAR_KILLING).verdict
-            )

@@ -199,6 +199,9 @@ def test_usage_errors_exit_2(capsys):
         (["tensor", "--algebra", "G2", "--left", "-1,0", "--right", "1,0"], negative),
         (["tensor", "--algebra", "G2", "--left", "1,0", "--right", "-1,0"], negative),
         (["weitzenboeck", "--holonomy", "g2", "--bundle", "-1,0"], negative),
+        # an abbreviated option is glued too, and argparse resolves the abbreviation
+        (["dim", "--algebra", "G2", "--wei", "-1,0"], negative),
+        (["tensor", "--algebra", "G2", "--ri", "-1,0", "--left", "1,0"], negative),
     ]
     # a rank above the cap is refused before the weight is parsed, naming the cap
     cases += [

@@ -24,7 +24,15 @@ from holoweitz.roots import (
     weyl_orbit,
 )
 
-from helpers import brute_orbit, restart_dominant, root_basis_coords, weyl_group
+from helpers import (
+    brute_orbit,
+    invert,
+    mat_mul,
+    mat_vec,
+    restart_dominant,
+    root_basis_coords,
+    weyl_group,
+)
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -131,6 +139,25 @@ def test_g2_gram_matches_the_normalization():
     assert inner(g2, w1, w1) == 1
     assert inner(g2, w1, w2) == Fraction(3, 2)
     assert inner(g2, w2, w2) == 3
+
+
+def test_gram_and_fundamental_weights_against_a_rational_inverse():
+    # gram and form_scale come from an integer adjugate; here w_i = sum_j (C^-1)_ij a_j uses
+    # the rational inverse of the oracle, and every product is evaluated on base_form
+    types = [("G", 2)] + [("A", r) for r in range(1, 13)] + [("D", r) for r in range(3, 13)]
+    types += [(family, r) for family in "BC" for r in range(2, 13)]
+    for family, rank in types:
+        rs = build_root_system(family, rank)
+        w = mat_mul(invert(rs.cartan_matrix), rs.simple_roots)
+        # base_form is symmetric, so row j of ((w_i, w_j)) is w . (base_form w_j)
+        assert tuple(mat_vec(w, mat_vec(rs.base_form, v)) for v in w) == tuple(
+            tuple(rs.form_scale * g for g in row) for row in rs.gram
+        ), (family, rank)
+        for j, a in enumerate(rs.simple_roots):
+            form_a = mat_vec(rs.base_form, a)
+            length = sum(x * y for x, y in zip(a, form_a))
+            pairings = [2 * x / length for x in mat_vec(rs.fundamental_weights, form_a)]
+            assert pairings == [int(i == j) for i in range(rank)], (family, rank, j)
 
 
 def test_b3_rho_and_its_norm():
