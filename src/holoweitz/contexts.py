@@ -12,9 +12,9 @@ loaded from a JSON file, see :func:`load_registry`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import citations
 from .decompose import Decomposition, exterior_power
@@ -37,16 +37,14 @@ _CONTEXTS = {
 CONTEXT_IDS = tuple(_CONTEXTS)
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     """A bundle q(R) is known to annihilate, with the citation saying why."""
 
     highest_weight: tuple[int, ...]
     citation: str
 
 
-@dataclass(frozen=True)
-class HolonomyContext:
+class HolonomyContext(NamedTuple):
     id: str
     root_system: RootSystem
     holonomy_rep: Irrep

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from dataclasses import dataclass
 from operator import mul
 
 from . import roots
@@ -34,37 +33,38 @@ from .irreps import Irrep, dimension, dominant_multiplicities
 from .roots import Labels, RootSystem, Weight
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Multiset of irreducible summands with multiplicities.
+class Decomposition(tuple):
+    """Multiset of irreducible summands with multiplicities: a tuple of
+    (irrep, multiplicity) entries.
 
     Invariant, set only by :func:`_decomposition`: entries are sorted
     by dimension, then highest weight lexicographic in ambient coordinates;
     no irrep repeats.
     """
 
-    entries: tuple[tuple[Irrep, int], ...]
+    __slots__ = ()
+
+    @property
+    def entries(self) -> tuple[tuple[Irrep, int], ...]:
+        return tuple(self)
 
     def total_dimension(self) -> int:
-        return sum(m * dimension(irr) for irr, m in self.entries)
+        return sum(m * dimension(irr) for irr, m in self)
 
     def multiplicity_of(self, irrep: Irrep) -> int:
-        for irr, m in self.entries:
+        for irr, m in self:
             if irr == irrep:
                 return m
         return 0
 
     def as_multiset(self) -> frozenset[tuple[tuple[int, ...], int]]:
-        return frozenset((irr.highest_weight, m) for irr, m in self.entries)
+        return frozenset((irr.highest_weight, m) for irr, m in self)
 
     def irreps(self) -> tuple[Irrep, ...]:
-        return tuple(irr for irr, _ in self.entries)
+        return tuple(irr for irr, _ in self)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __repr__(self) -> str:
+        return f"Decomposition(entries={tuple(self)!r})"
 
 
 def _accumulate(rs: RootSystem, acc: Counter, lam: Labels, weights, m: int = 1) -> None:
@@ -95,7 +95,7 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomp
     columns = list(zip(*rs.scaled_fundamentals))  # den * ambient: den > 0 keeps the order
     entries.sort(key=lambda em: (
         dimension(em[0]), [sum(map(mul, em[0].highest_weight, col)) for col in columns]))
-    return Decomposition(tuple(entries))
+    return Decomposition(entries)
 
 
 def _weights(rs: RootSystem, char: dict[Labels, int]) -> list[tuple[Labels, int]]:

@@ -14,8 +14,7 @@ negative (zero only on the trivial representation).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
@@ -27,21 +26,20 @@ from .roots import Labels, RootSystem, Weight, dot
 WeightSystem = dict[Weight, int]
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(namedtuple("Irrep", ("root_system", "highest_weight"))):
     """A dominant integral highest weight bound to its root system.
 
     The highest weight is stored in fundamental coordinates as
     non-negative integers; two irreps are equal iff they share the root
-    system and the highest weight.
+    system and the highest weight.  An immutable pair: equality and hash
+    are the tuple's.
     """
 
-    root_system: RootSystem
-    highest_weight: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, root_system: RootSystem, highest_weight) -> Irrep:
         try:
-            hw = given = tuple(self.highest_weight)
+            hw = given = tuple(highest_weight)
         except TypeError:  # not a sequence, e.g. 5 or None
             hw = given = ()
         if set(map(type, given)) != {int}:
@@ -49,12 +47,13 @@ class Irrep:
                 hw = tuple(map(int, given))
             except (TypeError, ValueError, OverflowError):
                 hw = ()
-        rank = self.root_system.rank
-        if hw != given or bool in map(type, given) or len(hw) != rank or min(hw) < 0:
-            raise ValueError(
-                f"highest weight {self.highest_weight} invalid for {self.root_system}"
-            )
-        object.__setattr__(self, "highest_weight", hw)
+        if hw != given or bool in map(type, given) or len(hw) != root_system.rank or min(hw) < 0:
+            raise ValueError(f"highest weight {highest_weight} invalid for {root_system}")
+        return tuple.__new__(cls, (root_system, hw))
+
+    @classmethod
+    def _make(cls, iterable) -> Irrep:  # so that _replace validates as well
+        return cls(*iterable)
 
     @property
     def hw_orthogonal(self) -> Weight:

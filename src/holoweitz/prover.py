@@ -22,8 +22,8 @@ hypotheses are recorded on every report.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import citations
 from .contexts import HolonomyContext, form_space, qr_citation, qr_trivial
@@ -49,8 +49,7 @@ class KilledBy(enum.Enum):
     NONE = "None"
 
 
-@dataclass(frozen=True)
-class SummandStatus:
+class SummandStatus(NamedTuple):
     summand: Irrep
     occ_plus: int
     occ_minus: int
@@ -58,22 +57,19 @@ class SummandStatus:
     b: Fraction
 
 
-@dataclass(frozen=True)
-class Survivor:
+class Survivor(NamedTuple):
     summand: Irrep
     b: Fraction
     residual: Fraction | None
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     rule: str
     citation: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ComponentVerdict:
+class ComponentVerdict(NamedTuple):
     bundle: Irrep
     degree: int
     form_class: FormClass
@@ -84,8 +80,7 @@ class ComponentVerdict:
     trace: tuple[TraceStep, ...]
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     context_id: str
     degree: int
     form_class: FormClass
@@ -95,8 +90,7 @@ class DegreeReport:
     hypotheses: tuple[str, ...] = citations.HYPOTHESES
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     context_id: str
     reports: tuple[DegreeReport, ...]
     claims: tuple[tuple[str, int, str], ...]  # (class, degree, verdict)
@@ -319,7 +313,7 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
             )
         )
         delegate = prove_degree(ctx, ctx.n - p, form_class)
-        return replace(delegate, degree=p, reductions=tuple(reductions) + delegate.reductions)
+        return delegate._replace(degree=p, reductions=tuple(reductions) + delegate.reductions)
 
     # R2: on compact Ricci-flat manifolds twistor 2-forms are coclosed
     effective_class = form_class

@@ -12,8 +12,8 @@ Dynkin neighbours of i can turn negative, and only those are pushed.  Each
 step lowers by one the number of positive roots that pair negatively with
 the weight, so the sign does not depend on the order of the steps.  The
 neighbours, the pairings ``gram . a`` of each positive root a and the
-integer fundamental weights ``den * w_i`` are fields derived in
-``__post_init__``: a ``dataclasses.replace`` copy derives them afresh.
+integer fundamental weights ``den * w_i`` are fields derived by the
+constructor: a ``RootSystem._replace`` copy derives them afresh.
 
 Ambient coordinates, tuples of ``fractions.Fraction``, appear only at the
 API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
@@ -35,12 +35,11 @@ All values are immutable after construction and every function is pure.
 A ``RootSystem`` compares and hashes by identity: ``build_root_system``
 is its only constructor and caches its result, so there is one instance
 per type and rank, and an ``Irrep``-keyed cache lookup hashes no roots.
-A copy made with ``dataclasses.replace`` is a different root system.
+A copy made with ``_replace`` is a different root system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -59,48 +58,65 @@ def vector(coords: Iterable) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-@dataclass(frozen=True, eq=False)
+# the constructor's fields, in order; three more are derived from them
+_GIVEN = ("family", "rank", "simple_roots", "fundamental_weights", "positive_roots",
+          "cartan_matrix", "base_form", "rho", "positive_labels", "gram", "form_scale")
+
+
 class RootSystem:
     """One simple type: roots, invariant form and derived data.
 
     ``cartan_matrix[i][j] = 2(a_i, a_j)/(a_j, a_j)``, so row i holds the
     Dynkin labels of the simple root a_i.  ``rho`` is the half-sum of the
     positive roots (equivalently the sum of the fundamental weights;
-    construction checks both agree).
+    construction checks both agree).  ``positive_labels`` are the positive
+    roots in Dynkin labels, in the order of ``positive_roots``; the
+    fundamental weights have (w_i, w_j) = form_scale * gram[i][j].
+
+    Derived by the constructor: ``neighbours[i]`` lists (j, cartan_matrix[i][j])
+    for the Dynkin neighbours j of i; ``root_pairings[k][i]`` = (w_i,
+    positive_labels[k]) in gram units; ``scaled_fundamentals[i]`` = den * w_i,
+    den > 0 clearing all denominators.  Fields cannot be assigned.
     """
 
-    family: str
-    rank: int
-    simple_roots: tuple[Weight, ...]
-    fundamental_weights: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    cartan_matrix: tuple[Labels, ...]
-    base_form: tuple[tuple[Fraction, ...], ...]
-    rho: Weight
-    # the positive roots in Dynkin labels, in the order of positive_roots
-    positive_labels: tuple[Labels, ...]
-    # (w_i, w_j) = form_scale * gram[i][j] for the fundamental weights
-    gram: tuple[Labels, ...]
-    form_scale: Fraction
-    # derived in __post_init__: neighbours[i] lists (j, cartan_matrix[i][j]) for the
-    # Dynkin neighbours j of i; root_pairings[k][i] = (w_i, positive_labels[k]) in
-    # gram units; scaled_fundamentals[i] = den * w_i, den > 0 clearing all denominators
-    neighbours: tuple[tuple[tuple[int, int], ...], ...] = field(init=False)
-    root_pairings: tuple[Labels, ...] = field(init=False)
-    scaled_fundamentals: tuple[Labels, ...] = field(init=False)
+    __slots__ = _GIVEN + ("neighbours", "root_pairings", "scaled_fundamentals")
 
-    def __post_init__(self):
-        den = lcm(*(x.denominator for w in self.fundamental_weights for x in w))
-        sparse = [[(k, x) for k, x in enumerate(a) if x] for a in self.positive_labels]
-        for name, value in {
-            "neighbours": tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
-                                for i, row in enumerate(self.cartan_matrix)),
-            "root_pairings": tuple(tuple(sum(row[k] * x for k, x in nz) for row in self.gram)
-                                   for nz in sparse),
-            "scaled_fundamentals": tuple(tuple(int(x * den) for x in w)
-                                         for w in self.fundamental_weights),
-        }.items():
+    def __init__(
+        self,
+        family: str,
+        rank: int,
+        simple_roots: tuple[Weight, ...],
+        fundamental_weights: tuple[Weight, ...],
+        positive_roots: tuple[Weight, ...],
+        cartan_matrix: tuple[Labels, ...],
+        base_form: tuple[tuple[Fraction, ...], ...],
+        rho: Weight,
+        positive_labels: tuple[Labels, ...],
+        gram: tuple[Labels, ...],
+        form_scale: Fraction,
+    ):
+        den = lcm(*(x.denominator for w in fundamental_weights for x in w))
+        sparse = [[(k, x) for k, x in enumerate(a) if x] for a in positive_labels]
+        values = (
+            family, rank, simple_roots, fundamental_weights, positive_roots, cartan_matrix,
+            base_form, rho, positive_labels, gram, form_scale,
+            tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
+                  for i, row in enumerate(cartan_matrix)),
+            tuple(tuple(sum(row[k] * x for k, x in nz) for row in gram) for nz in sparse),
+            tuple(tuple(int(x * den) for x in w) for w in fundamental_weights),
+        )
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes) -> RootSystem:
+        """A new root system with ``changes`` applied; the derived fields are derived afresh."""
+        return RootSystem(**{**{name: getattr(self, name) for name in _GIVEN}, **changes})
 
     @property
     def dim(self) -> int:

@@ -9,9 +9,7 @@ current computation.
 
 from __future__ import annotations
 
-import difflib
 import json
-from importlib import resources
 from pathlib import Path
 
 from .contexts import form_space, make_context
@@ -90,7 +88,7 @@ def compute_golden() -> dict:
 
 
 def golden_path() -> Path:
-    return Path(str(resources.files("holoweitz").joinpath(GOLDEN_RESOURCE)))
+    return Path(__file__).parent / GOLDEN_RESOURCE
 
 
 def run_selftest(bless: bool = False, out=print) -> int:
@@ -114,6 +112,8 @@ def run_selftest(bless: bool = False, out=print) -> int:
         if stored.get(group) == current.get(group):
             out(f"ok {group}")
             continue
+        import difflib  # only a mismatch needs it
+
         status = 1
         out(f"FAIL {group}")
         want = json.dumps(stored.get(group), indent=2, sort_keys=True).splitlines()

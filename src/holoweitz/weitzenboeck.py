@@ -23,10 +23,10 @@ sum_i dim(E_i) * b_i = 0 arbitrates in favor of the derived ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
+from typing import NamedTuple
 
 from . import citations
 from .contexts import HolonomyContext
@@ -36,8 +36,7 @@ from .fmt import fmt_q, fmt_w, parse_q, weight_key
 from .irreps import Irrep, casimir_lambda2, dimension
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """One irreducible summand E_i of T (x) E with its conformal weight."""
 
     irrep: Irrep
@@ -48,8 +47,7 @@ class Summand:
         return -self.b
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """Derived coefficient vs. a recorded printed value that disagrees."""
 
     index: int
@@ -59,8 +57,7 @@ class Discrepancy:
     note: str
 
 
-@dataclass(frozen=True)
-class WeitzenboeckFormula:
+class WeitzenboeckFormula(NamedTuple):
     context_id: str
     bundle: Irrep
     summands: tuple[Summand, ...]
@@ -69,8 +66,8 @@ class WeitzenboeckFormula:
 
 @lru_cache(maxsize=None)
 def _printed_formulas() -> dict:
-    path = resources.files("holoweitz").joinpath("fixtures/printed_formulas.json")
-    return json.loads(path.read_text())
+    path = Path(__file__).parent / "fixtures" / "printed_formulas.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def printed_formula(ctx_id: str, bundle_hw: tuple[int, ...]) -> dict | None:

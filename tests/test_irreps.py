@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -127,9 +126,9 @@ def test_b5_orbit_sizes_times_multiplicities_give_the_weyl_dimension():
 
 
 def test_form_scaled_copies_derive_their_own_fields():
-    # a dataclasses.replace copy must not keep derived fields of the original
+    # a _replace copy must not keep derived fields of the original
     for rs, hw in ((B3, (2, 1, 1)), (G2, (3, 2))):
-        copy = replace(rs, gram=tuple(tuple(3 * x for x in row) for row in rs.gram))
+        copy = rs._replace(gram=tuple(tuple(3 * x for x in row) for row in rs.gram))
         assert copy.root_pairings == tuple(tuple(3 * x for x in row) for row in rs.root_pairings)
         irr, scaled = Irrep(rs, hw), Irrep(copy, hw)
         assert dominant_multiplicities(scaled) == dominant_multiplicities(irr)
@@ -166,18 +165,17 @@ def test_casimir_lambda2_invariant_under_form_scaling():
     # scale the form (form_scale * gram, and base_form) by c; the value must not move
     g2 = make_context("g2")
     for c in (2, 3, 5):
-        rs = replace(
-            G2,
+        rs = G2._replace(
             base_form=tuple(tuple(c * x for x in row) for row in G2.base_form),
             gram=tuple(tuple(c * x for x in row) for row in G2.gram),
         )
-        ctx = replace(g2, root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
+        ctx = g2._replace(root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
         for hw in G2_TABLE:
             assert casimir_lambda2(ctx, Irrep(rs, hw)) == casimir_lambda2(g2, Irrep(G2, hw))
 
 
 def test_trivial_holonomy_rep_rejected():
-    ctx = replace(make_context("g2"), holonomy_rep=trivial_irrep(G2))
+    ctx = make_context("g2")._replace(holonomy_rep=trivial_irrep(G2))
     with pytest.raises(TrivialHolonomyRep):
         casimir_lambda2(ctx, Irrep(G2, (1, 0)))
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,25 @@ def test_tests_import_only_the_standard_library_pytest_and_the_package():
         assert not stray, f"{path.name} imports {sorted(stray)}"
     # the oracles stay independent of the engine they check
     assert imported_top_level_modules(ROOT / "tests" / "helpers.py") <= set(sys.stdlib_module_names)
+
+
+def test_no_source_file_imports_dataclasses():
+    for path in SOURCES:
+        assert "dataclasses" not in imported_top_level_modules(path), path.name
+
+
+# the record machinery and package-data helpers that a cold CLI start must not load
+COLD_START_EXCLUDED = ("dataclasses", "inspect", "difflib", "importlib.resources")
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # a fresh interpreter without site, so nothing but the package's own imports counts
+    probe = "import sys; before = set(sys.modules); import holoweitz.cli; print(*set(sys.modules) - before)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.split()
+    assert "holoweitz.cli" in loaded
+    stray = [m for m in loaded for e in COLD_START_EXCLUDED if m == e or m.startswith(e + ".")]
+    assert not stray, f"import holoweitz.cli loads {sorted(stray)}"

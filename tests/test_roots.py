@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -72,7 +71,7 @@ def test_root_systems_compare_by_identity():
     b3 = build_root_system("B", 3)
     assert build_root_system("B", 3) is b3
     # a copy is another root system, so irreps on it are other irreps
-    assert Irrep(replace(b3), (1, 0, 0)) != Irrep(b3, (1, 0, 0))
+    assert Irrep(b3._replace(), (1, 0, 0)) != Irrep(b3, (1, 0, 0))
 
 
 def test_unsupported_types_rejected():
