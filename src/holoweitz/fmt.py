@@ -20,7 +20,8 @@ from .irreps import dimension
 
 
 def fmt_q(q: Fraction) -> str:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

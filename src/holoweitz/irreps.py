@@ -212,6 +212,14 @@ def casimir_base(irrep: Irrep) -> Fraction:
     return -rs.form_scale * _casimir_number(rs, irrep.highest_weight)
 
 
+def _holonomy_casimir_number(ctx) -> int:
+    """C_T = (T, T + 2 rho) of the holonomy representation, in gram units."""
+    c_t = _casimir_number(ctx.root_system, ctx.holonomy_rep.highest_weight)
+    if c_t == 0:
+        raise TrivialHolonomyRep("holonomy representation has zero Casimir")
+    return c_t
+
+
 def casimir_lambda2(ctx, irrep: Irrep) -> Fraction:
     """Lambda2(T)-normalized Casimir eigenvalue in a holonomy context.
 
@@ -221,7 +229,5 @@ def casimir_lambda2(ctx, irrep: Irrep) -> Fraction:
     rs = ctx.root_system
     if irrep.root_system != rs:
         raise MixedRootSystems(f"{irrep} does not live on {rs}")
-    c_t = _casimir_number(rs, ctx.holonomy_rep.highest_weight)
-    if c_t == 0:
-        raise TrivialHolonomyRep("holonomy representation has zero Casimir")
+    c_t = _holonomy_casimir_number(ctx)
     return Fraction(-2 * ctx.dim_g * _casimir_number(rs, irrep.highest_weight), ctx.n * c_t)

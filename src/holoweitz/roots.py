@@ -43,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotDominant, UnsupportedType
@@ -129,7 +130,7 @@ class RootSystem:
 
 def dot(rs: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
     """Inner product of two weights in Dynkin labels, divided by form_scale."""
-    return sum(a * sum(g * b for g, b in zip(row, v)) for a, row in zip(u, rs.gram))
+    return sum(map(mul, u, [sum(map(mul, row, v)) for row in rs.gram]))
 
 
 def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, int]:

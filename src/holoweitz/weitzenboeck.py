@@ -8,8 +8,15 @@ E_i by
 
 with all Casimir eigenvalues in the Lambda2(T) normalization, and the
 curvature endomorphism satisfies q(R) = sum_i (-b_i) T_i* T_i on
-sections of E.  Summands keep zero weights as explicit records; the
-table renderer suppresses them to match the usual printed form.
+sections of E.  Since c_lam = -2 dim(g) C(lam) / (n C_T) with the integer
+Casimir numbers C(lam) = (lam, lam + 2 rho) in gram units, this is
+
+    b_i = -dim(g) (C_T + C_E - C_{E_i}) / (n C_T),
+
+computed in integers, C_T and C_E once per formula and C_{E_i} once per
+summand; each b_i is built as one ``Fraction``.  Summands keep zero
+weights as explicit records; the table renderer suppresses them to
+match the usual printed form.
 
 The index i keeps the summand order of :func:`decompose.tensor`, except
 that a bundle with a recorded printed formula takes the printed order.
@@ -17,7 +24,8 @@ that a bundle with a recorded printed formula takes the printed order.
 Where a recorded printed formula disagrees with the derived
 coefficients, the formula carries machine-readable discrepancy
 annotations citing both values; the trace identity
-sum_i dim(E_i) * b_i = 0 arbitrates in favor of the derived ones.
+sum_i dim(E_i) * b_i = 0 arbitrates in favor of the derived ones.  The
+printed values are parsed once, when the fixture is loaded.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,7 +42,7 @@ from .contexts import HolonomyContext
 from .decompose import tensor
 from .errors import MixedRootSystems, MultiplicityViolation
 from .fmt import fmt_q, fmt_w, parse_q, weight_key
-from .irreps import Irrep, casimir_lambda2, dimension
+from .irreps import Irrep, _casimir_number, _holonomy_casimir_number, dimension
 
 
 class Summand(NamedTuple):
@@ -66,12 +75,25 @@ class WeitzenboeckFormula(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _printed_formulas() -> dict:
+    """The fixture, each order as weight tuples and each printed value parsed once."""
     path = Path(__file__).parent / "fixtures" / "printed_formulas.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    return {
+        ctx_id: {
+            key: {
+                "order": [tuple(hw) for hw in recorded["order"]],
+                "printed": {int(i): parse_q(v) for i, v in recorded["printed"].items()},
+            }
+            for key, recorded in bundles.items()
+        }
+        for ctx_id, bundles in json.loads(path.read_text(encoding="utf-8")).items()
+    }
 
 
 def printed_formula(ctx_id: str, bundle_hw: tuple[int, ...]) -> dict | None:
-    """Recorded printed ordering/coefficients for one bundle, if any."""
+    """Recorded printed order and coefficients for one bundle, if any.
+
+    ``{"order": [weight tuple, ...], "printed": {1-based index: Fraction}}``.
+    """
     return _printed_formulas().get(ctx_id, {}).get(weight_key(bundle_hw))
 
 
@@ -94,17 +116,18 @@ def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
     recorded = printed_formula(ctx.id, e.highest_weight)
     if recorded is not None:
         by_weight = {i.highest_weight: i for i in order}
-        printed_order = [tuple(hw) for hw in recorded["order"]]
-        if sorted(printed_order) != sorted(by_weight):
+        if sorted(recorded["order"]) != sorted(by_weight):
             raise RuntimeError(
                 f"recorded ordering for {ctx.id} {e.highest_weight} does not "
                 "match the computed tensor decomposition"
             )
-        order = tuple(by_weight[hw] for hw in printed_order)
-    c_t = casimir_lambda2(ctx, ctx.holonomy_rep)
-    c_e = casimir_lambda2(ctx, e)
+        order = tuple(by_weight[hw] for hw in recorded["order"])
+    rs = ctx.root_system
+    c_t = _holonomy_casimir_number(ctx)
+    top, den, dim_g = c_t + _casimir_number(rs, e.highest_weight), ctx.n * c_t, ctx.dim_g
     summands = tuple(
-        Summand(irr, (c_t + c_e - casimir_lambda2(ctx, irr)) / 2) for irr in order
+        Summand(irr, Fraction(dim_g * (_casimir_number(rs, irr.highest_weight) - top), den))
+        for irr in order
     )
     return WeitzenboeckFormula(
         context_id=ctx.id,
@@ -123,8 +146,7 @@ def _find_discrepancies(
     cite = citations.CITATIONS["printed-formula"]
     out = []
     for idx, s in enumerate(summands, start=1):
-        value = printed.get(str(idx))
-        p = None if value is None else parse_q(value)
+        p = printed.get(idx)
         if p == s.coeff or (p is None and s.coeff == 0):
             continue
         note = (
@@ -138,8 +160,12 @@ def _find_discrepancies(
 
 
 def trace_residual(formula: WeitzenboeckFormula) -> Fraction:
-    """sum_i dim(E_i) * b_i; zero for every correct formula."""
-    return sum((dimension(s.irrep) * s.b for s in formula.summands), Fraction(0))
+    """sum_i dim(E_i) * b_i, summed over one common denominator; zero for every
+    correct formula."""
+    summands = formula.summands
+    den = lcm(*(s.b.denominator for s in summands))
+    num = sum(dimension(s.irrep) * s.b.numerator * (den // s.b.denominator) for s in summands)
+    return Fraction(num, den)
 
 
 def to_json_dict(formula: WeitzenboeckFormula) -> dict:

@@ -5,10 +5,11 @@ matrix/vector arithmetic: Weyl groups as explicit matrices, Kostant's
 partition-function multiplicity formula, brute-force orbits, exact
 nullspaces and inverses.  It imports only the standard library, nothing
 from the package under test, and of a root system it reads only the data
-fields ``simple_roots``, ``positive_roots``, ``base_form``, ``rho``,
-``cartan_matrix`` and ``rank`` (and ``dim``, the length of a simple root),
-never the package's own chamber/orbit/weight machinery, so agreement is a
-genuine two-route check.
+fields ``simple_roots``, ``positive_roots``, ``fundamental_weights``,
+``base_form``, ``rho``, ``cartan_matrix`` and ``rank`` (and ``dim``, the
+length of a simple root), never ``gram``, and it never calls the
+package's inner products or its chamber/orbit/weight machinery, so
+agreement is a genuine two-route check.
 
 Work is done in integers wherever the values are integral.  The simple
 reflections of every supported type are integer matrices in ambient
@@ -258,6 +259,21 @@ def kostant_multiplicity(rs, lam, mu):
         det * p(tuple(a - b for a, b in zip(mat_vec(w, lam_rho), mu_rho)), d)
         for w, det in weyl_group(rs)
     )
+
+
+# --- Casimir numbers -----------------------------------------------------------
+
+
+def ambient_casimir(rs, hw):
+    """(lam + rho, lam + rho) - (rho, rho) under base_form, lam = sum_i hw_i w_i taken
+    in ambient coordinates: the Casimir number of hw up to the scale of the form."""
+    lam = [sum(c * w[k] for c, w in zip(hw, rs.fundamental_weights)) for k in range(rs.dim)]
+    shifted = [x + r for x, r in zip(lam, rs.rho)]
+
+    def form(u, v):
+        return sum(x * y for x, y in zip(u, mat_vec(rs.base_form, v)))
+
+    return form(shifted, shifted) - form(rs.rho, rs.rho)
 
 
 # --- characters --------------------------------------------------------------

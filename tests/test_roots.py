@@ -15,6 +15,7 @@ from holoweitz.roots import (
     MAX_RANK,
     build_root_system,
     dominant,
+    dot,
     inner,
     to_dominant_chamber,
     to_fundamental,
@@ -33,6 +34,7 @@ from helpers import (
     weyl_group,
 )
 
+MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
     ("B", 2), ("B", 3), ("B", 4),
@@ -157,6 +159,22 @@ def test_gram_and_fundamental_weights_against_a_rational_inverse():
             length = sum(x * y for x, y in zip(a, form_a))
             pairings = [2 * x / length for x in mat_vec(rs.fundamental_weights, form_a)]
             assert pairings == [int(i == j) for i in range(rank)], (family, rank, j)
+
+
+def test_dot_is_the_ambient_form_over_form_scale():
+    # dot runs on labels and the integer gram; the ambient route evaluates base_form
+    systems = [build_root_system(f, r) for f in "ABCD" for r in range(1, 9) if r >= MIN_RANK[f]]
+    systems.append(build_root_system("G", 2))
+    b3 = build_root_system("B", 3)
+    tripled = tuple(tuple(3 * x for x in row) for row in b3.base_form)
+    systems.append(b3._replace(base_form=tripled, form_scale=3 * b3.form_scale))
+    systems.append(b3._replace(base_form=tripled, gram=tuple(tuple(3 * x for x in row) for row in b3.gram)))
+    rng = random.Random(1515)
+    for rs in systems:
+        for _ in range(25):
+            u, v = (tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(2))
+            want = inner(rs, to_orthogonal(rs, u), to_orthogonal(rs, v)) / rs.form_scale
+            assert dot(rs, u, v) == want, (rs, u, v)
 
 
 def test_b3_rho_and_its_norm():

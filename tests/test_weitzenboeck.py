@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from holoweitz import citations, roots
-from holoweitz.contexts import form_space, make_context
-from holoweitz.decompose import Decomposition
-from holoweitz.errors import MultiplicityViolation
+from holoweitz import citations, roots, weitzenboeck
+from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
+from holoweitz.decompose import Decomposition, tensor
+from holoweitz.errors import MixedRootSystems, MultiplicityViolation, TrivialHolonomyRep
 from holoweitz.fmt import fmt_q, parse_q
-from holoweitz.irreps import Irrep, casimir_lambda2, dimension, trivial_irrep
+from holoweitz.irreps import Irrep, adjoint_irrep, casimir_lambda2, dimension, trivial_irrep
 from holoweitz.weitzenboeck import (
     Summand,
     _check_multiplicity_free,
@@ -23,6 +26,8 @@ from holoweitz.weitzenboeck import (
     to_table,
     trace_residual,
 )
+
+from helpers import ambient_casimir
 
 G2 = make_context("g2")
 S7 = make_context("spin7")
@@ -95,7 +100,7 @@ def test_discrepancies_cover_every_printed_case():
         Summand(Irrep(rs, hw), Fraction(b))
         for hw, b in (((1, 0), -4), ((2, 0), -1), ((0, 1), 0), ((1, 1), 2))
     )
-    got = _find_discrepancies({"printed": {"1": "4", "2": "2"}}, summands)
+    got = _find_discrepancies({"printed": {1: Fraction(4), 2: Fraction(2)}}, summands)
     assert [(d.index, d.weight, d.computed, d.printed) for d in got] == [
         (2, (2, 0), Fraction(1), Fraction(2)),
         (4, (1, 1), Fraction(-2), None),
@@ -119,6 +124,57 @@ def test_trace_residual_examples():
     printed = [(8, -10), (48, -3), (112, 1)]
     assert sum(Fraction(d) * Fraction(b) for d, b in computed) == 0
     assert sum(Fraction(d) * Fraction(b) for d, b in printed) == -112
+    # the same printed values put into the formula: trace_residual is that plain sum
+    f = conformal_weights(S7, Irrep(S7.root_system, (0, 1, 0)))
+    by_index = {d.index: d.printed for d in f.discrepancies}
+    doctored = f._replace(summands=tuple(
+        s._replace(b=-by_index.get(i, s.coeff)) for i, s in enumerate(f.summands, start=1)
+    ))
+    assert trace_residual(doctored) == -112
+    assert type(trace_residual(doctored)) is Fraction
+
+
+def test_conformal_weights_against_the_ambient_casimir_oracle():
+    # b_i = (c_T + c_E - c_{E_i}) / 2 with c_lam = -2 dim(g) C(lam) / (n C(T)), C read off
+    # the ambient form, on every bundle with coordinate sum <= 3 and every form component.
+    # Each holonomy representation has one-dimensional weight spaces, so T (x) E never
+    # repeats a summand; the adjoint in its place has a repeated zero weight and does.
+    counts = {"formulas": 0, "violations": 0}
+    for ctx_id in CONTEXT_IDS:
+        base = make_context(ctx_id)
+        rs = base.root_system
+        bundles = {Irrep(rs, hw) for hw in product(range(4), repeat=rs.rank) if sum(hw) <= 3}
+        for p in range(base.n + 1):
+            bundles.update(form_space(base, p).irreps())
+        adjoint = base._replace(id=f"{ctx_id}-adjoint", holonomy_rep=adjoint_irrep(rs))
+        for ctx in (base, adjoint):
+            scale = Fraction(-2 * ctx.dim_g, ctx.n) / ambient_casimir(rs, ctx.holonomy_rep.highest_weight)
+
+            def c(irr):
+                return scale * ambient_casimir(rs, irr.highest_weight)
+
+            for e in sorted(bundles, key=lambda i: i.highest_weight):
+                if any(m != 1 for _, m in tensor(ctx.holonomy_rep, e)):
+                    counts["violations"] += 1
+                    with pytest.raises(MultiplicityViolation):
+                        conformal_weights(ctx, e)
+                    continue
+                counts["formulas"] += 1
+                f = conformal_weights(ctx, e)
+                for s in f.summands:
+                    assert s.b == (c(ctx.holonomy_rep) + c(e) - c(s.irrep)) / 2, (ctx.id, e, s)
+                plain = sum((Fraction(dimension(s.irrep)) * s.b for s in f.summands), Fraction(0))
+                assert trace_residual(f) == plain, (ctx.id, e)
+    assert counts["formulas"] > 0 and counts["violations"] > 0, counts
+
+
+def test_printed_values_are_canonical():
+    path = Path(weitzenboeck.__file__).parent / "fixtures" / "printed_formulas.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    values = [v for bundles in raw.values() for rec in bundles.values() for v in rec["printed"].values()]
+    assert len(values) == 22
+    for v in values:
+        assert fmt_q(parse_q(v)) == v
 
 
 def test_trace_residual_on_trivial_bundle():
@@ -178,6 +234,21 @@ def test_so_n_cross_check():
             else:
                 assert plus == {e_ones(r, p + 1)}, (n, p)
             assert set(got) == {Fraction(-(n - p)), Fraction(-p), Fraction(1)}
+
+
+def test_conformal_weights_error_order():
+    # mixed root systems, a repeated summand, a recorded order that disagrees, then a zero
+    # holonomy Casimir
+    trivial = G2._replace(holonomy_rep=trivial_irrep(G2.root_system))
+    with pytest.raises(MixedRootSystems):
+        conformal_weights(trivial, Irrep(S7.root_system, (0, 1, 0)))
+    adjoint = S7._replace(holonomy_rep=adjoint_irrep(S7.root_system))
+    with pytest.raises(MultiplicityViolation):  # (1,0,1) is recorded, in another order
+        conformal_weights(adjoint, Irrep(S7.root_system, (1, 0, 1)))
+    with pytest.raises(RuntimeError, match="recorded ordering"):
+        conformal_weights(trivial, Irrep(G2.root_system, (0, 1)))
+    with pytest.raises(TrivialHolonomyRep):
+        conformal_weights(trivial, Irrep(G2.root_system, (1, 1)))
 
 
 def test_multiplicity_guard():
