@@ -14,7 +14,7 @@ from .contexts import (
     make_context,
     qr_trivial,
 )
-from .decompose import Decomposition, decompose_character, exterior_power, tensor
+from .decompose import Decomposition, exterior_power, tensor
 from .errors import (
     ContextNotSupported,
     DegreeOutOfRange,
@@ -23,9 +23,7 @@ from .errors import (
     InternalNegativeMultiplicity,
     MixedRootSystems,
     MultiplicityViolation,
-    NotACharacter,
     NotAFormComponent,
-    NotDominant,
     TrivialHolonomyRep,
     UnsupportedContext,
     UnsupportedType,
@@ -33,7 +31,6 @@ from .errors import (
 from .irreps import (
     Irrep,
     adjoint_irrep,
-    casimir_base,
     casimir_lambda2,
     dimension,
     trivial_irrep,
@@ -50,7 +47,7 @@ from .prover import (
     prove_theorems,
     vanishing_analysis,
 )
-from .roots import RootSystem, build_root_system, inner, to_dominant_chamber, weyl_orbit
+from .roots import RootSystem, build_root_system
 from .weitzenboeck import WeitzenboeckFormula, conformal_weights, trace_residual
 
 __version__ = "0.1.0"
@@ -69,9 +66,7 @@ __all__ = [
     "Irrep",
     "MixedRootSystems",
     "MultiplicityViolation",
-    "NotACharacter",
     "NotAFormComponent",
-    "NotDominant",
     "RegistryEntry",
     "RootSystem",
     "TheoremReport",
@@ -81,14 +76,11 @@ __all__ = [
     "WeitzenboeckFormula",
     "adjoint_irrep",
     "build_root_system",
-    "casimir_base",
     "casimir_lambda2",
     "conformal_weights",
-    "decompose_character",
     "dimension",
     "exterior_power",
     "form_space",
-    "inner",
     "integrability_factor",
     "load_registry",
     "make_context",
@@ -97,10 +89,8 @@ __all__ = [
     "prove_theorems",
     "qr_trivial",
     "tensor",
-    "to_dominant_chamber",
     "trace_residual",
     "trivial_irrep",
     "vanishing_analysis",
     "weight_system",
-    "weyl_orbit",
 ]

@@ -1,16 +1,15 @@
-"""Tensor products, exterior powers and character decomposition.
+"""Tensor products and exterior powers.
 
-All three run on integer Dynkin labels (see :mod:`roots`) and go through
-one straightening kernel, Klimyk's reflection rule: V(lam) (x) char is
-read off by reflecting lam + nu + rho, for every weight nu of char, into
-the dominant chamber.  Tensor products straighten the larger factor's
-highest weight against the smaller one's weights; characters straighten
-with lam = 0 (Brauer/Racah-Speiser).  Exterior powers follow Newton's
-identity in the representation ring (Fulton-Harris; LiE's ``alt_tensor``),
+Both run on integer Dynkin labels (see :mod:`roots`) and go through one
+straightening kernel, Klimyk's reflection rule: V(lam) (x) char is read
+off by reflecting lam + nu + rho, for every weight nu of char, into the
+dominant chamber; with lam = 0 it decomposes char (Brauer/Racah-Speiser).
+Tensor products straighten the larger factor's highest weight against
+the smaller one's weights.  Exterior powers follow Newton's identity in
+the representation ring (Fulton-Harris; LiE's ``alt_tensor``),
 q Lambda^q(T) = sum_{k=1..q} (-1)^(k-1) psi^k(T) Lambda^(q-k)(T), where
 the Adams operation psi^k(T) is T's weight multiset scaled by k; degrees
-above n/2 are duals of degrees below.  Only the input of
-:func:`decompose_character` is in ambient coordinates.
+above n/2 are duals of degrees below.
 
 The summand order (see :class:`Decomposition`) is decided here alone; it
 numbers the twistor operators T_i downstream.
@@ -23,14 +22,9 @@ from functools import lru_cache
 from operator import mul
 
 from . import roots
-from .errors import (
-    DegreeOutOfRange,
-    InternalNegativeMultiplicity,
-    MixedRootSystems,
-    NotACharacter,
-)
+from .errors import DegreeOutOfRange, InternalNegativeMultiplicity, MixedRootSystems
 from .irreps import Irrep, dimension, dominant_multiplicities
-from .roots import Labels, RootSystem, Weight
+from .roots import Labels, RootSystem
 
 
 class Decomposition(tuple):
@@ -123,28 +117,6 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
     if dimension(a) < dimension(b):
         a, b = b, a
     return _straighten(a.root_system, a.highest_weight, dominant_multiplicities(b))
-
-
-def decompose_character(rs: RootSystem, char: dict[Weight, int]) -> Decomposition:
-    """Decompose a character given by its dominant weight multiplicities.
-
-    The weights are ambient vectors.  A non-integral weight or a negative
-    multiplicity in the result raises :class:`NotACharacter`; a weight
-    that is not dominant raises ``ValueError``.
-    """
-    labels: Counter[Labels] = Counter()
-    for w, m in char.items():
-        fund = roots.to_fundamental(rs, w)
-        if any(c.denominator != 1 for c in fund):
-            raise NotACharacter(f"{w} is not an integral weight")
-        labels[tuple(map(int, fund))] += m
-    for mu, m in labels.items():
-        if m and min(mu) < 0:
-            raise ValueError(f"weight {mu} of the character is not dominant")
-    try:
-        return _straighten(rs, (0,) * rs.rank, labels)
-    except InternalNegativeMultiplicity as exc:
-        raise NotACharacter(str(exc)) from exc
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,6 @@ class DimensionMismatch(HoloweitzError):
     """Vectors do not live in the coordinate space of the root system."""
 
 
-class NotDominant(HoloweitzError):
-    """Operation requires a dominant weight."""
-
-
 class TrivialHolonomyRep(HoloweitzError):
     """Casimir renormalization is undefined when the reference Casimir is zero."""
 
@@ -33,10 +29,6 @@ class InternalNegativeMultiplicity(HoloweitzError):
 class DegreeOutOfRange(HoloweitzError):
     """Degree outside its range: [0, dim] for an exterior power, 1..n-1 for a
     form degree in the prover."""
-
-
-class NotACharacter(HoloweitzError):
-    """Input was not a character: a non-integral weight or a negative multiplicity."""
 
 
 class UnsupportedContext(HoloweitzError):

@@ -5,7 +5,7 @@ integer Dynkin labels (see :mod:`roots`).  Dimensions come from the Weyl
 dimension formula, weight multiplicities from the Freudenthal recursion
 over the dominant closure of the highest weight, Casimir eigenvalues
 from the highest weight.  Ambient coordinates appear only at the API
-edge: ``Irrep.hw_orthogonal``, the keys of :func:`weight_system` and
+edge: the keys of :func:`weight_system` and the entries of
 :func:`full_weights`.
 
 The sign convention is Cas = sum X_i^2, so Casimir eigenvalues are
@@ -54,10 +54,6 @@ class Irrep(namedtuple("Irrep", ("root_system", "highest_weight"))):
     @classmethod
     def _make(cls, iterable) -> Irrep:  # so that _replace validates as well
         return cls(*iterable)
-
-    @property
-    def hw_orthogonal(self) -> Weight:
-        return roots.to_orthogonal(self.root_system, self.highest_weight)
 
     def __repr__(self) -> str:
         return f"Irrep({self.root_system.family}{self.root_system.rank}, {self.highest_weight})"
@@ -129,9 +125,9 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     read at the dominant representative of mu + k a, and (mu + k a, a)
     is a running sum with step (a, a).  The right side is summed by
     classes (Moody-Patera, Bull. AMS 7, 1982): the stabiliser W_mu of mu,
-    generated by the s_i with mu_i = 0, keeps the inner sum of a, and so
-    does a -> -a for a orthogonal to mu.  So each class of positive roots
-    under W_mu up to sign adds its size times the inner sum of one root;
+    generated by the s_i with mu_i = 0, keeps the string sum over k of a,
+    and so does a -> -a for a orthogonal to mu.  So each class of positive
+    roots under W_mu up to sign adds its size times the string sum of one root;
     a W_mu-orbit of roots orthogonal to mu counts half its size.  The
     class tables are built per zero pattern of mu, inside the call.
     """
@@ -204,12 +200,6 @@ def full_weights(irrep: Irrep) -> tuple[Weight, ...]:
 def _casimir_number(rs: RootSystem, lam: Labels) -> int:
     """(lam, lam + 2 rho) in gram units, an integer."""
     return dot(rs, lam, tuple(c + 2 for c in lam))
-
-
-def casimir_base(irrep: Irrep) -> Fraction:
-    """Casimir eigenvalue -(lam, lam + 2 rho) under the root system's base form."""
-    rs = irrep.root_system
-    return -rs.form_scale * _casimir_number(rs, irrep.highest_weight)
 
 
 def _holonomy_casimir_number(ctx) -> int:

@@ -19,10 +19,9 @@ Ambient coordinates, tuples of ``fractions.Fraction``, appear only at the
 API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
 for G2, with the form carried as an explicit Gram matrix (``base_form``),
 so the G2 model can realize the normalization (w1, w1) = 1,
-(w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The ambient
-functions (``inner``, ``to_dominant_chamber``, ``weyl_orbit``) work
-through the labels and carry any component of the input orthogonal to
-the root span through unchanged.
+(w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The edge is
+``to_orthogonal`` (labels to ambient) and ``to_fundamental`` (ambient to
+labels).
 
 Construction runs in integers.  The simple roots are integer ambient
 vectors, the positive roots and det C times the fundamental weights are
@@ -46,7 +45,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotDominant, UnsupportedType
+from .errors import DimensionMismatch, UnsupportedType
 
 Weight = tuple[Fraction, ...]
 Labels = tuple[int, ...]
@@ -173,17 +172,15 @@ def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
 # --- ambient coordinates, at the API edge -----------------------------------
 
 
-def inner(rs: RootSystem, u: Weight, v: Weight) -> Fraction:
-    """Invariant bilinear form of ``rs`` evaluated on two ambient vectors."""
-    if len(u) != rs.dim or len(v) != rs.dim:
-        raise DimensionMismatch(f"expected coordinate length {rs.dim}, got {len(u)} and {len(v)}")
-    # u^T base_form v, skipping zero entries of u and of the form
-    return sum(x * g * y for x, row in zip(u, rs.base_form) if x for g, y in zip(row, v) if g)
-
-
 def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
-    """Dynkin labels <w, coroot(a_i)> = 2(w, a_i)/(a_i, a_i) of ``w``."""
-    return tuple(2 * inner(rs, w, a) / inner(rs, a, a) for a in rs.simple_roots)
+    """Dynkin labels <w, coroot(a_i)> = 2(w, a_i)/(a_i, a_i) of an ambient vector ``w``."""
+    if len(w) != rs.dim:
+        raise DimensionMismatch(f"expected coordinate length {rs.dim}, got {len(w)}")
+
+    def form(u, v):  # u^T base_form v, skipping zero entries of u and of the form
+        return sum(x * g * y for x, row in zip(u, rs.base_form) if x for g, y in zip(row, v) if g)
+
+    return tuple(2 * form(w, a) / form(a, a) for a in rs.simple_roots)
 
 
 def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
@@ -195,38 +192,6 @@ def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
                 if x:
                     out[k] += c * x
     return tuple(out)
-
-
-def _split(rs: RootSystem, w: Weight) -> tuple[tuple[Fraction, ...], Weight]:
-    """Dynkin labels of ``w`` and its component orthogonal to the root span."""
-    labels = to_fundamental(rs, w)
-    return labels, tuple(x - y for x, y in zip(w, to_orthogonal(rs, labels)))
-
-
-def _join(rs: RootSystem, labels: Sequence, off: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(to_orthogonal(rs, labels), off))
-
-
-def to_dominant_chamber(rs: RootSystem, w: Weight) -> tuple[Weight, int, bool]:
-    """Dominant Weyl-orbit representative of ``w``.
-
-    Returns ``(dominant, parity, singular)`` where parity is the
-    determinant of the reflecting Weyl element.  Points on a chamber
-    wall report ``singular=True`` with parity +1; callers performing
-    signed accumulation must discard them.
-    """
-    labels, off = _split(rs, w)
-    dom, sign = dominant(rs, labels)
-    singular = 0 in dom
-    return _join(rs, dom, off), (1 if singular else sign), singular
-
-
-def weyl_orbit(rs: RootSystem, w: Weight) -> frozenset[Weight]:
-    """Full Weyl orbit of a dominant ambient vector."""
-    labels, off = _split(rs, w)
-    if min(labels) < 0:
-        raise NotDominant(f"weight {w} is not dominant")
-    return frozenset(_join(rs, v, off) for v in orbit(rs, labels))
 
 
 # --- construction -------------------------------------------------------------

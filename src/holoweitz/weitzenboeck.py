@@ -41,7 +41,7 @@ from . import citations
 from .contexts import HolonomyContext
 from .decompose import tensor
 from .errors import MixedRootSystems, MultiplicityViolation
-from .fmt import fmt_q, fmt_w, parse_q, weight_key
+from .fmt import fmt_q, fmt_w, parse_q
 from .irreps import Irrep, _casimir_number, _holonomy_casimir_number, dimension
 
 
@@ -75,11 +75,12 @@ class WeitzenboeckFormula(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _printed_formulas() -> dict:
-    """The fixture, each order as weight tuples and each printed value parsed once."""
+    """The fixture keyed by bundle weight tuples, each order as weight tuples and each
+    printed value parsed once."""
     path = Path(__file__).parent / "fixtures" / "printed_formulas.json"
     return {
         ctx_id: {
-            key: {
+            tuple(map(int, key.split(","))): {
                 "order": [tuple(hw) for hw in recorded["order"]],
                 "printed": {int(i): parse_q(v) for i, v in recorded["printed"].items()},
             }
@@ -94,7 +95,7 @@ def printed_formula(ctx_id: str, bundle_hw: tuple[int, ...]) -> dict | None:
 
     ``{"order": [weight tuple, ...], "printed": {1-based index: Fraction}}``.
     """
-    return _printed_formulas().get(ctx_id, {}).get(weight_key(bundle_hw))
+    return _printed_formulas().get(ctx_id, {}).get(bundle_hw)
 
 
 def _check_multiplicity_free(deco) -> None:

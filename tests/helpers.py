@@ -8,7 +8,7 @@ from the package under test, and of a root system it reads only the data
 fields ``simple_roots``, ``positive_roots``, ``fundamental_weights``,
 ``base_form``, ``rho``, ``cartan_matrix`` and ``rank`` (and ``dim``, the
 length of a simple root), never ``gram``, and it never calls the
-package's inner products or its chamber/orbit/weight machinery, so
+package's form, coordinate, chamber, orbit or weight machinery, so
 agreement is a genuine two-route check.
 
 Work is done in integers wherever the values are integral.  The simple
@@ -261,7 +261,12 @@ def kostant_multiplicity(rs, lam, mu):
     )
 
 
-# --- Casimir numbers -----------------------------------------------------------
+# --- the invariant form and Casimir numbers ---------------------------------
+
+
+def form(rs, u, v):
+    """The invariant form of rs on two ambient vectors: u . (base_form v)."""
+    return sum(x * y for x, y in zip(u, mat_vec(rs.base_form, v)))
 
 
 def ambient_casimir(rs, hw):
@@ -269,11 +274,7 @@ def ambient_casimir(rs, hw):
     in ambient coordinates: the Casimir number of hw up to the scale of the form."""
     lam = [sum(c * w[k] for c, w in zip(hw, rs.fundamental_weights)) for k in range(rs.dim)]
     shifted = [x + r for x, r in zip(lam, rs.rho)]
-
-    def form(u, v):
-        return sum(x * y for x, y in zip(u, mat_vec(rs.base_form, v)))
-
-    return form(shifted, shifted) - form(rs.rho, rs.rho)
+    return form(rs, shifted, shifted) - form(rs, rs.rho, rs.rho)
 
 
 # --- characters --------------------------------------------------------------

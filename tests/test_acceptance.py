@@ -19,7 +19,6 @@ from holoweitz.irreps import (
     casimir_lambda2,
     dimension,
     dominant_multiplicities,
-    weight_system,
 )
 from holoweitz.prover import (
     EXPECTED_PARALLEL,
@@ -29,7 +28,7 @@ from holoweitz.prover import (
     prove_component,
     prove_theorems,
 )
-from holoweitz.roots import build_root_system, to_fundamental, vector, weyl_orbit
+from holoweitz.roots import build_root_system, orbit, to_fundamental, to_orthogonal, vector
 from holoweitz.weitzenboeck import conformal_weights, trace_residual
 
 G2 = make_context("g2")
@@ -189,7 +188,7 @@ def test_c7_so_n_conformal_weight_cross_check():
             f = conformal_weights(ctx, lam)
             by_b: dict = {}
             for s in f.summands:
-                by_b.setdefault(s.b, set()).add(s.irrep.hw_orthogonal)
+                by_b.setdefault(s.b, set()).add(to_orthogonal(rs, s.irrep.highest_weight))
             assert by_b[Fraction(-(n - p))] == {vector([1] * (p - 1) + [0] * (r - p + 1))}
             assert by_b[Fraction(1)] == {vector([2] + [1] * (p - 1) + [0] * (r - p))}
             plus = vector([1] * (p + 1) + [0] * (r - p - 1))
@@ -251,8 +250,6 @@ def test_c9_property_suites():
         rs = rng.choice([G2.root_system, S7.root_system])
         paper_irreps.append(Irrep(rs, tuple(rng.randint(0, 2) for _ in range(rs.rank))))
     for irr in paper_irreps:
-        total = sum(
-            m * len(weyl_orbit(irr.root_system, w))
-            for w, m in weight_system(irr).items()
-        )
+        rs = irr.root_system
+        total = sum(m * len(orbit(rs, mu)) for mu, m in dominant_multiplicities(irr).items())
         assert total == dimension(irr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from collections import Counter
 from math import comb
 
 import pytest
@@ -14,7 +14,6 @@ from holoweitz.decompose import (
     Decomposition,
     _decomposition,
     _straighten,
-    decompose_character,
     exterior_power,
     tensor,
 )
@@ -22,7 +21,6 @@ from holoweitz.errors import (
     DegreeOutOfRange,
     InternalNegativeMultiplicity,
     MixedRootSystems,
-    NotACharacter,
 )
 from holoweitz.irreps import (
     Irrep,
@@ -33,7 +31,7 @@ from holoweitz.irreps import (
     weight_labels,
     weight_system,
 )
-from holoweitz.roots import build_root_system, dominant, to_fundamental, to_orthogonal
+from holoweitz.roots import build_root_system, dominant, to_fundamental
 
 from helpers import character_product, subset_sums
 
@@ -300,60 +298,36 @@ def test_multiplicity_freeness_of_holonomy_tensor_products():
                     assert m == 1, (ctx_id, irr)
 
 
-def test_decompose_character_single_and_sum():
-    a = Irrep(G2, (2, 0))
-    b = Irrep(G2, (0, 1))
-    char_a = dict(weight_system(a))
-    assert entries(decompose_character(G2, char_a)) == [((2, 0), 1)]
+def test_character_straightening_single_and_sum():
+    # straightening against the trivial weight decomposes a character on dominant labels
+    a = dominant_multiplicities(Irrep(G2, (2, 0)))
+    assert entries(_straighten(G2, (0, 0), a)) == [((2, 0), 1)]
 
-    both = dict(char_a)
-    for w, m in weight_system(b).items():
-        both[w] = both.get(w, 0) + m
-    assert entries(decompose_character(G2, both)) == [((0, 1), 1), ((2, 0), 1)]
+    both = Counter(a) + Counter(dominant_multiplicities(Irrep(G2, (0, 1))))
+    assert entries(_straighten(G2, (0, 0), both)) == [((0, 1), 1), ((2, 0), 1)]
 
 
-def test_decompose_character_matches_tensor_on_t_squared():
+def test_character_straightening_matches_tensor_on_t_squared():
     T = Irrep(G2, (1, 0))
-    product = character_product(full_weights(T), full_weights(T))
-    char = {w: m for w, m in product.items() if min(to_fundamental(G2, w)) >= 0}
-    deco = decompose_character(G2, char)
+    product = character_product(weight_labels(T), weight_labels(T))
+    char = {mu: m for mu, m in product.items() if min(mu) >= 0}
+    deco = _straighten(G2, (0, 0), char)
     assert deco.as_multiset() == tensor(T, T).as_multiset()
     assert entries(deco) == [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((2, 0), 1)]
     assert deco.total_dimension() == 49
 
 
-def test_decompose_character_rejects_non_characters():
-    # the adjoint character with the zero-weight multiplicity understated
-    ws = dict(weight_system(Irrep(G2, (0, 1))))
-    zero = (Fraction(0), Fraction(0))
-    ws[zero] = 1  # true multiplicity is 2
-    with pytest.raises(NotACharacter):
-        decompose_character(G2, ws)
-    # char V(2,0) - char V(1,0): the top coefficient is +1, the one below -1
-    diff = dict(weight_system(Irrep(G2, (2, 0))))
-    for w, m in weight_system(Irrep(G2, (1, 0))).items():
-        diff[w] -= m
-    with pytest.raises(NotACharacter):
-        decompose_character(G2, diff)
-    # a weight off the integral weight lattice
-    with pytest.raises(NotACharacter):
-        decompose_character(B3, {(Fraction(1, 3), Fraction(0), Fraction(0)): 1})
-    # a weight outside the dominant chamber is not a dominant multiplicity
-    with pytest.raises(ValueError):
-        decompose_character(G2, {to_orthogonal(G2, (-1, 1)): 1})
-
-
-def test_decompose_character_recovers_random_sums_of_irreps():
+def test_character_straightening_recovers_random_sums_of_irreps():
     rng = random.Random(61)
     for fam, rank in [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]:
         rs = build_root_system(fam, rank)
         for _ in range(10):
-            summands: dict = {}
+            summands: Counter = Counter()
             for _ in range(rng.randint(1, 3)):
-                irr = _random_small_irrep(rng, rs, 150)
-                summands[irr.highest_weight] = summands.get(irr.highest_weight, 0) + 1
-            char: dict = {}
+                summands[_random_small_irrep(rng, rs, 150).highest_weight] += 1
+            char: Counter = Counter()
             for hw, k in summands.items():
-                for w, m in weight_system(Irrep(rs, hw)).items():
-                    char[w] = char.get(w, 0) + k * m
-            assert dict(entries(decompose_character(rs, char))) == summands, summands
+                for mu, m in dominant_multiplicities(Irrep(rs, hw)).items():
+                    char[mu] += k * m
+            deco = _straighten(rs, (0,) * rank, char)
+            assert dict(entries(deco)) == summands, summands

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import holoweitz
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "holoweitz").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
@@ -62,3 +64,9 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert "holoweitz.cli" in loaded
     stray = [m for m in loaded for e in COLD_START_EXCLUDED if m == e or m.startswith(e + ".")]
     assert not stray, f"import holoweitz.cli loads {sorted(stray)}"
+
+
+def test_every_public_name_resolves():
+    assert len(set(holoweitz.__all__)) == len(holoweitz.__all__)
+    missing = [name for name in holoweitz.__all__ if not hasattr(holoweitz, name)]
+    assert not missing, missing

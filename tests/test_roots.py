@@ -1,4 +1,4 @@
-"""Root system geometry: construction, inner products, chamber reflection."""
+"""Root system geometry: construction, the invariant form, chamber reflection, orbits."""
 
 from __future__ import annotations
 
@@ -9,23 +9,22 @@ from fractions import Fraction
 
 import pytest
 
-from holoweitz.errors import DimensionMismatch, NotDominant, UnsupportedType
+from holoweitz.errors import DimensionMismatch, UnsupportedType
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
     MAX_RANK,
     build_root_system,
     dominant,
     dot,
-    inner,
-    to_dominant_chamber,
+    orbit,
     to_fundamental,
     to_orthogonal,
     vector,
-    weyl_orbit,
 )
 
 from helpers import (
     brute_orbit,
+    form,
     invert,
     mat_mul,
     mat_vec,
@@ -137,9 +136,9 @@ def test_positive_roots_are_in_height_then_ambient_order():
 def test_g2_gram_matches_the_normalization():
     g2 = build_root_system("G", 2)
     w1, w2 = g2.fundamental_weights
-    assert inner(g2, w1, w1) == 1
-    assert inner(g2, w1, w2) == Fraction(3, 2)
-    assert inner(g2, w2, w2) == 3
+    assert form(g2, w1, w1) == 1
+    assert form(g2, w1, w2) == Fraction(3, 2)
+    assert form(g2, w2, w2) == 3
 
 
 def test_gram_and_fundamental_weights_against_a_rational_inverse():
@@ -173,27 +172,28 @@ def test_dot_is_the_ambient_form_over_form_scale():
     for rs in systems:
         for _ in range(25):
             u, v = (tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(2))
-            want = inner(rs, to_orthogonal(rs, u), to_orthogonal(rs, v)) / rs.form_scale
+            want = form(rs, to_orthogonal(rs, u), to_orthogonal(rs, v)) / rs.form_scale
             assert dot(rs, u, v) == want, (rs, u, v)
 
 
 def test_b3_rho_and_its_norm():
     b3 = build_root_system("B", 3)
     assert b3.rho == vector([Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)])
-    assert inner(b3, b3.rho, b3.rho) == Fraction(35, 4)
+    assert form(b3, b3.rho, b3.rho) == Fraction(35, 4)
 
 
-def test_inner_bilinearity_zero():
+def test_dot_bilinearity_zero():
     for fam, rank in ALL_TYPES:
         rs = build_root_system(fam, rank)
-        zero = (Fraction(0),) * rs.dim
-        assert inner(rs, zero, rs.rho) == 0
+        zero, rho = (0,) * rank, (1,) * rank
+        assert dot(rs, zero, rho) == dot(rs, rho, zero) == 0
 
 
-def test_inner_dimension_mismatch():
+def test_to_fundamental_dimension_mismatch():
     b3 = build_root_system("B", 3)
-    with pytest.raises(DimensionMismatch):
-        inner(b3, vector([1, 0]), b3.rho)
+    for w in (vector([1, 0]), vector([1, 0, 0, 0])):
+        with pytest.raises(DimensionMismatch):
+            to_fundamental(b3, w)
 
 
 def test_positive_root_count_matches_adjoint_dimension():
@@ -208,41 +208,35 @@ def test_rho_pairs_positively_with_every_positive_root():
     for fam, rank in ALL_TYPES:
         rs = build_root_system(fam, rank)
         for a in rs.positive_roots:
-            assert inner(rs, rs.rho, a) > 0
+            assert form(rs, rs.rho, a) > 0
 
 
 def test_dominant_input_is_a_fixed_point():
     b3 = build_root_system("B", 3)
-    w = to_orthogonal(b3, (1, 1, 1))
-    dom, parity, singular = to_dominant_chamber(b3, w)
-    assert (dom, parity, singular) == (w, 1, False)
-    # a zero fundamental coordinate puts the weight on a chamber wall
-    w = to_orthogonal(b3, (1, 0, 1))
-    dom, parity, singular = to_dominant_chamber(b3, w)
-    assert (dom, parity, singular) == (w, 1, True)
+    assert dominant(b3, (1, 1, 1)) == ((1, 1, 1), 1)
+    # a zero label puts the weight on a chamber wall
+    assert dominant(b3, (1, 0, 1)) == ((1, 0, 1), 1)
 
 
 def test_a1_negative_weight_reflects_with_parity():
     a1 = build_root_system("A", 1)
-    w = to_orthogonal(a1, (-2,))  # -2 w1
-    dom, parity, singular = to_dominant_chamber(a1, w)
-    assert dom == to_orthogonal(a1, (2,))
-    assert parity == -1
-    assert not singular
+    dom, sign = dominant(a1, (-2,))  # -2 w1
+    assert dom == (2,) and sign == -1
 
 
 def test_singular_weight_detected_against_brute_force():
     b3 = build_root_system("B", 3)
     w = vector([1, 1, 0])  # orthogonal to e1 - e2
-    dom, parity, singular = to_dominant_chamber(b3, w)
-    assert singular and parity == 1
+    labels = tuple(int(c) for c in to_fundamental(b3, w))
+    dom, sign = dominant(b3, labels)
+    assert 0 in dom and (dom, sign) == (labels, 1)
     group = weyl_group(b3)
     assert len(group) == 48
-    orbit = brute_orbit(b3, w)
+    points = brute_orbit(b3, w)
     # stabilizer nontrivial exactly when the orbit is smaller than the group
-    assert len(orbit) < len(group)
-    dominant_images = {v for v in orbit if min(to_fundamental(b3, v)) >= 0}
-    assert dominant_images == {dom}
+    assert len(points) < len(group)
+    dominant_images = {v for v in points if min(to_fundamental(b3, v)) >= 0}
+    assert dominant_images == {to_orthogonal(b3, dom)}
 
 
 def test_to_dominant_is_idempotent_in_the_orbit_with_the_inversion_parity():
@@ -253,15 +247,14 @@ def test_to_dominant_is_idempotent_in_the_orbit_with_the_inversion_parity():
         for _ in range(20):
             fund = [rng.randint(-4, 4) for _ in range(rank)]
             w = to_orthogonal(rs, fund)
-            dom, parity, singular = to_dominant_chamber(rs, w)
-            again, parity2, singular2 = to_dominant_chamber(rs, dom)
-            assert again == dom and parity2 == 1 and singular2 == singular
-            assert dom in brute_orbit(rs, w)
-            if not singular:
+            dom, sign = dominant(rs, fund)
+            assert dominant(rs, dom) == (dom, 1)
+            assert to_orthogonal(rs, dom) in brute_orbit(rs, w)
+            if 0 not in dom:
                 # the Weyl element taking a regular w to the dominant chamber
-                # has length #{positive a : (w, a) < 0}; its determinant is the parity
-                inversions = sum(inner(rs, w, a) < 0 for a in rs.positive_roots)
-                assert parity == dominant(rs, fund)[1] == (-1) ** inversions
+                # has length #{positive a : (w, a) < 0}; its determinant is the sign
+                inversions = sum(form(rs, w, a) < 0 for a in rs.positive_roots)
+                assert sign == (-1) ** inversions
                 regular += 1
     assert regular > 50
 
@@ -295,36 +288,19 @@ def test_fundamental_orthogonal_round_trip_on_random_weights():
 def test_orbit_of_zero_is_zero():
     for fam, rank in [("G", 2), ("B", 3), ("A", 2)]:
         rs = build_root_system(fam, rank)
-        zero = (Fraction(0),) * rs.dim
-        assert weyl_orbit(rs, zero) == {zero}
+        zero = (0,) * rank
+        assert orbit(rs, zero) == {zero}
 
 
 def test_orbit_sizes_and_brute_force_agreement():
     g2 = build_root_system("G", 2)
-    w1 = g2.fundamental_weights[0]
-    orbit = weyl_orbit(g2, w1)
-    assert len(orbit) == 6
-    assert orbit == brute_orbit(g2, w1)
+    points = {to_orthogonal(g2, v) for v in orbit(g2, (1, 0))}
+    assert len(points) == 6
+    assert points == brute_orbit(g2, g2.fundamental_weights[0])
 
     b3 = build_root_system("B", 3)
-    w3 = b3.fundamental_weights[2]
-    orbit = weyl_orbit(b3, w3)
-    assert len(orbit) == 8
+    points = {to_orthogonal(b3, v) for v in orbit(b3, (0, 0, 1))}
+    assert len(points) == 8
     half = Fraction(1, 2)
-    assert orbit == {(a * half, b * half, c * half) for a in (1, -1) for b in (1, -1) for c in (1, -1)}
-    assert orbit == brute_orbit(b3, w3)
-
-    # off the root span of A2: the component along (1, 1, 1) must survive
-    a2 = build_root_system("A", 2)
-    e1 = vector((1, 0, 0))
-    orbit = weyl_orbit(a2, e1)
-    assert orbit == {vector((1, 0, 0)), vector((0, 1, 0)), vector((0, 0, 1))}
-    assert orbit == brute_orbit(a2, e1)
-    assert to_dominant_chamber(a2, vector((0, 0, 1))) == (e1, 1, True)
-
-
-def test_orbit_requires_dominant():
-    g2 = build_root_system("G", 2)
-    w = tuple(-c for c in g2.fundamental_weights[0])
-    with pytest.raises(NotDominant):
-        weyl_orbit(g2, w)
+    assert points == {(a * half, b * half, c * half) for a in (1, -1) for b in (1, -1) for c in (1, -1)}
+    assert points == brute_orbit(b3, b3.fundamental_weights[2])

@@ -22,6 +22,7 @@ from holoweitz.weitzenboeck import (
     _find_discrepancies,
     conformal_weights,
     formula_line,
+    printed_formula,
     to_json_dict,
     to_table,
     trace_residual,
@@ -177,6 +178,18 @@ def test_printed_values_are_canonical():
         assert fmt_q(parse_q(v)) == v
 
 
+def test_printed_formula_is_found_by_weight_tuple():
+    g2 = printed_formula("g2", (2, 0))
+    assert g2["order"] == [(1, 0), (2, 0), (0, 1), (1, 1), (3, 0)]
+    assert g2["printed"][1] == Fraction(14, 3)
+    spin7 = printed_formula("spin7", (1, 0, 1))
+    assert spin7["order"][0] == (0, 0, 2)
+    assert spin7["printed"][1] == Fraction(11, 4)
+    # an unrecorded bundle, and a context with no recorded formulas
+    assert printed_formula("g2", (1, 0)) is None
+    assert printed_formula("so7", (1, 0, 0)) is None
+
+
 def test_trace_residual_on_trivial_bundle():
     f = conformal_weights(G2, trivial_irrep(G2.root_system))
     assert weights(f) == [(1, 0)]
@@ -204,7 +217,7 @@ def test_so_n_cross_check():
     # algebraic shadow of the SO(n) form-bundle Weitzenboeck formula;
     # exterior powers and their neighbours are identified by their
     # highest weights in e-coordinates, (1,...,1,0,...) and (2,1,...,1,0,...)
-    from holoweitz.roots import to_fundamental, vector
+    from holoweitz.roots import to_fundamental, to_orthogonal, vector
 
     def e_ones(r, k, last=0):
         coords = [1] * k + [0] * (r - k)
@@ -223,7 +236,7 @@ def test_so_n_cross_check():
             f = conformal_weights(ctx, lam)
             got: dict = {}
             for s in f.summands:
-                got.setdefault(s.b, []).append(s.irrep.hw_orthogonal)
+                got.setdefault(s.b, []).append(to_orthogonal(rs, s.irrep.highest_weight))
             assert got[Fraction(-(n - p))] == [e_ones(r, p - 1)], (n, p)
             want_11 = vector([2] + [1] * (p - 1) + [0] * (r - p))
             assert got[Fraction(1)] == [want_11], (n, p)
