@@ -86,7 +86,7 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomp
                 why = "negative" if m < 0 else f"not divisible by {q}"
                 raise InternalNegativeMultiplicity(f"multiplicity {m} at {Irrep(rs, hw)}: {why}")
             entries.append((Irrep(rs, hw), value))
-    columns = list(zip(*rs.scaled_fundamentals))  # den * ambient: den > 0 keeps the order
+    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
     entries.sort(key=lambda em: (
         dimension(em[0]), [sum(map(mul, em[0].highest_weight, col)) for col in columns]))
     return Decomposition(entries)

@@ -202,9 +202,9 @@ def _casimir_number(rs: RootSystem, lam: Labels) -> int:
     return dot(rs, lam, tuple(c + 2 for c in lam))
 
 
-def _holonomy_casimir_number(ctx) -> int:
-    """C_T = (T, T + 2 rho) of the holonomy representation, in gram units."""
-    c_t = _casimir_number(ctx.root_system, ctx.holonomy_rep.highest_weight)
+def _holonomy_casimir_number(t: Irrep) -> int:
+    """C_T = (T, T + 2 rho) of a holonomy representation T, in gram units."""
+    c_t = _casimir_number(t.root_system, t.highest_weight)
     if c_t == 0:
         raise TrivialHolonomyRep("holonomy representation has zero Casimir")
     return c_t
@@ -219,5 +219,5 @@ def casimir_lambda2(ctx, irrep: Irrep) -> Fraction:
     rs = ctx.root_system
     if irrep.root_system != rs:
         raise MixedRootSystems(f"{irrep} does not live on {rs}")
-    c_t = _holonomy_casimir_number(ctx)
+    c_t = _holonomy_casimir_number(ctx.holonomy_rep)
     return Fraction(-2 * ctx.dim_g * _casimir_number(rs, irrep.highest_weight), ctx.n * c_t)

@@ -30,7 +30,7 @@ from .contexts import HolonomyContext, form_space, qr_citation, qr_trivial
 from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
 from .fmt import fmt_q, fmt_w, trace_json
 from .irreps import Irrep, dimension
-from .weitzenboeck import conformal_weights
+from .weitzenboeck import conformal_summands
 
 PARALLEL = "Parallel"
 INCONCLUSIVE = "Inconclusive"
@@ -123,6 +123,11 @@ def _step(rule: str, detail: str) -> TraceStep:
     return TraceStep(rule, citations.CITATIONS[rule], detail)
 
 
+def _require_form_component(ctx: HolonomyContext, e: Irrep, p: int) -> None:
+    if form_space(ctx, p).multiplicity_of(e) == 0:
+        raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
+
+
 def vanishing_analysis(
     ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
 ) -> tuple[SummandStatus, ...]:
@@ -135,15 +140,20 @@ def vanishing_analysis(
     forms (Killing) kill operators into summands of the (p-1)-forms.
     """
     _require_prover_context(ctx)
-    if form_space(ctx, p).multiplicity_of(e) == 0:
-        raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
-    formula = conformal_weights(ctx, e)  # also enforces multiplicity-freeness
-    plus = form_space(ctx, p + 1)
-    minus = form_space(ctx, p - 1)
+    _require_form_component(ctx, e, p)
+    return _vanishing_analysis(ctx, e, p, form_class)
+
+
+def _vanishing_analysis(
+    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
+) -> tuple[SummandStatus, ...]:
+    """:func:`vanishing_analysis` on a checked context and a component of the p-forms."""
+    plus = dict(form_space(ctx, p + 1))  # irrep -> multiplicity
+    minus = dict(form_space(ctx, p - 1))
     statuses = []
-    for s in formula.summands:
-        occ_plus = plus.multiplicity_of(s.irrep)
-        occ_minus = minus.multiplicity_of(s.irrep)
+    for s in conformal_summands(ctx, e):  # also enforces multiplicity-freeness
+        occ_plus = plus.get(s.irrep, 0)
+        occ_minus = minus.get(s.irrep, 0)
         if occ_plus == 0 and occ_minus == 0:
             killed = KilledBy.TWISTOR_GAP
         elif form_class is FormClass.STAR_KILLING and occ_plus > 0:
@@ -192,9 +202,14 @@ def prove_component(
 ) -> ComponentVerdict:
     """Parallelism analysis for forms of one class inside one component."""
     _require_prover_context(ctx)
-    if form_space(ctx, p).multiplicity_of(e) == 0:
-        raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
+    _require_form_component(ctx, e, p)
+    return _prove_component(ctx, e, p, form_class)
 
+
+def _prove_component(
+    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
+) -> ComponentVerdict:
+    """:func:`prove_component` on a checked context and a component of the p-forms."""
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
     if qr_trivial(ctx, e):
         trace = (
@@ -216,7 +231,7 @@ def prove_component(
             trace=trace,
         )
 
-    statuses = vanishing_analysis(ctx, e, p, form_class)
+    statuses = _vanishing_analysis(ctx, e, p, form_class)
     trace: list[TraceStep] = [
         _step(
             "conformal-weights",
@@ -301,7 +316,11 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
     _require_prover_context(ctx)
     if not 1 <= p <= ctx.n - 1:
         raise DegreeOutOfRange(f"degree {p} outside 1..{ctx.n - 1}")
+    return _prove_degree(ctx, p, form_class)
 
+
+def _prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeReport:
+    """:func:`prove_degree` on a checked context and a degree in 1..n-1."""
     reductions: list[TraceStep] = []
 
     # R1: Hodge duality sends twistor p-forms to twistor (n-p)-forms
@@ -312,7 +331,7 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
                 f"twistor {p}-forms correspond to twistor {ctx.n - p}-forms",
             )
         )
-        delegate = prove_degree(ctx, ctx.n - p, form_class)
+        delegate = _prove_degree(ctx, ctx.n - p, form_class)
         return delegate._replace(degree=p, reductions=tuple(reductions) + delegate.reductions)
 
     # R2: on compact Ricci-flat manifolds twistor 2-forms are coclosed
@@ -358,7 +377,7 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
         justified = False
 
     components = tuple(
-        prove_component(ctx, irr, p, effective_class) for irr in components_irreps
+        _prove_component(ctx, irr, p, effective_class) for irr in components_irreps
     )
     if justified and all(c.verdict == PARALLEL for c in components):
         verdict = PARALLEL
@@ -382,7 +401,7 @@ def prove_theorems(ctx: HolonomyContext) -> TheoremReport:
     claims = []
     for form_class in (FormClass.KILLING, FormClass.STAR_KILLING, FormClass.TWISTOR):
         for p in range(1, ctx.n):
-            report = prove_degree(ctx, p, form_class)
+            report = _prove_degree(ctx, p, form_class)
             reports.append(report)
             claims.append((form_class.value, p, report.verdict))
     expected = EXPECTED_PARALLEL[ctx.id]

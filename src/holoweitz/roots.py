@@ -11,7 +11,8 @@ the invariant form itself is ``form_scale * gram``.
 Dynkin neighbours of i can turn negative, and only those are pushed.  Each
 step lowers by one the number of positive roots that pair negatively with
 the weight, so the sign does not depend on the order of the steps.  The
-neighbours, the pairings ``gram . a`` of each positive root a and the
+neighbours, the pairings ``gram . a`` of each positive root a, the common
+denominator ``den`` of the fundamental weights and the columns of the
 integer fundamental weights ``den * w_i`` are fields derived by the
 constructor: a ``RootSystem._replace`` copy derives them afresh.
 
@@ -20,8 +21,9 @@ API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
 for G2, with the form carried as an explicit Gram matrix (``base_form``),
 so the G2 model can realize the normalization (w1, w1) = 1,
 (w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The edge is
-``to_orthogonal`` (labels to ambient) and ``to_fundamental`` (ambient to
-labels).
+``to_orthogonal`` (labels to ambient, one ``Fraction`` per coordinate from
+an integer sum over ``fundamental_columns``) and ``to_fundamental``
+(ambient to labels).
 
 Construction runs in integers.  The simple roots are integer ambient
 vectors, the positive roots and det C times the fundamental weights are
@@ -58,7 +60,7 @@ def vector(coords: Iterable) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-# the constructor's fields, in order; three more are derived from them
+# the constructor's fields, in order; four more are derived from them
 _GIVEN = ("family", "rank", "simple_roots", "fundamental_weights", "positive_roots",
           "cartan_matrix", "base_form", "rho", "positive_labels", "gram", "form_scale")
 
@@ -75,11 +77,13 @@ class RootSystem:
 
     Derived by the constructor: ``neighbours[i]`` lists (j, cartan_matrix[i][j])
     for the Dynkin neighbours j of i; ``root_pairings[k][i]`` = (w_i,
-    positive_labels[k]) in gram units; ``scaled_fundamentals[i]`` = den * w_i,
-    den > 0 clearing all denominators.  Fields cannot be assigned.
+    positive_labels[k]) in gram units; ``den`` > 0 is the least common
+    denominator of the fundamental weights and ``fundamental_columns[k][i]``
+    = den * (w_i)_k, the k-th ambient coordinate of den * w_i.  Fields cannot
+    be assigned, and ``_replace`` takes only the constructor's fields.
     """
 
-    __slots__ = _GIVEN + ("neighbours", "root_pairings", "scaled_fundamentals")
+    __slots__ = _GIVEN + ("neighbours", "root_pairings", "den", "fundamental_columns")
 
     def __init__(
         self,
@@ -103,7 +107,8 @@ class RootSystem:
             tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
                   for i, row in enumerate(cartan_matrix)),
             tuple(tuple(sum(row[k] * x for k, x in nz) for row in gram) for nz in sparse),
-            tuple(tuple(int(x * den) for x in w) for w in fundamental_weights),
+            den,
+            tuple(zip(*(tuple(int(x * den) for x in w) for w in fundamental_weights))),
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -185,13 +190,8 @@ def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
 
 def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
     """Ambient coordinates of a weight given in Dynkin labels."""
-    out = [Fraction(0)] * rs.dim
-    for c, w in zip(fund, rs.fundamental_weights):
-        if c:
-            for k, x in enumerate(w):
-                if x:
-                    out[k] += c * x
-    return tuple(out)
+    den = rs.den
+    return tuple(Fraction(sum(map(mul, fund, col)), den) for col in rs.fundamental_columns)
 
 
 # --- construction -------------------------------------------------------------

@@ -10,16 +10,24 @@ with all Casimir eigenvalues in the Lambda2(T) normalization, and the
 curvature endomorphism satisfies q(R) = sum_i (-b_i) T_i* T_i on
 sections of E.  Since c_lam = -2 dim(g) C(lam) / (n C_T) with the integer
 Casimir numbers C(lam) = (lam, lam + 2 rho) in gram units, this is
+b_i = -dim(g) (C_T + C_E - C_{E_i}) / (n C_T).  Every E_i has highest
+weight lam + nu_i for a weight nu_i of T, and C(lam + nu) = C_E + (nu, nu)
++ 2 (lam + rho, nu), so
 
-    b_i = -dim(g) (C_T + C_E - C_{E_i}) / (n C_T),
+    b_i = dim(g) ((nu_i, nu_i) + 2 (lam + rho, nu_i) - C_T) / (n C_T)
 
-computed in integers, C_T and C_E once per formula and C_{E_i} once per
-summand; each b_i is built as one ``Fraction``.  Summands keep zero
-weights as explicit records; the table renderer suppresses them to
+(Fegan, Quart. J. Math. 27, 1976): one pairing per summand, computed in
+integers and built as one ``Fraction``.  The per-representation table
+:func:`_weight_table` holds T's distinct weights nu with gram . nu and
+(nu, nu), and C_T, once per holonomy representation, so a context copy
+with another holonomy representation gets its own table.  Summands keep
+zero weights as explicit records; the table renderer suppresses them to
 match the usual printed form.
 
 The index i keeps the summand order of :func:`decompose.tensor`, except
 that a bundle with a recorded printed formula takes the printed order.
+:func:`conformal_summands` derives the ordered summands alone;
+:func:`conformal_weights` adds the comparison with the printed formula.
 
 Where a recorded printed formula disagrees with the derived
 coefficients, the formula carries machine-readable discrepancy
@@ -34,15 +42,17 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
-from . import citations
+from . import citations, roots
 from .contexts import HolonomyContext
 from .decompose import tensor
 from .errors import MixedRootSystems, MultiplicityViolation
-from .fmt import fmt_q, fmt_w, parse_q
-from .irreps import Irrep, _casimir_number, _holonomy_casimir_number, dimension
+from .fmt import fmt_neg_q, fmt_q, fmt_w, parse_q
+from .irreps import Irrep, _holonomy_casimir_number, dimension, dominant_multiplicities
+from .roots import Labels
 
 
 class Summand(NamedTuple):
@@ -107,8 +117,24 @@ def _check_multiplicity_free(deco) -> None:
         )
 
 
-def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
-    """Conformal weights b_i of T (x) E and the induced Weitzenboeck formula."""
+@lru_cache(maxsize=None)
+def _weight_table(t: Irrep) -> tuple[dict[Labels, tuple[Labels, int]], int]:
+    """T's distinct weights nu, each mapped to (gram . nu, (nu, nu)), and C_T, in gram units.
+
+    Raises :class:`TrivialHolonomyRep` when C_T = 0.
+    """
+    rs = t.root_system
+    c_t = _holonomy_casimir_number(t)
+    table = {}
+    for mu in dominant_multiplicities(t):
+        for nu in roots.orbit(rs, mu):
+            image = tuple(sum(map(mul, row, nu)) for row in rs.gram)
+            table[nu] = (image, sum(map(mul, nu, image)))
+    return table, c_t
+
+
+def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
+    """The summands E_i of T (x) E in formula order, each with its conformal weight b_i."""
     if e.root_system != ctx.root_system:
         raise MixedRootSystems(f"{e} does not live on the {ctx.id} root system")
     deco = tensor(ctx.holonomy_rep, e)
@@ -123,18 +149,33 @@ def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
                 "match the computed tensor decomposition"
             )
         order = tuple(by_weight[hw] for hw in recorded["order"])
-    rs = ctx.root_system
-    c_t = _holonomy_casimir_number(ctx)
-    top, den, dim_g = c_t + _casimir_number(rs, e.highest_weight), ctx.n * c_t, ctx.dim_g
-    summands = tuple(
-        Summand(irr, Fraction(dim_g * (_casimir_number(rs, irr.highest_weight) - top), den))
-        for irr in order
-    )
+    table, c_t = _weight_table(ctx.holonomy_rep)
+    lam = e.highest_weight
+    lam_rho = [c + 1 for c in lam]
+    den, dim_g = ctx.n * c_t, ctx.dim_g
+    summands = []
+    for irr in order:
+        entry = table.get(tuple(map(sub, irr.highest_weight, lam)))
+        if entry is None:
+            raise RuntimeError(
+                f"summand {irr.highest_weight} of T (x) {lam} on {ctx.id} is not the "
+                "bundle's highest weight plus a weight of T"
+            )
+        image, norm = entry
+        summands.append(
+            Summand(irr, Fraction(dim_g * (norm + 2 * sum(map(mul, lam_rho, image)) - c_t), den))
+        )
+    return tuple(summands)
+
+
+def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
+    """Conformal weights b_i of T (x) E and the induced Weitzenboeck formula."""
+    summands = conformal_summands(ctx, e)
     return WeitzenboeckFormula(
         context_id=ctx.id,
         bundle=e,
         summands=summands,
-        discrepancies=_find_discrepancies(recorded, summands),
+        discrepancies=_find_discrepancies(printed_formula(ctx.id, e.highest_weight), summands),
     )
 
 
@@ -160,29 +201,32 @@ def _find_discrepancies(
     return tuple(out)
 
 
+def _residual(terms: list[tuple[int, Fraction]]) -> Fraction:
+    """sum dim * b over (dim, b) pairs, summed over one common denominator."""
+    den = lcm(*(b.denominator for _, b in terms))
+    return Fraction(sum(d * b.numerator * (den // b.denominator) for d, b in terms), den)
+
+
 def trace_residual(formula: WeitzenboeckFormula) -> Fraction:
-    """sum_i dim(E_i) * b_i, summed over one common denominator; zero for every
-    correct formula."""
-    summands = formula.summands
-    den = lcm(*(s.b.denominator for s in summands))
-    num = sum(dimension(s.irrep) * s.b.numerator * (den // s.b.denominator) for s in summands)
-    return Fraction(num, den)
+    """sum_i dim(E_i) * b_i; zero for every correct formula."""
+    return _residual([(dimension(s.irrep), s.b) for s in formula.summands])
 
 
 def to_json_dict(formula: WeitzenboeckFormula) -> dict:
+    terms = [(dimension(s.irrep), s.b) for s in formula.summands]
     return {
         "context": formula.context_id,
         "bundle": list(formula.bundle.highest_weight),
         "summands": [
             {
                 "weight": list(s.irrep.highest_weight),
-                "dim": dimension(s.irrep),
-                "b": fmt_q(s.b),
-                "coeff": fmt_q(s.coeff),
+                "dim": d,
+                "b": fmt_q(b),
+                "coeff": fmt_neg_q(b),
             }
-            for s in formula.summands
+            for s, (d, b) in zip(formula.summands, terms)
         ],
-        "trace_residual": fmt_q(trace_residual(formula)),
+        "trace_residual": fmt_q(_residual(terms)),
         "discrepancies": [
             {
                 "index": d.index,

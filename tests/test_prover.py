@@ -23,7 +23,7 @@ from holoweitz.prover import (
     theorem_report_json,
     vanishing_analysis,
 )
-from holoweitz.weitzenboeck import conformal_weights
+from holoweitz.weitzenboeck import conformal_summands, conformal_weights
 
 G2 = make_context("g2")
 S7 = make_context("spin7")
@@ -86,12 +86,28 @@ def test_component_computes_its_weitzenboeck_formula_once(monkeypatch):
 
     def counting(ctx, e):
         calls.append(e)
-        return conformal_weights(ctx, e)
+        return conformal_summands(ctx, e)
 
-    monkeypatch.setattr(prover, "conformal_weights", counting)
+    monkeypatch.setattr(prover, "conformal_summands", counting)
     e = Irrep(G2.root_system, (0, 1))  # not in the q(R)-trivial registry
     prove_component(G2, e, 2, FormClass.KILLING)
     assert calls == [e]
+
+
+def test_prover_builds_no_printed_formula_comparison(monkeypatch):
+    # the prover reads the summands only; spin7 (0,1,0) and (2,0,0) carry discrepancies
+    from holoweitz import weitzenboeck
+
+    calls = []
+    real = weitzenboeck._find_discrepancies
+    monkeypatch.setattr(weitzenboeck, "_find_discrepancies", lambda *a: calls.append(a) or real(*a))
+    for ctx in (G2, S7):
+        for form_class in FormClass:
+            for p in range(1, ctx.n):
+                prove_degree(ctx, p, form_class)
+    assert calls == []
+    conformal_weights(S7, Irrep(S7.root_system, (0, 1, 0)))
+    assert len(calls) == 1
 
 
 def test_component_trace_names_every_killed_operator():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -135,6 +137,13 @@ def test_trace_residual_examples():
     assert type(trace_residual(doctored)) is Fraction
 
 
+def lambda2_casimir(ctx):
+    """c(hw) = -2 dim(g) C(hw) / (n C_T) with C read off the ambient form (the oracle)."""
+    rs = ctx.root_system
+    scale = Fraction(-2 * ctx.dim_g, ctx.n) / ambient_casimir(rs, ctx.holonomy_rep.highest_weight)
+    return cache(lambda hw: scale * ambient_casimir(rs, hw))
+
+
 def test_conformal_weights_against_the_ambient_casimir_oracle():
     # b_i = (c_T + c_E - c_{E_i}) / 2 with c_lam = -2 dim(g) C(lam) / (n C(T)), C read off
     # the ambient form, on every bundle with coordinate sum <= 3 and every form component.
@@ -149,11 +158,7 @@ def test_conformal_weights_against_the_ambient_casimir_oracle():
             bundles.update(form_space(base, p).irreps())
         adjoint = base._replace(id=f"{ctx_id}-adjoint", holonomy_rep=adjoint_irrep(rs))
         for ctx in (base, adjoint):
-            scale = Fraction(-2 * ctx.dim_g, ctx.n) / ambient_casimir(rs, ctx.holonomy_rep.highest_weight)
-
-            def c(irr):
-                return scale * ambient_casimir(rs, irr.highest_weight)
-
+            c = lambda2_casimir(ctx)
             for e in sorted(bundles, key=lambda i: i.highest_weight):
                 if any(m != 1 for _, m in tensor(ctx.holonomy_rep, e)):
                     counts["violations"] += 1
@@ -163,10 +168,85 @@ def test_conformal_weights_against_the_ambient_casimir_oracle():
                 counts["formulas"] += 1
                 f = conformal_weights(ctx, e)
                 for s in f.summands:
-                    assert s.b == (c(ctx.holonomy_rep) + c(e) - c(s.irrep)) / 2, (ctx.id, e, s)
+                    c_t, c_e = c(ctx.holonomy_rep.highest_weight), c(e.highest_weight)
+                    assert s.b == (c_t + c_e - c(s.irrep.highest_weight)) / 2, (ctx.id, e, s)
                 plain = sum((Fraction(dimension(s.irrep)) * s.b for s in f.summands), Fraction(0))
                 assert trace_residual(f) == plain, (ctx.id, e)
     assert counts["formulas"] > 0 and counts["violations"] > 0, counts
+
+
+def moment_targets(e, c):
+    """(-2 dim(E) c_E, -dim(E) c_E c_adj / 2): sum m dim b^2 and sum m dim b^3 over the
+    summands of T (x) E when T is self-dual, as in every context, and the b are right."""
+    dim_e, c_e = dimension(e), c(e.highest_weight)
+    return -2 * dim_e * c_e, -dim_e * c_e * c(adjoint_irrep(e.root_system).highest_weight) / 2
+
+
+def moments(terms):
+    """sum m dim b^2 and sum m dim b^3 over (m, dim, b) terms, in integers over the lcm of
+    the denominators."""
+    den = lcm(*(b.denominator for *_, b in terms))
+    scaled = [(m * d, b.numerator * (den // b.denominator)) for m, d, b in terms]
+    return (
+        Fraction(sum(w * x * x for w, x in scaled), den ** 2),
+        Fraction(sum(w * x * x * x for w, x in scaled), den ** 3),
+    )
+
+
+# wrong weights that sum(dim * b) = 0 cannot see: a common factor, and a lost summand
+MOMENT_MUTANTS = {
+    "doubled b": lambda ctx, terms: [(m, d, 2 * b) for m, d, b in terms],
+    "n and dim g swapped": lambda ctx, terms: [
+        (m, d, b * Fraction(ctx.n, ctx.dim_g) ** 2) for m, d, b in terms
+    ],
+    "one summand dropped": lambda ctx, terms: terms[:-1],
+}
+
+
+def test_second_and_third_moment_identities_fix_the_scale():
+    # B = sum_a X_a (x) X_a acts on E_i by -b_i; tr B^2 and tr B^3 by Schur give both moments.
+    # Every bundle with coordinate sum <= 4 in every context; each mutant must fail one
+    # identity wherever it moves a nonzero weight.
+    bundles = caught = 0
+    for ctx_id in CONTEXT_IDS:
+        ctx = make_context(ctx_id)
+        rs, c = ctx.root_system, lambda2_casimir(ctx)
+        for hw in product(range(5), repeat=rs.rank):
+            if sum(hw) > 4:
+                continue
+            e = Irrep(rs, hw)
+            terms = [(1, dimension(s.irrep), s.b) for s in conformal_weights(ctx, e).summands]
+            want = moment_targets(e, c)
+            assert moments(terms) == want, (ctx_id, hw)
+            bundles += 1
+            for name, mutate in MOMENT_MUTANTS.items():
+                bad = mutate(ctx, terms)
+                moved = [t for t in bad if t[2]] != [t for t in terms if t[2]]
+                failed = moments(bad) != want
+                assert failed == moved, (name, ctx_id, hw)
+                caught += failed
+    assert bundles == 401 and caught > 2 * (401 - 8)
+
+
+def test_moment_identities_with_multiplicities():
+    # the adjoint in place of T repeats summands; with n = dim g the oracle's
+    # b_i = (c_T + c_E - c_{E_i}) / 2, counted with multiplicity, keeps both moments
+    repeated = 0
+    for ctx_id in ("g2", "spin7", "so5"):
+        base = make_context(ctx_id)
+        rs = base.root_system
+        ctx = base._replace(holonomy_rep=adjoint_irrep(rs), n=base.dim_g)
+        c = lambda2_casimir(ctx)
+        c_t = c(ctx.holonomy_rep.highest_weight)
+        for hw in product(range(3), repeat=rs.rank):
+            if sum(hw) > 2:
+                continue
+            e = Irrep(rs, hw)
+            deco = tensor(ctx.holonomy_rep, e)
+            terms = [(m, dimension(irr), (c_t + c(hw) - c(irr.highest_weight)) / 2) for irr, m in deco]
+            assert moments(terms) == moment_targets(e, c), (ctx_id, hw)
+            repeated += any(m > 1 for _, m in deco)
+    assert repeated > 0
 
 
 def test_printed_values_are_canonical():
@@ -262,6 +342,14 @@ def test_conformal_weights_error_order():
         conformal_weights(trivial, Irrep(G2.root_system, (0, 1)))
     with pytest.raises(TrivialHolonomyRep):
         conformal_weights(trivial, Irrep(G2.root_system, (1, 1)))
+
+
+def test_summand_off_the_weight_table_is_an_internal_error(monkeypatch):
+    # every E_i has highest weight lam + nu for a weight nu of T; a missing nu is a bug
+    _, c_t = weitzenboeck._weight_table(G2.holonomy_rep)
+    monkeypatch.setattr(weitzenboeck, "_weight_table", lambda t: ({}, c_t))
+    with pytest.raises(RuntimeError, match=r"of T \(x\) \(0, 1\) on g2"):
+        conformal_weights(G2, Irrep(G2.root_system, (0, 1)))
 
 
 def test_multiplicity_guard():
