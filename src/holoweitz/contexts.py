@@ -128,18 +128,26 @@ def form_space(ctx: HolonomyContext, p: int) -> Decomposition:
     return exterior_power(ctx.holonomy_rep, p)
 
 
+def qr_entry(ctx: HolonomyContext, e: Irrep) -> RegistryEntry | None:
+    """The registry entry for ``e``'s highest weight, or None: one scan of the registry."""
+    hw = e.highest_weight
+    for entry in ctx.qr_registry:
+        if entry.highest_weight == hw:
+            return entry
+    return None
+
+
 def qr_trivial(ctx: HolonomyContext, e: Irrep) -> bool:
     """Whether q(R) vanishes on bundles modeled on ``e`` in this context."""
     if e.root_system != ctx.root_system:
         raise MixedRootSystems(f"{e} does not live on the {ctx.id} root system")
-    return e.highest_weight in ctx.qr_trivial_weights()
+    return qr_entry(ctx, e) is not None
 
 
 def qr_citation(ctx: HolonomyContext, e: Irrep) -> str:
-    for entry in ctx.qr_registry:
-        if entry.highest_weight == e.highest_weight:
-            return entry.citation
-    raise KeyError(f"{e} is not in the registry of {ctx.id}")
+    if (entry := qr_entry(ctx, e)) is None:
+        raise KeyError(f"{e} is not in the registry of {ctx.id}")
+    return entry.citation
 
 
 def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:

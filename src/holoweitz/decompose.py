@@ -11,6 +11,13 @@ q Lambda^q(T) = sum_{k=1..q} (-1)^(k-1) psi^k(T) Lambda^(q-k)(T), where
 the Adams operation psi^k(T) is T's weight multiset scaled by k; degrees
 above n/2 are duals of degrees below.
 
+Merge, then straighten: each decomposition first adds every point
+lam + rho + nu with its signed coefficient to one counter (in Newton's
+identity, over every k and every summand of the lower degree), then
+straightens each distinct point with a nonzero coefficient once and
+shifts each dominant result by -rho once.  What a point contributes
+depends on the point alone, so its coefficients can be summed first.
+
 The summand order (see :class:`Decomposition`) is decided here alone; it
 numbers the twistor operators T_i downstream.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from . import roots
 from .errors import DegreeOutOfRange, InternalNegativeMultiplicity, MixedRootSystems
@@ -61,18 +68,32 @@ class Decomposition(tuple):
         return f"Decomposition(entries={tuple(self)!r})"
 
 
-def _accumulate(rs: RootSystem, acc: Counter, lam: Labels, weights, m: int = 1) -> None:
-    """The kernel: add m V(lam) (x) weights to ``acc``, signed (Klimyk 1968).
+def _add_points(points: Counter, lam: Labels, weights, m: int = 1) -> None:
+    """Add m V(lam) (x) weights to ``points`` as the points lam + rho + nu.
 
-    ``weights`` lists (nu, multiplicity) over a Weyl-invariant multiset.  The
-    irrep at dominant(lam + nu + rho) - rho gains the reflection parity times
-    m times the multiplicity; singular points drop out.
+    ``weights`` lists (nu, multiplicity) over a Weyl-invariant multiset;
+    each point gains m times the multiplicity of its nu.
     """
     lam_rho = tuple(c + 1 for c in lam)
     for nu, k in weights:
-        dom, sign = roots.dominant(rs, [a + b for a, b in zip(lam_rho, nu)])
-        if 0 not in dom:
-            acc[tuple(c - 1 for c in dom)] += sign * m * k
+        point = tuple(map(add, lam_rho, nu))
+        points[point] = points.get(point, 0) + m * k  # not +=: a new key would call __missing__
+
+
+def _straighten_points(rs: RootSystem, points: Counter) -> dict[Labels, int]:
+    """The kernel (Klimyk 1968): the signed sum of irreps that ``points`` stands for.
+
+    Each point with a nonzero coefficient is straightened once: the irrep
+    at dominant(point) - rho gains the reflection parity times the
+    coefficient, and singular points drop out.
+    """
+    acc: Counter[Labels] = Counter()
+    for point, c in points.items():
+        if c:
+            dom, sign = roots.dominant(rs, point)
+            if 0 not in dom:
+                acc[dom] += sign * c
+    return {tuple(x - 1 for x in dom): m for dom, m in acc.items()}
 
 
 def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomposition:
@@ -99,9 +120,9 @@ def _weights(rs: RootSystem, char: dict[Labels, int]) -> list[tuple[Labels, int]
 
 def _straighten(rs: RootSystem, lam: Labels, char: dict[Labels, int]) -> Decomposition:
     """V(lam) (x) char, for ``char`` given on dominant labels; lam = 0 decomposes char."""
-    acc: Counter[Labels] = Counter()
-    _accumulate(rs, acc, lam, _weights(rs, char))
-    return _decomposition(rs, acc)
+    points: Counter[Labels] = Counter()
+    _add_points(points, lam, _weights(rs, char))
+    return _decomposition(rs, _straighten_points(rs, points))
 
 
 @lru_cache(maxsize=None)
@@ -123,10 +144,12 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
 def exterior_power(t: Irrep, p: int) -> Decomposition:
     """Decomposition of the p-th exterior power of an irrep of dimension n.
 
-    For 2p <= n, Newton's identity: each summand V(lam) of Lambda^(p-k)
-    is straightened against psi^k(T) with sign (-1)^(k-1), and the signed
-    sum is divided by p.  The lower degrees come from this function's
-    cache, filled in increasing degree so the recursion stays shallow.  For 2p > n, Lambda^p is the dual of Lambda^(n-p): V(lam)
+    For 2p <= n, Newton's identity: the points of each summand V(lam) of
+    Lambda^(p-k) against psi^k(T), with sign (-1)^(k-1), go into one
+    counter over all k; its distinct points are straightened once and the
+    signed sum is divided by p.  The lower degrees come from this
+    function's cache, filled in increasing degree so the recursion stays
+    shallow.  For 2p > n, Lambda^p is the dual of Lambda^(n-p): V(lam)
     becomes V(-w0 lam), the dominant representative of -lam.
     """
     n = dimension(t)
@@ -141,9 +164,9 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
         return _decomposition(rs, {(0,) * rs.rank: 1})
     lower = [exterior_power(t, q) for q in range(p)]
     weights = _weights(rs, dominant_multiplicities(t))
-    acc: Counter[Labels] = Counter()
+    points: Counter[Labels] = Counter()
     for k in range(1, p + 1):
         psi = [(tuple(k * c for c in nu), mult) for nu, mult in weights]
         for irr, m in lower[p - k]:
-            _accumulate(rs, acc, irr.highest_weight, psi, m if k % 2 else -m)
-    return _decomposition(rs, acc, p)
+            _add_points(points, irr.highest_weight, psi, m if k % 2 else -m)
+    return _decomposition(rs, _straighten_points(rs, points), p)

@@ -90,16 +90,22 @@ def _dominant_closure(rs: RootSystem, lam: Labels) -> list[Labels]:
     dominant mu <= lam, since dominant weights below one another are joined
     by positive roots (Stembridge, Adv. Math. 136, 1998).  The order is by
     decreasing (mu, rho), so every weight comes after all weights above it.
+    (mu, rho) is one pairing with the row sums of ``gram``.
     """
+    # mu - a is dominant iff mu_i >= a_i wherever a_i > 0: test those labels first
+    lowered = [(a, [(i, x) for i, x in enumerate(a) if x > 0]) for a in rs.positive_labels]
     seen, queue = {lam}, [lam]
     for mu in queue:  # breadth first; the loop also visits what it appends
-        for a in rs.positive_labels:
-            nu = tuple(map(sub, mu, a))
-            if min(nu) >= 0 and nu not in seen:
-                seen.add(nu)
-                queue.append(nu)
-    rho = (1,) * rs.rank
-    return sorted(seen, key=lambda mu: -dot(rs, mu, rho))
+        for a, low in lowered:
+            for i, x in low:
+                if mu[i] < x:
+                    break
+            else:
+                if (nu := tuple(map(sub, mu, a))) not in seen:
+                    seen.add(nu)
+                    queue.append(nu)
+    rho = [sum(row) for row in rs.gram]
+    return sorted(seen, key=lambda mu: -sum(map(mul, mu, rho)))
 
 
 def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
@@ -121,9 +127,16 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     m(mu) * (lam - mu, lam + mu + 2 rho)        [= ||lam+rho||^2 - ||mu+rho||^2]
         = 2 * sum_{a>0} sum_{k>=1} m(mu + k a) * (mu + k a, a)
 
-    evaluated over the dominant closure, highest first; m(mu + k a) is
-    read at the dominant representative of mu + k a, and (mu + k a, a)
-    is a running sum with step (a, a).  The right side is summed by
+    evaluated over the dominant closure, highest first; (mu + k a, a) is a
+    running sum with step (a, a).  Each string stops at the first point
+    that is not a weight, and at the latest once its norm passes lam's:
+    every weight mu' of V(lam) has (mu', mu') <= (lam, lam), since the
+    dominant representative of mu' is below lam and (lam, lam) - (mu', mu')
+    = (lam - mu', lam + mu') >= 0.  The norm is a running integer too,
+    N(nu + a) = N(nu) + 2 (nu + a, a) - (a, a).  m(mu + k a) is read at
+    the point itself when it is dominant, else at its dominant
+    representative, straightened once per call and remembered in a dict
+    that the call drops on return.  The right side is summed by
     classes (Moody-Patera, Bull. AMS 7, 1982): the stabiliser W_mu of mu,
     generated by the s_i with mu_i = 0, keeps the string sum over k of a,
     and so does a -> -a for a orthogonal to mu.  So each class of positive
@@ -134,22 +147,34 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     rs, lam = irrep.root_system, irrep.highest_weight
     index = {a: k for k, a in enumerate(rs.positive_labels)}
     tables: dict[tuple[int, ...], list[tuple[Labels, Labels, int, int]]] = {}
+    rho = [sum(row) for row in rs.gram]  # (w_i, rho)
+    top = dot(rs, lam, lam)
+    top_rho = top + 2 * sum(map(mul, lam, rho))  # (lam, lam + 2 rho)
     mult = {lam: 1}
+    straightened: dict[Labels, int] = {}  # non-dominant string point -> multiplicity
     for mu in _dominant_closure(rs, lam)[1:]:
         zeros = tuple(i for i, c in enumerate(mu) if not c)
         if zeros not in tables:  # (root, its pairings, (a, a), class size) per class
             tables[zeros] = [(a, wa := rs.root_pairings[index[a]], sum(map(mul, a, wa)), size)
                              for a, size in _root_classes(rs, zeros).items()]
+        norm_mu = dot(rs, mu, mu)
         total = 0
         for a, wa, step, size in tables[zeros]:
             pairing, string = sum(map(mul, mu, wa)) + step, 0
-            nu = tuple(map(add, mu, a))
-            while m := mult.get(roots.dominant(rs, nu)[0], 0):
+            norm, nu = norm_mu + 2 * pairing - step, mu
+            while norm <= top:
+                nu = tuple(map(add, nu, a))
+                if min(nu) >= 0:
+                    m = mult.get(nu, 0)
+                elif (m := straightened.get(nu)) is None:
+                    m = straightened[nu] = mult.get(roots.dominant(rs, nu)[0], 0)
+                if not m:
+                    break
                 string += m * pairing
                 pairing += step
-                nu = tuple(map(add, nu, a))
+                norm += 2 * pairing - step
             total += size * string
-        gap = dot(rs, list(map(sub, lam, mu)), [x + y + 2 for x, y in zip(lam, mu)])
+        gap = top_rho - norm_mu - 2 * sum(map(mul, mu, rho))
         value, rest = divmod(2 * total, gap)
         if rest or value <= 0:
             raise RuntimeError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import citations
-from .contexts import HolonomyContext, form_space, qr_citation, qr_trivial
+from .contexts import HolonomyContext, form_space, qr_entry
 from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
 from .fmt import fmt_q, fmt_w, trace_json
 from .irreps import Irrep, dimension
@@ -211,11 +211,11 @@ def _prove_component(
 ) -> ComponentVerdict:
     """:func:`prove_component` on a checked context and a component of the p-forms."""
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
-    if qr_trivial(ctx, e):
+    if (entry := qr_entry(ctx, e)) is not None:
         trace = (
             TraceStep(
                 "qr-registry",
-                qr_citation(ctx, e),
+                entry.citation,
                 f"q(R) acts trivially on {fmt_w(e.highest_weight)}; any twistor form in this "
                 "bundle is parallel on a compact manifold",
             ),

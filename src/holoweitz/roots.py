@@ -163,14 +163,20 @@ def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
     """Weyl orbit of a dominant weight in Dynkin labels.
 
     Every orbit point is reached from the dominant one by reflections
-    s_i applied where the i-th label is positive, breadth first.
+    s_i applied where the i-th label is positive, breadth first.  Like
+    :func:`dominant`, s_i flips label i and moves only its Dynkin neighbours.
     """
     seen, queue = {mu}, [mu]
     for v in queue:  # the loop also visits what it appends
         for i, c in enumerate(v):
-            if c > 0 and (r := tuple(m - c * a for m, a in zip(v, rs.cartan_matrix[i]))) not in seen:
-                seen.add(r)
-                queue.append(r)
+            if c > 0:
+                r = list(v)
+                r[i] = -c
+                for j, a in rs.neighbours[i]:
+                    r[j] -= c * a
+                if (r := tuple(r)) not in seen:
+                    seen.add(r)
+                    queue.append(r)
     return seen
 
 

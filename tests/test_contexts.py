@@ -79,6 +79,25 @@ def test_registry_entries_carry_citations():
     assert "Cor. ricci" in qr_citation(s7, Irrep(s7.root_system, (1, 0, 0)))
     for entry in s7.qr_registry:
         assert entry.citation
+    with pytest.raises(KeyError):
+        qr_citation(s7, Irrep(s7.root_system, (0, 1, 0)))
+
+
+def test_registry_checks_build_no_weight_set(monkeypatch):
+    """qr_trivial, qr_citation and the prover scan the registry; none builds qr_trivial_weights."""
+    from holoweitz.prover import FormClass, prove_degree
+
+    ctxs = [make_context("g2"), make_context("spin7")]
+
+    def built(self):
+        raise AssertionError("qr_trivial_weights built on a registry check")
+
+    monkeypatch.setattr(type(ctxs[0]), "qr_trivial_weights", built)
+    for ctx in ctxs:
+        assert qr_trivial(ctx, ctx.holonomy_rep)
+        assert qr_citation(ctx, ctx.holonomy_rep) == RICCI_FLAT
+        for p in range(1, ctx.n):
+            prove_degree(ctx, p, FormClass.KILLING)
 
 
 def test_form_space_examples_and_cache():
