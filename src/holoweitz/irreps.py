@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul, sub
+from math import isqrt, prod
+from operator import mul, sub
 
 from . import roots
 from .errors import MixedRootSystems, TrivialHolonomyRep
@@ -38,6 +39,10 @@ class Irrep(namedtuple("Irrep", ("root_system", "highest_weight"))):
     __slots__ = ()
 
     def __new__(cls, root_system: RootSystem, highest_weight) -> Irrep:
+        hw = highest_weight  # fast path: a tuple of plain ints (a bool's type is not int)
+        if (type(hw) is tuple and len(hw) == root_system.rank and {*map(type, hw)} == {int}
+                and min(hw) >= 0):
+            return tuple.__new__(cls, (root_system, hw))
         try:
             hw = given = tuple(highest_weight)
         except TypeError:  # not a sequence, e.g. 5 or None
@@ -71,12 +76,9 @@ def adjoint_irrep(rs: RootSystem) -> Irrep:
 @lru_cache(maxsize=None)
 def dimension(irrep: Irrep) -> int:
     """Weyl dimension formula: prod over positive roots of (l+rho,a)/(rho,a)."""
-    rs = irrep.root_system
-    lam_rho = tuple(c + 1 for c in irrep.highest_weight)
-    num = den = 1
-    for wa in rs.root_pairings:
-        num *= sum(map(mul, lam_rho, wa))
-        den *= sum(wa)
+    pairings = irrep.root_system.root_pairings
+    lam_rho = [c + 1 for c in irrep.highest_weight]
+    num, den = prod([sum(map(mul, lam_rho, wa)) for wa in pairings]), prod(map(sum, pairings))
     value, rest = divmod(num, den)
     if rest:
         raise RuntimeError(f"Weyl dimension of {irrep} is not an integer: {num}/{den}")
@@ -111,13 +113,15 @@ def _dominant_closure(rs: RootSystem, lam: Labels) -> list[Labels]:
 def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
     """Classes of positive roots under W_mu up to sign, W_mu generated by the s_i
     with i in ``zeros``: each class's one root with no negative label in ``zeros``,
-    reached by raising reflections, mapped to the class size."""
-    classes: Counter[Labels] = Counter()
-    for a in rs.positive_labels:
-        while (i := next((i for i in zeros if a[i] < 0), None)) is not None:
-            a = tuple(x - a[i] * y for x, y in zip(a, rs.cartan_matrix[i]))
-        classes[a] += 1
-    return classes
+    reached by raising reflections, mapped to the class size.
+
+    Highest root first: s_i a for a[i] < 0 is a higher positive root, so its
+    representative is known and a takes at most one reflection."""
+    top: dict[Labels, Labels] = {}
+    for a in reversed(rs.positive_labels):
+        i = next((i for i in zeros if a[i] < 0), None)
+        top[a] = a if i is None else top[tuple(x - a[i] * c for x, c in zip(a, rs.cartan_matrix[i]))]
+    return Counter(top.values())
 
 
 @lru_cache(maxsize=None)
@@ -133,41 +137,58 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     every weight mu' of V(lam) has (mu', mu') <= (lam, lam), since the
     dominant representative of mu' is below lam and (lam, lam) - (mu', mu')
     = (lam - mu', lam + mu') >= 0.  The norm is a running integer too,
-    N(nu + a) = N(nu) + 2 (nu + a, a) - (a, a).  m(mu + k a) is read at
-    the point itself when it is dominant, else at its dominant
-    representative, straightened once per call and remembered in a dict
-    that the call drops on return.  The right side is summed by
-    classes (Moody-Patera, Bull. AMS 7, 1982): the stabiliser W_mu of mu,
-    generated by the s_i with mu_i = 0, keeps the string sum over k of a,
-    and so does a -> -a for a orthogonal to mu.  So each class of positive
-    roots under W_mu up to sign adds its size times the string sum of one root;
-    a W_mu-orbit of roots orthogonal to mu counts half its size.  The
-    class tables are built per zero pattern of mu, inside the call.
+    N(nu + a) = N(nu) + 2 (nu + a, a) - (a, a).
+
+    A string walks on one integer key per point, key(nu) = sum_i nu_i S^i,
+    so a step adds key(a) and probes one dict.  The norm bound gives
+    |nu_i| = 2 |(nu, a_i)| / (a_i, a_i) <= 2 sqrt((lam, lam) / (a_i, a_i)) <= B,
+    B taken at a short simple root, on every point walked; S is a power of
+    two above 2 B, so the digits never carry and distinct points have
+    distinct keys.  The dict holds
+    m at the key of every dominant weight found so far and of every
+    string point already resolved.  On a miss the point's labels are
+    built: a dominant point not yet found is not a weight, and a
+    non-dominant one is straightened, once per call, and read at its
+    dominant representative.  The keys never leave the call.
+
+    The right side is summed by classes (Moody-Patera, Bull. AMS 7, 1982):
+    the stabiliser W_mu of mu, generated by the s_i with mu_i = 0, keeps
+    the string sum over k of a, and so does a -> -a for a orthogonal to
+    mu.  So each class of positive roots under W_mu up to sign adds its
+    size times the string sum of one root; a W_mu-orbit of roots
+    orthogonal to mu counts half its size.  The class tables are built
+    per zero pattern of mu, inside the call.
     """
     rs, lam = irrep.root_system, irrep.highest_weight
-    index = {a: k for k, a in enumerate(rs.positive_labels)}
-    tables: dict[tuple[int, ...], list[tuple[Labels, Labels, int, int]]] = {}
     rho = [sum(row) for row in rs.gram]  # (w_i, rho)
     top = dot(rs, lam, lam)
     top_rho = top + 2 * sum(map(mul, lam, rho))  # (lam, lam + 2 rho)
+    short = min(dot(rs, a, a) for a in rs.cartan_matrix)  # (a_i, a_i) of a short simple root
+    bits = (2 * isqrt(4 * top // short)).bit_length()  # S = 2^bits > 2 B
+    powers = [1 << bits * i for i in range(rs.rank)]
+    pairings = dict(zip(rs.positive_labels, rs.root_pairings))
+    tables: dict[tuple[int, ...], list[tuple[Labels, int, Labels, int, int]]] = {}
     mult = {lam: 1}
-    straightened: dict[Labels, int] = {}  # non-dominant string point -> multiplicity
+    known = {sum(map(mul, lam, powers)): 1}  # key -> multiplicity, 0 off the weights
     for mu in _dominant_closure(rs, lam)[1:]:
         zeros = tuple(i for i, c in enumerate(mu) if not c)
-        if zeros not in tables:  # (root, its pairings, (a, a), class size) per class
-            tables[zeros] = [(a, wa := rs.root_pairings[index[a]], sum(map(mul, a, wa)), size)
+        if zeros not in tables:  # (root, its key, its pairings, (a, a), class size) per class
+            tables[zeros] = [(a, sum(map(mul, a, powers)), wa := pairings[a],
+                              sum(map(mul, a, wa)), size)
                              for a, size in _root_classes(rs, zeros).items()]
         norm_mu = dot(rs, mu, mu)
+        key_mu = sum(map(mul, mu, powers))
         total = 0
-        for a, wa, step, size in tables[zeros]:
+        for a, step_key, wa, step, size in tables[zeros]:
             pairing, string = sum(map(mul, mu, wa)) + step, 0
-            norm, nu = norm_mu + 2 * pairing - step, mu
+            norm, key, k = norm_mu + 2 * pairing - step, key_mu, 0
             while norm <= top:
-                nu = tuple(map(add, nu, a))
-                if min(nu) >= 0:
-                    m = mult.get(nu, 0)
-                elif (m := straightened.get(nu)) is None:
-                    m = straightened[nu] = mult.get(roots.dominant(rs, nu)[0], 0)
+                key += step_key
+                k += 1
+                if (m := known.get(key)) is None:
+                    nu = tuple(x + k * y for x, y in zip(mu, a))
+                    m = known[key] = 0 if min(nu) >= 0 else known.get(
+                        sum(map(mul, roots.dominant(rs, nu)[0], powers)), 0)
                 if not m:
                     break
                 string += m * pairing
@@ -178,7 +199,7 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
         value, rest = divmod(2 * total, gap)
         if rest or value <= 0:
             raise RuntimeError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
-        mult[mu] = value
+        mult[mu] = known[key_mu] = value
     return mult
 
 
@@ -189,7 +210,10 @@ def weight_system(irrep: Irrep) -> WeightSystem:
     Multiplicities at arbitrary points follow by Weyl invariance.
     """
     rs = irrep.root_system
-    return {roots.to_orthogonal(rs, mu): m for mu, m in dominant_multiplicities(irrep).items()}
+    mult = dominant_multiplicities(irrep)
+    scaled = [[sum(map(mul, mu, col)) for col in rs.fundamental_columns] for mu in mult]
+    frac = {x: Fraction(x, rs.den) for x in set().union(*scaled)}  # one per distinct coordinate
+    return {tuple(map(frac.get, coords)): m for coords, m in zip(scaled, mult.values())}
 
 
 def weight_labels(irrep: Irrep) -> list[Labels]:

@@ -33,7 +33,8 @@ Where a recorded printed formula disagrees with the derived
 coefficients, the formula carries machine-readable discrepancy
 annotations citing both values; the trace identity
 sum_i dim(E_i) * b_i = 0 arbitrates in favor of the derived ones.  The
-printed values are parsed once, when the fixture is loaded.
+printed values are parsed once, when the fixture is loaded; only g2 and
+spin7 record printed formulas, and no other context loads the fixture.
 """
 
 from __future__ import annotations
@@ -83,11 +84,18 @@ class WeitzenboeckFormula(NamedTuple):
     discrepancies: tuple[Discrepancy, ...]
 
 
+# the contexts with a recorded printed formula; no other context reads the fixture
+_PRINTED_CONTEXTS = ("g2", "spin7")
+
+
 @lru_cache(maxsize=None)
 def _printed_formulas() -> dict:
     """The fixture keyed by bundle weight tuples, each order as weight tuples and each
-    printed value parsed once."""
+    printed value parsed once.  It must record exactly the ``_PRINTED_CONTEXTS``."""
     path = Path(__file__).parent / "fixtures" / "printed_formulas.json"
+    fixture = json.loads(path.read_text(encoding="utf-8"))
+    if sorted(fixture) != sorted(_PRINTED_CONTEXTS):
+        raise RuntimeError(f"{path.name} records {sorted(fixture)}, expected {_PRINTED_CONTEXTS}")
     return {
         ctx_id: {
             tuple(map(int, key.split(","))): {
@@ -96,7 +104,7 @@ def _printed_formulas() -> dict:
             }
             for key, recorded in bundles.items()
         }
-        for ctx_id, bundles in json.loads(path.read_text(encoding="utf-8")).items()
+        for ctx_id, bundles in fixture.items()
     }
 
 
@@ -105,7 +113,9 @@ def printed_formula(ctx_id: str, bundle_hw: tuple[int, ...]) -> dict | None:
 
     ``{"order": [weight tuple, ...], "printed": {1-based index: Fraction}}``.
     """
-    return _printed_formulas().get(ctx_id, {}).get(bundle_hw)
+    if ctx_id not in _PRINTED_CONTEXTS:
+        return None
+    return _printed_formulas()[ctx_id].get(bundle_hw)
 
 
 def _check_multiplicity_free(deco) -> None:

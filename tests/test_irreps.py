@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from holoweitz.contexts import make_context
 from holoweitz.errors import TrivialHolonomyRep
 from holoweitz.irreps import (
     Irrep,
+    _root_classes,
     casimir_lambda2,
     dimension,
     dominant_multiplicities,
@@ -20,7 +22,15 @@ from holoweitz.irreps import (
 )
 from holoweitz.roots import build_root_system, orbit, to_orthogonal
 
-from helpers import ambient_casimir, kostant_multiplicity, parabolic_order
+from helpers import (
+    ambient_casimir,
+    form,
+    kostant_multiplicity,
+    mat_vec,
+    parabolic_order,
+    scaled,
+    simple_reflections,
+)
 
 G2 = build_root_system("G", 2)
 B3 = build_root_system("B", 3)
@@ -103,6 +113,74 @@ def test_freudenthal_totals_match_weyl_dimension():
         assert total == dimension(irr), irr
         assert len(full_weights(irr)) == dimension(irr)
 
+
+
+@pytest.mark.parametrize("rs,hw", [
+    (build_root_system("A", 1), (200,)),
+    (build_root_system("A", 2), (30, 0)),
+    (G2, (0, 12)),
+])
+def test_large_labels_keep_their_string_keys_apart(rs, hw):
+    # labels far above any small fixed key base: colliding keys would merge points
+    irr = Irrep(rs, hw)
+    mult = dominant_multiplicities(irr)
+    assert sum(m * len(orbit(rs, mu)) for mu, m in mult.items()) == dimension(irr)
+    lam = to_orthogonal(rs, hw)
+    for mu, m in list(mult.items())[:: max(1, len(mult) // 12)]:
+        assert kostant_multiplicity(rs, lam, to_orthogonal(rs, mu)) == m, mu
+
+
+CLASS_ALGEBRAS = [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 7)] + [
+    ("C", r) for r in range(3, 6)] + [("D", r) for r in range(4, 7)] + [("G", 2)]
+
+
+def oracle_root_classes(rs, zeros):
+    """Classes of positive roots under W_zeros up to sign, by closing each root under the
+    simple reflection matrices s_i, i in zeros: each class as a set of integer ambient roots."""
+    positive = {scaled(a)[1] for a in rs.positive_roots}
+    reflections = [simple_reflections(rs)[i] for i in zeros]
+    classes, placed = [], set()
+    for a in sorted(positive):
+        if a in placed:
+            continue
+        members, queue = {a}, [a]
+        for v in queue:
+            for s in reflections:
+                w = mat_vec(s, v)
+                w = w if w in positive else tuple(-x for x in w)
+                if w not in members:
+                    members.add(w)
+                    queue.append(w)
+        placed |= members
+        classes.append(members)
+    return classes
+
+
+@pytest.mark.parametrize("family,rank", CLASS_ALGEBRAS, ids=lambda x: str(x))
+def test_root_classes_match_the_reflection_closure_on_every_zero_pattern(family, rank):
+    rs = build_root_system(family, rank)
+    # Dynkin labels 2 (v, a_i) / (a_i, a_i) through the form alone
+    labels = {scaled(v)[1]: tuple(int(2 * form(rs, v, a) / form(rs, a, a)) for a in rs.simple_roots)
+              for v in rs.positive_roots}
+    for size in range(rank + 1):
+        for zeros in combinations(range(rank), size):
+            expected = {}
+            for members in oracle_root_classes(rs, zeros):
+                tops = [labels[v] for v in members if all(labels[v][i] >= 0 for i in zeros)]
+                assert len(tops) == 1, (zeros, members)
+                expected[tops[0]] = len(members)
+            classes = _root_classes(rs, zeros)
+            assert classes == expected, zeros
+            assert all(a[i] >= 0 for a in classes for i in zeros)
+            assert sum(classes.values()) == len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("rs,hw", [(B3, (3, 3, 3)), (D4, (2, 1, 1, 1)), (G2, (2, 3))])
+def test_weight_system_keys_are_the_ambient_coordinates_in_order(rs, hw):
+    ws = weight_system(Irrep(rs, hw))
+    expected = [to_orthogonal(rs, mu) for mu in dominant_multiplicities(Irrep(rs, hw))]
+    assert list(ws) == expected
+    assert [[type(x) for x in key] for key in ws] == [[type(x) for x in key] for key in expected]
 
 def test_b5_orbit_sizes_times_multiplicities_give_the_weyl_dimension():
     # |W| / |W_mu| points per dominant weight, the stabiliser W_mu generated by the

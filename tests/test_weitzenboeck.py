@@ -270,6 +270,36 @@ def test_printed_formula_is_found_by_weight_tuple():
     assert printed_formula("so7", (1, 0, 0)) is None
 
 
+
+@pytest.mark.parametrize("ctx_id", [c for c in CONTEXT_IDS if c not in ("g2", "spin7")])
+def test_contexts_without_printed_formulas_never_load_the_fixture(monkeypatch, ctx_id):
+    def unreadable():
+        raise AssertionError(f"{ctx_id} loaded the printed-formula fixture")
+
+    monkeypatch.setattr(weitzenboeck, "_printed_formulas", unreadable)
+    ctx = make_context(ctx_id)
+    rs = ctx.root_system
+    for e in (trivial_irrep(rs), ctx.holonomy_rep, adjoint_irrep(rs)):
+        f = conformal_weights(ctx, e)
+        assert f.discrepancies == ()
+        assert trace_residual(f) == 0
+        assert printed_formula(ctx_id, e.highest_weight) is None
+
+
+def test_the_recorded_formulas_carry_exactly_the_spin7_discrepancies():
+    recorded = weitzenboeck._printed_formulas()
+    assert sorted(recorded) == ["g2", "spin7"]
+    found = {
+        (ctx.id, hw): [(d.index, d.computed, d.printed) for d in
+                       conformal_weights(ctx, Irrep(ctx.root_system, hw)).discrepancies]
+        for ctx in (G2, S7)
+        for hw in recorded[ctx.id]
+    }
+    assert {key: d for key, d in found.items() if d} == {
+        ("spin7", (0, 1, 0)): [(1, Fraction(5), Fraction(10)), (2, Fraction(3, 2), Fraction(3))],
+        ("spin7", (2, 0, 0)): [(2, Fraction(-1), Fraction(-2))],
+    }
+
 def test_trace_residual_on_trivial_bundle():
     f = conformal_weights(G2, trivial_irrep(G2.root_system))
     assert weights(f) == [(1, 0)]
