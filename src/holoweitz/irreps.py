@@ -118,10 +118,12 @@ def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
     Highest root first: s_i a for a[i] < 0 is a higher positive root, so its
     representative is known and a takes at most one reflection."""
     top: dict[Labels, Labels] = {}
+    classes: Counter[Labels] = Counter()  # not Counter(iterable): its Mapping check is slow cold
     for a in reversed(rs.positive_labels):
         i = next((i for i in zeros if a[i] < 0), None)
         top[a] = a if i is None else top[tuple(x - a[i] * c for x, c in zip(a, rs.cartan_matrix[i]))]
-    return Counter(top.values())
+        classes[top[a]] += 1
+    return classes
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +165,8 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     rho = [sum(row) for row in rs.gram]  # (w_i, rho)
     top = dot(rs, lam, lam)
     top_rho = top + 2 * sum(map(mul, lam, rho))  # (lam, lam + 2 rho)
-    short = min(dot(rs, a, a) for a in rs.cartan_matrix)  # (a_i, a_i) of a short simple root
-    bits = (2 * isqrt(4 * top // short)).bit_length()  # S = 2^bits > 2 B
+    # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root
+    bits = (2 * isqrt(2 * top // min(map(sum, rs.root_pairings)))).bit_length()  # S = 2^bits > 2 B
     powers = [1 << bits * i for i in range(rs.rank)]
     pairings = dict(zip(rs.positive_labels, rs.root_pairings))
     tables: dict[tuple[int, ...], list[tuple[Labels, int, Labels, int, int]]] = {}
