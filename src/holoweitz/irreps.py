@@ -146,12 +146,11 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     |nu_i| = 2 |(nu, a_i)| / (a_i, a_i) <= 2 sqrt((lam, lam) / (a_i, a_i)) <= B,
     B taken at a short simple root, on every point walked; S is a power of
     two above 2 B, so the digits never carry and distinct points have
-    distinct keys.  The dict holds
-    m at the key of every dominant weight found so far and of every
-    string point already resolved.  On a miss the point's labels are
-    built: a dominant point not yet found is not a weight, and a
-    non-dominant one is straightened, once per call, and read at its
-    dominant representative.  The keys never leave the call.
+    distinct keys.  The dict holds m at the key of every dominant weight
+    found so far and of every string point already resolved.  On a miss
+    the point's labels are built: a dominant point not yet found is not a
+    weight, and a non-dominant one is straightened, once per call, and
+    read at its dominant representative.  The keys never leave the call.
 
     The right side is summed by classes (Moody-Patera, Bull. AMS 7, 1982):
     the stabiliser W_mu of mu, generated by the s_i with mu_i = 0, keeps

@@ -114,7 +114,6 @@ def test_freudenthal_totals_match_weyl_dimension():
         assert len(full_weights(irr)) == dimension(irr)
 
 
-
 @pytest.mark.parametrize("rs,hw", [
     (build_root_system("A", 1), (200,)),
     (build_root_system("A", 2), (30, 0)),
@@ -181,6 +180,7 @@ def test_weight_system_keys_are_the_ambient_coordinates_in_order(rs, hw):
     expected = [to_orthogonal(rs, mu) for mu in dominant_multiplicities(Irrep(rs, hw))]
     assert list(ws) == expected
     assert [[type(x) for x in key] for key in ws] == [[type(x) for x in key] for key in expected]
+
 
 def test_b5_orbit_sizes_times_multiplicities_give_the_weyl_dimension():
     # |W| / |W_mu| points per dominant weight, the stabiliser W_mu generated by the

@@ -270,7 +270,6 @@ def test_printed_formula_is_found_by_weight_tuple():
     assert printed_formula("so7", (1, 0, 0)) is None
 
 
-
 @pytest.mark.parametrize("ctx_id", [c for c in CONTEXT_IDS if c not in ("g2", "spin7")])
 def test_contexts_without_printed_formulas_never_load_the_fixture(monkeypatch, ctx_id):
     def unreadable():
@@ -299,6 +298,7 @@ def test_the_recorded_formulas_carry_exactly_the_spin7_discrepancies():
         ("spin7", (0, 1, 0)): [(1, Fraction(5), Fraction(10)), (2, Fraction(3, 2), Fraction(3))],
         ("spin7", (2, 0, 0)): [(2, Fraction(-1), Fraction(-2))],
     }
+
 
 def test_trace_residual_on_trivial_bundle():
     f = conformal_weights(G2, trivial_irrep(G2.root_system))
