@@ -3,7 +3,7 @@
 Every text or JSON rendering of a value goes through this module:
 
   * exact rationals: ``fmt_q`` gives ``"-28/3"`` (``"5"`` when integral),
-    ``fmt_neg_q`` the same for the negated value, ``parse_q`` reads it back;
+    ``fmt_neg_q`` the same for the negated value;
   * highest weights: ``fmt_w`` gives the display form ``"(1,0,1)"``,
     ``weight_key`` the fixture key ``"1,0,1"``;
   * decompositions: ``deco_json`` gives the list of
@@ -32,10 +32,6 @@ def fmt_neg_q(q: Fraction) -> str:
     if q.denominator == 1:
         return str(-q.numerator)
     return f"{-q.numerator}/{q.denominator}"
-
-
-def parse_q(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def weight_key(hw) -> str:

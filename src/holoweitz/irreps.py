@@ -39,20 +39,16 @@ class Irrep(namedtuple("Irrep", ("root_system", "highest_weight"))):
     __slots__ = ()
 
     def __new__(cls, root_system: RootSystem, highest_weight) -> Irrep:
-        hw = highest_weight  # fast path: a tuple of plain ints (a bool's type is not int)
-        if (type(hw) is tuple and len(hw) == root_system.rank and {*map(type, hw)} == {int}
-                and min(hw) >= 0):
-            return tuple.__new__(cls, (root_system, hw))
-        try:
-            hw = given = tuple(highest_weight)
-        except TypeError:  # not a sequence, e.g. 5 or None
-            hw = given = ()
-        if set(map(type, given)) != {int}:
-            try:  # == keeps 2.0 and Fraction(2) but not the truncated 1.5 or "1"
+        hw = highest_weight  # converted unless a tuple of plain ints (a bool's type is not int)
+        if type(hw) is not tuple or {*map(type, hw)} != {int}:
+            try:
+                given = tuple(highest_weight)
                 hw = tuple(map(int, given))
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, ValueError, OverflowError):  # e.g. 5, None, "a" or inf
+                given = hw = ()
+            if hw != given or bool in map(type, given):  # == keeps 2.0 and Fraction(2), not 1.5
                 hw = ()
-        if hw != given or bool in map(type, given) or len(hw) != root_system.rank or min(hw) < 0:
+        if len(hw) != root_system.rank or min(hw) < 0:
             raise ValueError(f"highest weight {highest_weight} invalid for {root_system}")
         return tuple.__new__(cls, (root_system, hw))
 

@@ -316,11 +316,6 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
     _require_prover_context(ctx)
     if not 1 <= p <= ctx.n - 1:
         raise DegreeOutOfRange(f"degree {p} outside 1..{ctx.n - 1}")
-    return _prove_degree(ctx, p, form_class)
-
-
-def _prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeReport:
-    """:func:`prove_degree` on a checked context and a degree in 1..n-1."""
     reductions: list[TraceStep] = []
 
     # R1: Hodge duality sends twistor p-forms to twistor (n-p)-forms
@@ -331,7 +326,7 @@ def _prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> Degree
                 f"twistor {p}-forms correspond to twistor {ctx.n - p}-forms",
             )
         )
-        delegate = _prove_degree(ctx, ctx.n - p, form_class)
+        delegate = prove_degree(ctx, ctx.n - p, form_class)
         return delegate._replace(degree=p, reductions=tuple(reductions) + delegate.reductions)
 
     # R2: on compact Ricci-flat manifolds twistor 2-forms are coclosed
@@ -401,7 +396,7 @@ def prove_theorems(ctx: HolonomyContext) -> TheoremReport:
     claims = []
     for form_class in (FormClass.KILLING, FormClass.STAR_KILLING, FormClass.TWISTOR):
         for p in range(1, ctx.n):
-            report = _prove_degree(ctx, p, form_class)
+            report = prove_degree(ctx, p, form_class)
             reports.append(report)
             claims.append((form_class.value, p, report.verdict))
     expected = EXPECTED_PARALLEL[ctx.id]

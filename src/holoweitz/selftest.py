@@ -17,7 +17,7 @@ from .decompose import tensor
 from .fmt import deco_json, fmt_q, weight_key
 from .irreps import Irrep, casimir_lambda2, dimension
 from .prover import FormClass, component_json, prove_component, prove_theorems, theorem_report_json
-from .weitzenboeck import conformal_weights, to_json_dict
+from .weitzenboeck import PRINTED_FORMULAS, conformal_weights, to_json_dict
 
 GOLDEN_RESOURCE = "fixtures/golden.json"
 
@@ -39,10 +39,7 @@ TABLE_WEIGHTS = {
 }
 
 # bundles carrying a printed Weitzenboeck formula
-FORMULA_WEIGHTS = {
-    "g2": [(0, 1), (2, 0)],
-    "spin7": [(0, 1, 0), (1, 0, 1), (2, 0, 0), (0, 0, 2)],
-}
+FORMULA_WEIGHTS = {ctx_id: list(bundles) for ctx_id, bundles in PRINTED_FORMULAS.items()}
 
 
 def compute_golden() -> dict:

@@ -29,29 +29,26 @@ that a bundle with a recorded printed formula takes the printed order.
 :func:`conformal_summands` derives the ordered summands alone;
 :func:`conformal_weights` adds the comparison with the printed formula.
 
-Where a recorded printed formula disagrees with the derived
-coefficients, the formula carries machine-readable discrepancy
+The paper's printed formulas are the table :data:`PRINTED_FORMULAS`; only
+g2 and spin7 have entries.  Where a printed formula disagrees with the
+derived coefficients, the formula carries machine-readable discrepancy
 annotations citing both values; the trace identity
-sum_i dim(E_i) * b_i = 0 arbitrates in favor of the derived ones.  The
-printed values are parsed once, when the fixture is loaded; only g2 and
-spin7 record printed formulas, and no other context loads the fixture.
+sum_i dim(E_i) * b_i = 0 arbitrates in favor of the derived ones.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import mul, sub
-from pathlib import Path
 from typing import NamedTuple
 
 from . import citations, roots
 from .contexts import HolonomyContext
 from .decompose import tensor
 from .errors import MixedRootSystems, MultiplicityViolation
-from .fmt import fmt_neg_q, fmt_q, fmt_w, parse_q
+from .fmt import fmt_neg_q, fmt_q, fmt_w
 from .irreps import Irrep, _holonomy_casimir_number, dimension, dominant_multiplicities
 from .roots import Labels
 
@@ -84,38 +81,38 @@ class WeitzenboeckFormula(NamedTuple):
     discrepancies: tuple[Discrepancy, ...]
 
 
-# the contexts with a recorded printed formula; no other context reads the fixture
-_PRINTED_CONTEXTS = ("g2", "spin7")
+# The paper's printed formulas (Prop. final1 / final2): context -> bundle weight -> the
+# summands in printed order, each (highest weight, printed coefficient), None where the
+# print leaves the term out.
+PRINTED_FORMULAS: dict[str, dict[Labels, tuple[tuple[Labels, Fraction | None], ...]]] = {
+    "g2": {
+        (0, 1): (((1, 0), Fraction(4)), ((2, 0), Fraction(4, 3)), ((1, 1), Fraction(-1))),
+        (2, 0): (
+            ((1, 0), Fraction(14, 3)), ((2, 0), Fraction(2)), ((0, 1), Fraction(8, 3)),
+            ((1, 1), Fraction(-1, 3)), ((3, 0), Fraction(-4, 3)),
+        ),
+    },
+    "spin7": {
+        (0, 1, 0): (
+            ((0, 0, 1), Fraction(10)), ((1, 0, 1), Fraction(3)), ((0, 1, 1), Fraction(-1)),
+        ),
+        (1, 0, 1): (
+            ((0, 0, 2), Fraction(11, 4)), ((0, 1, 0), Fraction(15, 4)),
+            ((1, 0, 0), Fraction(23, 4)), ((2, 0, 0), Fraction(7, 4)),
+            ((1, 1, 0), Fraction(-1, 4)), ((1, 0, 2), Fraction(-5, 4)),
+        ),
+        (2, 0, 0): (((1, 0, 1), Fraction(7, 2)), ((2, 0, 1), Fraction(-2))),
+        (0, 0, 2): (
+            ((0, 0, 1), Fraction(6)), ((1, 0, 1), Fraction(5, 2)), ((0, 1, 1), None),
+            ((0, 0, 3), Fraction(-3, 2)),
+        ),
+    },
+}
 
 
-@lru_cache(maxsize=None)
-def _printed_formulas() -> dict:
-    """The fixture keyed by bundle weight tuples, each order as weight tuples and each
-    printed value parsed once.  It must record exactly the ``_PRINTED_CONTEXTS``."""
-    path = Path(__file__).parent / "fixtures" / "printed_formulas.json"
-    fixture = json.loads(path.read_text(encoding="utf-8"))
-    if sorted(fixture) != sorted(_PRINTED_CONTEXTS):
-        raise RuntimeError(f"{path.name} records {sorted(fixture)}, expected {_PRINTED_CONTEXTS}")
-    return {
-        ctx_id: {
-            tuple(map(int, key.split(","))): {
-                "order": [tuple(hw) for hw in recorded["order"]],
-                "printed": {int(i): parse_q(v) for i, v in recorded["printed"].items()},
-            }
-            for key, recorded in bundles.items()
-        }
-        for ctx_id, bundles in fixture.items()
-    }
-
-
-def printed_formula(ctx_id: str, bundle_hw: tuple[int, ...]) -> dict | None:
-    """Recorded printed order and coefficients for one bundle, if any.
-
-    ``{"order": [weight tuple, ...], "printed": {1-based index: Fraction}}``.
-    """
-    if ctx_id not in _PRINTED_CONTEXTS:
-        return None
-    return _printed_formulas()[ctx_id].get(bundle_hw)
+def printed_formula(ctx_id: str, bundle_hw: Labels) -> tuple | None:
+    """The printed summands of one bundle, ``((weight, coefficient or None), ...)``, if any."""
+    return PRINTED_FORMULAS.get(ctx_id, {}).get(bundle_hw)
 
 
 def _check_multiplicity_free(deco) -> None:
@@ -153,12 +150,12 @@ def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
     recorded = printed_formula(ctx.id, e.highest_weight)
     if recorded is not None:
         by_weight = {i.highest_weight: i for i in order}
-        if sorted(recorded["order"]) != sorted(by_weight):
+        if sorted(hw for hw, _ in recorded) != sorted(by_weight):
             raise RuntimeError(
                 f"recorded ordering for {ctx.id} {e.highest_weight} does not "
                 "match the computed tensor decomposition"
             )
-        order = tuple(by_weight[hw] for hw in recorded["order"])
+        order = tuple(by_weight[hw] for hw, _ in recorded)
     table, c_t = _weight_table(ctx.holonomy_rep)
     lam = e.highest_weight
     lam_rho = [c + 1 for c in lam]
@@ -190,15 +187,13 @@ def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
 
 
 def _find_discrepancies(
-    recorded: dict | None, summands: tuple[Summand, ...]
+    recorded: tuple | None, summands: tuple[Summand, ...]
 ) -> tuple[Discrepancy, ...]:
     if recorded is None:
         return ()
-    printed = recorded["printed"]
     cite = citations.CITATIONS["printed-formula"]
     out = []
-    for idx, s in enumerate(summands, start=1):
-        p = printed.get(idx)
+    for idx, (s, (_, p)) in enumerate(zip(summands, recorded, strict=True), start=1):
         if p == s.coeff or (p is None and s.coeff == 0):
             continue
         note = (

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
-from pathlib import Path
 
 import pytest
 
@@ -16,9 +14,10 @@ from holoweitz import citations, roots, weitzenboeck
 from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
 from holoweitz.decompose import Decomposition, tensor
 from holoweitz.errors import MixedRootSystems, MultiplicityViolation, TrivialHolonomyRep
-from holoweitz.fmt import fmt_q, parse_q
+from holoweitz.fmt import fmt_q
 from holoweitz.irreps import Irrep, adjoint_irrep, casimir_lambda2, dimension, trivial_irrep
 from holoweitz.weitzenboeck import (
+    PRINTED_FORMULAS,
     Summand,
     _check_multiplicity_free,
     _find_discrepancies,
@@ -103,7 +102,8 @@ def test_discrepancies_cover_every_printed_case():
         Summand(Irrep(rs, hw), Fraction(b))
         for hw, b in (((1, 0), -4), ((2, 0), -1), ((0, 1), 0), ((1, 1), 2))
     )
-    got = _find_discrepancies({"printed": {1: Fraction(4), 2: Fraction(2)}}, summands)
+    recorded = (((1, 0), Fraction(4)), ((2, 0), Fraction(2)), ((0, 1), None), ((1, 1), None))
+    got = _find_discrepancies(recorded, summands)
     assert [(d.index, d.weight, d.computed, d.printed) for d in got] == [
         (2, (2, 0), Fraction(1), Fraction(2)),
         (4, (1, 1), Fraction(-2), None),
@@ -250,32 +250,27 @@ def test_moment_identities_with_multiplicities():
 
 
 def test_printed_values_are_canonical():
-    path = Path(weitzenboeck.__file__).parent / "fixtures" / "printed_formulas.json"
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    values = [v for bundles in raw.values() for rec in bundles.values() for v in rec["printed"].values()]
-    assert len(values) == 22
-    for v in values:
-        assert fmt_q(parse_q(v)) == v
+    values = [q for bundles in PRINTED_FORMULAS.values() for summands in bundles.values()
+              for _, q in summands]
+    assert len(values) == 23 and values.count(None) == 1
+    assert all(type(q) is Fraction for q in values if q is not None)
+    # the one term the print leaves out: spin7 (0,0,2) T3
+    assert PRINTED_FORMULAS["spin7"][(0, 0, 2)][2] == ((0, 1, 1), None)
 
 
 def test_printed_formula_is_found_by_weight_tuple():
     g2 = printed_formula("g2", (2, 0))
-    assert g2["order"] == [(1, 0), (2, 0), (0, 1), (1, 1), (3, 0)]
-    assert g2["printed"][1] == Fraction(14, 3)
+    assert [hw for hw, _ in g2] == [(1, 0), (2, 0), (0, 1), (1, 1), (3, 0)]
+    assert g2[0][1] == Fraction(14, 3)
     spin7 = printed_formula("spin7", (1, 0, 1))
-    assert spin7["order"][0] == (0, 0, 2)
-    assert spin7["printed"][1] == Fraction(11, 4)
+    assert spin7[0] == ((0, 0, 2), Fraction(11, 4))
     # an unrecorded bundle, and a context with no recorded formulas
     assert printed_formula("g2", (1, 0)) is None
     assert printed_formula("so7", (1, 0, 0)) is None
 
 
 @pytest.mark.parametrize("ctx_id", [c for c in CONTEXT_IDS if c not in ("g2", "spin7")])
-def test_contexts_without_printed_formulas_never_load_the_fixture(monkeypatch, ctx_id):
-    def unreadable():
-        raise AssertionError(f"{ctx_id} loaded the printed-formula fixture")
-
-    monkeypatch.setattr(weitzenboeck, "_printed_formulas", unreadable)
+def test_contexts_without_printed_formulas_never_load_the_fixture(ctx_id):
     ctx = make_context(ctx_id)
     rs = ctx.root_system
     for e in (trivial_irrep(rs), ctx.holonomy_rep, adjoint_irrep(rs)):
@@ -286,13 +281,12 @@ def test_contexts_without_printed_formulas_never_load_the_fixture(monkeypatch, c
 
 
 def test_the_recorded_formulas_carry_exactly_the_spin7_discrepancies():
-    recorded = weitzenboeck._printed_formulas()
-    assert sorted(recorded) == ["g2", "spin7"]
+    assert sorted(PRINTED_FORMULAS) == ["g2", "spin7"]
     found = {
         (ctx.id, hw): [(d.index, d.computed, d.printed) for d in
                        conformal_weights(ctx, Irrep(ctx.root_system, hw)).discrepancies]
         for ctx in (G2, S7)
-        for hw in recorded[ctx.id]
+        for hw in PRINTED_FORMULAS[ctx.id]
     }
     assert {key: d for key, d in found.items() if d} == {
         ("spin7", (0, 1, 0)): [(1, Fraction(5), Fraction(10)), (2, Fraction(3, 2), Fraction(3))],
@@ -420,4 +414,4 @@ def test_table_rendering_mentions_discrepancies_unless_quiet():
 
 def test_fraction_round_trip():
     for s in ("-28/3", "0", "5", "7/2", "-1"):
-        assert fmt_q(parse_q(s)) == s
+        assert fmt_q(Fraction(s)) == s
