@@ -45,7 +45,6 @@ from .prover import (
     prove_component,
     prove_degree,
     prove_theorems,
-    vanishing_analysis,
 )
 from .roots import RootSystem, build_root_system
 from .weitzenboeck import WeitzenboeckFormula, conformal_weights, trace_residual
@@ -91,6 +90,5 @@ __all__ = [
     "tensor",
     "trace_residual",
     "trivial_irrep",
-    "vanishing_analysis",
     "weight_system",
 ]

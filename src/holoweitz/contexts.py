@@ -53,9 +53,6 @@ class HolonomyContext(NamedTuple):
     ricci_flat: bool
     qr_registry: tuple[RegistryEntry, ...]
 
-    def qr_trivial_weights(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(entry.highest_weight for entry in self.qr_registry)
-
     def __repr__(self) -> str:
         return f"HolonomyContext({self.id})"
 
@@ -106,10 +103,7 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
         ricci_flat=ricci_flat,
         qr_registry=tuple(registry),
     )
-    weights = ctx.qr_trivial_weights()
-    if ((0,) * rs.rank) not in weights:
-        raise RuntimeError("registry must contain the trivial representation")
-    if (hol.highest_weight in weights) != ricci_flat:
+    if (qr_entry(ctx, hol) is not None) != ricci_flat:
         raise RuntimeError(
             f"context {ctx_id}: holonomy representation registry membership "
             "must match Ricci-flatness"
@@ -144,18 +138,12 @@ def qr_trivial(ctx: HolonomyContext, e: Irrep) -> bool:
     return qr_entry(ctx, e) is not None
 
 
-def qr_citation(ctx: HolonomyContext, e: Irrep) -> str:
-    if (entry := qr_entry(ctx, e)) is None:
-        raise KeyError(f"{e} is not in the registry of {ctx.id}")
-    return entry.citation
-
-
 def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:
     """Load registry extensions from a JSON file.
 
     Schema: {"entries": [{"context": "<id>", "highest_weight": [ints],
-    "citation": "<string>"}, ...]}.  Returns entries grouped by
-    normalized context id.
+    "citation": "<string>"}, ...]}; an absent citation reads "user
+    registry entry".  Returns entries grouped by normalized context id.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -175,6 +163,8 @@ def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:
             raise UnsupportedContext(
                 f"registry entry {rec} must carry non-negative integer weights"
             )
-        citation = str(rec.get("citation", "user registry entry"))
+        citation = rec.get("citation", "user registry entry")
+        if not isinstance(citation, str) or not citation:
+            raise UnsupportedContext(f"registry entry {rec} must carry a non-empty string citation")
         grouped.setdefault(ctx_id, []).append(RegistryEntry(tuple(hw), citation))
     return {k: tuple(v) for k, v in grouped.items()}

@@ -45,10 +45,6 @@ class Decomposition(tuple):
 
     __slots__ = ()
 
-    @property
-    def entries(self) -> tuple[tuple[Irrep, int], ...]:
-        return tuple(self)
-
     def total_dimension(self) -> int:
         return sum(m * dimension(irr) for irr, m in self)
 
@@ -57,9 +53,6 @@ class Decomposition(tuple):
             if irr == irrep:
                 return m
         return 0
-
-    def as_multiset(self) -> frozenset[tuple[tuple[int, ...], int]]:
-        return frozenset((irr.highest_weight, m) for irr, m in self)
 
     def irreps(self) -> tuple[Irrep, ...]:
         return tuple(irr for irr, _ in self)

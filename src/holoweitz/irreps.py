@@ -6,7 +6,8 @@ dimension formula, weight multiplicities from the Freudenthal recursion
 over the dominant closure of the highest weight, Casimir eigenvalues
 from the highest weight.  Ambient coordinates appear only at the API
 edge: the keys of :func:`weight_system` and the entries of
-:func:`full_weights`.
+:func:`full_weights`, the one walk of the complete weight multiset
+(every Weyl orbit of a dominant weight, repeated by its multiplicity).
 
 The sign convention is Cas = sum X_i^2, so Casimir eigenvalues are
 negative (zero only on the trivial representation).
@@ -213,28 +214,20 @@ def weight_system(irrep: Irrep) -> WeightSystem:
     return {tuple(map(frac.get, coords)): m for coords, m in zip(scaled, mult.values())}
 
 
-def weight_labels(irrep: Irrep) -> list[Labels]:
-    """The complete weight multiset in Dynkin labels.
-
-    Deterministic order: dominant weights highest first (by (mu, rho)),
-    each Weyl orbit sorted, repeated by multiplicity.
-    """
-    rs = irrep.root_system
-    return [
-        nu
-        for mu, m in dominant_multiplicities(irrep).items()
-        for nu in sorted(roots.orbit(rs, mu))
-        for _ in range(m)
-    ]
-
-
 @lru_cache(maxsize=None)
 def full_weights(irrep: Irrep) -> tuple[Weight, ...]:
-    """:func:`weight_labels` in ambient coordinates; length dimension(irrep)."""
+    """The complete weight multiset in ambient coordinates; length dimension(irrep).
+
+    Deterministic order: dominant weights highest first (by (mu, rho)),
+    each Weyl orbit sorted by Dynkin labels, repeated by multiplicity.
+    """
     rs = irrep.root_system
-    labels = weight_labels(irrep)
-    ambient = {nu: roots.to_orthogonal(rs, nu) for nu in set(labels)}
-    out = tuple(ambient[nu] for nu in labels)
+    out = tuple(
+        w
+        for mu, m in dominant_multiplicities(irrep).items()
+        for w in [roots.to_orthogonal(rs, nu) for nu in sorted(roots.orbit(rs, mu))]
+        for _ in range(m)
+    )
     if len(out) != dimension(irrep):
         raise RuntimeError(
             f"weight multiset of {irrep} has {len(out)} entries, "

@@ -5,7 +5,8 @@ holonomy context.  For a bundle E inside the p-forms it combines
 
   * occurrence bookkeeping of the summands of T (x) E in the adjacent
     form spaces (which twistor operators vanish identically, and which
-    are killed by closedness or coclosedness),
+    are killed by closedness or coclosedness), read as
+    ``prove_component(...).statuses``,
   * the integrability factor f with f * nabla*nabla = q(R) for the form
     class at hand,
   * the conformal weights of the Weitzenboeck formula,
@@ -128,10 +129,11 @@ def _require_form_component(ctx: HolonomyContext, e: Irrep, p: int) -> None:
         raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
 
 
-def vanishing_analysis(
+def _vanishing_analysis(
     ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
 ) -> tuple[SummandStatus, ...]:
-    """Which twistor operators on E vanish for forms of the given class.
+    """Which twistor operators on E vanish for forms of the given class,
+    on a checked context and a component of the p-forms.
 
     Occurrence counts of each summand of T (x) E in the adjacent form
     spaces drive three rules: a summand in neither space has an
@@ -139,15 +141,6 @@ def vanishing_analysis(
     (*-Killing) kill operators into summands of the (p+1)-forms; coclosed
     forms (Killing) kill operators into summands of the (p-1)-forms.
     """
-    _require_prover_context(ctx)
-    _require_form_component(ctx, e, p)
-    return _vanishing_analysis(ctx, e, p, form_class)
-
-
-def _vanishing_analysis(
-    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
-) -> tuple[SummandStatus, ...]:
-    """:func:`vanishing_analysis` on a checked context and a component of the p-forms."""
     plus = dict(form_space(ctx, p + 1))  # irrep -> multiplicity
     minus = dict(form_space(ctx, p - 1))
     statuses = []

@@ -163,8 +163,11 @@ def test_registry_applies_to_every_spelling_of_the_holonomy(capsys, tmp_path, sp
         ("spin7", "{not json"),
         ("spin7", json.dumps({"entries": [{"highest_weight": [0, 0, 2]}]})),
         ("so7", json.dumps({"entries": [{"context": "so7", "highest_weight": [1, 0, 0]}]})),
+        ("g2", json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1], "citation": None}]})),
+        ("g2", json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1], "citation": {"a": 1}}]})),
     ],
-    ids=["missing-file", "not-json", "entry-without-context", "non-ricci-flat-holonomy-rep"],
+    ids=["missing-file", "not-json", "entry-without-context", "non-ricci-flat-holonomy-rep",
+         "null-citation", "dict-citation"],
 )
 def test_bad_registry_file_is_a_usage_error(capsys, tmp_path, holonomy, content):
     reg = tmp_path / "reg.json"
@@ -176,6 +179,16 @@ def test_bad_registry_file_is_a_usage_error(capsys, tmp_path, holonomy, content)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "registry" in err.splitlines()[-1] and "Traceback" not in err
+
+
+def test_registry_entry_without_citation_is_cited_by_default(capsys, tmp_path):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1]}]}))
+    code, out, _ = run(
+        capsys, "prove", "--holonomy", "g2", "--degree", "2", "--class", "twistor", "--registry", str(reg)
+    )
+    assert code == 0
+    assert "[user registry entry] q(R) acts trivially on (0,1)" in out
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,12 +7,14 @@ from math import comb
 
 import pytest
 
+from holoweitz import contexts
 from holoweitz.contexts import (
     CONTEXT_IDS,
+    RegistryEntry,
     form_space,
     load_registry,
     make_context,
-    qr_citation,
+    qr_entry,
     qr_trivial,
 )
 from holoweitz.errors import DegreeOutOfRange, MixedRootSystems, UnsupportedContext
@@ -53,7 +55,23 @@ def test_every_context_row_is_pinned(ctx_id):
     registry = [(e.highest_weight, e.citation) for e in ctx.qr_registry]
     row = (rs.family, rs.rank, ctx.holonomy_rep.highest_weight, ctx.n, ctx.dim_g, ctx.ricci_flat, registry)
     assert row == CONTEXT_ROWS[ctx_id]
-    assert ctx.qr_trivial_weights() == {weight for weight, _ in registry}
+    assert {e.highest_weight for e in ctx.qr_registry} == {weight for weight, _ in registry}
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        (("G", 2, (1, 0), 7, 15, True, (((1, 0), "qr-ricci-flat"),)), "expected 7/15"),
+        (("G", 2, (1, 0), 7, 14, True, ()), "must match Ricci-flatness"),
+        (("B", 3, (1, 0, 0), 7, 21, False, (((1, 0, 0), "qr-ricci-flat"),)), "must match Ricci-flatness"),
+    ],
+    ids=["wrong-dim-pin", "ricci-flat-registry-drops-t", "not-ricci-flat-registry-lists-t"],
+)
+def test_built_in_rows_are_pinned(monkeypatch, row, message):
+    """A broken built-in row raises; the uncached builder neither reads nor fills the cache."""
+    monkeypatch.setattr(contexts, "_CONTEXTS", {"bad": row})
+    with pytest.raises(RuntimeError, match=message):
+        contexts._make_context_cached.__wrapped__("bad", ())
 
 
 def test_unknown_context_rejected():
@@ -76,26 +94,19 @@ def test_qr_trivial_examples():
 
 def test_registry_entries_carry_citations():
     s7 = make_context("spin7")
-    assert "Cor. ricci" in qr_citation(s7, Irrep(s7.root_system, (1, 0, 0)))
+    assert "Cor. ricci" in qr_entry(s7, Irrep(s7.root_system, (1, 0, 0))).citation
     for entry in s7.qr_registry:
         assert entry.citation
-    with pytest.raises(KeyError):
-        qr_citation(s7, Irrep(s7.root_system, (0, 1, 0)))
+    assert qr_entry(s7, Irrep(s7.root_system, (0, 1, 0))) is None
 
 
-def test_registry_checks_build_no_weight_set(monkeypatch):
-    """qr_trivial, qr_citation and the prover scan the registry; none builds qr_trivial_weights."""
+def test_registry_checks_build_no_weight_set():
+    """qr_trivial, qr_entry and the prover scan the registry."""
     from holoweitz.prover import FormClass, prove_degree
 
-    ctxs = [make_context("g2"), make_context("spin7")]
-
-    def built(self):
-        raise AssertionError("qr_trivial_weights built on a registry check")
-
-    monkeypatch.setattr(type(ctxs[0]), "qr_trivial_weights", built)
-    for ctx in ctxs:
+    for ctx in (make_context("g2"), make_context("spin7")):
         assert qr_trivial(ctx, ctx.holonomy_rep)
-        assert qr_citation(ctx, ctx.holonomy_rep) == RICCI_FLAT
+        assert qr_entry(ctx, ctx.holonomy_rep).citation == RICCI_FLAT
         for p in range(1, ctx.n):
             prove_degree(ctx, p, FormClass.KILLING)
 
@@ -117,7 +128,7 @@ def test_form_space_binomial_sums_and_duality():
         for p in range(ctx.n + 1):
             space = form_space(ctx, p)
             assert space.total_dimension() == comb(ctx.n, p)
-            assert space.as_multiset() == form_space(ctx, ctx.n - p).as_multiset()
+            assert space == form_space(ctx, ctx.n - p)
 
 
 def test_registry_json_loading(tmp_path):
@@ -139,10 +150,25 @@ def test_registry_json_loading(tmp_path):
     grouped = load_registry(path)
     assert set(grouped) == {"spin7", "g2"}
     ctx = make_context("spin7", grouped["spin7"])
-    assert (0, 1, 0) in ctx.qr_trivial_weights()
-    assert qr_citation(ctx, Irrep(ctx.root_system, (0, 1, 0))).startswith("testing:")
+    bundle = Irrep(ctx.root_system, (0, 1, 0))
+    assert qr_trivial(ctx, bundle)
+    assert qr_entry(ctx, bundle).citation.startswith("testing:")
     # base context unchanged
-    assert (0, 1, 0) not in make_context("spin7").qr_trivial_weights()
+    assert not qr_trivial(make_context("spin7"), bundle)
+
+
+@pytest.mark.parametrize("citation", [None, {"a": 1}, "", 3, ["x"]], ids=repr)
+def test_registry_citation_must_be_a_non_empty_string(tmp_path, citation):
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1], "citation": citation}]}))
+    with pytest.raises(UnsupportedContext, match="citation"):
+        load_registry(path)
+
+
+def test_registry_citation_defaults_when_absent(tmp_path):
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1]}]}))
+    assert load_registry(path) == {"g2": (RegistryEntry((0, 1), "user registry entry"),)}
 
 
 def test_registry_json_rejects_bad_records(tmp_path):

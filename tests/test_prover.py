@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoweitz.contexts import form_space, make_context
+from holoweitz.contexts import form_space, make_context, qr_trivial
 from holoweitz.errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
 from holoweitz.irreps import Irrep
 from holoweitz.prover import (
@@ -21,7 +21,6 @@ from holoweitz.prover import (
     prove_degree,
     prove_theorems,
     theorem_report_json,
-    vanishing_analysis,
 )
 from holoweitz.weitzenboeck import conformal_summands, conformal_weights
 
@@ -34,7 +33,7 @@ def killed(statuses):
 
 
 def test_vanishing_g2_lambda2_14_killing():
-    st = vanishing_analysis(G2, Irrep(G2.root_system, (0, 1)), 2, FormClass.KILLING)
+    st = prove_component(G2, Irrep(G2.root_system, (0, 1)), 2, FormClass.KILLING).statuses
     assert killed(st) == [
         ((1, 0), "Coclosedness"),
         ((2, 0), "None"),
@@ -43,25 +42,25 @@ def test_vanishing_g2_lambda2_14_killing():
 
 
 def test_vanishing_g2_lambda2_14_star_killing_kills_everything():
-    st = vanishing_analysis(G2, Irrep(G2.root_system, (0, 1)), 2, FormClass.STAR_KILLING)
+    st = prove_component(G2, Irrep(G2.root_system, (0, 1)), 2, FormClass.STAR_KILLING).statuses
     assert all(s.killed_by is not KilledBy.NONE for s in st)
 
 
 def test_vanishing_spin7_lambda3_48_twistor():
-    st = vanishing_analysis(S7, Irrep(S7.root_system, (1, 0, 1)), 3, FormClass.TWISTOR)
+    st = prove_component(S7, Irrep(S7.root_system, (1, 0, 1)), 3, FormClass.TWISTOR).statuses
     gap = [s.summand.highest_weight for s in st if s.killed_by is KilledBy.TWISTOR_GAP]
     assert gap == [(1, 1, 0), (1, 0, 2)]  # T5, T6 in the printed numbering
 
 
 def test_vanishing_requires_form_component():
     with pytest.raises(NotAFormComponent):
-        vanishing_analysis(G2, Irrep(G2.root_system, (1, 1)), 2, FormClass.KILLING)
+        prove_component(G2, Irrep(G2.root_system, (1, 1)), 2, FormClass.KILLING)
 
 
 def test_vanishing_rejects_so_contexts():
     so7 = make_context("so7")
     with pytest.raises(ContextNotSupported):
-        vanishing_analysis(so7, Irrep(so7.root_system, (1, 0, 0)), 1, FormClass.KILLING)
+        prove_component(so7, Irrep(so7.root_system, (1, 0, 0)), 1, FormClass.KILLING)
 
 
 def test_integrability_factors():
@@ -153,7 +152,7 @@ def test_registry_soundness_proxy_over_all_form_spaces():
     for ctx in (G2, S7):
         for p in range(1, ctx.n):
             for irr in form_space(ctx, p).irreps():
-                if irr.highest_weight in ctx.qr_trivial_weights():
+                if qr_trivial(ctx, irr):
                     c = prove_component(ctx, irr, p, FormClass.TWISTOR)
                     assert c.verdict == PARALLEL
                     assert all(t.rule == "qr-registry" for t in c.trace)
@@ -241,9 +240,9 @@ def test_twistor_gap_soundness_audit():
         for form_class in FormClass:
             for p in range(1, ctx.n):
                 for irr in form_space(ctx, p).irreps():
-                    if irr.highest_weight in ctx.qr_trivial_weights():
+                    if qr_trivial(ctx, irr):
                         continue
-                    for st in vanishing_analysis(ctx, irr, p, form_class):
+                    for st in prove_component(ctx, irr, p, form_class).statuses:
                         gap = st.occ_plus == 0 and st.occ_minus == 0
                         assert (st.killed_by is KilledBy.TWISTOR_GAP) == gap
 

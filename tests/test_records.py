@@ -81,7 +81,6 @@ def test_decomposition_is_a_tuple_of_its_entries():
     deco = exterior_power(Irrep(G2, (1, 0)), 2)  # Lambda^2 of the 7 = 7 + 14
     assert len(deco) == 2
     assert [(irr.highest_weight, m) for irr, m in deco] == [((1, 0), 1), ((0, 1), 1)]
-    assert type(deco.entries) is tuple and deco.entries == tuple(deco)
-    assert Decomposition(deco.entries) == deco
+    assert Decomposition(tuple(deco)) == deco
     assert deco.irreps() == (Irrep(G2, (1, 0)), Irrep(G2, (0, 1)))
     assert deco.total_dimension() == 21

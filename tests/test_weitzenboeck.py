@@ -270,7 +270,7 @@ def test_printed_formula_is_found_by_weight_tuple():
 
 
 @pytest.mark.parametrize("ctx_id", [c for c in CONTEXT_IDS if c not in ("g2", "spin7")])
-def test_contexts_without_printed_formulas_never_load_the_fixture(ctx_id):
+def test_contexts_without_printed_formulas_have_none(ctx_id):
     ctx = make_context(ctx_id)
     rs = ctx.root_system
     for e in (trivial_irrep(rs), ctx.holonomy_rep, adjoint_irrep(rs)):
