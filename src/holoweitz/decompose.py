@@ -11,12 +11,16 @@ q Lambda^q(T) = sum_{k=1..q} (-1)^(k-1) psi^k(T) Lambda^(q-k)(T), where
 the Adams operation psi^k(T) is T's weight multiset scaled by k; degrees
 above n/2 are duals of degrees below.
 
-Merge, then straighten: each decomposition first adds every point
-lam + rho + nu with its signed coefficient to one counter (in Newton's
-identity, over every k and every summand of the lower degree), then
-straightens each distinct point with a nonzero coefficient once and
-shifts each dominant result by -rho once.  What a point contributes
-depends on the point alone, so its coefficients can be summed first.
+One stream of (point, coefficient) pairs feeds the kernel, and each
+point in it is distinct.  A tensor product's points lam + rho + nu are
+distinct as they stand: the orbits of distinct dominant weights are
+disjoint.  Newton's identity meets the same point from many k and many
+lower summands; what a point contributes depends on the point alone,
+so its signed coefficients are merged first, on one integer key per
+point (see :func:`exterior_power`), and each distinct point with a
+nonzero coefficient is decoded once.  The kernel straightens each point
+with a negative label once (a point with none is dominant as it
+stands) and shifts each dominant result by -rho once.
 
 The summand order (see :class:`Decomposition`) is decided here alone; it
 numbers the twistor operators T_i downstream.
@@ -24,9 +28,9 @@ numbers the twistor operators T_i downstream.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from operator import add, mul
+from operator import add, lshift, mul
+from typing import Iterable
 
 from . import roots
 from .errors import DegreeOutOfRange, InternalNegativeMultiplicity, MixedRootSystems
@@ -61,31 +65,28 @@ class Decomposition(tuple):
         return f"Decomposition(entries={tuple(self)!r})"
 
 
-def _add_points(points: Counter, lam: Labels, weights, m: int = 1) -> None:
-    """Add m V(lam) (x) weights to ``points`` as the points lam + rho + nu.
-
-    ``weights`` lists (nu, multiplicity) over a Weyl-invariant multiset;
-    each point gains m times the multiplicity of its nu.
-    """
-    lam_rho = tuple(c + 1 for c in lam)
-    for nu, k in weights:
-        point = tuple(map(add, lam_rho, nu))
-        points[point] = points.get(point, 0) + m * k  # not +=: a new key would call __missing__
-
-
-def _straighten_points(rs: RootSystem, points: Counter) -> dict[Labels, int]:
+def _straighten_points(rs: RootSystem, points: Iterable[tuple[Labels, int]]) -> dict[Labels, int]:
     """The kernel (Klimyk 1968): the signed sum of irreps that ``points`` stands for.
 
-    Each point with a nonzero coefficient is straightened once: the irrep
-    at dominant(point) - rho gains the reflection parity times the
-    coefficient, and singular points drop out.
+    ``points`` yields distinct points with their coefficients.  Each point
+    with a nonzero coefficient is straightened once: the irrep at
+    dominant(point) - rho gains the reflection parity times the
+    coefficient, and singular points drop out.  A point with no negative
+    label needs no reflection: it is dominant with parity +1, regular if
+    every label is positive and singular otherwise.
     """
-    acc: Counter[Labels] = Counter()
-    for point, c in points.items():
+    acc: dict[Labels, int] = {}
+    for point, c in points:
         if c:
-            dom, sign = roots.dominant(rs, point)
-            if 0 not in dom:
-                acc[dom] += sign * c
+            low = min(point)
+            if low < 0:
+                point, sign = roots.dominant(rs, point)
+                if 0 in point:
+                    continue
+                c *= sign
+            elif not low:
+                continue
+            acc[point] = acc.get(point, 0) + c
     return {tuple(x - 1 for x in dom): m for dom, m in acc.items()}
 
 
@@ -113,8 +114,8 @@ def _weights(rs: RootSystem, char: dict[Labels, int]) -> list[tuple[Labels, int]
 
 def _straighten(rs: RootSystem, lam: Labels, char: dict[Labels, int]) -> Decomposition:
     """V(lam) (x) char, for ``char`` given on dominant labels; lam = 0 decomposes char."""
-    points: Counter[Labels] = Counter()
-    _add_points(points, lam, _weights(rs, char))
+    lam_rho = tuple(c + 1 for c in lam)
+    points = ((tuple(map(add, lam_rho, nu)), m) for nu, m in _weights(rs, char))
     return _decomposition(rs, _straighten_points(rs, points))
 
 
@@ -137,13 +138,26 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
 def exterior_power(t: Irrep, p: int) -> Decomposition:
     """Decomposition of the p-th exterior power of an irrep of dimension n.
 
-    For 2p <= n, Newton's identity: the points of each summand V(lam) of
-    Lambda^(p-k) against psi^k(T), with sign (-1)^(k-1), go into one
-    counter over all k; its distinct points are straightened once and the
-    signed sum is divided by p.  The lower degrees come from this
+    For 2p <= n, Newton's identity: the points lam + rho + k nu of each
+    summand V(lam) of Lambda^(p-k) against psi^k(T), with sign (-1)^(k-1),
+    are merged over all k; the distinct points are straightened once and
+    the signed sum is divided by p.  The lower degrees come from this
     function's cache, filled in increasing degree so the recursion stays
     shallow.  For 2p > n, Lambda^p is the dual of Lambda^(n-p): V(lam)
     becomes V(-w0 lam), the dominant representative of -lam.
+
+    Points merge on one integer key each, key(x) = sum_i x_i S^i, so
+    key(lam + rho + k nu) = key(lam + rho) + k key(nu) and a point costs
+    one addition and one dict update.  Let M be the largest |nu_i| over
+    the weights nu of T.  The highest weight lam of a summand of
+    Lambda^(p-k) is a weight of Lambda^(p-k)(T), a sum of p - k weights
+    of T, so |lam_i| <= (p - k) M and every label of lam + rho + k nu is
+    at most p M + 1 in absolute value.  S is a power of two above
+    2 (p M + 1), so the labels are balanced base-S digits, |x_i| < S/2:
+    no digit carries and distinct points have distinct keys.  Every key
+    also carries S/2 on each digit, which makes its digits positive, so a
+    key is decoded, by a shift and a mask per label, only when its
+    coefficient is nonzero.
     """
     n = dimension(t)
     if not 0 <= p <= n:
@@ -157,9 +171,23 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
         return _decomposition(rs, {(0,) * rs.rank: 1})
     lower = [exterior_power(t, q) for q in range(p)]
     weights = _weights(rs, dominant_multiplicities(t))
-    points: Counter[Labels] = Counter()
+    # M = top: s_i negates label i, so the largest |nu_i| is the largest nu_i
+    top = max([max(nu) for nu, _ in weights])
+    bits = (2 * (p * top + 1)).bit_length()  # S = 2^bits > 2 (p M + 1)
+    shifts = [bits * i for i in range(rs.rank)]
+    keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in weights]
+    half = 1 << bits - 1
+    offset = sum((half + 1) << s for s in shifts)  # rho, plus S/2 on every digit
+    points: dict[int, int] = {}
+    get = points.get
     for k in range(1, p + 1):
-        psi = [(tuple(k * c for c in nu), mult) for nu, mult in weights]
+        psi = [(k * x, m if k % 2 else -m) for x, m in keys]  # psi^k(T), signed
         for irr, m in lower[p - k]:
-            _add_points(points, irr.highest_weight, psi, m if k % 2 else -m)
-    return _decomposition(rs, _straighten_points(rs, points), p)
+            base = sum(map(lshift, irr.highest_weight, shifts)) + offset
+            for x, w in psi:
+                x += base
+                points[x] = get(x, 0) + m * w
+    mask = (1 << bits) - 1
+    decoded = ((tuple([(x >> s & mask) - half for s in shifts]), c)
+               for x, c in points.items() if c)
+    return _decomposition(rs, _straighten_points(rs, decoded), p)

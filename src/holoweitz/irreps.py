@@ -20,12 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, prod
 from operator import mul, sub
+from types import MappingProxyType
+from typing import Mapping
 
 from . import roots
 from .errors import MixedRootSystems, TrivialHolonomyRep
 from .roots import Labels, RootSystem, Weight, dot
 
-WeightSystem = dict[Weight, int]
+WeightSystem = Mapping[Weight, int]
 
 
 class Irrep(namedtuple("Irrep", ("root_system", "highest_weight"))):
@@ -72,10 +74,12 @@ def adjoint_irrep(rs: RootSystem) -> Irrep:
 
 @lru_cache(maxsize=None)
 def dimension(irrep: Irrep) -> int:
-    """Weyl dimension formula: prod over positive roots of (l+rho,a)/(rho,a)."""
-    pairings = irrep.root_system.root_pairings
+    """Weyl dimension formula: prod over positive roots of (l+rho,a)/(rho,a).
+
+    The denominator is the root system's ``weyl_denominator``."""
+    rs = irrep.root_system
     lam_rho = [c + 1 for c in irrep.highest_weight]
-    num, den = prod([sum(map(mul, lam_rho, wa)) for wa in pairings]), prod(map(sum, pairings))
+    num, den = prod([sum(map(mul, lam_rho, wa)) for wa in rs.root_pairings]), rs.weyl_denominator
     value, rest = divmod(num, den)
     if rest:
         raise RuntimeError(f"Weyl dimension of {irrep} is not an integer: {num}/{den}")
@@ -205,13 +209,16 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
 def weight_system(irrep: Irrep) -> WeightSystem:
     """Dominant weight multiplicities keyed by ambient coordinates.
 
-    Multiplicities at arbitrary points follow by Weyl invariance.
+    Multiplicities at arbitrary points follow by Weyl invariance.  The
+    answer is a read-only view of the cached dict, so no caller can
+    change what later calls return.
     """
     rs = irrep.root_system
     mult = dominant_multiplicities(irrep)
     scaled = [[sum(map(mul, mu, col)) for col in rs.fundamental_columns] for mu in mult]
     frac = {x: Fraction(x, rs.den) for x in set().union(*scaled)}  # one per distinct coordinate
-    return {tuple(map(frac.get, coords)): m for coords, m in zip(scaled, mult.values())}
+    return MappingProxyType(
+        {tuple(map(frac.get, coords)): m for coords, m in zip(scaled, mult.values())})
 
 
 @lru_cache(maxsize=None)

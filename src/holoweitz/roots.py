@@ -11,9 +11,10 @@ the invariant form itself is ``form_scale * gram``.
 Dynkin neighbours of i can turn negative, and only those are pushed.  Each
 step lowers by one the number of positive roots that pair negatively with
 the weight, so the sign does not depend on the order of the steps.  The
-neighbours, the pairings ``gram . a`` of each positive root a, the common
-denominator ``den`` of the fundamental weights and the columns of the
-integer fundamental weights ``den * w_i`` are fields derived by the
+neighbours, the pairings ``gram . a`` of each positive root a, the Weyl
+denominator (the product of the (rho, a)), the common denominator
+``den`` of the fundamental weights and the columns of the integer
+fundamental weights ``den * w_i`` are fields derived by the
 constructor: a ``RootSystem._replace`` copy derives them afresh.
 
 Ambient coordinates, tuples of ``fractions.Fraction``, appear only at the
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -60,7 +61,7 @@ def vector(coords: Iterable) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-# the constructor's fields, in order; four more are derived from them
+# the constructor's fields, in order; five more are derived from them
 _GIVEN = ("family", "rank", "simple_roots", "fundamental_weights", "positive_roots",
           "cartan_matrix", "base_form", "rho", "positive_labels", "gram", "form_scale")
 
@@ -77,13 +78,16 @@ class RootSystem:
 
     Derived by the constructor: ``neighbours[i]`` lists (j, cartan_matrix[i][j])
     for the Dynkin neighbours j of i; ``root_pairings[k][i]`` = (w_i,
-    positive_labels[k]) in gram units; ``den`` > 0 is the least common
-    denominator of the fundamental weights and ``fundamental_columns[k][i]``
-    = den * (w_i)_k, the k-th ambient coordinate of den * w_i.  Fields cannot
-    be assigned, and ``_replace`` takes only the constructor's fields.
+    positive_labels[k]) in gram units; ``weyl_denominator`` is the product
+    of (rho, a) over the positive roots a, in gram units; ``den`` > 0 is
+    the least common denominator of the fundamental weights and
+    ``fundamental_columns[k][i]`` = den * (w_i)_k, the k-th ambient
+    coordinate of den * w_i.  Fields cannot be assigned, and ``_replace``
+    takes only the constructor's fields.
     """
 
-    __slots__ = _GIVEN + ("neighbours", "root_pairings", "den", "fundamental_columns")
+    __slots__ = _GIVEN + ("neighbours", "root_pairings", "weyl_denominator", "den",
+                          "fundamental_columns")
 
     def __init__(
         self,
@@ -101,12 +105,14 @@ class RootSystem:
     ):
         den = lcm(*(x.denominator for w in fundamental_weights for x in w))
         sparse = [[(k, x) for k, x in enumerate(a) if x] for a in positive_labels]
+        pairings = tuple(tuple(sum(row[k] * x for k, x in nz) for row in gram) for nz in sparse)
         values = (
             family, rank, simple_roots, fundamental_weights, positive_roots, cartan_matrix,
             base_form, rho, positive_labels, gram, form_scale,
             tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
                   for i, row in enumerate(cartan_matrix)),
-            tuple(tuple(sum(row[k] * x for k, x in nz) for row in gram) for nz in sparse),
+            pairings,
+            prod(map(sum, pairings)),
             den,
             tuple(zip(*(tuple(int(x * den) for x in w) for w in fundamental_weights))),
         )

@@ -24,6 +24,7 @@ from holoweitz.errors import (
 )
 from holoweitz.irreps import (
     Irrep,
+    _casimir_number,
     dimension,
     dominant_multiplicities,
     full_weights,
@@ -37,6 +38,7 @@ from helpers import character_product, subset_sums
 G2 = build_root_system("G", 2)
 B3 = build_root_system("B", 3)
 D4 = build_root_system("D", 4)
+B4 = build_root_system("B", 4)
 
 
 def weight_labels(irrep):
@@ -265,13 +267,39 @@ def test_exterior_powers_of_complementary_degree_are_dual(t):
         assert dict(entries(exterior_power(t, p))) == dual, p
 
 
+# Newton's keys on labels far above those of the cases above: A2 (30,0) has n = 496
+# and labels up to 30, G2 (0,12) has n = 67158; a key width that did not follow the
+# degree and T's largest label would let digits carry into their neighbours
+LARGE_LABELS = [(("A", 2), (30, 0), 5), (("G", 2), (0, 12), 3)]
+
+
+@pytest.mark.parametrize("where, hw, p", LARGE_LABELS, ids=["A2_30_0_L5", "G2_0_12_L3"])
+def test_newton_keys_stay_apart_on_large_labels(where, hw, p):
+    rs = build_root_system(*where)
+    t, n = Irrep(rs, hw), dimension(Irrep(rs, hw))
+    deco = exterior_power(t, p)
+    assert deco.total_dimension() == comb(n, p)
+    # Hodge duality, and Lambda^p(T*) = Lambda^p(T)* from a Newton run of its own
+    dual = {dominant(rs, [-c for c in irr.highest_weight])[0]: m for irr, m in deco}
+    assert dict(entries(exterior_power(t, n - p))) == dual
+    t_star = Irrep(rs, dominant(rs, [-c for c in hw])[0])
+    assert dict(entries(exterior_power(t_star, p))) == dual
+    # the Casimir's trace on Lambda^p(T) is C(n-2, p-1) times its trace on T:
+    # tr(X^2) over p-subsets of eigenvalues summing to 0
+    traced = sum(m * dimension(irr) * _casimir_number(rs, irr.highest_weight) for irr, m in deco)
+    assert traced == comb(n - 2, p - 1) * n * _casimir_number(rs, hw)
+
+
 # ceilings on cold roots.dominant calls per computation, Freudenthal included:
-# each weight is straightened at most once per call
+# each weight is straightened at most once per call, and a point with no
+# negative label is not straightened at all
 STRAIGHTENINGS = {
     "weight system B3 (3,3,3)": (lambda: weight_system(Irrep(B3, (3, 3, 3))), 317),
-    "tensor B3 (2,2,2) x (2,1,2)": (lambda: tensor(Irrep(B3, (2, 2, 2)), Irrep(B3, (2, 1, 2))), 467),
-    "G2 (2,0) Lambda^4": (lambda: exterior_power(Irrep(G2, (2, 0)), 4), 203),
-    "G2 (1,1) Lambda^12": (lambda: exterior_power(Irrep(G2, (1, 1)), 12), 8831),
+    "tensor B3 (2,2,2) x (2,1,2)": (lambda: tensor(Irrep(B3, (2, 2, 2)), Irrep(B3, (2, 1, 2))), 253),
+    "G2 (2,0) Lambda^4": (lambda: exterior_power(Irrep(G2, (2, 0)), 4), 122),
+    "G2 (1,1) Lambda^12": (lambda: exterior_power(Irrep(G2, (1, 1)), 12), 7289),
+    "B4 (1,0,0,0) Lambda^4": (lambda: exterior_power(Irrep(B4, (1, 0, 0, 0)), 4), 40),
+    "B4 (0,0,0,1) Lambda^3": (lambda: exterior_power(Irrep(B4, (0, 0, 0, 1)), 3), 41),
 }
 
 

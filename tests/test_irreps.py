@@ -63,6 +63,25 @@ def test_g2_adjoint_zero_weight_multiplicity():
     assert ws[zero] == 2
 
 
+def test_weight_system_answers_cannot_be_changed_by_a_caller():
+    irr = Irrep(G2, (1, 0))
+    ws = weight_system(irr)
+    before = dict(ws)
+    for mutate in (
+        lambda: ws.clear(),
+        lambda: ws.pop(next(iter(before))),
+        lambda: ws.update({(Fraction(9), Fraction(9)): 1}),
+        lambda: ws.__setitem__(next(iter(before)), 5),
+        lambda: ws.__delitem__(next(iter(before))),
+    ):
+        try:
+            mutate()
+        except (TypeError, AttributeError):  # a read-only view has no mutators
+            pass
+    assert weight_system(irr) == before
+    assert dict(weight_system(irr).items()) == before and len(weight_system(irr)) == 2
+
+
 def test_b3_spin_rep_weight_system():
     ws = weight_system(Irrep(B3, (0, 0, 1)))
     half = Fraction(1, 2)
@@ -206,6 +225,7 @@ def test_form_scaled_copies_derive_their_own_fields():
     for rs, hw in ((B3, (2, 1, 1)), (G2, (3, 2))):
         copy = rs._replace(gram=tuple(tuple(3 * x for x in row) for row in rs.gram))
         assert copy.root_pairings == tuple(tuple(3 * x for x in row) for row in rs.root_pairings)
+        assert copy.weyl_denominator == 3 ** len(rs.positive_labels) * rs.weyl_denominator
         irr, scaled = Irrep(rs, hw), Irrep(copy, hw)
         assert dominant_multiplicities(scaled) == dominant_multiplicities(irr)
         assert dimension(scaled) == dimension(irr)
