@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -388,3 +389,75 @@ def test_text_output_is_pinned(capsys, argv, want):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == want
+
+
+# One digest over what ~40 commands write and return, run in-process through main.
+# A usage error (exit 2) contributes only its last stderr line: argparse's usage block
+# wraps with the terminal width and changes between Python versions, and --help is left out.
+CLI_CORPUS = [
+    ["dim", "--algebra", "G2", "--weight", "1,0"],
+    ["dim", "--algebra", "B3", "--weight", "1,0,1", "--format", "json"],
+    ["casimir", "--holonomy", "g2", "--weight", "2,0"],
+    ["casimir", "--holonomy", "spin7", "--weight", "2,0,1", "--format", "json"],
+    ["tensor", "--algebra", "G2", "--left", "1,0", "--right", "1,0"],
+    ["tensor", "--algebra", "B3", "--left", "0,0,1", "--right", "1,0,0", "--format", "json"],
+    ["exterior", "--holonomy", "g2", "--degree", "3"],
+    ["exterior", "--holonomy", "spin7", "--degree", "4", "--format", "json"],
+    ["exterior", "--algebra", "B3", "--weight", "0,0,1", "--degree", "4"],
+    ["exterior", "--algebra", "G2", "--weight", "0,1", "--degree", "2", "--format", "json"],
+    ["weitzenboeck", "--holonomy", "spin7", "--bundle", "0,1,0"],
+    ["weitzenboeck", "--holonomy", "spin7", "--bundle", "0,1,0", "--format", "json"],
+    ["weitzenboeck", "--holonomy", "spin7", "--bundle", "0,1,0", "--quiet"],
+    ["weitzenboeck", "--holonomy", "spin7", "--bundle", "0,1,0", "--quiet", "--format", "json"],
+    ["weitzenboeck", "--holonomy", "g2", "--bundle", "1,1"],
+    ["weitzenboeck", "--holonomy", "so8", "--bundle", "0,1,0,0", "--format", "json"],
+    ["prove", "--holonomy", "g2", "--degree", "2", "--class", "killing"],
+    ["prove", "--holonomy", "g2", "--degree", "3", "--class", "star-killing", "--format", "json"],
+    ["prove", "--holonomy", "spin7", "--degree", "4", "--class", "twistor"],
+    ["prove", "--holonomy", "spin7", "--degree", "5", "--class", "twistor", "--format", "json"],
+    ["prove", "--holonomy", "spin7", "--degree", "2", "--class", "twistor", "--registry", "REG"],
+    ["prove", "--holonomy", "spin7", "--degree", "4", "--class", "twistor", "--registry", "REG",
+     "--format", "json"],
+    ["theorem", "--holonomy", "g2"],
+    ["theorem", "--holonomy", "g2", "--format", "json"],
+    ["theorem", "--holonomy", "spin7"],
+    ["theorem", "--holonomy", "spin7", "--format", "json"],
+    ["theorem", "--holonomy", "g2", "--trace"],
+    ["theorem", "--holonomy", "spin7", "--trace"],
+    ["theorem", "--holonomy", "spin7", "--trace", "--format", "json"],
+    ["theorem", "--holonomy", "spin7", "--registry", "REG"],
+    ["theorem", "--holonomy", "spin7", "--registry", "REG", "--format", "json"],
+    ["selftest"],
+    # domain errors, exit 1
+    ["exterior", "--algebra", "B3", "--weight", "0,0,1", "--degree", "99"],
+    ["exterior", "--holonomy", "g2", "--degree", "-1", "--format", "json"],
+    ["prove", "--holonomy", "g2", "--degree", "8", "--class", "killing"],
+    ["prove", "--holonomy", "so7", "--degree", "2", "--class", "killing", "--format", "json"],
+    ["theorem", "--holonomy", "so8"],
+    # usage errors, exit 2
+    [],
+    ["theorem"],
+    ["casimir", "--holonomy", "nope", "--weight", "1,0"],
+    ["dim", "--algebra", "G2", "--weight", "-1,0", "--format", "json"],
+    ["exterior", "--holonomy", "g2", "--weight", "1,0", "--degree", "2"],
+    ["weitzenboeck", "--holonomy", "g2", "--bundle", "1,0", "--bogus"],
+]
+
+CLI_CORPUS_SHA256 = "7249449edc7ed426e29e6ef39f358cfac3cbfe469821fcbcf7eb836ce6251560"
+
+
+def test_cli_corpus_output_is_pinned(capsys, tmp_path):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"entries": [{"context": "spin7", "highest_weight": [0, 0, 2]}]}))
+    digest = hashlib.sha256()
+    for argv in CLI_CORPUS:
+        try:
+            code = main([str(reg) if a == "REG" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code == 2:
+            err = err.splitlines()[-1]
+        assert str(reg) not in out + err, argv
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == CLI_CORPUS_SHA256
