@@ -7,6 +7,10 @@ Casimir eigenvalues follow the convention Cas = sum X_i^2, so they are
 negative (zero only on the trivial representation); most references use
 the opposite sign.
 
+Every handler but ``selftest`` returns its answer twice, as a JSON
+document and as table text; ``main`` alone writes, either the one that
+``--format`` picks or an ``error[...]`` line on stderr.
+
 Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
 """
 
@@ -36,7 +40,7 @@ SIGN_NOTE = (
 
 
 def _color_enabled() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
+    return sys.stdout is not None and sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
 
 def _mark(ok: bool) -> str:
@@ -115,10 +119,6 @@ def _context(parser: argparse.ArgumentParser, args) -> HolonomyContext:
         parser.error(str(exc))
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
 def _deco_table(title: str, deco: Decomposition, total_label: str) -> str:
     lines = [title, f"{'weight':<14} {'mult':>4} {'dim':>6}"]
     for irr, m in deco:
@@ -127,52 +127,39 @@ def _deco_table(title: str, deco: Decomposition, total_label: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_dim(parser, args) -> int:
+def _cmd_dim(parser, args) -> tuple[dict, str]:
     rs = _algebra(parser, args.algebra)
     hw = _parse_weight(parser, args.weight, rs.rank)
     value = dimension(Irrep(rs, hw))
-    if args.format == "json":
-        _print_json({"value": value})
-    else:
-        print(f"dim {fmt_w(hw)} on {rs.family}{rs.rank} = {value}")
-    return 0
+    return {"value": value}, f"dim {fmt_w(hw)} on {rs.family}{rs.rank} = {value}"
 
 
-def _cmd_casimir(parser, args) -> int:
+def _cmd_casimir(parser, args) -> tuple[dict, str]:
     ctx = _context(parser, args)
     hw = _parse_weight(parser, args.weight, ctx.root_system.rank)
-    value = casimir_lambda2(ctx, Irrep(ctx.root_system, hw))
-    if args.format == "json":
-        _print_json({"value": fmt_q(value)})
-    else:
-        print(f"Casimir eigenvalue of {fmt_w(hw)} on {ctx.id}: {fmt_q(value)}")
-        print(SIGN_NOTE)
-    return 0
+    value = fmt_q(casimir_lambda2(ctx, Irrep(ctx.root_system, hw)))
+    text = f"Casimir eigenvalue of {fmt_w(hw)} on {ctx.id}: {value}\n{SIGN_NOTE}"
+    return {"value": value}, text
 
 
-def _cmd_tensor(parser, args) -> int:
+def _cmd_tensor(parser, args) -> tuple[dict, str]:
     rs = _algebra(parser, args.algebra)
     left = _parse_weight(parser, args.left, rs.rank)
     right = _parse_weight(parser, args.right, rs.rank)
     deco = tensor(Irrep(rs, left), Irrep(rs, right))
-    if args.format == "json":
-        _print_json(
-            {
-                "algebra": f"{rs.family}{rs.rank}",
-                "left": list(left),
-                "right": list(right),
-                "entries": deco_json(deco),
-                "total_dim": deco.total_dimension(),
-            }
-        )
-    else:
-        title = f"{fmt_w(left)} (x) {fmt_w(right)} on {rs.family}{rs.rank}"
-        expected = dimension(Irrep(rs, left)) * dimension(Irrep(rs, right))
-        print(_deco_table(title, deco, f"= {expected}"))
-    return 0
+    title = f"{fmt_w(left)} (x) {fmt_w(right)} on {rs.family}{rs.rank}"
+    expected = dimension(Irrep(rs, left)) * dimension(Irrep(rs, right))
+    document = {
+        "algebra": f"{rs.family}{rs.rank}",
+        "left": list(left),
+        "right": list(right),
+        "entries": deco_json(deco),
+        "total_dim": deco.total_dimension(),
+    }
+    return document, _deco_table(title, deco, f"= {expected}")
 
 
-def _cmd_exterior(parser, args) -> int:
+def _cmd_exterior(parser, args) -> tuple[dict, str]:
     if args.holonomy and (args.algebra or args.weight):
         parser.error("exterior takes --holonomy alone, or --algebra together with --weight")
     if args.holonomy:
@@ -188,32 +175,22 @@ def _cmd_exterior(parser, args) -> int:
         deco = exterior_power(t, args.degree)
     else:
         parser.error("exterior needs --holonomy, or --algebra together with --weight")
-    if args.format == "json":
-        _print_json(
-            {
-                "rep": list(t.highest_weight),
-                "degree": args.degree,
-                "entries": deco_json(deco),
-                "total_dim": deco.total_dimension(),
-            }
-        )
-    else:
-        print(_deco_table(label, deco, ""))
-    return 0
+    document = {
+        "rep": list(t.highest_weight),
+        "degree": args.degree,
+        "entries": deco_json(deco),
+        "total_dim": deco.total_dimension(),
+    }
+    return document, _deco_table(label, deco, "")
 
 
-def _cmd_weitzenboeck(parser, args) -> int:
+def _cmd_weitzenboeck(parser, args) -> tuple[dict, str]:
     ctx = _context(parser, args)
     hw = _parse_weight(parser, args.bundle, ctx.root_system.rank)
     formula = weitzenboeck.conformal_weights(ctx, Irrep(ctx.root_system, hw))
-    if args.format == "json":
-        obj = weitzenboeck.to_json_dict(formula)
-        if args.quiet:
-            obj["discrepancies"] = []
-        _print_json(obj)
-    else:
-        print(weitzenboeck.to_table(formula, quiet=args.quiet))
-    return 0
+    if args.quiet:
+        formula = formula._replace(discrepancies=())
+    return weitzenboeck.to_json_dict(formula), weitzenboeck.to_table(formula)
 
 
 def _component_text(c) -> list[str]:
@@ -251,31 +228,21 @@ def _degree_report_text(r) -> str:
     return "\n".join(lines)
 
 
-def _cmd_prove(parser, args) -> int:
+def _cmd_prove(parser, args) -> tuple[dict, str]:
     ctx = _context(parser, args)
     report = prove_degree(ctx, args.degree, FormClass(args.form_class))
-    if args.format == "json":
-        _print_json(prover.degree_report_json(report))
-    else:
-        print(_degree_report_text(report))
-    return 0
+    return prover.degree_report_json(report), _degree_report_text(report)
 
 
-def _cmd_theorem(parser, args) -> int:
+def _cmd_theorem(parser, args) -> tuple[dict, str]:
     ctx = _context(parser, args)
     report = prove_theorems(ctx)
-    if args.format == "json":
-        _print_json(prover.theorem_report_json(report))
-        return 0
-    print(f"parallelism claims for {ctx.id} (hypotheses: {'; '.join(report.hypotheses)})")
-    for cls, degree, verdict in report.claims:
-        print(f"  {cls:<13} p={degree}: {verdict}")
-    print(f"claim set matches the theorem: {_mark(report.matches_expected)}")
+    lines = [f"parallelism claims for {ctx.id} (hypotheses: {'; '.join(report.hypotheses)})"]
+    lines += (f"  {cls:<13} p={degree}: {verdict}" for cls, degree, verdict in report.claims)
+    lines.append(f"claim set matches the theorem: {_mark(report.matches_expected)}")
     if args.trace:
-        for r in report.reports:
-            print()
-            print(_degree_report_text(r))
-    return 0
+        lines += ("\n" + _degree_report_text(r) for r in report.reports)
+    return prover.theorem_report_json(report), "\n".join(lines)
 
 
 def _cmd_selftest(parser, args) -> int:
@@ -365,10 +332,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_glue_negative_weights(sys.argv[1:] if argv is None else argv))
     try:
-        status = args.func(args.parser, args)
+        result = args.func(args.parser, args)
+        if isinstance(result, tuple):  # selftest writes its own lines and returns a status
+            document, text = result
+            print(json.dumps(document, indent=2) if args.format == "json" else text)
+            result = 0
         if sys.stdout is not None:  # None when the process started with fd 1 closed
             sys.stdout.flush()
-        return status
+        return result
     except HoloweitzError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1

@@ -128,7 +128,7 @@ def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
 
 
 @lru_cache(maxsize=None)
-def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
+def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     """Multiplicities of the dominant weights, by the Freudenthal recursion.
 
     m(mu) * (lam - mu, lam + mu + 2 rho)        [= ||lam+rho||^2 - ||mu+rho||^2]
@@ -159,7 +159,8 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     mu.  So each class of positive roots under W_mu up to sign adds its
     size times the string sum of one root; a W_mu-orbit of roots
     orthogonal to mu counts half its size.  The class tables are built
-    per zero pattern of mu, inside the call.
+    per zero pattern of mu, inside the call.  The answer is a read-only
+    view of the cached dict, as in :func:`weight_system`.
     """
     rs, lam = irrep.root_system, irrep.highest_weight
     rho = [sum(row) for row in rs.gram]  # (w_i, rho)
@@ -202,7 +203,7 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
         if rest or value <= 0:
             raise RuntimeError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
         mult[mu] = known[key_mu] = value
-    return mult
+    return MappingProxyType(mult)
 
 
 @lru_cache(maxsize=None)

@@ -196,13 +196,6 @@ def prove_component(
     """Parallelism analysis for forms of one class inside one component."""
     _require_prover_context(ctx)
     _require_form_component(ctx, e, p)
-    return _prove_component(ctx, e, p, form_class)
-
-
-def _prove_component(
-    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
-) -> ComponentVerdict:
-    """:func:`prove_component` on a checked context and a component of the p-forms."""
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
     if (entry := qr_entry(ctx, e)) is not None:
         trace = (
@@ -365,7 +358,7 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeR
         justified = False
 
     components = tuple(
-        _prove_component(ctx, irr, p, effective_class) for irr in components_irreps
+        prove_component(ctx, irr, p, effective_class) for irr in components_irreps
     )
     if justified and all(c.verdict == PARALLEL for c in components):
         verdict = PARALLEL

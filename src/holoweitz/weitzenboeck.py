@@ -261,7 +261,7 @@ def formula_line(formula: WeitzenboeckFormula) -> str:
     return "q(R) = " + (" ".join(parts) if parts else "0")
 
 
-def to_table(formula: WeitzenboeckFormula, quiet: bool = False) -> str:
+def to_table(formula: WeitzenboeckFormula) -> str:
     """ASCII table of the summands, weights and coefficients."""
     lines = [
         f"Weitzenboeck formula on {fmt_w(formula.bundle.highest_weight)} "
@@ -276,7 +276,7 @@ def to_table(formula: WeitzenboeckFormula, quiet: bool = False) -> str:
             f"{fmt_q(s.b):>8}  {fmt_q(s.coeff):>8}"
         )
     lines.append(f"trace residual: {fmt_q(trace_residual(formula))}")
-    if formula.discrepancies and not quiet:
+    if formula.discrepancies:
         lines.append("")
         for d in formula.discrepancies:
             printed = "absent" if d.printed is None else fmt_q(d.printed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -323,6 +324,19 @@ def test_a_closed_stdout_ends_without_a_traceback(extra):
         err = proc.stderr.read()
     assert proc.wait() == 1
     assert err == b""
+
+
+# with fd 1 closed from the start sys.stdout is None: nothing is written, and the color check
+# must not fail in either format
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_stdout_closed_from_the_start_ends_without_a_traceback(fmt):
+    proc = subprocess.run(
+        [sys.executable, "-m", "holoweitz", "theorem", "--holonomy", "g2", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
 
 
 def test_cli_json_outputs_are_byte_deterministic():

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 from holoweitz.contexts import make_context
+from holoweitz.decompose import tensor
 from holoweitz.errors import TrivialHolonomyRep
 from holoweitz.irreps import (
     Irrep,
@@ -65,21 +66,25 @@ def test_g2_adjoint_zero_weight_multiplicity():
 
 def test_weight_system_answers_cannot_be_changed_by_a_caller():
     irr = Irrep(G2, (1, 0))
-    ws = weight_system(irr)
-    before = dict(ws)
-    for mutate in (
-        lambda: ws.clear(),
-        lambda: ws.pop(next(iter(before))),
-        lambda: ws.update({(Fraction(9), Fraction(9)): 1}),
-        lambda: ws.__setitem__(next(iter(before)), 5),
-        lambda: ws.__delitem__(next(iter(before))),
-    ):
-        try:
-            mutate()
-        except (TypeError, AttributeError):  # a read-only view has no mutators
-            pass
-    assert weight_system(irr) == before
-    assert dict(weight_system(irr).items()) == before and len(weight_system(irr)) == 2
+    for answer in (weight_system, dominant_multiplicities):
+        ws = answer(irr)
+        before = dict(ws)
+        for mutate in (
+            lambda: ws.clear(),
+            lambda: ws.pop(next(iter(before))),
+            lambda: ws.update({(Fraction(9), Fraction(9)): 1}),
+            lambda: ws.__setitem__(next(iter(before)), 5),
+            lambda: ws.__delitem__(next(iter(before))),
+        ):
+            try:
+                mutate()
+            except (TypeError, AttributeError):  # a read-only view has no mutators
+                pass
+        assert answer(irr) == before
+        assert dict(answer(irr).items()) == before and len(answer(irr)) == 2
+    # tensor reads the cached dominant multiplicities of its right factor
+    tensor.cache_clear()
+    assert tensor(Irrep(G2, (2, 0)), irr).total_dimension() == 189
 
 
 def test_b3_spin_rep_weight_system():
