@@ -44,6 +44,19 @@ class RegistryEntry(NamedTuple):
     citation: str
 
 
+def _checked(entry: RegistryEntry) -> RegistryEntry:
+    """``entry``, if it is a RegistryEntry with a tuple of non-negative ints (a bool
+    is not a label) and a non-empty string citation; else UnsupportedContext."""
+    if type(entry) is not RegistryEntry:
+        raise UnsupportedContext(f"registry entry {entry!r} is not a RegistryEntry")
+    hw, citation = entry
+    if type(hw) is not tuple or any(type(c) is not int or c < 0 for c in hw):
+        raise UnsupportedContext(f"registry entry {entry} must carry a tuple of non-negative ints")
+    if type(citation) is not str or not citation:
+        raise UnsupportedContext(f"registry entry {entry} must carry a non-empty string citation")
+    return entry
+
+
 class HolonomyContext(NamedTuple):
     id: str
     root_system: RootSystem
@@ -58,6 +71,8 @@ class HolonomyContext(NamedTuple):
 
 
 def normalize_context_id(raw: str) -> str:
+    if not isinstance(raw, str):
+        raise UnsupportedContext(f"holonomy context {raw!r} is not a string")
     s = raw.strip().lower().replace("(", "").replace(")", "").replace("_", "")
     if s in CONTEXT_IDS:
         return s
@@ -113,7 +128,8 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
 
 def make_context(ctx_id: str, extra_registry: tuple[RegistryEntry, ...] = ()) -> HolonomyContext:
     """Build a holonomy context, optionally extending the q(R) registry."""
-    return _make_context_cached(normalize_context_id(ctx_id), tuple(extra_registry))
+    extra = tuple(map(_checked, extra_registry))
+    return _make_context_cached(normalize_context_id(ctx_id), extra)
 
 
 @lru_cache(maxsize=None)
@@ -158,13 +174,7 @@ def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:
                 f"registry entry {rec} must have 'context' and 'highest_weight'"
             )
         ctx_id = normalize_context_id(str(rec["context"]))
-        hw = rec["highest_weight"]
-        if not isinstance(hw, list) or any(type(c) is not int or c < 0 for c in hw):
-            raise UnsupportedContext(
-                f"registry entry {rec} must carry non-negative integer weights"
-            )
-        citation = rec.get("citation", "user registry entry")
-        if not isinstance(citation, str) or not citation:
-            raise UnsupportedContext(f"registry entry {rec} must carry a non-empty string citation")
-        grouped.setdefault(ctx_id, []).append(RegistryEntry(tuple(hw), citation))
+        hw, citation = rec["highest_weight"], rec.get("citation", "user registry entry")
+        entry = _checked(RegistryEntry(tuple(hw) if type(hw) is list else hw, citation))
+        grouped.setdefault(ctx_id, []).append(entry)
     return {k: tuple(v) for k, v in grouped.items()}

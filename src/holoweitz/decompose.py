@@ -29,12 +29,13 @@ numbers the twistor operators T_i downstream.
 from __future__ import annotations
 
 from functools import lru_cache
+from numbers import Real
 from operator import add, lshift, mul
 from typing import Iterable
 
 from . import roots
 from .errors import DegreeOutOfRange, InternalNegativeMultiplicity, MixedRootSystems
-from .irreps import Irrep, dimension, dominant_multiplicities
+from .irreps import Irrep, dimension, weights
 from .roots import Labels, RootSystem
 
 
@@ -107,15 +108,10 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomp
     return Decomposition(entries)
 
 
-def _weights(rs: RootSystem, char: dict[Labels, int]) -> list[tuple[Labels, int]]:
-    """Every weight of ``char``, given on dominant labels, with its multiplicity."""
-    return [(nu, m) for mu, m in char.items() for nu in roots.orbit(rs, mu)]
-
-
-def _straighten(rs: RootSystem, lam: Labels, char: dict[Labels, int]) -> Decomposition:
-    """V(lam) (x) char, for ``char`` given on dominant labels; lam = 0 decomposes char."""
+def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]]) -> Decomposition:
+    """V(lam) (x) char for distinct (weight, multiplicity) pairs; lam = 0 decomposes char."""
     lam_rho = tuple(c + 1 for c in lam)
-    points = ((tuple(map(add, lam_rho, nu)), m) for nu, m in _weights(rs, char))
+    points = ((tuple(map(add, lam_rho, nu)), m) for nu, m in char)
     return _decomposition(rs, _straighten_points(rs, points))
 
 
@@ -131,7 +127,14 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
     if dimension(a) < dimension(b):
         a, b = b, a
-    return _straighten(a.root_system, a.highest_weight, dominant_multiplicities(b))
+    return _straighten(a.root_system, a.highest_weight, weights(b))
+
+
+def _degree(p) -> int:
+    """``p`` as an int if it equals one (2.0, Fraction(2), True), else DegreeOutOfRange."""
+    if type(p) is int or isinstance(p, Real) and p % 1 == 0:  # inf % 1, nan % 1 are nan
+        return int(p)
+    raise DegreeOutOfRange(f"degree {p!r} is not an integer")
 
 
 @lru_cache(maxsize=None)
@@ -159,7 +162,7 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     key is decoded, by a shift and a mask per label, only when its
     coefficient is nonzero.
     """
-    n = dimension(t)
+    n, p = dimension(t), _degree(p)
     if not 0 <= p <= n:
         raise DegreeOutOfRange(f"degree {p} outside [0, {n}]")
     rs = t.root_system
@@ -170,12 +173,12 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     if p == 0:
         return _decomposition(rs, {(0,) * rs.rank: 1})
     lower = [exterior_power(t, q) for q in range(p)]
-    weights = _weights(rs, dominant_multiplicities(t))
+    t_weights = weights(t)
     # M = top: s_i negates label i, so the largest |nu_i| is the largest nu_i
-    top = max([max(nu) for nu, _ in weights])
+    top = max([max(nu) for nu, _ in t_weights])
     bits = (2 * (p * top + 1)).bit_length()  # S = 2^bits > 2 (p M + 1)
     shifts = [bits * i for i in range(rs.rank)]
-    keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in weights]
+    keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in t_weights]
     half = 1 << bits - 1
     offset = sum((half + 1) << s for s in shifts)  # rho, plus S/2 on every digit
     points: dict[int, int] = {}

@@ -27,8 +27,8 @@ class InternalNegativeMultiplicity(HoloweitzError):
 
 
 class DegreeOutOfRange(HoloweitzError):
-    """Degree outside its range: [0, dim] for an exterior power, 1..n-1 for a
-    form degree in the prover."""
+    """Degree not an integer, or outside its range: [0, dim] for an exterior
+    power, 1..n-1 for a form degree in the prover."""
 
 
 class UnsupportedContext(HoloweitzError):

@@ -6,8 +6,8 @@ dimension formula, weight multiplicities from the Freudenthal recursion
 over the dominant closure of the highest weight, Casimir eigenvalues
 from the highest weight.  Ambient coordinates appear only at the API
 edge: the keys of :func:`weight_system` and the entries of
-:func:`full_weights`, the one walk of the complete weight multiset
-(every Weyl orbit of a dominant weight, repeated by its multiplicity).
+:func:`full_weights`, which maps :func:`weights`, the one walk of the
+Weyl orbits, to ambient coordinates.
 
 The sign convention is Cas = sum X_i^2, so Casimir eigenvalues are
 negative (zero only on the trivial representation).
@@ -223,19 +223,22 @@ def weight_system(irrep: Irrep) -> WeightSystem:
 
 
 @lru_cache(maxsize=None)
+def weights(irrep: Irrep) -> tuple[tuple[Labels, int], ...]:
+    """Every distinct weight in Dynkin labels with its multiplicity, one walk: the
+    dominant weights in :func:`dominant_multiplicities` order, each followed by
+    its Weyl orbit in :func:`roots.orbit`'s breadth-first order."""
+    return tuple((nu, m) for mu, m in dominant_multiplicities(irrep).items()
+                 for nu in roots.orbit(irrep.root_system, mu))
+
+
+@lru_cache(maxsize=None)
 def full_weights(irrep: Irrep) -> tuple[Weight, ...]:
     """The complete weight multiset in ambient coordinates; length dimension(irrep).
 
-    Deterministic order: dominant weights highest first (by (mu, rho)),
-    each Weyl orbit sorted by Dynkin labels, repeated by multiplicity.
+    :func:`weights` in its order, each weight repeated by its multiplicity.
     """
     rs = irrep.root_system
-    out = tuple(
-        w
-        for mu, m in dominant_multiplicities(irrep).items()
-        for w in [roots.to_orthogonal(rs, nu) for nu in sorted(roots.orbit(rs, mu))]
-        for _ in range(m)
-    )
+    out = tuple(w for nu, m in weights(irrep) for w in [roots.to_orthogonal(rs, nu)] * m)
     if len(out) != dimension(irrep):
         raise RuntimeError(
             f"weight multiset of {irrep} has {len(out)} entries, "

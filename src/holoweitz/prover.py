@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 from . import citations
 from .contexts import HolonomyContext, form_space, qr_entry
+from .decompose import _degree
 from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
 from .fmt import fmt_q, fmt_w, trace_json
 from .irreps import Irrep, dimension
@@ -195,6 +196,7 @@ def prove_component(
 ) -> ComponentVerdict:
     """Parallelism analysis for forms of one class inside one component."""
     _require_prover_context(ctx)
+    p = _degree(p)
     _require_form_component(ctx, e, p)
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
     if (entry := qr_entry(ctx, e)) is not None:
@@ -300,6 +302,7 @@ def prove_component(
 def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeReport:
     """Parallelism analysis for all forms of one class in one degree."""
     _require_prover_context(ctx)
+    p = _degree(p)
     if not 1 <= p <= ctx.n - 1:
         raise DegreeOutOfRange(f"degree {p} outside 1..{ctx.n - 1}")
     reductions: list[TraceStep] = []

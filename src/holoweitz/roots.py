@@ -165,11 +165,11 @@ def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, int]:
     return tuple(mu), sign
 
 
-def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
-    """Weyl orbit of a dominant weight in Dynkin labels.
+def orbit(rs: RootSystem, mu: tuple) -> list[tuple]:
+    """Weyl orbit of a dominant weight in Dynkin labels, as a breadth-first list.
 
-    Every orbit point is reached from the dominant one by reflections
-    s_i applied where the i-th label is positive, breadth first.  Like
+    Every orbit point is reached from the dominant one, listed first, by
+    reflections s_i applied where the i-th label is positive.  Like
     :func:`dominant`, s_i flips label i and moves only its Dynkin neighbours.
     """
     seen, queue = {mu}, [mu]
@@ -183,7 +183,7 @@ def orbit(rs: RootSystem, mu: tuple) -> set[tuple]:
                 if (r := tuple(r)) not in seen:
                     seen.add(r)
                     queue.append(r)
-    return seen
+    return queue
 
 
 # --- ambient coordinates, at the API edge -----------------------------------

@@ -18,11 +18,11 @@ weight lam + nu_i for a weight nu_i of T, and C(lam + nu) = C_E + (nu, nu)
 
 (Fegan, Quart. J. Math. 27, 1976): one pairing per summand, computed in
 integers and built as one ``Fraction``.  The per-representation table
-:func:`_weight_table` holds T's distinct weights nu with gram . nu and
-(nu, nu), and C_T, once per holonomy representation, so a context copy
-with another holonomy representation gets its own table.  Summands keep
-zero weights as explicit records; the table renderer suppresses them to
-match the usual printed form.
+:func:`_weight_table` holds T's weights nu (:func:`irreps.weights`) with
+gram . nu and (nu, nu), and C_T, once per holonomy representation, so a
+context copy with another holonomy representation gets its own table.
+Summands keep zero weights as explicit records; the table renderer
+suppresses them to match the usual printed form.
 
 The index i keeps the summand order of :func:`decompose.tensor`, except
 that a bundle with a recorded printed formula takes the printed order.
@@ -44,12 +44,12 @@ from math import lcm
 from operator import mul, sub
 from typing import NamedTuple
 
-from . import citations, roots
+from . import citations
 from .contexts import HolonomyContext
 from .decompose import tensor
 from .errors import MixedRootSystems, MultiplicityViolation
 from .fmt import fmt_neg_q, fmt_q, fmt_w
-from .irreps import Irrep, _holonomy_casimir_number, dimension, dominant_multiplicities
+from .irreps import Irrep, _holonomy_casimir_number, dimension, weights
 from .roots import Labels
 
 
@@ -133,10 +133,9 @@ def _weight_table(t: Irrep) -> tuple[dict[Labels, tuple[Labels, int]], int]:
     rs = t.root_system
     c_t = _holonomy_casimir_number(t)
     table = {}
-    for mu in dominant_multiplicities(t):
-        for nu in roots.orbit(rs, mu):
-            image = tuple(sum(map(mul, row, nu)) for row in rs.gram)
-            table[nu] = (image, sum(map(mul, nu, image)))
+    for nu, _ in weights(t):
+        image = tuple(sum(map(mul, row, nu)) for row in rs.gram)
+        table[nu] = (image, sum(map(mul, nu, image)))
     return table, c_t
 
 

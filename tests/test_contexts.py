@@ -171,6 +171,24 @@ def test_registry_citation_defaults_when_absent(tmp_path):
     assert load_registry(path) == {"g2": (RegistryEntry((0, 1), "user registry entry"),)}
 
 
+@pytest.mark.parametrize(
+    "ctx_id, extra",
+    [("g2", (RegistryEntry([0, 1], "x"),)), ("g2", (((0, 1), "x"),)),
+     ("g2", (RegistryEntry((-1, 0), "x"),)), ("g2", (RegistryEntry(("0", "1"), "x"),)),
+     ("g2", (RegistryEntry((0, 1), None),)), ("g2", (RegistryEntry((False, True), "x"),)),
+     (5, ())],
+    ids=["list-weight", "plain-tuple", "negative-label", "str-labels", "none-citation",
+         "bool-labels", "int-context-id"],
+)
+def test_library_registry_entries_get_the_checks_a_file_gets(ctx_id, extra):
+    with pytest.raises(UnsupportedContext):
+        make_context(ctx_id, extra)
+    # a good entry still extends the registry, and the bool labels registered nothing
+    ctx = make_context("g2", (RegistryEntry((0, 1), "x"),))
+    assert qr_entry(ctx, Irrep(ctx.root_system, (0, 1))) == RegistryEntry((0, 1), "x")
+    assert qr_entry(make_context("g2"), Irrep(ctx.root_system, (0, 1))) is None
+
+
 def test_registry_json_rejects_bad_records(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [-1, 0]}]}))

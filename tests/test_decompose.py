@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from holoweitz import decompose, roots
-from holoweitz.contexts import CONTEXT_IDS, make_context
+from holoweitz import decompose, roots, weitzenboeck
+from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
 from holoweitz.decompose import (
     Decomposition,
     _decomposition,
@@ -30,8 +31,11 @@ from holoweitz.irreps import (
     full_weights,
     trivial_irrep,
     weight_system,
+    weights,
 )
+from holoweitz.prover import prove_theorems
 from holoweitz.roots import build_root_system, dominant, to_fundamental
+from holoweitz.weitzenboeck import conformal_weights
 
 from helpers import character_product, subset_sums
 
@@ -138,8 +142,8 @@ def test_klimyk_is_symmetric_in_both_iteration_orders():
         for _ in range(8):
             a = _random_small_irrep(rng, rs, 80)
             b = _random_small_irrep(rng, rs, 80)
-            a_b = _straighten(rs, a.highest_weight, dominant_multiplicities(b))
-            b_a = _straighten(rs, b.highest_weight, dominant_multiplicities(a))
+            a_b = _straighten(rs, a.highest_weight, weights(b))
+            b_a = _straighten(rs, b.highest_weight, weights(a))
             assert a_b == b_a, (a, b)
 
 
@@ -249,10 +253,7 @@ def test_exterior_power_matches_the_subset_route_exactly(t):
     for p in range(n + 1):
         if comb(n, p) > 10**5:
             continue
-        char = {}
-        for w, m in subset_sums(weight_labels(t), p).items():
-            if min(w) >= 0:
-                char[tuple(map(int, w))] = m
+        char = subset_sums(weight_labels(t), p).items()
         assert exterior_power(t, p) == _straighten(rs, (0,) * rs.rank, char), p
 
 
@@ -313,10 +314,58 @@ def test_each_weight_is_straightened_at_most_once_per_call(monkeypatch, case):
         return real(rs, mu)
 
     monkeypatch.setattr(roots, "dominant", counted)
-    for cached in (dominant_multiplicities, weight_system, tensor, exterior_power):
+    for cached in (dominant_multiplicities, weights, weight_system, tensor, exterior_power):
         cached.cache_clear()
     run()
     assert len(calls) <= ceiling
+
+
+# cold roots.orbit calls per computation: each irrep's orbits are walked once, by
+# irreps.weights, however many tensor products, degrees and formulas read them
+ORBIT_WALKS = {
+    "so10 Weitzenboeck on (0,1,0,0,0)": (lambda: conformal_weights(
+        make_context("so10"), Irrep(build_root_system("D", 5), (0, 1, 0, 0, 0))), 1),
+    "B4 (1,0,0,0) Lambda^4": (lambda: exterior_power(Irrep(B4, (1, 0, 0, 0)), 4), 2),
+    "spin7 theorems": (lambda: prove_theorems(make_context("spin7")), 1),
+}
+
+
+@pytest.mark.parametrize("case", ORBIT_WALKS)
+def test_each_orbit_is_walked_once_per_cold_run(monkeypatch, case):
+    run, walks = ORBIT_WALKS[case]
+    real, calls = roots.orbit, []
+
+    def counted(rs, mu):
+        calls.append(mu)
+        return real(rs, mu)
+
+    monkeypatch.setattr(roots, "orbit", counted)
+    for cached in (dominant_multiplicities, weights, full_weights, tensor, exterior_power,
+                   form_space, weitzenboeck._weight_table):
+        cached.cache_clear()
+    run()
+    assert len(calls) == walks
+
+
+@pytest.mark.parametrize("degree", [2.0, Fraction(2), True], ids=repr)
+def test_a_degree_equal_to_an_int_reads_as_that_int_warm_and_cold(degree):
+    T = Irrep(G2, (1, 0))
+    exterior_power.cache_clear()
+    cold = exterior_power(T, degree)
+    assert cold == exterior_power(T, int(degree))  # warm: the int's cache entry
+    exterior_power.cache_clear()
+    assert exterior_power(T, int(degree)) == cold == exterior_power(T, degree)
+
+
+@pytest.mark.parametrize("degree", [2.5, Fraction(5, 2), "2", None, float("inf"), float("nan")],
+                         ids=repr)
+def test_a_degree_that_is_not_an_integer_is_out_of_range_warm_and_cold(degree):
+    T = Irrep(G2, (1, 0))
+    exterior_power.cache_clear()
+    for _ in range(2):  # cold, then with Lambda^2 cached
+        with pytest.raises(DegreeOutOfRange):
+            exterior_power(T, degree)
+        exterior_power(T, 2)
 
 
 def test_a_wrong_lower_degree_raises_instead_of_answering(monkeypatch):
@@ -360,19 +409,18 @@ def test_multiplicity_freeness_of_holonomy_tensor_products():
 
 
 def test_character_straightening_single_and_sum():
-    # straightening against the trivial weight decomposes a character on dominant labels
-    a = dominant_multiplicities(Irrep(G2, (2, 0)))
+    # straightening against the trivial weight decomposes a character given by all its weights
+    a = weights(Irrep(G2, (2, 0)))
     assert entries(_straighten(G2, (0, 0), a)) == [((2, 0), 1)]
 
-    both = Counter(a) + Counter(dominant_multiplicities(Irrep(G2, (0, 1))))
-    assert entries(_straighten(G2, (0, 0), both)) == [((0, 1), 1), ((2, 0), 1)]
+    both = Counter(dict(a)) + Counter(dict(weights(Irrep(G2, (0, 1)))))
+    assert entries(_straighten(G2, (0, 0), both.items())) == [((0, 1), 1), ((2, 0), 1)]
 
 
 def test_character_straightening_matches_tensor_on_t_squared():
     T = Irrep(G2, (1, 0))
     product = character_product(weight_labels(T), weight_labels(T))
-    char = {mu: m for mu, m in product.items() if min(mu) >= 0}
-    deco = _straighten(G2, (0, 0), char)
+    deco = _straighten(G2, (0, 0), product.items())
     assert deco == tensor(T, T)
     assert entries(deco) == [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((2, 0), 1)]
     assert deco.total_dimension() == 49
@@ -388,7 +436,7 @@ def test_character_straightening_recovers_random_sums_of_irreps():
                 summands[_random_small_irrep(rng, rs, 150).highest_weight] += 1
             char: Counter = Counter()
             for hw, k in summands.items():
-                for mu, m in dominant_multiplicities(Irrep(rs, hw)).items():
-                    char[mu] += k * m
-            deco = _straighten(rs, (0,) * rank, char)
+                for nu, m in weights(Irrep(rs, hw)):
+                    char[nu] += k * m
+            deco = _straighten(rs, (0,) * rank, char.items())
             assert dict(entries(deco)) == summands, summands

@@ -20,8 +20,9 @@ from holoweitz.irreps import (
     full_weights,
     trivial_irrep,
     weight_system,
+    weights,
 )
-from holoweitz.roots import build_root_system, orbit, to_orthogonal
+from holoweitz.roots import build_root_system, dominant, orbit, to_orthogonal
 
 from helpers import (
     ambient_casimir,
@@ -82,8 +83,9 @@ def test_weight_system_answers_cannot_be_changed_by_a_caller():
                 pass
         assert answer(irr) == before
         assert dict(answer(irr).items()) == before and len(answer(irr)) == 2
-    # tensor reads the cached dominant multiplicities of its right factor
+    # tensor reads the cached dominant multiplicities of its right factor, through weights
     tensor.cache_clear()
+    weights.cache_clear()
     assert tensor(Irrep(G2, (2, 0)), irr).total_dimension() == 189
 
 
@@ -223,6 +225,26 @@ def test_b5_orbit_sizes_times_multiplicities_give_the_weyl_dimension():
         total += m * order // stabilisers[zeros]
     assert total == dimension(irr)
     assert len(stabilisers) > 16
+
+
+@pytest.mark.parametrize("rs,hw", [(G2, (1, 1)), (B3, (1, 0, 1)), (A3, (2, 0, 1)), (C3, (0, 1, 1)),
+                                   (D4, (1, 0, 1, 1)), (build_root_system("D", 5), (0, 1, 0, 0, 0))])
+def test_weights_walk_each_orbit_once_from_its_dominant_weight(rs, hw):
+    irr = Irrep(rs, hw)
+    walk = weights(irr)
+    assert type(walk) is tuple and len({nu for nu, _ in walk}) == len(walk)
+    # a dominant weight opens each group, in dominant_multiplicities order, and every
+    # point of the group straightens to it and carries its multiplicity
+    mult = dominant_multiplicities(irr)
+    groups = [i for i, (nu, _) in enumerate(walk) if min(nu) >= 0]
+    assert [walk[i] for i in groups] == list(mult.items())
+    for start, end in zip(groups, groups[1:] + [len(walk)]):
+        mu, m = walk[start]
+        assert {dominant(rs, nu)[0] for nu, _ in walk[start:end]} == {mu}
+        assert {k for _, k in walk[start:end]} == {m}
+    assert sum(m for _, m in walk) == dimension(irr)
+    # full_weights maps the walk to ambient coordinates, in its order
+    assert full_weights(irr) == tuple(to_orthogonal(rs, nu) for nu, m in walk for _ in range(m))
 
 
 def test_form_scaled_copies_derive_their_own_fields():

@@ -16,6 +16,7 @@ from holoweitz.prover import (
     PARALLEL,
     FormClass,
     KilledBy,
+    degree_report_json,
     integrability_factor,
     prove_component,
     prove_degree,
@@ -219,6 +220,27 @@ def test_degree_rejects_out_of_range_and_so_contexts():
         prove_degree(G2, 7, FormClass.KILLING)
     with pytest.raises(ContextNotSupported):
         prove_degree(make_context("so7"), 2, FormClass.KILLING)
+
+
+@pytest.mark.parametrize("degree", [2.0, Fraction(2), True, 6.0], ids=repr)
+def test_a_degree_equal_to_an_int_is_reported_as_that_int(degree):
+    # the twistor class delegates 6 to 1 by duality and keeps the asked degree
+    for form_class in (FormClass.KILLING, FormClass.TWISTOR):
+        report = prove_degree(G2, degree, form_class)
+        assert report == prove_degree(G2, int(degree), form_class)
+        assert type(report.degree) is int and {type(c.degree) for c in report.components} == {int}
+        assert json.loads(json.dumps(degree_report_json(report)))["degree"] == int(degree)
+    first = prove_degree(G2, degree, FormClass.KILLING).components[0]
+    component = prove_component(G2, first.bundle, degree, FormClass.KILLING)
+    assert component == first and type(component.degree) is int
+
+
+@pytest.mark.parametrize("degree", [2.5, "2", None], ids=repr)
+def test_a_degree_that_is_not_an_integer_is_out_of_range(degree):
+    with pytest.raises(DegreeOutOfRange):
+        prove_degree(G2, degree, FormClass.KILLING)
+    with pytest.raises(DegreeOutOfRange):
+        prove_component(G2, Irrep(G2.root_system, (0, 1)), degree, FormClass.KILLING)
 
 
 def test_theorem_claim_sets():

@@ -289,7 +289,7 @@ def test_orbit_of_zero_is_zero():
     for fam, rank in [("G", 2), ("B", 3), ("A", 2)]:
         rs = build_root_system(fam, rank)
         zero = (0,) * rank
-        assert orbit(rs, zero) == {zero}
+        assert orbit(rs, zero) == [zero]
 
 
 def test_orbit_sizes_and_brute_force_agreement():
