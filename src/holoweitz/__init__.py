@@ -26,6 +26,7 @@ from .errors import (
     NotAFormComponent,
     TrivialHolonomyRep,
     UnsupportedContext,
+    UnsupportedFormClass,
     UnsupportedType,
 )
 from .irreps import (
@@ -71,6 +72,7 @@ __all__ = [
     "TheoremReport",
     "TrivialHolonomyRep",
     "UnsupportedContext",
+    "UnsupportedFormClass",
     "UnsupportedType",
     "WeitzenboeckFormula",
     "adjoint_irrep",

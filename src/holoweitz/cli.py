@@ -230,7 +230,7 @@ def _degree_report_text(r) -> str:
 
 def _cmd_prove(parser, args) -> tuple[dict, str]:
     ctx = _context(parser, args)
-    report = prove_degree(ctx, args.degree, FormClass(args.form_class))
+    report = prove_degree(ctx, args.degree, args.form_class)
     return prover.degree_report_json(report), _degree_report_text(report)
 
 

@@ -58,6 +58,13 @@ def _checked(entry: RegistryEntry) -> RegistryEntry:
 
 
 class HolonomyContext(NamedTuple):
+    """A holonomy group with its holonomy representation and q(R) registry.
+
+    Compares and hashes by identity, like a ``RootSystem``: ``make_context``
+    caches what it builds, so a cache keyed on a context hashes no fields,
+    and a ``_replace`` copy is a distinct context.
+    """
+
     id: str
     root_system: RootSystem
     holonomy_rep: Irrep
@@ -65,6 +72,10 @@ class HolonomyContext(NamedTuple):
     dim_g: int
     ricci_flat: bool
     qr_registry: tuple[RegistryEntry, ...]
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"HolonomyContext({self.id})"

@@ -35,6 +35,10 @@ class UnsupportedContext(HoloweitzError):
     """Unknown holonomy context identifier."""
 
 
+class UnsupportedFormClass(HoloweitzError):
+    """Form class neither a ``FormClass`` nor the value of one."""
+
+
 class MultiplicityViolation(HoloweitzError):
     """A tensor product summand occurs more than once; Schur-based reasoning unsound."""
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import isqrt, prod
-from operator import mul, sub
+from operator import mul, not_, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -121,10 +122,38 @@ def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
     top: dict[Labels, Labels] = {}
     classes: Counter[Labels] = Counter()  # not Counter(iterable): its Mapping check is slow cold
     for a in reversed(rs.positive_labels):
-        i = next((i for i in zeros if a[i] < 0), None)
-        top[a] = a if i is None else top[tuple(x - a[i] * c for x, c in zip(a, rs.cartan_matrix[i]))]
+        for i in zeros:
+            if a[i] < 0:  # s_i a = a - a_i * (row i of the Cartan matrix)
+                top[a] = top[tuple(map(sub, a, [a[i] * c for c in rs.cartan_matrix[i]]))]
+                break
+        else:
+            top[a] = a
         classes[top[a]] += 1
     return classes
+
+
+def _walk(rs: RootSystem, nu: list[int], key: int, simple_keys: list[int],
+          known: dict[int, int]) -> int:
+    """The entry of ``known`` first met on the way from the string point ``nu``
+    (its labels, consumed; its integer key ``key`` is not in ``known``) into the
+    dominant chamber, or 0 if the walk reaches the chamber without one.
+
+    The worklist of :func:`roots.dominant`: s_i flips label i, moves only its
+    Dynkin neighbours and moves the key by -nu_i key(a_i)."""
+    stack = [i for i, c in enumerate(nu) if c < 0]
+    while stack:
+        i = stack.pop()
+        c = nu[i]
+        nu[i] = -c
+        key -= c * simple_keys[i]
+        if (m := known.get(key)) is not None:
+            return m
+        for j, a in rs.neighbours[i]:
+            was = nu[j]
+            nu[j] = was - c * a
+            if was >= 0 > nu[j]:
+                stack.append(j)
+    return 0
 
 
 @lru_cache(maxsize=None)
@@ -145,13 +174,24 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     A string walks on one integer key per point, key(nu) = sum_i nu_i S^i,
     so a step adds key(a) and probes one dict.  The norm bound gives
     |nu_i| = 2 |(nu, a_i)| / (a_i, a_i) <= 2 sqrt((lam, lam) / (a_i, a_i)) <= B,
-    B taken at a short simple root, on every point walked; S is a power of
-    two above 2 B, so the digits never carry and distinct points have
-    distinct keys.  The dict holds m at the key of every dominant weight
-    found so far and of every string point already resolved.  On a miss
-    the point's labels are built: a dominant point not yet found is not a
-    weight, and a non-dominant one is straightened, once per call, and
-    read at its dominant representative.  The keys never leave the call.
+    B taken at a short simple root, on every point of norm at most
+    (lam, lam); S is a power of two above 2 B, so the digits never carry
+    and distinct such points have distinct keys.  The keys never leave
+    the call.
+
+    The dict ``known`` maps keys to multiplicities, 0 off the weights.
+    Seed: when m(mu) is set for a dominant mu, lam included, m is entered
+    at key(mu) and at key(s_i mu) = key(mu) - mu_i key(a_i) for each
+    mu_i > 0, key(a_i) being row i of the Cartan matrix on the key
+    powers; s_i mu has mu's norm, so its key stays inside the digit
+    bound.  Walk: a string point whose key is not known is reflected
+    towards the dominant chamber by :func:`_walk`, its key moving with
+    it, and takes the first known entry met on the way.  A reflection
+    keeps the norm, so every key walked is inside the bound.  If the
+    walk reaches the chamber without one, the point is not a weight:
+    the dominant form of mu + k a (k >= 1) lies above mu, so it comes
+    before mu in the closure's order and is known if it is a weight.
+    The point's own key then holds the answer.
 
     The right side is summed by classes (Moody-Patera, Bull. AMS 7, 1982):
     the stabiliser W_mu of mu, generated by the s_i with mu_i = 0, keeps
@@ -169,29 +209,38 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root
     bits = (2 * isqrt(2 * top // min(map(sum, rs.root_pairings)))).bit_length()  # S = 2^bits > 2 B
     powers = [1 << bits * i for i in range(rs.rank)]
+    simple_keys = [sum(map(mul, row, powers)) for row in rs.cartan_matrix]
     pairings = dict(zip(rs.positive_labels, rs.root_pairings))
-    tables: dict[tuple[int, ...], list[tuple[Labels, int, Labels, int, int]]] = {}
+    tables: dict[tuple[bool, ...], list[tuple[Labels, int, Labels, int, int]]] = {}
     mult = {lam: 1}
-    known = {sum(map(mul, lam, powers)): 1}  # key -> multiplicity, 0 off the weights
+    known = {}  # key -> multiplicity, 0 off the weights
+
+    def seed(mu: Labels, key_mu: int, m: int) -> None:
+        known[key_mu] = m
+        for c, step_key in zip(mu, simple_keys):
+            if c:
+                known[key_mu - c * step_key] = m
+
+    seed(lam, sum(map(mul, lam, powers)), 1)
     for mu in _dominant_closure(rs, lam)[1:]:
-        zeros = tuple(i for i, c in enumerate(mu) if not c)
-        if zeros not in tables:  # (root, its key, its pairings, (a, a), class size) per class
-            tables[zeros] = [(a, sum(map(mul, a, powers)), wa := pairings[a],
-                              sum(map(mul, a, wa)), size)
-                             for a, size in _root_classes(rs, zeros).items()]
+        pattern = tuple(map(bool, mu))
+        if (table := tables.get(pattern)) is None:  # (root, its key, its pairings, (a, a), size)
+            zeros = tuple(compress(range(rs.rank), map(not_, pattern)))
+            table = tables[pattern] = [(a, sum(map(mul, a, powers)), wa := pairings[a],
+                                        sum(map(mul, a, wa)), size)
+                                       for a, size in _root_classes(rs, zeros).items()]
         norm_mu = dot(rs, mu, mu)
         key_mu = sum(map(mul, mu, powers))
         total = 0
-        for a, step_key, wa, step, size in tables[zeros]:
+        for a, step_key, wa, step, size in table:
             pairing, string = sum(map(mul, mu, wa)) + step, 0
             norm, key, k = norm_mu + 2 * pairing - step, key_mu, 0
             while norm <= top:
                 key += step_key
                 k += 1
                 if (m := known.get(key)) is None:
-                    nu = tuple(x + k * y for x, y in zip(mu, a))
-                    m = known[key] = 0 if min(nu) >= 0 else known.get(
-                        sum(map(mul, roots.dominant(rs, nu)[0], powers)), 0)
+                    nu = [x + k * y for x, y in zip(mu, a)]
+                    m = known[key] = _walk(rs, nu, key, simple_keys, known) if min(nu) < 0 else 0
                 if not m:
                     break
                 string += m * pairing
@@ -202,7 +251,8 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
         value, rest = divmod(2 * total, gap)
         if rest or value <= 0:
             raise RuntimeError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
-        mult[mu] = known[key_mu] = value
+        mult[mu] = value
+        seed(mu, key_mu, value)
     return MappingProxyType(mult)
 
 

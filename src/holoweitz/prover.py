@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import citations
 from .contexts import HolonomyContext, form_space, qr_entry
 from .decompose import _degree
-from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
+from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent, UnsupportedFormClass
 from .fmt import fmt_q, fmt_w, trace_json
 from .irreps import Irrep, dimension
 from .weitzenboeck import conformal_summands
@@ -114,6 +114,19 @@ EXPECTED_PARALLEL = {
 }
 
 
+def _form_class(form_class) -> FormClass:
+    """``form_class`` if it is a FormClass, else the member it is the value of
+    ("killing", ...); UnsupportedFormClass on anything else."""
+    if type(form_class) is FormClass:
+        return form_class
+    try:
+        return FormClass(form_class)
+    except (TypeError, ValueError):
+        raise UnsupportedFormClass(
+            f"form class {form_class!r} is not one of {', '.join(c.value for c in FormClass)}"
+        ) from None
+
+
 def _require_prover_context(ctx: HolonomyContext) -> None:
     if not ctx.ricci_flat:
         raise ContextNotSupported(
@@ -160,13 +173,14 @@ def _vanishing_analysis(
     return tuple(statuses)
 
 
-def integrability_factor(form_class: FormClass, p: int, n: int) -> Fraction | None:
+def integrability_factor(form_class: FormClass | str, p: int, n: int) -> Fraction | None:
     """Factor f with f * nabla*nabla = q(R) for the form class, if any.
 
     Killing forms in degree p give f = p; *-Killing forms give f = n - p
     by Hodge duality; twistor forms give f = p only in the middle degree
     n = 2p.  Otherwise there is no such identity and None is returned.
     """
+    form_class = _form_class(form_class)
     if form_class is FormClass.KILLING:
         return Fraction(p)
     if form_class is FormClass.STAR_KILLING:
@@ -192,9 +206,10 @@ _KILL_STEPS = (
 
 
 def prove_component(
-    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
+    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass | str
 ) -> ComponentVerdict:
     """Parallelism analysis for forms of one class inside one component."""
+    form_class = _form_class(form_class)
     _require_prover_context(ctx)
     p = _degree(p)
     _require_form_component(ctx, e, p)
@@ -299,8 +314,9 @@ def prove_component(
     )
 
 
-def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass) -> DegreeReport:
+def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass | str) -> DegreeReport:
     """Parallelism analysis for all forms of one class in one degree."""
+    form_class = _form_class(form_class)
     _require_prover_context(ctx)
     p = _degree(p)
     if not 1 <= p <= ctx.n - 1:

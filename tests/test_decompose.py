@@ -9,7 +9,7 @@ from math import comb
 
 import pytest
 
-from holoweitz import decompose, roots, weitzenboeck
+from holoweitz import decompose, irreps, roots, weitzenboeck
 from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
 from holoweitz.decompose import (
     Decomposition,
@@ -291,33 +291,43 @@ def test_newton_keys_stay_apart_on_large_labels(where, hw, p):
     assert traced == comb(n - 2, p - 1) * n * _casimir_number(rs, hw)
 
 
-# ceilings on cold roots.dominant calls per computation, Freudenthal included:
-# each weight is straightened at most once per call, and a point with no
-# negative label is not straightened at all
+# cold roots.dominant calls and Freudenthal key walks (irreps._walk) per computation.
+# Freudenthal reads each string point at its key: the keys of a dominant weight's
+# simple reflections are entered with its multiplicity, and only the other points
+# with a negative label walk, each at most once per call; a point with no negative
+# label neither walks nor is straightened.  Tensor products and exterior powers
+# straighten with roots.dominant.
 STRAIGHTENINGS = {
-    "weight system B3 (3,3,3)": (lambda: weight_system(Irrep(B3, (3, 3, 3))), 317),
-    "tensor B3 (2,2,2) x (2,1,2)": (lambda: tensor(Irrep(B3, (2, 2, 2)), Irrep(B3, (2, 1, 2))), 253),
-    "G2 (2,0) Lambda^4": (lambda: exterior_power(Irrep(G2, (2, 0)), 4), 122),
-    "G2 (1,1) Lambda^12": (lambda: exterior_power(Irrep(G2, (1, 1)), 12), 7289),
-    "B4 (1,0,0,0) Lambda^4": (lambda: exterior_power(Irrep(B4, (1, 0, 0, 0)), 4), 40),
-    "B4 (0,0,0,1) Lambda^3": (lambda: exterior_power(Irrep(B4, (0, 0, 0, 1)), 3), 41),
+    "weight system B3 (3,3,3)": (lambda: weight_system(Irrep(B3, (3, 3, 3))), 0, 174),
+    "tensor B3 (2,2,2) x (2,1,2)": (lambda: tensor(Irrep(B3, (2, 2, 2)), Irrep(B3, (2, 1, 2))),
+                                    223, 13),
+    "G2 (2,0) Lambda^4": (lambda: exterior_power(Irrep(G2, (2, 0)), 4), 121, 0),
+    "G2 (1,1) Lambda^12": (lambda: exterior_power(Irrep(G2, (1, 1)), 12), 7286, 0),
+    "B4 (1,0,0,0) Lambda^4": (lambda: exterior_power(Irrep(B4, (1, 0, 0, 0)), 4), 40, 0),
+    "B4 (0,0,0,1) Lambda^3": (lambda: exterior_power(Irrep(B4, (0, 0, 0, 1)), 3), 41, 0),
 }
 
 
 @pytest.mark.parametrize("case", STRAIGHTENINGS)
 def test_each_weight_is_straightened_at_most_once_per_call(monkeypatch, case):
-    run, ceiling = STRAIGHTENINGS[case]
-    real, calls = roots.dominant, []
+    run, straightenings, walks = STRAIGHTENINGS[case]
+    counts = {"dominant": 0, "_walk": 0}
 
-    def counted(rs, mu):
-        calls.append(mu)
-        return real(rs, mu)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(roots, "dominant", counted)
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(roots, "dominant")
+    counting(irreps, "_walk")
     for cached in (dominant_multiplicities, weights, weight_system, tensor, exterior_power):
         cached.cache_clear()
     run()
-    assert len(calls) <= ceiling
+    assert counts == {"dominant": straightenings, "_walk": walks}
 
 
 # cold roots.orbit calls per computation: each irrep's orbits are walked once, by

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from holoweitz.contexts import form_space, make_context, qr_trivial
-from holoweitz.errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent
+from holoweitz.errors import (
+    ContextNotSupported,
+    DegreeOutOfRange,
+    HoloweitzError,
+    NotAFormComponent,
+    UnsupportedFormClass,
+)
 from holoweitz.irreps import Irrep
 from holoweitz.prover import (
     EXPECTED_PARALLEL,
@@ -69,6 +75,30 @@ def test_integrability_factors():
     assert integrability_factor(FormClass.STAR_KILLING, 3, 8) == 5
     assert integrability_factor(FormClass.TWISTOR, 4, 8) == 4
     assert integrability_factor(FormClass.TWISTOR, 3, 8) is None
+
+
+@pytest.mark.parametrize("form_class", list(FormClass), ids=lambda c: c.value)
+def test_a_form_class_value_reads_as_its_member(form_class):
+    assert integrability_factor(form_class.value, 3, 7) == integrability_factor(form_class, 3, 7)
+    e = Irrep(G2.root_system, (0, 1))
+    assert prove_component(G2, e, 2, form_class.value) == prove_component(G2, e, 2, form_class)
+    for ctx in (G2, S7):
+        for p in (3, ctx.n - 2):
+            assert prove_degree(ctx, p, form_class.value) == prove_degree(ctx, p, form_class)
+    assert prove_degree(G2, 3, form_class.value).form_class is form_class
+
+
+@pytest.mark.parametrize("form_class", ["twistor ", "Killing", "killing-star", None, 1, 0.5,
+                                        ["killing"], KilledBy.NONE], ids=repr)
+def test_a_form_class_that_is_no_member_or_value_is_unsupported(form_class):
+    assert issubclass(UnsupportedFormClass, HoloweitzError)
+    e = Irrep(G2.root_system, (0, 1))
+    for call in (lambda: prove_degree(S7, 4, form_class),
+                 lambda: prove_degree(G2, 3, form_class),
+                 lambda: prove_component(G2, e, 2, form_class),
+                 lambda: integrability_factor(form_class, 3, 7)):
+        with pytest.raises(UnsupportedFormClass):
+            call()
 
 
 def test_component_g2_lambda2_14_killing():

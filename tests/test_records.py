@@ -1,4 +1,4 @@
-"""Record semantics: immutable values, identity-compared root systems, stable reprs."""
+"""Record semantics: immutable values, identity-compared root systems and contexts, stable reprs."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoweitz.contexts import make_context
+from holoweitz.contexts import form_space, make_context
 from holoweitz.decompose import Decomposition, exterior_power
 from holoweitz.irreps import Irrep
 from holoweitz.roots import build_root_system, to_orthogonal
@@ -21,6 +21,16 @@ def test_root_systems_compare_and_hash_by_identity():
     assert copy is not B3 and copy != B3 and B3 == B3
     assert copy.gram == B3.gram and copy.root_pairings == B3.root_pairings
     assert hash(B3) == object.__hash__(B3) and len({B3, copy, B3}) == 2
+
+
+def test_contexts_compare_and_hash_by_identity():
+    ctx = make_context("spin7")
+    copy = ctx._replace()
+    assert copy is not ctx and copy != ctx and not copy == ctx and ctx == ctx
+    assert make_context("Spin(7)") is ctx and tuple(copy) == tuple(ctx)
+    assert hash(ctx) == object.__hash__(ctx) and len({ctx, copy, ctx}) == 2
+    # a copy is its own cache key: changing a field changes what it answers
+    assert form_space(ctx._replace(holonomy_rep=Irrep(B3, (1, 0, 0))), 2) != form_space(ctx, 2)
 
 
 def test_root_system_replace_takes_only_constructor_fields():
