@@ -20,6 +20,7 @@ from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     HoloweitzError,
+    InternalError,
     InternalNegativeMultiplicity,
     MixedRootSystems,
     MultiplicityViolation,
@@ -62,6 +63,7 @@ __all__ = [
     "FormClass",
     "HolonomyContext",
     "HoloweitzError",
+    "InternalError",
     "InternalNegativeMultiplicity",
     "Irrep",
     "MixedRootSystems",

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import citations
 from .decompose import Decomposition, exterior_power
-from .errors import MixedRootSystems, UnsupportedContext
+from .errors import InternalError, MixedRootSystems, UnsupportedContext
 from .irreps import Irrep, adjoint_irrep, dimension
 from .roots import RootSystem, build_root_system
 
@@ -99,7 +99,7 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
     dim_g = dimension(adjoint_irrep(rs))
     if (n, dim_g) != (expect_n, expect_dim_g):
         # the G2 pin: a flipped Cartan convention would put the adjoint at w1
-        raise RuntimeError(
+        raise InternalError(
             f"context {ctx_id}: holonomy representation has dim {n} and "
             f"dim(g) = {dim_g}, expected {expect_n}/{expect_dim_g}; "
             "root system conventions are broken"
@@ -130,7 +130,7 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
         qr_registry=tuple(registry),
     )
     if (qr_entry(ctx, hol) is not None) != ricci_flat:
-        raise RuntimeError(
+        raise InternalError(
             f"context {ctx_id}: holonomy representation registry membership "
             "must match Ricci-flatness"
         )

@@ -23,19 +23,24 @@ with a negative label once (a point with none is dominant as it
 stands) and shifts each dominant result by -rho once.
 
 The summand order (see :class:`Decomposition`) is decided here alone; it
-numbers the twistor operators T_i downstream.
+numbers the twistor operators T_i downstream.  Sorting by dimension
+computes every summand's Weyl dimension, so each answer is also checked
+to conserve dimension: dim a * dim b for a tensor product, C(n, p) for
+Lambda^p, or :class:`InternalError`.  Summand irreps are built from the
+kernel's labels without the checks of ``Irrep(...)``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from numbers import Real
 from operator import add, lshift, mul
 from typing import Iterable
 
 from . import roots
-from .errors import DegreeOutOfRange, InternalNegativeMultiplicity, MixedRootSystems
-from .irreps import Irrep, dimension, weights
+from .errors import DegreeOutOfRange, InternalError, InternalNegativeMultiplicity, MixedRootSystems
+from .irreps import Irrep, _unchecked_irrep, dimension, weights
 from .roots import Labels, RootSystem
 
 
@@ -91,28 +96,37 @@ def _straighten_points(rs: RootSystem, points: Iterable[tuple[Labels, int]]) -> 
     return {tuple(x - 1 for x in dom): m for dom, m in acc.items()}
 
 
-def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1) -> Decomposition:
+def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1,
+                   total: int | None = None) -> Decomposition:
     """The checked step: ``acc / q`` as a sorted :class:`Decomposition`, or
-    :class:`InternalNegativeMultiplicity` on a negative or indivisible entry."""
+    :class:`InternalNegativeMultiplicity` on a negative or indivisible entry.
+
+    Given ``total``, the summands' dimensions, which the sort computes
+    anyway, must add up to it, or :class:`InternalError` is raised."""
     entries = []
+    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
     for hw, m in acc.items():
         if m:
             value, rest = divmod(m, q)
+            irr = _unchecked_irrep(rs, hw)
             if rest or value < 0:
                 why = "negative" if m < 0 else f"not divisible by {q}"
-                raise InternalNegativeMultiplicity(f"multiplicity {m} at {Irrep(rs, hw)}: {why}")
-            entries.append((Irrep(rs, hw), value))
-    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
-    entries.sort(key=lambda em: (
-        dimension(em[0]), [sum(map(mul, em[0].highest_weight, col)) for col in columns]))
-    return Decomposition(entries)
+                raise InternalNegativeMultiplicity(f"multiplicity {m} at {irr}: {why}")
+            key = [sum(map(mul, hw, col)) for col in columns]
+            entries.append((dimension(irr), key, irr, value))
+    entries.sort()  # distinct highest weights have distinct ambient keys: no Irrep is compared
+    if total is not None and (found := sum(d * m for d, _, _, m in entries)) != total:
+        raise InternalError(f"summands add up to dimension {found}, expected {total}")
+    return Decomposition([(irr, m) for _, _, irr, m in entries])
 
 
-def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]]) -> Decomposition:
-    """V(lam) (x) char for distinct (weight, multiplicity) pairs; lam = 0 decomposes char."""
+def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
+                total: int | None = None) -> Decomposition:
+    """V(lam) (x) char for distinct (weight, multiplicity) pairs; lam = 0 decomposes char.
+    ``total`` is the dimension the summands must add up to, if given."""
     lam_rho = tuple(c + 1 for c in lam)
     points = ((tuple(map(add, lam_rho, nu)), m) for nu, m in char)
-    return _decomposition(rs, _straighten_points(rs, points))
+    return _decomposition(rs, _straighten_points(rs, points), total=total)
 
 
 @lru_cache(maxsize=None)
@@ -125,9 +139,10 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
     """
     if a.root_system != b.root_system:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
-    if dimension(a) < dimension(b):
+    dim_a, dim_b = dimension(a), dimension(b)
+    if dim_a < dim_b:
         a, b = b, a
-    return _straighten(a.root_system, a.highest_weight, weights(b))
+    return _straighten(a.root_system, a.highest_weight, weights(b), dim_a * dim_b)
 
 
 def _degree(p) -> int:
@@ -169,7 +184,7 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     if 2 * p > n:
         dual = {roots.dominant(rs, [-c for c in v.highest_weight])[0]: m
                 for v, m in exterior_power(t, n - p)}
-        return _decomposition(rs, dual)
+        return _decomposition(rs, dual, total=comb(n, p))
     if p == 0:
         return _decomposition(rs, {(0,) * rs.rank: 1})
     lower = [exterior_power(t, q) for q in range(p)]
@@ -193,4 +208,4 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     mask = (1 << bits) - 1
     decoded = ((tuple([(x >> s & mask) - half for s in shifts]), c)
                for x, c in points.items() if c)
-    return _decomposition(rs, _straighten_points(rs, decoded), p)
+    return _decomposition(rs, _straighten_points(rs, decoded), p, comb(n, p))

@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from . import roots
-from .errors import MixedRootSystems, TrivialHolonomyRep
+from .errors import InternalError, MixedRootSystems, TrivialHolonomyRep
 from .roots import Labels, RootSystem, Weight, dot
 
 WeightSystem = Mapping[Weight, int]
@@ -64,6 +64,12 @@ class Irrep(namedtuple("Irrep", ("root_system", "highest_weight"))):
         return f"Irrep({self.root_system.family}{self.root_system.rank}, {self.highest_weight})"
 
 
+def _unchecked_irrep(rs: RootSystem, hw: Labels) -> Irrep:
+    """``Irrep(rs, hw)`` without its checks, for a highest weight that the
+    decomposition kernel computed: a tuple of ``rs.rank`` non-negative ints."""
+    return tuple.__new__(Irrep, (rs, hw))
+
+
 def trivial_irrep(rs: RootSystem) -> Irrep:
     return Irrep(rs, (0,) * rs.rank)
 
@@ -77,13 +83,14 @@ def adjoint_irrep(rs: RootSystem) -> Irrep:
 def dimension(irrep: Irrep) -> int:
     """Weyl dimension formula: prod over positive roots of (l+rho,a)/(rho,a).
 
-    The denominator is the root system's ``weyl_denominator``."""
+    The numerator's pairings are summed along the root poset
+    (:func:`roots.poset_pairings`), one addition per positive root that
+    is not simple; the denominator is the root system's ``weyl_denominator``."""
     rs = irrep.root_system
-    lam_rho = [c + 1 for c in irrep.highest_weight]
-    num, den = prod([sum(map(mul, lam_rho, wa)) for wa in rs.root_pairings]), rs.weyl_denominator
-    value, rest = divmod(num, den)
+    num = prod(roots.poset_pairings(rs.root_poset, [c + 1 for c in irrep.highest_weight]))
+    value, rest = divmod(num, den := rs.weyl_denominator)
     if rest:
-        raise RuntimeError(f"Weyl dimension of {irrep} is not an integer: {num}/{den}")
+        raise InternalError(f"Weyl dimension of {irrep} is not an integer: {num}/{den}")
     return value
 
 
@@ -250,7 +257,7 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
         gap = top_rho - norm_mu - 2 * sum(map(mul, mu, rho))
         value, rest = divmod(2 * total, gap)
         if rest or value <= 0:
-            raise RuntimeError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
+            raise InternalError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
         mult[mu] = value
         seed(mu, key_mu, value)
     return MappingProxyType(mult)
@@ -290,7 +297,7 @@ def full_weights(irrep: Irrep) -> tuple[Weight, ...]:
     rs = irrep.root_system
     out = tuple(w for nu, m in weights(irrep) for w in [roots.to_orthogonal(rs, nu)] * m)
     if len(out) != dimension(irrep):
-        raise RuntimeError(
+        raise InternalError(
             f"weight multiset of {irrep} has {len(out)} entries, "
             f"expected {dimension(irrep)}"
         )

@@ -143,11 +143,18 @@ def _require_form_component(ctx: HolonomyContext, e: Irrep, p: int) -> None:
         raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
 
 
+def _adjacent_spaces(ctx: HolonomyContext, p: int) -> tuple[dict[Irrep, int], dict[Irrep, int]]:
+    """The (p+1)- and (p-1)-forms, each as a map irrep -> multiplicity."""
+    return dict(form_space(ctx, p + 1)), dict(form_space(ctx, p - 1))
+
+
 def _vanishing_analysis(
-    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass
+    ctx: HolonomyContext, e: Irrep, form_class: FormClass,
+    adjacent: tuple[dict[Irrep, int], dict[Irrep, int]],
 ) -> tuple[SummandStatus, ...]:
     """Which twistor operators on E vanish for forms of the given class,
-    on a checked context and a component of the p-forms.
+    on a checked context and a component of the p-forms, given the
+    adjacent form spaces of :func:`_adjacent_spaces`.
 
     Occurrence counts of each summand of T (x) E in the adjacent form
     spaces drive three rules: a summand in neither space has an
@@ -155,8 +162,7 @@ def _vanishing_analysis(
     (*-Killing) kill operators into summands of the (p+1)-forms; coclosed
     forms (Killing) kill operators into summands of the (p-1)-forms.
     """
-    plus = dict(form_space(ctx, p + 1))  # irrep -> multiplicity
-    minus = dict(form_space(ctx, p - 1))
+    plus, minus = adjacent
     statuses = []
     for s in conformal_summands(ctx, e):  # also enforces multiplicity-freeness
         occ_plus = plus.get(s.irrep, 0)
@@ -213,6 +219,16 @@ def prove_component(
     _require_prover_context(ctx)
     p = _degree(p)
     _require_form_component(ctx, e, p)
+    return _prove_component(ctx, e, p, form_class)
+
+
+def _prove_component(
+    ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass,
+    adjacent: tuple[dict[Irrep, int], dict[Irrep, int]] | None = None,
+) -> ComponentVerdict:
+    """:func:`prove_component` on checked arguments: a prover context, a
+    component ``e`` of the p-forms and a FormClass; ``adjacent`` is
+    :func:`_adjacent_spaces` of ``p`` if the caller has it."""
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
     if (entry := qr_entry(ctx, e)) is not None:
         trace = (
@@ -234,7 +250,7 @@ def prove_component(
             trace=trace,
         )
 
-    statuses = _vanishing_analysis(ctx, e, p, form_class)
+    statuses = _vanishing_analysis(ctx, e, form_class, adjacent or _adjacent_spaces(ctx, p))
     trace: list[TraceStep] = [
         _step(
             "conformal-weights",
@@ -376,8 +392,9 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass | str) -> D
         )
         justified = False
 
+    adjacent = _adjacent_spaces(ctx, p)
     components = tuple(
-        prove_component(ctx, irr, p, effective_class) for irr in components_irreps
+        _prove_component(ctx, irr, p, effective_class, adjacent) for irr in components_irreps
     )
     if justified and all(c.verdict == PARALLEL for c in components):
         verdict = PARALLEL

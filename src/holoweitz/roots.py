@@ -10,12 +10,17 @@ the invariant form itself is ``form_scale * gram``.
 ``dominant`` keeps a worklist of the negative labels: after s_i only the
 Dynkin neighbours of i can turn negative, and only those are pushed.  Each
 step lowers by one the number of positive roots that pair negatively with
-the weight, so the sign does not depend on the order of the steps.  The
-neighbours, the pairings ``gram . a`` of each positive root a, the Weyl
-denominator (the product of the (rho, a)), the common denominator
-``den`` of the fundamental weights and the columns of the integer
-fundamental weights ``den * w_i`` are fields derived by the
-constructor: a ``RootSystem._replace`` copy derives them afresh.
+the weight, so the sign does not depend on the order of the steps.
+
+The root poset links each positive root a that is not simple to a lower
+one, a - a_j, so a pairing (x, a) costs one addition on top of
+(x, a - a_j) (:func:`poset_pairings`).  The neighbours, the root poset,
+the pairings (w_i, a) of each positive root a, the Weyl denominator (the
+product of the (rho, a)), the common denominator ``den`` of the
+fundamental weights and the columns of the integer fundamental weights
+``den * w_i`` are fields derived by the constructor, the pairings and
+the denominator along the poset: a ``RootSystem._replace`` copy derives
+them afresh.
 
 Ambient coordinates, tuples of ``fractions.Fraction``, appear only at the
 API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
@@ -45,10 +50,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, UnsupportedType
+from .errors import DimensionMismatch, InternalError, UnsupportedType
 
 Weight = tuple[Fraction, ...]
 Labels = tuple[int, ...]
@@ -61,7 +66,7 @@ def vector(coords: Iterable) -> Weight:
     return tuple(Fraction(c) for c in coords)
 
 
-# the constructor's fields, in order; five more are derived from them
+# the constructor's fields, in order; six more are derived from them
 _GIVEN = ("family", "rank", "simple_roots", "fundamental_weights", "positive_roots",
           "cartan_matrix", "base_form", "rho", "positive_labels", "gram", "form_scale")
 
@@ -77,17 +82,23 @@ class RootSystem:
     fundamental weights have (w_i, w_j) = form_scale * gram[i][j].
 
     Derived by the constructor: ``neighbours[i]`` lists (j, cartan_matrix[i][j])
-    for the Dynkin neighbours j of i; ``root_pairings[k][i]`` = (w_i,
-    positive_labels[k]) in gram units; ``weyl_denominator`` is the product
-    of (rho, a) over the positive roots a, in gram units; ``den`` > 0 is
-    the least common denominator of the fundamental weights and
-    ``fundamental_columns[k][i]`` = den * (w_i)_k, the k-th ambient
-    coordinate of den * w_i.  Fields cannot be assigned, and ``_replace``
-    takes only the constructor's fields.
+    for the Dynkin neighbours j of i.  ``root_poset`` is ``(simple,
+    edges)``: the first ``rank`` positive roots are the simple ones, and
+    ``simple[k]`` = (j, (a_j, a_j)/2 in gram units) when positive_labels[k]
+    is a_j; ``edges[k - rank]`` = (parent, s) for each later root a =
+    positive_labels[k], where positive_labels[s] is the a_j of a's first
+    positive label j and positive_labels[parent] = a - a_j, both before k.
+    ``root_pairings[k][i]`` = (w_i, positive_labels[k]) in gram units, the
+    parent's row plus (a_j, a_j)/2 at j; ``weyl_denominator`` is the
+    product of (rho, a) over the positive roots a, in gram units, summed
+    along the poset.  ``den`` > 0 is the least common denominator of the
+    fundamental weights and ``fundamental_columns[k][i]`` = den * (w_i)_k,
+    the k-th ambient coordinate of den * w_i.  Fields cannot be assigned,
+    and ``_replace`` takes only the constructor's fields.
     """
 
-    __slots__ = _GIVEN + ("neighbours", "root_pairings", "weyl_denominator", "den",
-                          "fundamental_columns")
+    __slots__ = _GIVEN + ("neighbours", "root_poset", "root_pairings", "weyl_denominator",
+                          "den", "fundamental_columns")
 
     def __init__(
         self,
@@ -104,15 +115,16 @@ class RootSystem:
         form_scale: Fraction,
     ):
         den = lcm(*(x.denominator for w in fundamental_weights for x in w))
-        sparse = [[(k, x) for k, x in enumerate(a) if x] for a in positive_labels]
-        pairings = tuple(tuple(sum(row[k] * x for k, x in nz) for row in gram) for nz in sparse)
+        poset = _root_poset(cartan_matrix, positive_labels, gram)
+        units = [[int(i == j) for j in range(rank)] for i in range(rank)]  # w_i in labels
         values = (
             family, rank, simple_roots, fundamental_weights, positive_roots, cartan_matrix,
             base_form, rho, positive_labels, gram, form_scale,
             tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
                   for i, row in enumerate(cartan_matrix)),
-            pairings,
-            prod(map(sum, pairings)),
+            poset,
+            tuple(zip(*[poset_pairings(poset, w) for w in units])),
+            prod(poset_pairings(poset, (1,) * rank)),
             den,
             tuple(zip(*(tuple(int(x * den) for x in w) for w in fundamental_weights))),
         )
@@ -136,6 +148,38 @@ class RootSystem:
 
     def __repr__(self) -> str:  # keep reprs short; the full tuple dump is noise
         return f"RootSystem({self.family}{self.rank})"
+
+
+def _root_poset(cartan: Sequence[Labels], labels: Sequence[Labels],
+                gram: Sequence[Labels]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``(simple, edges)`` of the positive roots ``labels``, simple roots first
+    and every root after the roots below it: see :class:`RootSystem`.
+
+    A positive root a that is not simple has a label j with a_j > 0, and
+    a - a_j is then a positive root (Humphreys, GTM 9, 10.2); j is the first
+    such label.  (a_j, a_j) / 2 = (w_j, a_j) is row j of ``gram`` against
+    row j of the Cartan matrix."""
+    rank = len(cartan)
+    simple = tuple((j, sum(map(mul, cartan[j], gram[j])))
+                   for j in map(cartan.index, labels[:rank]))
+    position = {a: k for k, a in enumerate(labels)}
+    at = {j: k for k, (j, _) in enumerate(simple)}
+    edges = []
+    for a in labels[rank:]:
+        j = next(i for i, c in enumerate(a) if c > 0)
+        edges.append((position[tuple(map(sub, a, cartan[j]))], at[j]))
+    return simple, tuple(edges)
+
+
+def poset_pairings(poset: tuple, x: Sequence[int]) -> list[int]:
+    """(x, a) in gram units for the weight x (Dynkin labels) and every positive
+    root a, in order: (x, a_j) = x_j (a_j, a_j) / 2 at a simple root, then one
+    addition per root, (x, a) = (x, a - a_j) + (x, a_j)."""
+    simple, edges = poset
+    pairs = [x[j] * d for j, d in simple]
+    for parent, s in edges:
+        pairs.append(pairs[parent] + pairs[s])
+    return pairs
 
 
 def dot(rs: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
@@ -271,8 +315,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     ambient = {r: tuple(combine(coeffs)) for r, coeffs in found.items()}
     positive = sorted(found, key=lambda r: (sum(found[r]), ambient[r]))
     if any(sum(col) != 2 for col in zip(*positive)):
-        raise RuntimeError(f"{family}{rank}: half-sum of positive roots disagrees with the "
-                           "sum of fundamental weights; root conventions are broken")
+        raise InternalError(f"{family}{rank}: half-sum of positive roots disagrees with the "
+                            "sum of fundamental weights; root conventions are broken")
 
     # fraction-free Gauss-Jordan (Bareiss) on [C | I]: by Sylvester's identity each division by
     # the previous pivot is exact, and the pass ends at [det I | adj C].  No pivot search: the

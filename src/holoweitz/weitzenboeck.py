@@ -47,7 +47,7 @@ from typing import NamedTuple
 from . import citations
 from .contexts import HolonomyContext
 from .decompose import tensor
-from .errors import MixedRootSystems, MultiplicityViolation
+from .errors import InternalError, MixedRootSystems, MultiplicityViolation
 from .fmt import fmt_neg_q, fmt_q, fmt_w
 from .irreps import Irrep, _holonomy_casimir_number, dimension, weights
 from .roots import Labels
@@ -150,7 +150,7 @@ def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
     if recorded is not None:
         by_weight = {i.highest_weight: i for i in order}
         if sorted(hw for hw, _ in recorded) != sorted(by_weight):
-            raise RuntimeError(
+            raise InternalError(
                 f"recorded ordering for {ctx.id} {e.highest_weight} does not "
                 "match the computed tensor decomposition"
             )
@@ -163,7 +163,7 @@ def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
     for irr in order:
         entry = table.get(tuple(map(sub, irr.highest_weight, lam)))
         if entry is None:
-            raise RuntimeError(
+            raise InternalError(
                 f"summand {irr.highest_weight} of T (x) {lam} on {ctx.id} is not the "
                 "bundle's highest weight plus a weight of T"
             )

@@ -269,6 +269,12 @@ def form(rs, u, v):
     return sum(x * y for x, y in zip(u, mat_vec(rs.base_form, v)))
 
 
+def form_table(rs, us, vs):
+    """[[form(rs, u, v) for v in vs] for u in us], with base_form v computed once per v."""
+    images = [[(k, y) for k, y in enumerate(mat_vec(rs.base_form, v)) if y] for v in vs]
+    return [[sum(u[k] * y for k, y in image) for image in images] for u in us]
+
+
 def ambient_casimir(rs, hw):
     """(lam + rho, lam + rho) - (rho, rho) under base_form, lam = sum_i hw_i w_i taken
     in ambient coordinates: the Casimir number of hw up to the scale of the form."""

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from holoweitz import selftest
+from holoweitz import decompose, irreps, selftest
 from holoweitz.cli import main
 from holoweitz.roots import MAX_RANK
 
@@ -272,6 +272,17 @@ def test_domain_errors_exit_1(capsys):
     for degree in ("8", "-1"):
         code, out, err = run(capsys, "prove", "--holonomy", "g2", "--degree", degree, "--class", "killing")
         assert (code, out) == (1, "") and err == f"error[DegreeOutOfRange]: degree {degree} outside 1..6\n"
+
+
+def test_an_internal_failure_exits_1_without_a_traceback(capsys, monkeypatch):
+    # with every root class lost, Freudenthal's sum is 0 at the first weight below the top
+    monkeypatch.setattr(irreps, "_root_classes", lambda rs, zeros: {})
+    for cached in (irreps.dominant_multiplicities, irreps.weights, decompose.tensor):
+        cached.cache_clear()  # a failing call caches nothing
+    code, out, err = run(capsys, "tensor", "--algebra", "B3", "--left", "0,1,0", "--right", "1,0,0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error[InternalError]: Freudenthal failed at (0, 0, 0) for Irrep(B3, (1, 0, 0))")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_selftest_passes_and_detects_mismatch(capsys, tmp_path, monkeypatch):

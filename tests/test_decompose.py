@@ -20,6 +20,7 @@ from holoweitz.decompose import (
 )
 from holoweitz.errors import (
     DegreeOutOfRange,
+    InternalError,
     InternalNegativeMultiplicity,
     MixedRootSystems,
 )
@@ -380,7 +381,8 @@ def test_a_degree_that_is_not_an_integer_is_out_of_range_warm_and_cold(degree):
 
 def test_a_wrong_lower_degree_raises_instead_of_answering(monkeypatch):
     # Lambda^3(T) of G2 read from a Lambda^2 without V(1,0): 3 Lambda^3 then
-    # misses T (x) V(1,0), which leaves a negative entry and a remainder mod 3
+    # misses T (x) V(1,0), which leaves a negative entry and a remainder mod 3;
+    # Lambda^5, the dual of that Lambda^2, sums to 14 and fails the dimension check
     T = Irrep(G2, (1, 0))
     exterior_power.cache_clear()
     try:
@@ -393,8 +395,22 @@ def test_a_wrong_lower_degree_raises_instead_of_answering(monkeypatch):
         monkeypatch.setattr(decompose, "exterior_power", lower)
         with pytest.raises(InternalNegativeMultiplicity):
             exterior_power(T, 3)
+        with pytest.raises(InternalError, match="add up to dimension 14, expected 21"):
+            exterior_power(T, 5)
     finally:
         exterior_power.cache_clear()
+
+
+def test_a_straightening_without_its_sign_fails_the_dimension_check(monkeypatch):
+    # the mutant keeps the dominant point and drops the reflection parity: the summands of a
+    # tensor product or an exterior power then add up to more than dim a * dim b or C(n, p)
+    real = roots.dominant
+    monkeypatch.setattr(roots, "dominant", lambda rs, mu: (real(rs, mu)[0], 1))
+    rs = B3._replace()  # a fresh root system: no cached answer is read
+    with pytest.raises(InternalError, match="add up to dimension 189, expected 147"):
+        tensor(Irrep(rs, (1, 0, 0)), Irrep(rs, (0, 1, 0)))
+    with pytest.raises(InternalError, match="expected 7"):
+        exterior_power(Irrep(rs, (1, 0, 0)), 2)
 
 
 def test_the_checked_step_rejects_negative_and_indivisible_multiplicities():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
@@ -227,6 +228,23 @@ def test_b5_orbit_sizes_times_multiplicities_give_the_weyl_dimension():
     assert len(stabilisers) > 16
 
 
+SWEEP = [("A", r) for r in range(1, 5)] + [(f, r) for f in "BC" for r in (2, 3, 4)]
+SWEEP += [("D", 3), ("D", 4), ("D", 5), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", SWEEP, ids=[f"{f}{r}" for f, r in SWEEP])
+def test_weyl_dimension_is_the_orbit_sum_of_the_multiplicities(family, rank):
+    # dim V(lam) = sum over dominant mu of m(mu) |W| / |W_mu|, the group orders from
+    # helpers' reflection matrices; every label up to 2 at rank 2 or less, up to 1 above
+    rs = build_root_system(family, rank)
+    order = lru_cache(maxsize=None)(lambda zeros: parabolic_order(rs, zeros))
+    for hw in product(range(3 if rank <= 2 else 2), repeat=rank):
+        irr = Irrep(rs, hw)
+        total = sum(m * order(tuple(range(rank))) // order(tuple(i for i, c in enumerate(mu) if not c))
+                    for mu, m in dominant_multiplicities(irr).items())
+        assert dimension(irr) == total, hw
+
+
 @pytest.mark.parametrize("rs,hw", [(G2, (1, 1)), (B3, (1, 0, 1)), (A3, (2, 0, 1)), (C3, (0, 1, 1)),
                                    (D4, (1, 0, 1, 1)), (build_root_system("D", 5), (0, 1, 0, 0, 0))])
 def test_weights_walk_each_orbit_once_from_its_dominant_weight(rs, hw):
@@ -251,6 +269,8 @@ def test_form_scaled_copies_derive_their_own_fields():
     # a _replace copy must not keep derived fields of the original
     for rs, hw in ((B3, (2, 1, 1)), (G2, (3, 2))):
         copy = rs._replace(gram=tuple(tuple(3 * x for x in row) for row in rs.gram))
+        simple, edges = rs.root_poset  # each (a_j, a_j)/2 triples, the edges stay
+        assert copy.root_poset == (tuple((j, 3 * d) for j, d in simple), edges)
         assert copy.root_pairings == tuple(tuple(3 * x for x in row) for row in rs.root_pairings)
         assert copy.weyl_denominator == 3 ** len(rs.positive_labels) * rs.weyl_denominator
         irr, scaled = Irrep(rs, hw), Irrep(copy, hw)

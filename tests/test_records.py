@@ -34,7 +34,8 @@ def test_contexts_compare_and_hash_by_identity():
 
 
 def test_root_system_replace_takes_only_constructor_fields():
-    derived = ("root_pairings", "neighbours", "den", "fundamental_columns")
+    derived = ("root_poset", "root_pairings", "weyl_denominator", "neighbours", "den",
+               "fundamental_columns")
     for bad in [{name: ()} for name in derived] + [{"no_such_field": 1}]:
         with pytest.raises(TypeError):
             B3._replace(**bad)

@@ -6,6 +6,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -25,6 +26,8 @@ from holoweitz.roots import (
 from helpers import (
     brute_orbit,
     form,
+    form_table,
+    identity,
     invert,
     mat_mul,
     mat_vec,
@@ -41,6 +44,9 @@ ALL_TYPES = [
     ("D", 3), ("D", 4), ("D", 5),
     ("G", 2),
 ]
+# every type the root poset is checked on: A1-A8, B2-B8, C2-C8, D3-D8, G2 and each family at rank 40
+POSET_TYPES = [(family, rank) for family in "ABCD" for rank in range(MIN_RANK[family], 9)]
+POSET_TYPES += [("G", 2)] + [(family, 40) for family in "ABCD"]
 
 
 def test_g2_cartan_matrix_and_positive_roots():
@@ -304,3 +310,35 @@ def test_orbit_sizes_and_brute_force_agreement():
     half = Fraction(1, 2)
     assert points == {(a * half, b * half, c * half) for a in (1, -1) for b in (1, -1) for c in (1, -1)}
     assert points == brute_orbit(b3, b3.fundamental_weights[2])
+
+
+@pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
+def test_root_poset_steps_down_by_the_simple_root_of_the_first_positive_label(family, rank):
+    rs = build_root_system(family, rank)
+    simple, edges = rs.root_poset
+    labels, cartan = rs.positive_labels, rs.cartan_matrix
+    assert sorted(j for j, _ in simple) == list(range(rank)) and len(edges) == len(labels) - rank
+    for (j, d), a in zip(simple, labels):
+        assert a == cartan[j]
+        alpha = rs.simple_roots[j]
+        assert d * rs.form_scale == form(rs, alpha, alpha) / 2  # (a_j, a_j) / 2 in gram units
+    for k, (parent, s) in enumerate(edges, rank):
+        a = labels[k]
+        j = next(i for i, c in enumerate(a) if c > 0)
+        assert s < rank and simple[s][0] == j and parent < k
+        assert labels[parent] == tuple(x - y for x, y in zip(a, cartan[j]))
+
+
+@pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
+def test_root_pairings_are_the_ambient_form(family, rank):
+    # (w_i, a) = sum_k a_k (w_i, e_k) by bilinearity, the form on the ambient unit vectors
+    # e_k; the table of (w_i, e_k) in gram units is scaled to integers by m
+    rs = build_root_system(family, rank)
+    table = [[x / rs.form_scale for x in row]
+             for row in form_table(rs, rs.fundamental_weights, identity(rs.dim))]
+    m = lcm(*(x.denominator for row in table for x in row))
+    table = [[int(m * x) for x in row] for row in table]
+    for a, row in zip(rs.positive_roots, rs.root_pairings):
+        nonzero = [(k, int(x)) for k, x in enumerate(a) if x]  # roots are integer vectors
+        assert [m * x for x in row] == [sum(t[k] * x for k, x in nonzero) for t in table], a
+    assert rs.weyl_denominator == prod(map(sum, rs.root_pairings))  # (rho, a) = sum_i (w_i, a)
