@@ -12,15 +12,16 @@ the Adams operation psi^k(T) is T's weight multiset scaled by k; degrees
 above n/2 are duals of degrees below.
 
 One stream of (point, coefficient) pairs feeds the kernel, and each
-point in it is distinct.  A tensor product's points lam + rho + nu are
-distinct as they stand: the orbits of distinct dominant weights are
-disjoint.  Newton's identity meets the same point from many k and many
-lower summands; what a point contributes depends on the point alone,
-so its signed coefficients are merged first, on one integer key per
-point (see :func:`exterior_power`), and each distinct point with a
-nonzero coefficient is decoded once.  The kernel straightens each point
-with a negative label once (a point with none is dominant as it
-stands) and shifts each dominant result by -rho once.
+point in it is distinct.  A point travels as one integer key
+(:func:`roots.key_codec`), its digits wide enough for the labels of all
+its Weyl images.  A tensor product's points lam + rho + nu are distinct
+as they stand: the orbits of distinct dominant weights are disjoint.
+Newton's identity meets the same point from many k and many lower
+summands; what a point contributes depends on the point alone, so its
+signed coefficients are merged first, on its key.  The kernel reflects
+each key with a negative label once, by :func:`roots.dominant_key`, adds
+the coefficients up on the dominant keys and decodes each distinct
+result once, less rho.
 
 The summand order (see :class:`Decomposition`) is decided here alone; it
 numbers the twistor operators T_i downstream.  Sorting by dimension
@@ -35,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from numbers import Real
-from operator import add, lshift, mul
+from operator import lshift, mul
 from typing import Iterable
 
 from . import roots
@@ -71,29 +72,27 @@ class Decomposition(tuple):
         return f"Decomposition(entries={tuple(self)!r})"
 
 
-def _straighten_points(rs: RootSystem, points: Iterable[tuple[Labels, int]]) -> dict[Labels, int]:
-    """The kernel (Klimyk 1968): the signed sum of irreps that ``points`` stands for.
+def _codec(rs: RootSystem, top: int) -> tuple:
+    """Keys for labels within ``top`` and for their Weyl images, within top (h - 1)."""
+    return roots.key_codec(rs, top * (2 * len(rs.positive_labels) // rs.rank - 1))
 
-    ``points`` yields distinct points with their coefficients.  Each point
-    with a nonzero coefficient is straightened once: the irrep at
-    dominant(point) - rho gains the reflection parity times the
-    coefficient, and singular points drop out.  A point with no negative
-    label needs no reflection: it is dominant with parity +1, regular if
-    every label is positive and singular otherwise.
-    """
-    acc: dict[Labels, int] = {}
-    for point, c in points:
+
+def _straighten_points(codec: tuple, points: Iterable[tuple[int, int]]) -> dict[Labels, int]:
+    """The kernel (Klimyk 1968): the irreps that ``points``, the keys of distinct
+    points with coefficients, stand for.  A point adds its reflection parity times
+    its coefficient at dominant(point) - rho; singular points drop out."""
+    bits, shifts, high, rho, _ = codec
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, c in points:
         if c:
-            low = min(point)
-            if low < 0:
-                point, sign = roots.dominant(rs, point)
-                if 0 in point:
-                    continue
+            if high & ~key:
+                key, sign = roots.dominant_key(key, codec)
                 c *= sign
-            elif not low:
-                continue
-            acc[point] = acc.get(point, 0) + c
-    return {tuple(x - 1 for x in dom): m for dom, m in acc.items()}
+            if not (key - rho) & high:
+                acc[key] = get(key, 0) + c
+    mask = (1 << bits) - 1  # a regular dominant key minus key(rho) has digits x_i - 1 >= 0
+    return {tuple([(key - rho) >> s & mask for s in shifts]): m for key, m in acc.items() if m}
 
 
 def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1,
@@ -122,11 +121,13 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1,
 
 def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
                 total: int | None = None) -> Decomposition:
-    """V(lam) (x) char for distinct (weight, multiplicity) pairs; lam = 0 decomposes char.
-    ``total`` is the dimension the summands must add up to, if given."""
-    lam_rho = tuple(c + 1 for c in lam)
-    points = ((tuple(map(add, lam_rho, nu)), m) for nu, m in char)
-    return _decomposition(rs, _straighten_points(rs, points), total=total)
+    """V(lam) (x) char for distinct (weight, multiplicity) pairs of a Weyl-invariant
+    char, read twice; lam = 0 decomposes char.  ``total`` is the dimension the
+    summands must add up to, if given.  s_i negates label i, so max |nu_i| = max nu_i."""
+    _, shifts, _, rho, _ = codec = _codec(rs, max(lam) + 1 + max([max(nu) for nu, _ in char]))
+    base = sum(map(lshift, lam, shifts)) + rho  # key(lam + rho)
+    points = ((base + sum(map(lshift, nu, shifts)), m) for nu, m in char)
+    return _decomposition(rs, _straighten_points(codec, points), total=total)
 
 
 @lru_cache(maxsize=None)
@@ -164,18 +165,13 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     shallow.  For 2p > n, Lambda^p is the dual of Lambda^(n-p): V(lam)
     becomes V(-w0 lam), the dominant representative of -lam.
 
-    Points merge on one integer key each, key(x) = sum_i x_i S^i, so
-    key(lam + rho + k nu) = key(lam + rho) + k key(nu) and a point costs
-    one addition and one dict update.  Let M be the largest |nu_i| over
-    the weights nu of T.  The highest weight lam of a summand of
-    Lambda^(p-k) is a weight of Lambda^(p-k)(T), a sum of p - k weights
-    of T, so |lam_i| <= (p - k) M and every label of lam + rho + k nu is
-    at most p M + 1 in absolute value.  S is a power of two above
-    2 (p M + 1), so the labels are balanced base-S digits, |x_i| < S/2:
-    no digit carries and distinct points have distinct keys.  Every key
-    also carries S/2 on each digit, which makes its digits positive, so a
-    key is decoded, by a shift and a mask per label, only when its
-    coefficient is nonzero.
+    Points merge on their keys (:mod:`roots`), key(lam + rho + k nu) =
+    key(lam + rho) + k sum_i nu_i S^i: one addition and one dict update
+    each.  With M the largest |nu_i| over the weights nu of T, the highest
+    weight lam of a summand of Lambda^(p-k), a sum of p - k weights of T,
+    has |lam_i| <= (p - k) M; so no label of lam + rho + k nu exceeds
+    p M + 1 in absolute value, and the keys are sized for that bound and
+    for the Weyl images of the points.
     """
     n, p = dimension(t), _degree(p)
     if not 0 <= p <= n:
@@ -188,24 +184,16 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     if p == 0:
         return _decomposition(rs, {(0,) * rs.rank: 1})
     lower = [exterior_power(t, q) for q in range(p)]
-    t_weights = weights(t)
-    # M = top: s_i negates label i, so the largest |nu_i| is the largest nu_i
-    top = max([max(nu) for nu, _ in t_weights])
-    bits = (2 * (p * top + 1)).bit_length()  # S = 2^bits > 2 (p M + 1)
-    shifts = [bits * i for i in range(rs.rank)]
+    t_weights = weights(t)  # s_i negates label i, so M = max |nu_i| is the largest nu_i
+    _, shifts, _, rho, _ = codec = _codec(rs, p * max([max(nu) for nu, _ in t_weights]) + 1)
     keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in t_weights]
-    half = 1 << bits - 1
-    offset = sum((half + 1) << s for s in shifts)  # rho, plus S/2 on every digit
     points: dict[int, int] = {}
     get = points.get
     for k in range(1, p + 1):
         psi = [(k * x, m if k % 2 else -m) for x, m in keys]  # psi^k(T), signed
         for irr, m in lower[p - k]:
-            base = sum(map(lshift, irr.highest_weight, shifts)) + offset
+            base = sum(map(lshift, irr.highest_weight, shifts)) + rho  # key(lam + rho)
             for x, w in psi:
                 x += base
                 points[x] = get(x, 0) + m * w
-    mask = (1 << bits) - 1
-    decoded = ((tuple([(x >> s & mask) - half for s in shifts]), c)
-               for x, c in points.items() if c)
-    return _decomposition(rs, _straighten_points(rs, decoded), p, comb(n, p))
+    return _decomposition(rs, _straighten_points(codec, points.items()), p, comb(n, p))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import isqrt, prod
-from operator import mul, not_, sub
+from operator import lshift, mul, not_, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -139,27 +139,17 @@ def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
     return classes
 
 
-def _walk(rs: RootSystem, nu: list[int], key: int, simple_keys: list[int],
-          known: dict[int, int]) -> int:
-    """The entry of ``known`` first met on the way from the string point ``nu``
-    (its labels, consumed; its integer key ``key`` is not in ``known``) into the
-    dominant chamber, or 0 if the walk reaches the chamber without one.
-
-    The worklist of :func:`roots.dominant`: s_i flips label i, moves only its
-    Dynkin neighbours and moves the key by -nu_i key(a_i)."""
-    stack = [i for i, c in enumerate(nu) if c < 0]
-    while stack:
-        i = stack.pop()
-        c = nu[i]
-        nu[i] = -c
-        key -= c * simple_keys[i]
+def _walk(key: int, codec: tuple, known: dict[int, int]) -> int:
+    """The entry of ``known`` first met on the way of :func:`roots.dominant_key`
+    from the string point at ``key`` (not in ``known``, with a negative label)
+    into the dominant chamber, or 0 if the walk reaches the chamber without one."""
+    bits, _, high, _, simple_keys = codec
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    while neg := high & ~key:
+        i = neg.bit_length() // bits - 1
+        key -= ((key >> bits * i & mask) - half) * simple_keys[i]
         if (m := known.get(key)) is not None:
             return m
-        for j, a in rs.neighbours[i]:
-            was = nu[j]
-            nu[j] = was - c * a
-            if was >= 0 > nu[j]:
-                stack.append(j)
     return 0
 
 
@@ -178,27 +168,26 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     = (lam - mu', lam + mu') >= 0.  The norm is a running integer too,
     N(nu + a) = N(nu) + 2 (nu + a, a) - (a, a).
 
-    A string walks on one integer key per point, key(nu) = sum_i nu_i S^i,
-    so a step adds key(a) and probes one dict.  The norm bound gives
+    A string walks on one integer key per point (:func:`roots.key_codec`:
+    digit i holds nu_i + S/2), so a step adds sum_i a_i S^i and probes one
+    dict.  The norm bound gives
     |nu_i| = 2 |(nu, a_i)| / (a_i, a_i) <= 2 sqrt((lam, lam) / (a_i, a_i)) <= B,
     B taken at a short simple root, on every point of norm at most
-    (lam, lam); S is a power of two above 2 B, so the digits never carry
-    and distinct such points have distinct keys.  The keys never leave
-    the call.
+    (lam, lam); S/2 > B, so the digits never carry and distinct such
+    points have distinct keys.  The keys never leave the call.
 
     The dict ``known`` maps keys to multiplicities, 0 off the weights.
     Seed: when m(mu) is set for a dominant mu, lam included, m is entered
-    at key(mu) and at key(s_i mu) = key(mu) - mu_i key(a_i) for each
-    mu_i > 0, key(a_i) being row i of the Cartan matrix on the key
-    powers; s_i mu has mu's norm, so its key stays inside the digit
-    bound.  Walk: a string point whose key is not known is reflected
-    towards the dominant chamber by :func:`_walk`, its key moving with
-    it, and takes the first known entry met on the way.  A reflection
-    keeps the norm, so every key walked is inside the bound.  If the
-    walk reaches the chamber without one, the point is not a weight:
-    the dominant form of mu + k a (k >= 1) lies above mu, so it comes
-    before mu in the closure's order and is known if it is a weight.
-    The point's own key then holds the answer.
+    at key(mu) and at key(s_i mu) = key(mu) - mu_i sum_j C_ij S^j for each
+    mu_i > 0; s_i mu has mu's norm, so its key stays inside the digit
+    bound.  Walk: a string point whose key is not known and has a negative
+    label is reflected, as a key alone, towards the dominant chamber by
+    :func:`_walk`, and takes the first known entry met on the way.  A
+    reflection keeps the norm, so every key walked is inside the bound.
+    If the walk reaches the chamber without one, the point is not a
+    weight: the dominant form of mu + k a (k >= 1) lies above mu, so it
+    comes before mu in the closure's order and is known if it is a
+    weight.  The point's own key then holds the answer.
 
     The right side is summed by classes (Moody-Patera, Bull. AMS 7, 1982):
     the stabiliser W_mu of mu, generated by the s_i with mu_i = 0, keeps
@@ -214,11 +203,10 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     top = dot(rs, lam, lam)
     top_rho = top + 2 * sum(map(mul, lam, rho))  # (lam, lam + 2 rho)
     # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root
-    bits = (2 * isqrt(2 * top // min(map(sum, rs.root_pairings)))).bit_length()  # S = 2^bits > 2 B
-    powers = [1 << bits * i for i in range(rs.rank)]
-    simple_keys = [sum(map(mul, row, powers)) for row in rs.cartan_matrix]
+    codec = roots.key_codec(rs, isqrt(2 * top // min(map(sum, rs.root_pairings))))  # B
+    _, shifts, high, _, simple_keys = codec
     pairings = dict(zip(rs.positive_labels, rs.root_pairings))
-    tables: dict[tuple[bool, ...], list[tuple[Labels, int, Labels, int, int]]] = {}
+    tables: dict[tuple[bool, ...], list[tuple[int, Labels, int, int]]] = {}
     mult = {lam: 1}
     known = {}  # key -> multiplicity, 0 off the weights
 
@@ -228,26 +216,24 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
             if c:
                 known[key_mu - c * step_key] = m
 
-    seed(lam, sum(map(mul, lam, powers)), 1)
+    seed(lam, sum(map(lshift, lam, shifts)) + high, 1)
     for mu in _dominant_closure(rs, lam)[1:]:
         pattern = tuple(map(bool, mu))
-        if (table := tables.get(pattern)) is None:  # (root, its key, its pairings, (a, a), size)
+        if (table := tables.get(pattern)) is None:  # (root's key step, pairings, (a, a), size)
             zeros = tuple(compress(range(rs.rank), map(not_, pattern)))
-            table = tables[pattern] = [(a, sum(map(mul, a, powers)), wa := pairings[a],
+            table = tables[pattern] = [(sum(map(lshift, a, shifts)), wa := pairings[a],
                                         sum(map(mul, a, wa)), size)
                                        for a, size in _root_classes(rs, zeros).items()]
         norm_mu = dot(rs, mu, mu)
-        key_mu = sum(map(mul, mu, powers))
+        key_mu = sum(map(lshift, mu, shifts)) + high
         total = 0
-        for a, step_key, wa, step, size in table:
+        for step_key, wa, step, size in table:
             pairing, string = sum(map(mul, mu, wa)) + step, 0
-            norm, key, k = norm_mu + 2 * pairing - step, key_mu, 0
+            norm, key = norm_mu + 2 * pairing - step, key_mu
             while norm <= top:
                 key += step_key
-                k += 1
                 if (m := known.get(key)) is None:
-                    nu = [x + k * y for x, y in zip(mu, a)]
-                    m = known[key] = _walk(rs, nu, key, simple_keys, known) if min(nu) < 0 else 0
+                    m = known[key] = _walk(key, codec, known) if high & ~key else 0
                 if not m:
                     break
                 string += m * pairing
@@ -283,25 +269,21 @@ def weight_system(irrep: Irrep) -> WeightSystem:
 def weights(irrep: Irrep) -> tuple[tuple[Labels, int], ...]:
     """Every distinct weight in Dynkin labels with its multiplicity, one walk: the
     dominant weights in :func:`dominant_multiplicities` order, each followed by
-    its Weyl orbit in :func:`roots.orbit`'s breadth-first order."""
-    return tuple((nu, m) for mu, m in dominant_multiplicities(irrep).items()
-                 for nu in roots.orbit(irrep.root_system, mu))
+    its Weyl orbit in :func:`roots.orbit`'s breadth-first order.  Checked: the
+    multiplicities add up to ``dimension(irrep)``, or :class:`InternalError`."""
+    out = tuple((nu, m) for mu, m in dominant_multiplicities(irrep).items()
+                for nu in roots.orbit(irrep.root_system, mu))
+    if (found := sum(m for _, m in out)) != (n := dimension(irrep)):
+        raise InternalError(f"weights of {irrep} add up to dimension {found}, expected {n}")
+    return out
 
 
 @lru_cache(maxsize=None)
 def full_weights(irrep: Irrep) -> tuple[Weight, ...]:
-    """The complete weight multiset in ambient coordinates; length dimension(irrep).
-
-    :func:`weights` in its order, each weight repeated by its multiplicity.
-    """
+    """The complete weight multiset in ambient coordinates, of length dimension(irrep):
+    :func:`weights` in its order, each weight repeated by its multiplicity."""
     rs = irrep.root_system
-    out = tuple(w for nu, m in weights(irrep) for w in [roots.to_orthogonal(rs, nu)] * m)
-    if len(out) != dimension(irrep):
-        raise InternalError(
-            f"weight multiset of {irrep} has {len(out)} entries, "
-            f"expected {dimension(irrep)}"
-        )
-    return out
+    return tuple(w for nu, m in weights(irrep) for w in [roots.to_orthogonal(rs, nu)] * m)
 
 
 def _casimir_number(rs: RootSystem, lam: Labels) -> int:

@@ -12,6 +12,15 @@ Dynkin neighbours of i can turn negative, and only those are pushed.  Each
 step lowers by one the number of positive roots that pair negatively with
 the weight, so the sign does not depend on the order of the steps.
 
+A point x also travels as one integer key (broadword arithmetic, Knuth,
+TAOCP 4A, 7.1.3; :func:`key_codec`): in base S = 2^bits, digit i holds
+x_i + S/2, exact while every label is in [-S/2, S/2).  ``high & ~key``
+marks the negative labels, s_i subtracts x_i sum_j C_ij S^j, and a
+dominant key has a zero label iff ``(key - key(rho)) & high`` is nonzero
+(the lowest zero label borrows).  No Weyl image of x has a label above
+max|x_i| (h - 1), h = 2|Phi+| / rank the Coxeter number: (wx)_i = (x,
+w^-1 a_i^v), and a coroot's coefficients on the simple coroots sum to <= h - 1.
+
 The root poset links each positive root a that is not simple to a lower
 one, a - a_j, so a pairing (x, a) costs one addition on top of
 (x, a - a_j) (:func:`poset_pairings`).  The neighbours, the root poset,
@@ -50,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from operator import mul, sub
+from operator import lshift, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InternalError, UnsupportedType
@@ -207,6 +216,27 @@ def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, int]:
             if was >= 0 > mu[j]:
                 stack.append(j)
     return tuple(mu), sign
+
+
+def key_codec(rs: RootSystem, bound: int) -> tuple[int, range, int, int, list[int]]:
+    """``(bits, shifts, high, key(rho), [sum_j C_ij S^j])`` for labels at most ``bound``
+    in absolute value, S/2 > bound; key(x) = sum(map(lshift, x, shifts)) + high."""
+    bits = bound.bit_length() + 1
+    shifts = range(0, bits * rs.rank, bits)
+    high = ((1 << bits * rs.rank) - 1) // ((1 << bits) - 1) << bits - 1
+    simple = [sum(map(lshift, a, shifts)) for a in rs.cartan_matrix]
+    return bits, shifts, high, high + (high >> bits - 1), simple
+
+
+def dominant_key(key: int, codec: tuple) -> tuple[int, int]:
+    """:func:`dominant` on a key: the dominant key and the sign, last negative label first."""
+    bits, _, high, _, simple_keys = codec
+    mask, half, sign = (1 << bits) - 1, 1 << bits - 1, 1
+    while neg := high & ~key:
+        i = neg.bit_length() // bits - 1
+        key -= ((key >> bits * i & mask) - half) * simple_keys[i]
+        sign = -sign
+    return key, sign
 
 
 def orbit(rs: RootSystem, mu: tuple) -> list[tuple]:

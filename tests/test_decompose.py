@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 
@@ -292,12 +293,49 @@ def test_newton_keys_stay_apart_on_large_labels(where, hw, p):
     assert traced == comb(n - 2, p - 1) * n * _casimir_number(rs, hw)
 
 
-# cold roots.dominant calls and Freudenthal key walks (irreps._walk) per computation.
+def straighten_tuples(rs, points):
+    """{highest weight: multiplicity} of a Counter of points lam + rho + nu, each
+    straightened on its label tuple by roots.dominant."""
+    acc = Counter()
+    for x, c in points.items():
+        dom, sign = dominant(rs, x)
+        if c and 0 not in dom:
+            acc[tuple(d - 1 for d in dom)] += sign * c
+    return {hw: c for hw, c in acc.items() if c}
+
+
+def test_large_labels_straighten_as_on_label_tuples():
+    # the keys' digits must hold every label that a straightening meets: the points of
+    # A2 (30,0) Lambda^5 have labels up to 151 and those of G2 (6,3) x (3,6) up to 31; the
+    # oracle never leaves label tuples
+    a, b = Irrep(G2, (6, 3)), Irrep(G2, (3, 6))
+    points = Counter({tuple(x + 1 + y for x, y in zip(a.highest_weight, nu)): m
+                      for nu, m in weights(b)})
+    assert dict(entries(tensor(a, b))) == straighten_tuples(G2, points)
+    # Newton's identity, q Lambda^q = sum_k (-1)^(k-1) psi^k Lambda^(q-k), on label tuples
+    rs = build_root_system("A", 2)
+    t = Irrep(rs, (30, 0))
+    lower = [{(0, 0): 1}]
+    for q in range(1, 6):
+        points = Counter()
+        for k in range(1, q + 1):
+            psi = [(tuple(k * x for x in nu), m if k % 2 else -m) for nu, m in weights(t)]
+            for lam, m in lower[q - k].items():
+                lam_rho = [c + 1 for c in lam]
+                for nu, c in psi:
+                    points[tuple(map(add, lam_rho, nu))] += m * c
+        acc = straighten_tuples(rs, points)
+        assert all(c % q == 0 for c in acc.values())
+        lower.append({hw: c // q for hw, c in acc.items()})
+        assert dict(entries(exterior_power(t, q))) == lower[q], q
+
+
+# cold roots.dominant_key calls and Freudenthal key walks (irreps._walk) per computation.
 # Freudenthal reads each string point at its key: the keys of a dominant weight's
 # simple reflections are entered with its multiplicity, and only the other points
 # with a negative label walk, each at most once per call; a point with no negative
 # label neither walks nor is straightened.  Tensor products and exterior powers
-# straighten with roots.dominant.
+# straighten keys with roots.dominant_key.
 STRAIGHTENINGS = {
     "weight system B3 (3,3,3)": (lambda: weight_system(Irrep(B3, (3, 3, 3))), 0, 174),
     "tensor B3 (2,2,2) x (2,1,2)": (lambda: tensor(Irrep(B3, (2, 2, 2)), Irrep(B3, (2, 1, 2))),
@@ -312,7 +350,7 @@ STRAIGHTENINGS = {
 @pytest.mark.parametrize("case", STRAIGHTENINGS)
 def test_each_weight_is_straightened_at_most_once_per_call(monkeypatch, case):
     run, straightenings, walks = STRAIGHTENINGS[case]
-    counts = {"dominant": 0, "_walk": 0}
+    counts = {"dominant_key": 0, "_walk": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -323,12 +361,12 @@ def test_each_weight_is_straightened_at_most_once_per_call(monkeypatch, case):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(roots, "dominant")
+    counting(roots, "dominant_key")
     counting(irreps, "_walk")
     for cached in (dominant_multiplicities, weights, weight_system, tensor, exterior_power):
         cached.cache_clear()
     run()
-    assert counts == {"dominant": straightenings, "_walk": walks}
+    assert counts == {"dominant_key": straightenings, "_walk": walks}
 
 
 # cold roots.orbit calls per computation: each irrep's orbits are walked once, by
@@ -404,8 +442,8 @@ def test_a_wrong_lower_degree_raises_instead_of_answering(monkeypatch):
 def test_a_straightening_without_its_sign_fails_the_dimension_check(monkeypatch):
     # the mutant keeps the dominant point and drops the reflection parity: the summands of a
     # tensor product or an exterior power then add up to more than dim a * dim b or C(n, p)
-    real = roots.dominant
-    monkeypatch.setattr(roots, "dominant", lambda rs, mu: (real(rs, mu)[0], 1))
+    real = roots.dominant_key
+    monkeypatch.setattr(roots, "dominant_key", lambda key, codec: (real(key, codec)[0], 1))
     rs = B3._replace()  # a fresh root system: no cached answer is read
     with pytest.raises(InternalError, match="add up to dimension 189, expected 147"):
         tensor(Irrep(rs, (1, 0, 0)), Irrep(rs, (0, 1, 0)))

@@ -9,9 +9,10 @@ from itertools import combinations, product
 
 import pytest
 
+from holoweitz import irreps
 from holoweitz.contexts import make_context
 from holoweitz.decompose import tensor
-from holoweitz.errors import TrivialHolonomyRep
+from holoweitz.errors import InternalError, TrivialHolonomyRep
 from holoweitz.irreps import (
     Irrep,
     _root_classes,
@@ -263,6 +264,18 @@ def test_weights_walk_each_orbit_once_from_its_dominant_weight(rs, hw):
     assert sum(m for _, m in walk) == dimension(irr)
     # full_weights maps the walk to ambient coordinates, in its order
     assert full_weights(irr) == tuple(to_orthogonal(rs, nu) for nu, m in walk for _ in range(m))
+
+
+def test_weights_whose_multiplicities_miss_the_weyl_dimension_raise(monkeypatch):
+    # the mutant gives every dominant weight of the B3 adjoint multiplicity 1, the zero
+    # weight included: its orbits then hold 12 + 6 + 1 weights, not 21
+    real = irreps.dominant_multiplicities
+    monkeypatch.setattr(irreps, "dominant_multiplicities", lambda irr: dict.fromkeys(real(irr), 1))
+    rs = B3._replace()  # a fresh root system: no cached answer is read
+    with pytest.raises(InternalError, match="add up to dimension 19, expected 21"):
+        weights(Irrep(rs, (0, 1, 0)))
+    with pytest.raises(InternalError, match="expected 21"):
+        full_weights(Irrep(rs, (0, 1, 0)))
 
 
 def test_form_scaled_copies_derive_their_own_fields():

@@ -16,7 +16,9 @@ from holoweitz.roots import (
     MAX_RANK,
     build_root_system,
     dominant,
+    dominant_key,
     dot,
+    key_codec,
     orbit,
     to_fundamental,
     to_orthogonal,
@@ -279,6 +281,37 @@ def test_worklist_dominant_matches_the_restart_scan():
             assert dominant(rs, mu) == restart_dominant(rs, mu), (family, rank, mu)
             singular += 0 in restart_dominant(rs, mu)[0]
     assert singular > 200
+
+
+# the Coxeter number h = 2 |Phi+| / rank of each family, from the classification
+COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
+           "D": lambda n: 2 * n - 2, "G": lambda n: 6}
+
+
+def test_dominant_key_decodes_to_dominant_within_the_coxeter_bound():
+    # labels in [-L, L], many at the edge +-L, on keys sized for the bound L (h - 1): the
+    # straightened key decodes to dominant's point and sign, and the zero-label mask marks
+    # exactly the singular points
+    rng = random.Random(27)
+    checked = singular = 0
+    for family, rank in POSET_TYPES:
+        if rank == 40:
+            continue
+        rs = build_root_system(family, rank)
+        h = COXETER[family](rank)
+        assert 2 * len(rs.positive_labels) == h * rank
+        for bound in (1, 4, 25):
+            bits, shifts, high, rho, _ = codec = key_codec(rs, bound * (h - 1))
+            for _ in range(70):
+                x = [rng.choice((-bound, bound, rng.randint(-bound, bound))) for _ in range(rank)]
+                key, sign = dominant_key(sum(c << s for c, s in zip(x, shifts)) + high, codec)
+                labels = tuple((key >> s & (1 << bits) - 1) - (1 << bits - 1) for s in shifts)
+                dom, dom_sign = dominant(rs, x)
+                assert (labels, sign) == (dom, dom_sign), (family, rank, x)
+                assert bool((key - rho) & high) == (0 in dom), (family, rank, x)
+                checked += 1
+                singular += 0 in dom
+    assert checked == 29 * 210 and singular > 1000
 
 
 def test_fundamental_orthogonal_round_trip_on_random_weights():
