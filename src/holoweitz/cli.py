@@ -7,9 +7,12 @@ Casimir eigenvalues follow the convention Cas = sum X_i^2, so they are
 negative (zero only on the trivial representation); most references use
 the opposite sign.
 
-Every handler but ``selftest`` returns its answer twice, as a JSON
-document and as table text; ``main`` alone writes, either the one that
-``--format`` picks or an ``error[...]`` line on stderr.
+Every handler but ``selftest`` parses, computes one record and returns it
+twice, as a JSON document and as table text, through the renderers that
+sit beside the record's JSON (:mod:`holoweitz.prover`,
+:mod:`holoweitz.weitzenboeck`, :mod:`holoweitz.fmt`); ``main`` alone
+writes, either the one that ``--format`` picks or an ``error[...]`` line
+on stderr.
 
 Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
 """
@@ -24,9 +27,9 @@ import sys
 
 from . import prover, selftest, weitzenboeck
 from .contexts import HolonomyContext, form_space, load_registry, make_context, normalize_context_id
-from .decompose import Decomposition, exterior_power, tensor
+from .decompose import exterior_power, tensor
 from .errors import HoloweitzError
-from .fmt import deco_json, fmt_q, fmt_w
+from .fmt import deco_views, fmt_q, fmt_w
 from .irreps import Irrep, casimir_lambda2, dimension
 from .prover import FormClass, prove_degree, prove_theorems
 from .roots import build_root_system
@@ -37,17 +40,6 @@ SIGN_NOTE = (
     "Casimir sign convention: Cas = sum X_i^2, eigenvalues are <= 0 "
     "(most references use the opposite sign)."
 )
-
-
-def _color_enabled() -> bool:
-    return sys.stdout is not None and sys.stdout.isatty() and not os.environ.get("NO_COLOR")
-
-
-def _mark(ok: bool) -> str:
-    text = "PASS" if ok else "FAIL"
-    if _color_enabled():
-        return f"\033[32m{text}\033[0m" if ok else f"\033[31m{text}\033[0m"
-    return text
 
 
 def _is_integer(raw: str) -> bool:
@@ -119,14 +111,6 @@ def _context(parser: argparse.ArgumentParser, args) -> HolonomyContext:
         parser.error(str(exc))
 
 
-def _deco_table(title: str, deco: Decomposition, total_label: str) -> str:
-    lines = [title, f"{'weight':<14} {'mult':>4} {'dim':>6}"]
-    for irr, m in deco:
-        lines.append(f"{fmt_w(irr.highest_weight):<14} {m:>4} {dimension(irr):>6}")
-    lines.append(f"total dimension {deco.total_dimension()} {total_label}".rstrip())
-    return "\n".join(lines)
-
-
 def _cmd_dim(parser, args) -> tuple[dict, str]:
     rs = _algebra(parser, args.algebra)
     hw = _parse_weight(parser, args.weight, rs.rank)
@@ -146,17 +130,10 @@ def _cmd_tensor(parser, args) -> tuple[dict, str]:
     rs = _algebra(parser, args.algebra)
     left = _parse_weight(parser, args.left, rs.rank)
     right = _parse_weight(parser, args.right, rs.rank)
-    deco = tensor(Irrep(rs, left), Irrep(rs, right))
+    a, b = Irrep(rs, left), Irrep(rs, right)
+    head = {"algebra": f"{rs.family}{rs.rank}", "left": list(left), "right": list(right)}
     title = f"{fmt_w(left)} (x) {fmt_w(right)} on {rs.family}{rs.rank}"
-    expected = dimension(Irrep(rs, left)) * dimension(Irrep(rs, right))
-    document = {
-        "algebra": f"{rs.family}{rs.rank}",
-        "left": list(left),
-        "right": list(right),
-        "entries": deco_json(deco),
-        "total_dim": deco.total_dimension(),
-    }
-    return document, _deco_table(title, deco, f"= {expected}")
+    return deco_views(tensor(a, b), head, title, f"= {dimension(a) * dimension(b)}")
 
 
 def _cmd_exterior(parser, args) -> tuple[dict, str]:
@@ -175,13 +152,7 @@ def _cmd_exterior(parser, args) -> tuple[dict, str]:
         deco = exterior_power(t, args.degree)
     else:
         parser.error("exterior needs --holonomy, or --algebra together with --weight")
-    document = {
-        "rep": list(t.highest_weight),
-        "degree": args.degree,
-        "entries": deco_json(deco),
-        "total_dim": deco.total_dimension(),
-    }
-    return document, _deco_table(label, deco, "")
+    return deco_views(deco, {"rep": list(t.highest_weight), "degree": args.degree}, label)
 
 
 def _cmd_weitzenboeck(parser, args) -> tuple[dict, str]:
@@ -193,56 +164,16 @@ def _cmd_weitzenboeck(parser, args) -> tuple[dict, str]:
     return weitzenboeck.to_json_dict(formula), weitzenboeck.to_table(formula)
 
 
-def _component_text(c) -> list[str]:
-    lines = [
-        f"  component {fmt_w(c.bundle.highest_weight)} "
-        f"[dim {dimension(c.bundle)}]: {c.verdict}"
-    ]
-    for st in c.statuses:
-        lines.append(
-            f"    summand {fmt_w(st.summand.highest_weight)}: "
-            f"occ(p+1)={st.occ_plus} occ(p-1)={st.occ_minus} killed_by={st.killed_by.value}"
-        )
-    if c.factor is not None:
-        lines.append(f"    integrability factor: {fmt_q(c.factor)}")
-    for s in c.survivors:
-        residual = "-" if s.residual is None else fmt_q(s.residual)
-        lines.append(
-            f"    survivor {fmt_w(s.summand.highest_weight)}: "
-            f"b={fmt_q(s.b)} residual={residual}"
-        )
-    for t in c.trace:
-        lines.append(f"    [{t.citation}] {t.detail}")
-    return lines
-
-
-def _degree_report_text(r) -> str:
-    lines = [
-        f"{r.context_id}: {r.form_class.value} {r.degree}-forms -> {r.verdict}",
-        f"  hypotheses: {'; '.join(r.hypotheses)}",
-    ]
-    for t in r.reductions:
-        lines.append(f"  [{t.citation}] {t.detail}")
-    for c in r.components:
-        lines.extend(_component_text(c))
-    return "\n".join(lines)
-
-
 def _cmd_prove(parser, args) -> tuple[dict, str]:
     ctx = _context(parser, args)
     report = prove_degree(ctx, args.degree, args.form_class)
-    return prover.degree_report_json(report), _degree_report_text(report)
+    return prover.degree_report_json(report), prover.degree_report_text(report)
 
 
 def _cmd_theorem(parser, args) -> tuple[dict, str]:
     ctx = _context(parser, args)
     report = prove_theorems(ctx)
-    lines = [f"parallelism claims for {ctx.id} (hypotheses: {'; '.join(report.hypotheses)})"]
-    lines += (f"  {cls:<13} p={degree}: {verdict}" for cls, degree, verdict in report.claims)
-    lines.append(f"claim set matches the theorem: {_mark(report.matches_expected)}")
-    if args.trace:
-        lines += ("\n" + _degree_report_text(r) for r in report.reports)
-    return prover.theorem_report_json(report), "\n".join(lines)
+    return prover.theorem_report_json(report), prover.theorem_report_text(report, args.trace)
 
 
 def _cmd_selftest(parser, args) -> int:

@@ -1,15 +1,18 @@
-"""Canonical ASCII serialization of values for text and JSON output.
-
-Every text or JSON rendering of a value goes through this module:
+"""Canonical ASCII serialization of values, decompositions and proof traces.
 
   * exact rationals: ``fmt_q`` gives ``"-28/3"`` (``"5"`` when integral),
     ``fmt_neg_q`` the same for the negated value;
   * highest weights: ``fmt_w`` gives the display form ``"(1,0,1)"``,
     ``weight_key`` the fixture key ``"1,0,1"``;
   * decompositions: ``deco_json`` gives the list of
-    ``{"weight", "multiplicity", "dim"}`` entries;
+    ``{"weight", "multiplicity", "dim"}`` entries, ``deco_views`` a
+    command's JSON document around them and its table;
   * proof traces: ``trace_json`` gives the list of
-    ``{"rule", "citation", "detail"}`` steps.
+    ``{"rule", "citation", "detail"}`` steps, ``trace_line`` one step's
+    ``[citation] detail`` line.
+
+Reports render beside their JSON in :mod:`holoweitz.prover`, formulas in
+:mod:`holoweitz.weitzenboeck`.
 """
 
 from __future__ import annotations
@@ -49,5 +52,18 @@ def deco_json(deco) -> list:
     ]
 
 
+def deco_views(deco, head: dict, title: str, total_label: str = "") -> tuple[dict, str]:
+    """``head`` with the decomposition's ``entries`` and ``total_dim``, and its table."""
+    total = deco.total_dimension()
+    lines = [title, f"{'weight':<14} {'mult':>4} {'dim':>6}"]
+    lines += (f"{fmt_w(irr.highest_weight):<14} {m:>4} {dimension(irr):>6}" for irr, m in deco)
+    lines.append(f"total dimension {total} {total_label}".rstrip())
+    return {**head, "entries": deco_json(deco), "total_dim": total}, "\n".join(lines)
+
+
 def trace_json(steps) -> list:
     return [{"rule": t.rule, "citation": t.citation, "detail": t.detail} for t in steps]
+
+
+def trace_line(t) -> str:
+    return f"[{t.citation}] {t.detail}"

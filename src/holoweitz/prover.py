@@ -17,12 +17,14 @@ manifold), or when q(R) is known to vanish on E.  Verdicts are only
 ever Parallel or Inconclusive; the engine never claims existence of
 non-parallel forms.  Every step carries a citation from the table in
 :mod:`holoweitz.citations`, and the compactness and exact-holonomy
-hypotheses are recorded on every report.
+hypotheses are recorded on every report; ``*_json`` and ``*_text`` render them.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -30,7 +32,7 @@ from . import citations
 from .contexts import HolonomyContext, form_space, qr_entry
 from .decompose import _degree
 from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent, UnsupportedFormClass
-from .fmt import fmt_q, fmt_w, trace_json
+from .fmt import fmt_q, fmt_w, trace_json, trace_line
 from .irreps import Irrep, dimension
 from .weitzenboeck import conformal_summands
 
@@ -432,7 +434,7 @@ def prove_theorems(ctx: HolonomyContext) -> TheoremReport:
     )
 
 
-# --- JSON rendering ---------------------------------------------------------
+# --- JSON and text rendering ------------------------------------------------
 
 
 def component_json(c: ComponentVerdict) -> dict:
@@ -461,6 +463,25 @@ def component_json(c: ComponentVerdict) -> dict:
     }
 
 
+def component_text(c: ComponentVerdict) -> str:
+    hw, dim = fmt_w(c.bundle.highest_weight), dimension(c.bundle)
+    lines = [f"  component {hw} [dim {dim}]: {c.verdict}"]
+    lines += (
+        f"    summand {fmt_w(st.summand.highest_weight)}: occ(p+1)={st.occ_plus} "
+        f"occ(p-1)={st.occ_minus} killed_by={st.killed_by.value}"
+        for st in c.statuses
+    )
+    if c.factor is not None:
+        lines.append(f"    integrability factor: {fmt_q(c.factor)}")
+    lines += (
+        f"    survivor {fmt_w(s.summand.highest_weight)}: b={fmt_q(s.b)} "
+        f"residual={'-' if s.residual is None else fmt_q(s.residual)}"
+        for s in c.survivors
+    )
+    lines += (f"    {trace_line(t)}" for t in c.trace)
+    return "\n".join(lines)
+
+
 def degree_report_json(r: DegreeReport) -> dict:
     return {
         "context": r.context_id,
@@ -471,6 +492,16 @@ def degree_report_json(r: DegreeReport) -> dict:
         "components": [component_json(c) for c in r.components],
         "verdict": r.verdict,
     }
+
+
+def degree_report_text(r: DegreeReport) -> str:
+    lines = [
+        f"{r.context_id}: {r.form_class.value} {r.degree}-forms -> {r.verdict}",
+        f"  hypotheses: {'; '.join(r.hypotheses)}",
+    ]
+    lines += (f"  {trace_line(t)}" for t in r.reductions)
+    lines += map(component_text, r.components)
+    return "\n".join(lines)
 
 
 def theorem_report_json(t: TheoremReport) -> dict:
@@ -486,3 +517,21 @@ def theorem_report_json(t: TheoremReport) -> dict:
         "matches_expected": t.matches_expected,
         "reports": [degree_report_json(r) for r in t.reports],
     }
+
+
+def _mark(ok: bool) -> str:
+    """PASS or FAIL, green or red when stdout is a terminal and NO_COLOR is unset."""
+    text = "PASS" if ok else "FAIL"
+    if sys.stdout is None or not sys.stdout.isatty() or os.environ.get("NO_COLOR"):
+        return text
+    return f"\033[{32 if ok else 31}m{text}\033[0m"
+
+
+def theorem_report_text(t: TheoremReport, trace: bool = False) -> str:
+    """The claim set and its match with the theorem; with ``trace``, every degree report."""
+    lines = [f"parallelism claims for {t.context_id} (hypotheses: {'; '.join(t.hypotheses)})"]
+    lines += (f"  {cls:<13} p={degree}: {verdict}" for cls, degree, verdict in t.claims)
+    lines.append(f"claim set matches the theorem: {_mark(t.matches_expected)}")
+    if trace:
+        lines += ("\n" + degree_report_text(r) for r in t.reports)
+    return "\n".join(lines)

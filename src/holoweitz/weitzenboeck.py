@@ -115,13 +115,16 @@ def printed_formula(ctx_id: str, bundle_hw: Labels) -> tuple | None:
     return PRINTED_FORMULAS.get(ctx_id, {}).get(bundle_hw)
 
 
-def _check_multiplicity_free(deco) -> None:
-    bad = [(irr.highest_weight, m) for irr, m in deco if m != 1]
-    if bad:
+def _check_multiplicity_free(deco) -> list[Irrep]:
+    """The summands of ``deco`` in order; MultiplicityViolation if one repeats."""
+    order = [irr for irr, m in deco if m == 1]
+    if len(order) < len(deco):
+        bad = [(irr.highest_weight, m) for irr, m in deco if m != 1]
         raise MultiplicityViolation(
             f"tensor product is not multiplicity-free: {bad}; "
             "Schur-based identification of the twistor operators is unsound"
         )
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -140,12 +143,11 @@ def _weight_table(t: Irrep) -> tuple[dict[Labels, tuple[Labels, int]], int]:
 
 
 def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
-    """The summands E_i of T (x) E in formula order, each with its conformal weight b_i."""
+    """The summands E_i of T (x) E in formula order, each with its conformal weight b_i;
+    InternalError unless sum dim(E_i) N_i = 0 for the integer numerators N_i of the b_i."""
     if e.root_system != ctx.root_system:
         raise MixedRootSystems(f"{e} does not live on the {ctx.id} root system")
-    deco = tensor(ctx.holonomy_rep, e)
-    _check_multiplicity_free(deco)
-    order = deco.irreps()
+    order = _check_multiplicity_free(tensor(ctx.holonomy_rep, e))
     recorded = printed_formula(ctx.id, e.highest_weight)
     if recorded is not None:
         by_weight = {i.highest_weight: i for i in order}
@@ -159,7 +161,7 @@ def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
     lam = e.highest_weight
     lam_rho = [c + 1 for c in lam]
     den, dim_g = ctx.n * c_t, ctx.dim_g
-    summands = []
+    numerators, residual = [], 0
     for irr in order:
         entry = table.get(tuple(map(sub, irr.highest_weight, lam)))
         if entry is None:
@@ -168,10 +170,11 @@ def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
                 "bundle's highest weight plus a weight of T"
             )
         image, norm = entry
-        summands.append(
-            Summand(irr, Fraction(dim_g * (norm + 2 * sum(map(mul, lam_rho, image)) - c_t), den))
-        )
-    return tuple(summands)
+        numerators.append(n := norm + 2 * sum(map(mul, lam_rho, image)) - c_t)
+        residual += dimension(irr) * n
+    if residual:
+        raise InternalError(f"sum dim(E_i) * N_i = {residual} for T (x) {lam} on {ctx.id}, not 0")
+    return tuple([Summand(irr, Fraction(dim_g * n, den)) for irr, n in zip(order, numerators)])
 
 
 def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
@@ -269,12 +272,12 @@ def to_table(formula: WeitzenboeckFormula) -> str:
         "",
         f"{'i':>2}  {'summand':<12} {'dim':>5}  {'b':>8}  {'coeff':>8}",
     ]
-    for idx, s in enumerate(formula.summands, start=1):
-        lines.append(
-            f"{idx:>2}  {fmt_w(s.irrep.highest_weight):<12} {dimension(s.irrep):>5}  "
-            f"{fmt_q(s.b):>8}  {fmt_q(s.coeff):>8}"
-        )
-    lines.append(f"trace residual: {fmt_q(trace_residual(formula))}")
+    terms = [(dimension(s.irrep), s.b) for s in formula.summands]
+    lines += (
+        f"{idx:>2}  {fmt_w(s.irrep.highest_weight):<12} {d:>5}  {fmt_q(b):>8}  {fmt_neg_q(b):>8}"
+        for idx, (s, (d, b)) in enumerate(zip(formula.summands, terms), start=1)
+    )
+    lines.append(f"trace residual: {fmt_q(_residual(terms))}")
     if formula.discrepancies:
         lines.append("")
         for d in formula.discrepancies:

@@ -10,8 +10,10 @@ import sys
 
 import pytest
 
-from holoweitz import decompose, irreps, selftest
+from holoweitz import decompose, irreps, prover, selftest, weitzenboeck
 from holoweitz.cli import main
+from holoweitz.contexts import make_context
+from holoweitz.irreps import Irrep
 from holoweitz.roots import MAX_RANK
 
 
@@ -365,6 +367,16 @@ def test_no_color_respected(capsys, monkeypatch):
     assert "\033[" not in out
 
 
+def test_theorem_mark_is_colored_on_a_terminal(capsys, monkeypatch):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    code, out, _ = run(capsys, "theorem", "--holonomy", "g2")
+    assert code == 0
+    assert out.endswith("claim set matches the theorem: \033[32mPASS\033[0m\n")
+    report = prover.prove_theorems(make_context("g2"))._replace(matches_expected=False)
+    assert prover.theorem_report_text(report).endswith("\033[31mFAIL\033[0m")
+
+
 # exact stdout of two table-format commands, so a layout change shows up here
 WEITZENBOECK_SPIN7_21_TABLE = (
     "Weitzenboeck formula on (0,1,0) [dim 21], holonomy spin7\n"
@@ -402,18 +414,31 @@ PROVE_G2_KILLING_2_TABLE = (
 )
 
 
+def _spin7_21_table():
+    s7 = make_context("spin7")
+    return weitzenboeck.to_table(weitzenboeck.conformal_weights(s7, Irrep(s7.root_system, (0, 1, 0))))
+
+
+def _g2_killing_2_text():
+    return prover.degree_report_text(prover.prove_degree(make_context("g2"), 2, "killing"))
+
+
 @pytest.mark.parametrize(
-    "argv, want",
+    "argv, render, want",
     [
-        (["weitzenboeck", "--holonomy", "spin7", "--bundle", "0,1,0"], WEITZENBOECK_SPIN7_21_TABLE),
-        (["prove", "--holonomy", "g2", "--degree", "2", "--class", "killing"], PROVE_G2_KILLING_2_TABLE),
+        (["weitzenboeck", "--holonomy", "spin7", "--bundle", "0,1,0"], _spin7_21_table,
+         WEITZENBOECK_SPIN7_21_TABLE),
+        (["prove", "--holonomy", "g2", "--degree", "2", "--class", "killing"], _g2_killing_2_text,
+         PROVE_G2_KILLING_2_TABLE),
     ],
     ids=["weitzenboeck-spin7-21", "prove-g2-2-killing"],
 )
-def test_text_output_is_pinned(capsys, argv, want):
+def test_text_output_is_pinned(capsys, argv, render, want):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == want
+    # the record's own renderer writes the same bytes, less print's newline
+    assert render() == want.removesuffix("\n")
 
 
 # One digest over what ~40 commands write and return, run in-process through main.

@@ -13,7 +13,12 @@ import pytest
 from holoweitz import citations, roots, weitzenboeck
 from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
 from holoweitz.decompose import Decomposition, tensor
-from holoweitz.errors import MixedRootSystems, MultiplicityViolation, TrivialHolonomyRep
+from holoweitz.errors import (
+    InternalError,
+    MixedRootSystems,
+    MultiplicityViolation,
+    TrivialHolonomyRep,
+)
 from holoweitz.fmt import fmt_q
 from holoweitz.irreps import Irrep, adjoint_irrep, casimir_lambda2, dimension, trivial_irrep
 from holoweitz.weitzenboeck import (
@@ -374,6 +379,17 @@ def test_summand_off_the_weight_table_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(weitzenboeck, "_weight_table", lambda t: ({}, c_t))
     with pytest.raises(RuntimeError, match=r"of T \(x\) \(0, 1\) on g2"):
         conformal_weights(G2, Irrep(G2.root_system, (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "ctx, hw, residual", [(G2, (0, 1), -98), (S7, (0, 1, 0), -168)], ids=["g2", "spin7"]
+)
+def test_a_holonomy_casimir_off_by_one_fails_the_trace_check(monkeypatch, ctx, hw, residual):
+    # C_T + 1 shifts sum dim(E_i) N_i by -dim(T) dim(E): an error, not a plausible formula
+    table, c_t = weitzenboeck._weight_table(ctx.holonomy_rep)
+    monkeypatch.setattr(weitzenboeck, "_weight_table", lambda t: (table, c_t + 1))
+    with pytest.raises(InternalError, match=rf"N_i = {residual} for T \(x\) .* on {ctx.id}, not 0"):
+        conformal_weights(ctx, Irrep(ctx.root_system, hw))
 
 
 def test_multiplicity_guard():
