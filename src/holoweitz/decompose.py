@@ -59,12 +59,6 @@ class Decomposition(tuple):
     def total_dimension(self) -> int:
         return sum(m * dimension(irr) for irr, m in self)
 
-    def multiplicity_of(self, irrep: Irrep) -> int:
-        for irr, m in self:
-            if irr == irrep:
-                return m
-        return 0
-
     def irreps(self) -> tuple[Irrep, ...]:
         return tuple(irr for irr, _ in self)
 
@@ -81,7 +75,7 @@ def _straighten_points(codec: tuple, points: Iterable[tuple[int, int]]) -> dict[
     """The kernel (Klimyk 1968): the irreps that ``points``, the keys of distinct
     points with coefficients, stand for.  A point adds its reflection parity times
     its coefficient at dominant(point) - rho; singular points drop out."""
-    bits, shifts, high, rho, _ = codec
+    bits, shifts, high, rho, _, _ = codec
     acc: dict[int, int] = {}
     get = acc.get
     for key, c in points:
@@ -124,7 +118,7 @@ def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
     """V(lam) (x) char for distinct (weight, multiplicity) pairs of a Weyl-invariant
     char, read twice; lam = 0 decomposes char.  ``total`` is the dimension the
     summands must add up to, if given.  s_i negates label i, so max |nu_i| = max nu_i."""
-    _, shifts, _, rho, _ = codec = _codec(rs, max(lam) + 1 + max([max(nu) for nu, _ in char]))
+    _, shifts, _, rho, _, _ = codec = _codec(rs, max(lam) + 1 + max([max(nu) for nu, _ in char]))
     base = sum(map(lshift, lam, shifts)) + rho  # key(lam + rho)
     points = ((base + sum(map(lshift, nu, shifts)), m) for nu, m in char)
     return _decomposition(rs, _straighten_points(codec, points), total=total)
@@ -185,7 +179,7 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
         return _decomposition(rs, {(0,) * rs.rank: 1})
     lower = [exterior_power(t, q) for q in range(p)]
     t_weights = weights(t)  # s_i negates label i, so M = max |nu_i| is the largest nu_i
-    _, shifts, _, rho, _ = codec = _codec(rs, p * max([max(nu) for nu, _ in t_weights]) + 1)
+    _, shifts, _, rho, _, _ = codec = _codec(rs, p * max([max(nu) for nu, _ in t_weights]) + 1)
     keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in t_weights]
     points: dict[int, int] = {}
     get = points.get

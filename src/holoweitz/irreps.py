@@ -142,15 +142,19 @@ def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
 def _walk(key: int, codec: tuple, known: dict[int, int]) -> int:
     """The entry of ``known`` first met on the way of :func:`roots.dominant_key`
     from the string point at ``key`` (not in ``known``, with a negative label)
-    into the dominant chamber, or 0 if the walk reaches the chamber without one."""
-    bits, _, high, _, simple_keys = codec
+    into the dominant chamber, or 0 if the walk reaches the chamber without one.
+    ``InternalError`` past the codec's cap on reflections, as in ``dominant_key``."""
+    bits, _, high, _, simple_keys, cap = codec
     mask, half = (1 << bits) - 1, 1 << bits - 1
-    while neg := high & ~key:
+    for _ in range(cap + 1):
+        if not (neg := high & ~key):
+            return 0
         i = neg.bit_length() // bits - 1
         key -= ((key >> bits * i & mask) - half) * simple_keys[i]
         if (m := known.get(key)) is not None:
             return m
-    return 0
+    raise InternalError(f"a string walk needs more than |Phi+| = {cap} reflections: "
+                        "its key digits overflow")
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +208,7 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     top_rho = top + 2 * sum(map(mul, lam, rho))  # (lam, lam + 2 rho)
     # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root
     codec = roots.key_codec(rs, isqrt(2 * top // min(map(sum, rs.root_pairings))))  # B
-    _, shifts, high, _, simple_keys = codec
+    _, shifts, high, _, simple_keys, _ = codec
     pairings = dict(zip(rs.positive_labels, rs.root_pairings))
     tables: dict[tuple[bool, ...], list[tuple[int, Labels, int, int]]] = {}
     mult = {lam: 1}

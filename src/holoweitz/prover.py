@@ -141,7 +141,7 @@ def _step(rule: str, detail: str) -> TraceStep:
 
 
 def _require_form_component(ctx: HolonomyContext, e: Irrep, p: int) -> None:
-    if form_space(ctx, p).multiplicity_of(e) == 0:
+    if e not in form_space(ctx, p).irreps():
         raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
 
 

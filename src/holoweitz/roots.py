@@ -20,32 +20,35 @@ dominant key has a zero label iff ``(key - key(rho)) & high`` is nonzero
 (the lowest zero label borrows).  No Weyl image of x has a label above
 max|x_i| (h - 1), h = 2|Phi+| / rank the Coxeter number: (wx)_i = (x,
 w^-1 a_i^v), and a coroot's coefficients on the simple coroots sum to <= h - 1.
+Each reflection at a negative label makes one more positive root pair
+positively with x, so a straightening takes at most |Phi+| reflections,
+the length of w0; a key that needs more was coded too narrow for its
+labels, and :func:`dominant_key` raises ``InternalError``.
 
 The root poset links each positive root a that is not simple to a lower
 one, a - a_j, so a pairing (x, a) costs one addition on top of
 (x, a - a_j) (:func:`poset_pairings`).  The neighbours, the root poset,
-the pairings (w_i, a) of each positive root a, the Weyl denominator (the
-product of the (rho, a)), the common denominator ``den`` of the
-fundamental weights and the columns of the integer fundamental weights
-``den * w_i`` are fields derived by the constructor, the pairings and
-the denominator along the poset: a ``RootSystem._replace`` copy derives
-them afresh.
+the pairings (w_i, a) of each positive root a and the Weyl denominator
+(the product of the (rho, a)) are fields derived by the constructor, the
+last two along the poset: a ``RootSystem._replace`` copy derives them
+afresh.
 
-Ambient coordinates, tuples of ``fractions.Fraction``, appear only at the
-API edge: standard e-coordinates for A/B/C/D and simple-root coordinates
-for G2, with the form carried as an explicit Gram matrix (``base_form``),
-so the G2 model can realize the normalization (w1, w1) = 1,
-(w1, w2) = 3/2, (w2, w2) = 3 with purely rational data.  The edge is
-``to_orthogonal`` (labels to ambient, one ``Fraction`` per coordinate from
-an integer sum over ``fundamental_columns``) and ``to_fundamental``
-(ambient to labels).
+Ambient coordinates appear only at the API edge, and the root system
+keeps only integers for them: standard e-coordinates for A/B/C/D and
+simple-root coordinates for G2.  ``to_orthogonal`` maps labels to a tuple
+of ``Fraction``, one integer sum over ``fundamental_columns`` (the
+integer vectors ``den * w_i``) per coordinate, over ``den``;
+``to_fundamental`` maps an ambient vector to labels, one dot product
+with the integer covector of each simple coroot per label.
 
 Construction runs in integers.  The simple roots are integer ambient
-vectors, the positive roots and det C times the fundamental weights are
-integer combinations of them, and one fraction-free (Bareiss) elimination
-of the integer Cartan matrix C gives det C and the adjugate.  ``Fraction``
-enters only through the form's values on the simple roots (rational for
-G2) and through the ``Fraction``-typed field values.
+vectors and the form on the ambient space is an integer matrix over a
+denominator (2 for G2, whose form realizes (w1, w1) = 1, (w1, w2) = 3/2,
+(w2, w2) = 3).  Both stay local to :func:`build_root_system`: one
+fraction-free (Bareiss) elimination of the integer Cartan matrix C gives
+det C and the adjugate, from which ``den``, ``fundamental_columns`` and
+``gram`` are read off by integer division.  ``form_scale`` is the one
+``Fraction`` a root system holds.
 
 All values are immutable after construction and every function is pure.
 A ``RootSystem`` compares and hashes by identity: ``build_root_system``
@@ -58,9 +61,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, prod
 from operator import lshift, mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InternalError, UnsupportedType
 
@@ -70,25 +73,22 @@ Labels = tuple[int, ...]
 _SUPPORTED = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 MAX_RANK = 40
 
-
-def vector(coords: Iterable) -> Weight:
-    return tuple(Fraction(c) for c in coords)
-
-
-# the constructor's fields, in order; six more are derived from them
-_GIVEN = ("family", "rank", "simple_roots", "fundamental_weights", "positive_roots",
-          "cartan_matrix", "base_form", "rho", "positive_labels", "gram", "form_scale")
+# the constructor's fields, in order; four more are derived from them
+_GIVEN = ("family", "rank", "cartan_matrix", "positive_labels", "gram", "form_scale", "den",
+          "fundamental_columns", "simple_coroots")
 
 
 class RootSystem:
-    """One simple type: roots, invariant form and derived data.
+    """One simple type: Cartan matrix, positive roots, invariant form and derived data.
 
     ``cartan_matrix[i][j] = 2(a_i, a_j)/(a_j, a_j)``, so row i holds the
-    Dynkin labels of the simple root a_i.  ``rho`` is the half-sum of the
-    positive roots (equivalently the sum of the fundamental weights;
-    construction checks both agree).  ``positive_labels`` are the positive
-    roots in Dynkin labels, in the order of ``positive_roots``; the
-    fundamental weights have (w_i, w_j) = form_scale * gram[i][j].
+    Dynkin labels of the simple root a_i.  ``positive_labels`` are the
+    positive roots in Dynkin labels, in (height, ambient lexicographic)
+    order; the fundamental weights have (w_i, w_j) = form_scale * gram[i][j].
+    At the ambient edge, ``den`` > 0 is the least common denominator of
+    the fundamental weights, ``fundamental_columns[k][i]`` = den * (w_i)_k
+    is the k-th ambient coordinate of den * w_i, and ``simple_coroots[i]``
+    is the integer covector 2 (a_i, .)/(a_i, a_i) of the i-th simple coroot.
 
     Derived by the constructor: ``neighbours[i]`` lists (j, cartan_matrix[i][j])
     for the Dynkin neighbours j of i.  ``root_poset`` is ``(simple,
@@ -100,42 +100,34 @@ class RootSystem:
     ``root_pairings[k][i]`` = (w_i, positive_labels[k]) in gram units, the
     parent's row plus (a_j, a_j)/2 at j; ``weyl_denominator`` is the
     product of (rho, a) over the positive roots a, in gram units, summed
-    along the poset.  ``den`` > 0 is the least common denominator of the
-    fundamental weights and ``fundamental_columns[k][i]`` = den * (w_i)_k,
-    the k-th ambient coordinate of den * w_i.  Fields cannot be assigned,
-    and ``_replace`` takes only the constructor's fields.
+    along the poset.  Fields cannot be assigned, and ``_replace`` takes
+    only the constructor's fields.
     """
 
-    __slots__ = _GIVEN + ("neighbours", "root_poset", "root_pairings", "weyl_denominator",
-                          "den", "fundamental_columns")
+    __slots__ = _GIVEN + ("neighbours", "root_poset", "root_pairings", "weyl_denominator")
 
     def __init__(
         self,
         family: str,
         rank: int,
-        simple_roots: tuple[Weight, ...],
-        fundamental_weights: tuple[Weight, ...],
-        positive_roots: tuple[Weight, ...],
         cartan_matrix: tuple[Labels, ...],
-        base_form: tuple[tuple[Fraction, ...], ...],
-        rho: Weight,
         positive_labels: tuple[Labels, ...],
         gram: tuple[Labels, ...],
         form_scale: Fraction,
+        den: int,
+        fundamental_columns: tuple[Labels, ...],
+        simple_coroots: tuple[Labels, ...],
     ):
-        den = lcm(*(x.denominator for w in fundamental_weights for x in w))
         poset = _root_poset(cartan_matrix, positive_labels, gram)
         units = [[int(i == j) for j in range(rank)] for i in range(rank)]  # w_i in labels
         values = (
-            family, rank, simple_roots, fundamental_weights, positive_roots, cartan_matrix,
-            base_form, rho, positive_labels, gram, form_scale,
+            family, rank, cartan_matrix, positive_labels, gram, form_scale, den,
+            fundamental_columns, simple_coroots,
             tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
                   for i, row in enumerate(cartan_matrix)),
             poset,
             tuple(zip(*[poset_pairings(poset, w) for w in units])),
             prod(poset_pairings(poset, (1,) * rank)),
-            den,
-            tuple(zip(*(tuple(int(x * den) for x in w) for w in fundamental_weights))),
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -149,11 +141,6 @@ class RootSystem:
     def _replace(self, **changes) -> RootSystem:
         """A new root system with ``changes`` applied; the derived fields are derived afresh."""
         return RootSystem(**{**{name: getattr(self, name) for name in _GIVEN}, **changes})
-
-    @property
-    def dim(self) -> int:
-        """Coordinate dimension of the ambient space."""
-        return len(self.simple_roots[0])
 
     def __repr__(self) -> str:  # keep reprs short; the full tuple dump is noise
         return f"RootSystem({self.family}{self.rank})"
@@ -218,25 +205,30 @@ def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, int]:
     return tuple(mu), sign
 
 
-def key_codec(rs: RootSystem, bound: int) -> tuple[int, range, int, int, list[int]]:
-    """``(bits, shifts, high, key(rho), [sum_j C_ij S^j])`` for labels at most ``bound``
-    in absolute value, S/2 > bound; key(x) = sum(map(lshift, x, shifts)) + high."""
+def key_codec(rs: RootSystem, bound: int) -> tuple[int, range, int, int, list[int], int]:
+    """``(bits, shifts, high, key(rho), [sum_j C_ij S^j], |Phi+|)`` for labels at most ``bound``
+    in absolute value, S/2 > bound; key(x) = sum(map(lshift, x, shifts)) + high.  The last
+    entry caps the reflections of one straightening."""
     bits = bound.bit_length() + 1
     shifts = range(0, bits * rs.rank, bits)
     high = ((1 << bits * rs.rank) - 1) // ((1 << bits) - 1) << bits - 1
     simple = [sum(map(lshift, a, shifts)) for a in rs.cartan_matrix]
-    return bits, shifts, high, high + (high >> bits - 1), simple
+    return bits, shifts, high, high + (high >> bits - 1), simple, len(rs.positive_labels)
 
 
 def dominant_key(key: int, codec: tuple) -> tuple[int, int]:
-    """:func:`dominant` on a key: the dominant key and the sign, last negative label first."""
-    bits, _, high, _, simple_keys = codec
+    """:func:`dominant` on a key: the dominant key and the sign, last negative label first.
+    ``InternalError`` if the walk needs more reflections than the codec's cap."""
+    bits, _, high, _, simple_keys, cap = codec
     mask, half, sign = (1 << bits) - 1, 1 << bits - 1, 1
-    while neg := high & ~key:
+    for _ in range(cap + 1):
+        if not (neg := high & ~key):
+            return key, sign
         i = neg.bit_length() // bits - 1
         key -= ((key >> bits * i & mask) - half) * simple_keys[i]
         sign = -sign
-    return key, sign
+    raise InternalError(f"a key straightening needs more than |Phi+| = {cap} reflections: "
+                        "its digits overflow")
 
 
 def orbit(rs: RootSystem, mu: tuple) -> list[tuple]:
@@ -265,13 +257,10 @@ def orbit(rs: RootSystem, mu: tuple) -> list[tuple]:
 
 def to_fundamental(rs: RootSystem, w: Weight) -> tuple[Fraction, ...]:
     """Dynkin labels <w, coroot(a_i)> = 2(w, a_i)/(a_i, a_i) of an ambient vector ``w``."""
-    if len(w) != rs.dim:
-        raise DimensionMismatch(f"expected coordinate length {rs.dim}, got {len(w)}")
-
-    def form(u, v):  # u^T base_form v, skipping zero entries of u and of the form
-        return sum(x * g * y for x, row in zip(u, rs.base_form) if x for g, y in zip(row, v) if g)
-
-    return tuple(2 * form(w, a) / form(a, a) for a in rs.simple_roots)
+    if len(w) != len(rs.fundamental_columns):
+        raise DimensionMismatch(
+            f"expected coordinate length {len(rs.fundamental_columns)}, got {len(w)}")
+    return tuple(Fraction(sum(map(mul, w, c))) for c in rs.simple_coroots)
 
 
 def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
@@ -283,32 +272,36 @@ def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
 # --- construction -------------------------------------------------------------
 
 
-def _simple_root_data(family: str, rank: int) -> tuple[list[Labels], tuple[Weight, ...]]:
-    """Simple roots as integer ambient vectors plus the Gram matrix of the space."""
-    if family == "G":  # simple-root coordinates, Gram pinned by (w1, w1) = 1
-        return [(1, 0), (0, 1)], (vector((1, Fraction(-3, 2))), vector((Fraction(-3, 2), 3)))
+def _simple_root_data(family: str, rank: int) -> tuple[list[Labels], list[Labels], int]:
+    """Simple roots as integer ambient vectors, and the form of the space as an
+    integer matrix and its denominator."""
+    if family == "G":  # simple-root coordinates, the form pinned by (w1, w1) = 1
+        return [(1, 0), (0, 1)], [(2, -3), (-3, 6)], 2
     dim = rank + 1 if family == "A" else rank
     roots = [tuple(int(j == i) - int(j == i + 1) for j in range(dim)) for i in range(dim - 1)]
     if family != "A":  # e_n, 2 e_n or e_(n-1) + e_n
         roots.append((0,) * (rank - 2) + {"B": (0, 1), "C": (0, 2), "D": (1, 1)}[family])
-    return roots, tuple(vector(int(i == j) for j in range(dim)) for i in range(dim))
+    return roots, [tuple(int(i == j) for j in range(dim)) for i in range(dim)], 1
 
 
 @lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system of type ``family``/``rank`` (an ``int`` up to MAX_RANK).
 
-    Construction runs in integers.  The form is evaluated once, on the
-    integer simple roots: their Gram matrix b = ((a_i, a_j)) gives the
-    Cartan matrix 2 b_ij / b_jj.  One fraction-free Gauss-Jordan pass
-    (Bareiss) turns C into det C and the adjugate det C . C^-1, from
-    which the fundamental weights and ``gram`` = C^-1 D / 2 are read off
-    with a single division by det C.  The positive roots are the closure
-    of the simple roots under the simple reflections, each of which
-    permutes the positive roots other than its own; they are ordered by
-    (height, ambient lexicographic).  Every ambient vector is an integer
-    combination over the one or two nonzero entries of each simple root.
-    Construction verifies that the positive roots sum to 2 rho.
+    Construction runs in integers.  The ambient form is an integer matrix
+    over a denominator q.  Applied to each simple root a_i, over the root's
+    one or two nonzero entries, it gives the covector q (a_i, .); its
+    pairings with the simple roots give b = q ((a_i, a_j)), the Cartan
+    matrix 2 b_ij / b_jj and the coroot covector 2 q (a_i, .) / b_ii.  One
+    fraction-free Gauss-Jordan pass (Bareiss) turns C into det C and the
+    adjugate det C . C^-1.  The vectors det C . w_i are integer combinations
+    of the simple roots; ``den`` and ``fundamental_columns`` are det C and
+    them over their common divisor, and ``gram`` = C^-1 D / 2, D the
+    diagonal of b / q, is read off likewise.  The positive roots are
+    the closure of the simple roots under the simple reflections, each of
+    which permutes the positive roots other than its own; they are ordered
+    by (height, ambient lexicographic).  Construction verifies that the
+    positive roots sum to 2 rho.
     """
     if family not in _SUPPORTED or type(rank) is not int:
         raise UnsupportedType(f"unsupported root system {family}{rank}")
@@ -317,19 +310,22 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         need = "rank = 2" if family == "G" else f"{_SUPPORTED[family]} <= rank <= MAX_RANK = {top}"
         raise UnsupportedType(f"unsupported root system {family}{rank}: type {family} needs {need}")
 
-    simple, base_form = _simple_root_data(family, rank)
+    simple, base, q = _simple_root_data(family, rank)
     support = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
-    b = [[sum(x * g * y for k, x in su for m, y in sv if (g := base_form[k][m])) for sv in support]
-         for su in support]
-    cartan = tuple(tuple(int(2 * x / b[j][j]) for j, x in enumerate(row)) for row in b)
 
-    def combine(coeffs: Sequence[int]) -> list[int]:
+    def combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
         out = [0] * len(simple[0])
-        for c, nz in zip(coeffs, support):
+        for c, v in zip(coeffs, vectors):
             if c:
-                for k, x in nz:
+                for k, x in v:
                     out[k] += c * x
         return out
+
+    rows = [[(m, g) for m, g in enumerate(row) if g] for row in base]
+    covectors = [combine(a, rows) for a in simple]  # q (a_i, .), the form being symmetric
+    b = [[sum(x * cov[k] for k, x in sv) for sv in support] for cov in covectors]
+    cartan = tuple(tuple(2 * x // b[j][j] for j, x in enumerate(row)) for row in b)
+    coroots = tuple(tuple(2 * y // b[i][i] for y in cov) for i, cov in enumerate(covectors))
 
     # positive roots as Dynkin labels -> simple-root coefficients
     found = {cartan[i]: tuple(int(i == j) for j in range(rank)) for i in range(rank)}
@@ -342,7 +338,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                     found[r] = tuple(k - c * (j == i) for j, k in enumerate(found[labels]))
                     queue.append(r)
 
-    ambient = {r: tuple(combine(coeffs)) for r, coeffs in found.items()}
+    ambient = {r: tuple(combine(coeffs, support)) for r, coeffs in found.items()}
     positive = sorted(found, key=lambda r: (sum(found[r]), ambient[r]))
     if any(sum(col) != 2 for col in zip(*positive)):
         raise InternalError(f"{family}{rank}: half-sum of positive roots disagrees with the "
@@ -361,22 +357,20 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         det = pivot
     adj = [row[rank:] for row in aug]
 
-    # w_i = sum_j (C^-1)_ij a_j, so (w_i, w_j) = (C^-1)_ij b_jj / 2
-    fundamental = [combine(row) for row in adj]
-    gram = [[x * b[j][j] / (2 * det) for j, x in enumerate(row)] for row in adj]
-    scale = lcm(*(x.denominator for row in gram for x in row))
-    frac = {x: Fraction(x) for x in set().union(*ambient.values())}  # one per distinct coordinate
+    # w_i = sum_j (C^-1)_ij a_j: det w_i = sum_j adj_ij a_j and (w_i, w_j) = adj_ij b_jj / (2 q det)
+    fundamental = [combine(row, support) for row in adj]
+    cut = gcd(det, *(x for w in fundamental for x in w))
+    gram = [[x * b[j][j] for j, x in enumerate(row)] for row in adj]
+    common = gcd(2 * q * det, *(x for row in gram for x in row))
 
     return RootSystem(
         family=family,
         rank=rank,
-        simple_roots=tuple(map(vector, simple)),
-        fundamental_weights=tuple(tuple(Fraction(x, det) for x in w) for w in fundamental),
-        positive_roots=tuple(tuple(map(frac.get, ambient[r])) for r in positive),
         cartan_matrix=cartan,
-        base_form=base_form,
-        rho=tuple(Fraction(sum(col), det) for col in zip(*fundamental)),
         positive_labels=tuple(positive),
-        gram=tuple(tuple(int(x * scale) for x in row) for row in gram),
-        form_scale=Fraction(1, scale),
+        gram=tuple(tuple(x // common for x in row) for row in gram),
+        form_scale=Fraction(common, 2 * q * det),
+        den=det // cut,
+        fundamental_columns=tuple(zip(*([x // cut for x in w] for w in fundamental))),
+        simple_coroots=coroots,
     )

@@ -29,7 +29,7 @@ from holoweitz.prover import (
     prove_component,
     prove_theorems,
 )
-from holoweitz.roots import build_root_system, orbit, to_fundamental, to_orthogonal, vector
+from holoweitz.roots import build_root_system, orbit, to_fundamental, to_orthogonal
 from holoweitz.weitzenboeck import conformal_weights, trace_residual
 
 G2 = make_context("g2")
@@ -184,17 +184,17 @@ def test_c7_so_n_conformal_weight_cross_check():
         rs = ctx.root_system
         r = rs.rank
         for p in range(1, n // 2):
-            lam_orth = vector([1] * p + [0] * (r - p))
+            lam_orth = tuple([1] * p + [0] * (r - p))
             lam = Irrep(rs, tuple(int(c) for c in to_fundamental(rs, lam_orth)))
             f = conformal_weights(ctx, lam)
             by_b: dict = {}
             for s in f.summands:
                 by_b.setdefault(s.b, set()).add(to_orthogonal(rs, s.irrep.highest_weight))
-            assert by_b[Fraction(-(n - p))] == {vector([1] * (p - 1) + [0] * (r - p + 1))}
-            assert by_b[Fraction(1)] == {vector([2] + [1] * (p - 1) + [0] * (r - p))}
-            plus = vector([1] * (p + 1) + [0] * (r - p - 1))
+            assert by_b[Fraction(-(n - p))] == {tuple([1] * (p - 1) + [0] * (r - p + 1))}
+            assert by_b[Fraction(1)] == {tuple([2] + [1] * (p - 1) + [0] * (r - p))}
+            plus = tuple([1] * (p + 1) + [0] * (r - p - 1))
             if rs.family == "D" and p + 1 == r:
-                plus_split = vector([1] * (r - 1) + [-1])
+                plus_split = tuple([1] * (r - 1) + [-1])
                 assert by_b[Fraction(-p)] == {plus, plus_split}
             else:
                 assert by_b[Fraction(-p)] == {plus}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -27,12 +28,12 @@ from holoweitz.irreps import (
 from holoweitz.roots import build_root_system, dominant, orbit, to_orthogonal
 
 from helpers import (
+    ambient,
     ambient_casimir,
     form,
     kostant_multiplicity,
     mat_vec,
     parabolic_order,
-    scaled,
     simple_reflections,
 )
 
@@ -118,7 +119,7 @@ def test_freudenthal_against_kostant_formula(rs, hw):
     irr = Irrep(rs, hw)
     lam = to_orthogonal(rs, hw)
     for mu, mult in weight_system(irr).items():
-        assert kostant_multiplicity(rs, lam, mu) == mult, (hw, mu)
+        assert kostant_multiplicity(ambient(rs.family, rs.rank), lam, mu) == mult, (hw, mu)
 
 
 def test_freudenthal_totals_match_weyl_dimension():
@@ -152,20 +153,20 @@ def test_large_labels_keep_their_string_keys_apart(rs, hw):
     irr = Irrep(rs, hw)
     mult = dominant_multiplicities(irr)
     assert sum(m * len(orbit(rs, mu)) for mu, m in mult.items()) == dimension(irr)
-    lam = to_orthogonal(rs, hw)
+    lam, amb = to_orthogonal(rs, hw), ambient(rs.family, rs.rank)
     for mu, m in list(mult.items())[:: max(1, len(mult) // 12)]:
-        assert kostant_multiplicity(rs, lam, to_orthogonal(rs, mu)) == m, mu
+        assert kostant_multiplicity(amb, lam, to_orthogonal(rs, mu)) == m, mu
 
 
 CLASS_ALGEBRAS = [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 7)] + [
     ("C", r) for r in range(3, 6)] + [("D", r) for r in range(4, 7)] + [("G", 2)]
 
 
-def oracle_root_classes(rs, zeros):
+def oracle_root_classes(amb, zeros):
     """Classes of positive roots under W_zeros up to sign, by closing each root under the
     simple reflection matrices s_i, i in zeros: each class as a set of integer ambient roots."""
-    positive = {scaled(a)[1] for a in rs.positive_roots}
-    reflections = [simple_reflections(rs)[i] for i in zeros]
+    positive = set(amb.positive_roots)
+    reflections = [simple_reflections(amb)[i] for i in zeros]
     classes, placed = [], set()
     for a in sorted(positive):
         if a in placed:
@@ -185,21 +186,21 @@ def oracle_root_classes(rs, zeros):
 
 @pytest.mark.parametrize("family,rank", CLASS_ALGEBRAS, ids=lambda x: str(x))
 def test_root_classes_match_the_reflection_closure_on_every_zero_pattern(family, rank):
-    rs = build_root_system(family, rank)
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
     # Dynkin labels 2 (v, a_i) / (a_i, a_i) through the form alone
-    labels = {scaled(v)[1]: tuple(int(2 * form(rs, v, a) / form(rs, a, a)) for a in rs.simple_roots)
-              for v in rs.positive_roots}
+    labels = {v: tuple(int(2 * form(amb, v, a) / form(amb, a, a)) for a in amb.simple_roots)
+              for v in amb.positive_roots}
     for size in range(rank + 1):
         for zeros in combinations(range(rank), size):
             expected = {}
-            for members in oracle_root_classes(rs, zeros):
+            for members in oracle_root_classes(amb, zeros):
                 tops = [labels[v] for v in members if all(labels[v][i] >= 0 for i in zeros)]
                 assert len(tops) == 1, (zeros, members)
                 expected[tops[0]] = len(members)
             classes = _root_classes(rs, zeros)
             assert classes == expected, zeros
             assert all(a[i] >= 0 for a in classes for i in zeros)
-            assert sum(classes.values()) == len(rs.positive_roots)
+            assert sum(classes.values()) == len(rs.positive_labels)
 
 
 @pytest.mark.parametrize("rs,hw", [(B3, (3, 3, 3)), (D4, (2, 1, 1, 1)), (G2, (2, 3))])
@@ -215,14 +216,15 @@ def test_b5_orbit_sizes_times_multiplicities_give_the_weyl_dimension():
     # s_i with mu_i = 0; the group orders come from helpers' reflection matrices
     rs = build_root_system("B", 5)
     irr = Irrep(rs, (2, 2, 1, 1, 2))
-    order = parabolic_order(rs, range(rs.rank))
+    amb = ambient(rs.family, rs.rank)
+    order = parabolic_order(amb, range(rs.rank))
     assert order == 2**5 * 120
     stabilisers: dict[tuple[int, ...], int] = {}
     total = 0
     for mu, m in dominant_multiplicities(irr).items():
         zeros = tuple(i for i, c in enumerate(mu) if not c)
         if zeros not in stabilisers:
-            stabilisers[zeros] = parabolic_order(rs, zeros)
+            stabilisers[zeros] = parabolic_order(amb, zeros)
             assert len(orbit(rs, mu)) == order // stabilisers[zeros], mu
         total += m * order // stabilisers[zeros]
     assert total == dimension(irr)
@@ -237,8 +239,8 @@ SWEEP += [("D", 3), ("D", 4), ("D", 5), ("G", 2)]
 def test_weyl_dimension_is_the_orbit_sum_of_the_multiplicities(family, rank):
     # dim V(lam) = sum over dominant mu of m(mu) |W| / |W_mu|, the group orders from
     # helpers' reflection matrices; every label up to 2 at rank 2 or less, up to 1 above
-    rs = build_root_system(family, rank)
-    order = lru_cache(maxsize=None)(lambda zeros: parabolic_order(rs, zeros))
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
+    order = lru_cache(maxsize=None)(lambda zeros: parabolic_order(amb, zeros))
     for hw in product(range(3 if rank <= 2 else 2), repeat=rank):
         irr = Irrep(rs, hw)
         total = sum(m * order(tuple(range(rank))) // order(tuple(i for i, c in enumerate(mu) if not c))
@@ -305,23 +307,26 @@ def test_spin7_lambda2_equals_base_casimir(ctx_id):
     # the Lambda2 normalization is the base form itself: c = -(lam, lam + 2 rho)
     ctx = make_context(ctx_id)
     rs = ctx.root_system
+    amb = ambient(rs.family, rs.rank)
     rng = random.Random(4)
     for _ in range(20):
         irr = Irrep(rs, tuple(rng.randint(0, 3) for _ in range(rs.rank)))
-        assert casimir_lambda2(ctx, irr) == -ambient_casimir(rs, irr.highest_weight)
+        assert casimir_lambda2(ctx, irr) == -ambient_casimir(amb, irr.highest_weight)
 
 
 def test_casimir_lambda2_invariant_under_form_scaling():
-    # scale the form (form_scale * gram, and base_form) by c; the value must not move
-    g2 = make_context("g2")
+    # scale the form by c: gram (or form_scale) in the package, base_form in the oracle, where
+    # c_lam = c_T C(lam) / C(T); the value must not move
+    g2, amb = make_context("g2"), ambient("G", 2)
     for c in (2, 3, 5):
-        rs = G2._replace(
-            base_form=tuple(tuple(c * x for x in row) for row in G2.base_form),
-            gram=tuple(tuple(c * x for x in row) for row in G2.gram),
-        )
-        ctx = g2._replace(root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
-        for hw in G2_TABLE:
-            assert casimir_lambda2(ctx, Irrep(rs, hw)) == casimir_lambda2(g2, Irrep(G2, hw))
+        scaled = replace(amb, base_form=tuple(tuple(c * x for x in row) for row in amb.base_form))
+        c_t = casimir_lambda2(g2, g2.holonomy_rep) / ambient_casimir(scaled, (1, 0))
+        for rs in (G2._replace(gram=tuple(tuple(c * x for x in row) for row in G2.gram)),
+                   G2._replace(form_scale=c * G2.form_scale)):
+            ctx = g2._replace(root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
+            for hw in G2_TABLE:
+                want = casimir_lambda2(g2, Irrep(G2, hw))
+                assert casimir_lambda2(ctx, Irrep(rs, hw)) == want == c_t * ambient_casimir(scaled, hw)
 
 
 def test_trivial_holonomy_rep_rejected():

@@ -9,7 +9,7 @@ import pytest
 from holoweitz.contexts import form_space, make_context
 from holoweitz.decompose import Decomposition, exterior_power
 from holoweitz.irreps import Irrep
-from holoweitz.roots import build_root_system, to_orthogonal
+from holoweitz.roots import build_root_system
 from holoweitz.weitzenboeck import conformal_weights
 
 B3 = build_root_system("B", 3)
@@ -34,18 +34,13 @@ def test_contexts_compare_and_hash_by_identity():
 
 
 def test_root_system_replace_takes_only_constructor_fields():
-    derived = ("root_poset", "root_pairings", "weyl_denominator", "neighbours", "den",
-               "fundamental_columns")
-    for bad in [{name: ()} for name in derived] + [{"no_such_field": 1}]:
+    derived = ("root_poset", "root_pairings", "weyl_denominator", "neighbours")
+    # the ambient fields of a Fraction model are gone
+    removed = ("simple_roots", "fundamental_weights", "positive_roots", "base_form", "rho", "dim")
+    for bad in [{name: ()} for name in derived + removed] + [{"no_such_field": 1}]:
         with pytest.raises(TypeError):
             B3._replace(**bad)
-
-
-def test_replace_derives_den_and_columns_afresh():
-    halved = B3._replace(fundamental_weights=tuple(tuple(x / 2 for x in w) for w in B3.fundamental_weights))
-    assert (B3.den, halved.den) == (2, 4)
-    assert halved.fundamental_columns == B3.fundamental_columns
-    assert to_orthogonal(halved, (1, 0, 1)) == tuple(x / 2 for x in to_orthogonal(B3, (1, 0, 1)))
+    assert not any(hasattr(B3, name) for name in removed)
 
 
 def test_irreps_compare_and_hash_by_root_system_and_weight():

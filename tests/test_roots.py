@@ -6,11 +6,13 @@ import random
 import re
 import time
 from fractions import Fraction
+from dataclasses import replace
 from math import lcm, prod
 
 import pytest
 
-from holoweitz.errors import DimensionMismatch, UnsupportedType
+from holoweitz import decompose, irreps
+from holoweitz.errors import DimensionMismatch, InternalError, UnsupportedType
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
     MAX_RANK,
@@ -22,16 +24,16 @@ from holoweitz.roots import (
     orbit,
     to_fundamental,
     to_orthogonal,
-    vector,
 )
 
 from helpers import (
+    ambient,
     brute_orbit,
+    coroots,
     form,
     form_table,
     identity,
-    invert,
-    mat_mul,
+    labels,
     mat_vec,
     restart_dominant,
     root_basis_coords,
@@ -54,26 +56,24 @@ POSET_TYPES += [("G", 2)] + [(family, 40) for family in "ABCD"]
 def test_g2_cartan_matrix_and_positive_roots():
     g2 = build_root_system("G", 2)
     assert g2.cartan_matrix == ((2, -1), (-3, 2))
-    assert len(g2.positive_roots) == 6
+    assert len(g2.positive_labels) == 6
 
 
 def test_b3_positive_roots_are_the_standard_nine():
     b3 = build_root_system("B", 3)
     expected = set()
     for i in range(3):
-        expected.add(vector([1 if k == i else 0 for k in range(3)]))
+        expected.add(tuple(1 if k == i else 0 for k in range(3)))
         for j in range(i + 1, 3):
             for sign in (1, -1):
-                expected.add(
-                    vector([1 if k == i else (sign if k == j else 0) for k in range(3)])
-                )
-    assert set(b3.positive_roots) == expected
-    assert len(b3.positive_roots) == 9
+                expected.add(tuple(1 if k == i else (sign if k == j else 0) for k in range(3)))
+    assert {to_orthogonal(b3, a) for a in b3.positive_labels} == expected
+    assert len(b3.positive_labels) == 9
 
 
 def test_a1_single_positive_root():
     a1 = build_root_system("A", 1)
-    assert len(a1.positive_roots) == 1
+    assert len(a1.positive_labels) == 1
 
 
 def test_root_systems_compare_by_identity():
@@ -125,69 +125,102 @@ def test_rank_12_cartan_matrices_have_the_closed_form():
             expected[r - 3][r - 1] = expected[r - 1][r - 3] = -1
         assert rs.cartan_matrix == tuple(map(tuple, expected)), fam
         count = {"A": r * (r + 1) // 2, "B": r * r, "C": r * r, "D": r * (r - 1)}[fam]
-        assert len(rs.positive_roots) == len(rs.positive_labels) == count, fam
+        assert len(rs.positive_labels) == count, fam
 
 
 def test_positive_roots_are_in_height_then_ambient_order():
     minimum = {"A": 1, "B": 2, "C": 2, "D": 3}
     cases = [("G", 2)] + [(f, r) for f in "ABCD" for r in range(minimum[f], 7)]
     for fam, rank in cases:
-        rs = build_root_system(fam, rank)
-        keys = [(sum(root_basis_coords(rs, a)), a) for a in rs.positive_roots]
+        rs, amb = build_root_system(fam, rank), ambient(fam, rank)
+        positive = [to_orthogonal(rs, a) for a in rs.positive_labels]
+        keys = [(sum(root_basis_coords(amb, a)), a) for a in positive]
         assert keys == sorted(keys), (fam, rank)
-        for labels, a in zip(rs.positive_labels, rs.positive_roots):
-            assert to_orthogonal(rs, labels) == a
-        for i, w in enumerate(rs.fundamental_weights):
+        assert positive == list(amb.positive_roots), (fam, rank)
+        for i, w in enumerate(amb.fundamental_weights):
             assert to_fundamental(rs, w) == tuple(int(i == j) for j in range(rank))
 
 
 def test_g2_gram_matches_the_normalization():
-    g2 = build_root_system("G", 2)
-    w1, w2 = g2.fundamental_weights
-    assert form(g2, w1, w1) == 1
-    assert form(g2, w1, w2) == Fraction(3, 2)
-    assert form(g2, w2, w2) == 3
+    g2, amb = build_root_system("G", 2), ambient("G", 2)
+    w1, w2 = amb.fundamental_weights
+    assert (to_orthogonal(g2, (1, 0)), to_orthogonal(g2, (0, 1))) == (w1, w2)
+    assert form(amb, w1, w1) == 1
+    assert form(amb, w1, w2) == Fraction(3, 2)
+    assert form(amb, w2, w2) == 3
 
 
 def test_gram_and_fundamental_weights_against_a_rational_inverse():
-    # gram and form_scale come from an integer adjugate; here w_i = sum_j (C^-1)_ij a_j uses
-    # the rational inverse of the oracle, and every product is evaluated on base_form
+    # gram and form_scale come from an integer adjugate; the oracle's w_i = sum_j (C^-1)_ij a_j
+    # uses a rational inverse, and every product is evaluated on its base_form
     types = [("G", 2)] + [("A", r) for r in range(1, 13)] + [("D", r) for r in range(3, 13)]
     types += [(family, r) for family in "BC" for r in range(2, 13)]
     for family, rank in types:
-        rs = build_root_system(family, rank)
-        w = mat_mul(invert(rs.cartan_matrix), rs.simple_roots)
+        rs, amb = build_root_system(family, rank), ambient(family, rank)
+        w = amb.fundamental_weights
+        assert tuple(to_orthogonal(rs, unit) for unit in identity(rank)) == w, (family, rank)
         # base_form is symmetric, so row j of ((w_i, w_j)) is w . (base_form w_j)
-        assert tuple(mat_vec(w, mat_vec(rs.base_form, v)) for v in w) == tuple(
+        assert tuple(mat_vec(w, mat_vec(amb.base_form, v)) for v in w) == tuple(
             tuple(rs.form_scale * g for g in row) for row in rs.gram
         ), (family, rank)
-        for j, a in enumerate(rs.simple_roots):
-            form_a = mat_vec(rs.base_form, a)
+        for j, a in enumerate(amb.simple_roots):
+            form_a = mat_vec(amb.base_form, a)
             length = sum(x * y for x, y in zip(a, form_a))
-            pairings = [2 * x / length for x in mat_vec(rs.fundamental_weights, form_a)]
+            pairings = [2 * x / length for x in mat_vec(w, form_a)]
             assert pairings == [int(i == j) for i in range(rank)], (family, rank, j)
 
 
+@pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
+def test_root_system_matches_the_ambient_model(family, rank):
+    # every field of the ambient edge and of the form, against the oracle's own model
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
+    assert rs.cartan_matrix == amb.cartan_matrix
+    assert rs.positive_labels == tuple(labels(amb, a) for a in amb.positive_roots)
+    den = lcm(*(x.denominator for w in amb.fundamental_weights for x in w))
+    columns = tuple(zip(*([int(den * x) for x in w] for w in amb.fundamental_weights)))
+    assert (rs.den, rs.fundamental_columns) == (den, columns)
+    assert rs.simple_coroots == coroots(amb)
+    # form_scale * gram = ((w_i, w_j)), on the integer vectors den * w_i
+    scaled_weights = list(zip(*columns))
+    assert form_table(amb, scaled_weights, scaled_weights) == [
+        [den * den * rs.form_scale * g for g in row] for row in rs.gram]
+
+
+def test_no_field_but_form_scale_holds_a_fraction():
+    def fractions(value):
+        if isinstance(value, (tuple, list)):
+            return sum(map(fractions, value))
+        return isinstance(value, Fraction)
+
+    for family, rank in POSET_TYPES:
+        rs = build_root_system(family, rank)
+        assert type(rs.form_scale) is Fraction
+        held = {name: fractions(getattr(rs, name)) for name in rs.__slots__ if name != "form_scale"}
+        assert not any(held.values()), (family, rank, held)
+
+
 def test_dot_is_the_ambient_form_over_form_scale():
-    # dot runs on labels and the integer gram; the ambient route evaluates base_form
+    # dot runs on labels and the integer gram; the ambient route evaluates the oracle's base_form
     systems = [build_root_system(f, r) for f in "ABCD" for r in range(1, 9) if r >= MIN_RANK[f]]
     systems.append(build_root_system("G", 2))
-    b3 = build_root_system("B", 3)
-    tripled = tuple(tuple(3 * x for x in row) for row in b3.base_form)
-    systems.append(b3._replace(base_form=tripled, form_scale=3 * b3.form_scale))
-    systems.append(b3._replace(base_form=tripled, gram=tuple(tuple(3 * x for x in row) for row in b3.gram)))
+    pairs = [(rs, ambient(rs.family, rs.rank)) for rs in systems]
+    b3, amb = build_root_system("B", 3), ambient("B", 3)
+    tripled = replace(amb, base_form=tuple(tuple(3 * x for x in row) for row in amb.base_form))
+    pairs.append((b3._replace(form_scale=3 * b3.form_scale), tripled))
+    pairs.append((b3._replace(gram=tuple(tuple(3 * x for x in row) for row in b3.gram)), tripled))
     rng = random.Random(1515)
-    for rs in systems:
+    for rs, amb in pairs:
         for _ in range(25):
             u, v = (tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(2))
-            want = form(rs, to_orthogonal(rs, u), to_orthogonal(rs, v)) / rs.form_scale
+            want = form(amb, to_orthogonal(rs, u), to_orthogonal(rs, v)) / rs.form_scale
             assert dot(rs, u, v) == want, (rs, u, v)
 
 
 def test_b3_rho_and_its_norm():
-    b3 = build_root_system("B", 3)
-    assert b3.rho == vector([Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)])
-    assert form(b3, b3.rho, b3.rho) == Fraction(35, 4)
+    b3, amb = build_root_system("B", 3), ambient("B", 3)
+    assert amb.rho == (Fraction(5, 2), Fraction(3, 2), Fraction(1, 2))
+    assert to_orthogonal(b3, (1, 1, 1)) == amb.rho
+    assert form(amb, amb.rho, amb.rho) == Fraction(35, 4)
 
 
 def test_dot_bilinearity_zero():
@@ -199,7 +232,7 @@ def test_dot_bilinearity_zero():
 
 def test_to_fundamental_dimension_mismatch():
     b3 = build_root_system("B", 3)
-    for w in (vector([1, 0]), vector([1, 0, 0, 0])):
+    for w in ((1, 0), (1, 0, 0, 0)):
         with pytest.raises(DimensionMismatch):
             to_fundamental(b3, w)
 
@@ -209,14 +242,14 @@ def test_positive_root_count_matches_adjoint_dimension():
     for fam, rank in ALL_TYPES:
         rs = build_root_system(fam, rank)
         dim_g = dimension(adjoint_irrep(rs))
-        assert len(rs.positive_roots) == (dim_g - rank) // 2, (fam, rank)
+        assert len(rs.positive_labels) == (dim_g - rank) // 2, (fam, rank)
 
 
 def test_rho_pairs_positively_with_every_positive_root():
     for fam, rank in ALL_TYPES:
-        rs = build_root_system(fam, rank)
-        for a in rs.positive_roots:
-            assert form(rs, rs.rho, a) > 0
+        rs, amb = build_root_system(fam, rank), ambient(fam, rank)
+        for a in rs.positive_labels:
+            assert form(amb, amb.rho, to_orthogonal(rs, a)) > 0
 
 
 def test_dominant_input_is_a_fixed_point():
@@ -233,14 +266,14 @@ def test_a1_negative_weight_reflects_with_parity():
 
 
 def test_singular_weight_detected_against_brute_force():
-    b3 = build_root_system("B", 3)
-    w = vector([1, 1, 0])  # orthogonal to e1 - e2
-    labels = tuple(int(c) for c in to_fundamental(b3, w))
-    dom, sign = dominant(b3, labels)
-    assert 0 in dom and (dom, sign) == (labels, 1)
-    group = weyl_group(b3)
+    b3, amb = build_root_system("B", 3), ambient("B", 3)
+    w = (1, 1, 0)  # orthogonal to e1 - e2
+    fund = tuple(int(c) for c in to_fundamental(b3, w))
+    dom, sign = dominant(b3, fund)
+    assert 0 in dom and (dom, sign) == (fund, 1)
+    group = weyl_group(amb)
     assert len(group) == 48
-    points = brute_orbit(b3, w)
+    points = brute_orbit(amb, w)
     # stabilizer nontrivial exactly when the orbit is smaller than the group
     assert len(points) < len(group)
     dominant_images = {v for v in points if min(to_fundamental(b3, v)) >= 0}
@@ -251,17 +284,17 @@ def test_to_dominant_is_idempotent_in_the_orbit_with_the_inversion_parity():
     rng = random.Random(7)
     regular = 0
     for fam, rank in ALL_TYPES:
-        rs = build_root_system(fam, rank)
+        rs, amb = build_root_system(fam, rank), ambient(fam, rank)
         for _ in range(20):
             fund = [rng.randint(-4, 4) for _ in range(rank)]
             w = to_orthogonal(rs, fund)
             dom, sign = dominant(rs, fund)
             assert dominant(rs, dom) == (dom, 1)
-            assert to_orthogonal(rs, dom) in brute_orbit(rs, w)
+            assert to_orthogonal(rs, dom) in brute_orbit(amb, w)
             if 0 not in dom:
                 # the Weyl element taking a regular w to the dominant chamber
                 # has length #{positive a : (w, a) < 0}; its determinant is the sign
-                inversions = sum(form(rs, w, a) < 0 for a in rs.positive_roots)
+                inversions = sum(form(amb, w, a) < 0 for a in amb.positive_roots)
                 assert sign == (-1) ** inversions
                 regular += 1
     assert regular > 50
@@ -275,11 +308,11 @@ def test_worklist_dominant_matches_the_restart_scan():
     rng = random.Random(12)
     singular = 0
     for family, rank in types:
-        rs = build_root_system(family, rank)
+        rs, amb = build_root_system(family, rank), ambient(family, rank)
         for _ in range(40):
             mu = tuple(rng.randint(-3, 3) for _ in range(rank))
-            assert dominant(rs, mu) == restart_dominant(rs, mu), (family, rank, mu)
-            singular += 0 in restart_dominant(rs, mu)[0]
+            assert dominant(rs, mu) == restart_dominant(amb, mu), (family, rank, mu)
+            singular += 0 in restart_dominant(amb, mu)[0]
     assert singular > 200
 
 
@@ -301,7 +334,8 @@ def test_dominant_key_decodes_to_dominant_within_the_coxeter_bound():
         h = COXETER[family](rank)
         assert 2 * len(rs.positive_labels) == h * rank
         for bound in (1, 4, 25):
-            bits, shifts, high, rho, _ = codec = key_codec(rs, bound * (h - 1))
+            bits, shifts, high, rho, _, cap = codec = key_codec(rs, bound * (h - 1))
+            assert cap == len(rs.positive_labels)
             for _ in range(70):
                 x = [rng.choice((-bound, bound, rng.randint(-bound, bound))) for _ in range(rank)]
                 key, sign = dominant_key(sum(c << s for c, s in zip(x, shifts)) + high, codec)
@@ -312,6 +346,26 @@ def test_dominant_key_decodes_to_dominant_within_the_coxeter_bound():
                 checked += 1
                 singular += 0 in dom
     assert checked == 29 * 210 and singular > 1000
+
+
+def test_a_codec_too_narrow_for_its_labels_ends_in_internal_error(monkeypatch):
+    # key_codec(A2, 3) codes labels in [-4, 4), but the orbit of (-1, -3) holds (4, -1): the
+    # digits wrap, no walk reaches the chamber, and the cap of |Phi+| = 3 reflections ends it
+    start = time.perf_counter()
+    rs = build_root_system("A", 2)
+    codec = key_codec(rs, 3)
+    key = sum(c << s for c, s in zip((-1, -3), codec[1])) + codec[2]
+    with pytest.raises(InternalError, match=r"more than \|Phi\+\| = 3 reflections"):
+        dominant_key(key, codec)
+    with pytest.raises(InternalError, match=r"more than \|Phi\+\| = 3 reflections"):
+        irreps._walk(key, codec, {})
+    # a kernel codec half as wide as it must be: A1 (3) x (2) wraps its keys as well
+    real = decompose._codec
+    monkeypatch.setattr(decompose, "_codec", lambda rs, top: real(rs, top // 2))
+    a1 = build_root_system("A", 1)._replace()  # a fresh root system: no cached answer is read
+    with pytest.raises(InternalError, match=r"more than \|Phi\+\| = 1 reflections"):
+        decompose.tensor(Irrep(a1, (3,)), Irrep(a1, (2,)))
+    assert time.perf_counter() - start < 1
 
 
 def test_fundamental_orthogonal_round_trip_on_random_weights():
@@ -335,43 +389,43 @@ def test_orbit_sizes_and_brute_force_agreement():
     g2 = build_root_system("G", 2)
     points = {to_orthogonal(g2, v) for v in orbit(g2, (1, 0))}
     assert len(points) == 6
-    assert points == brute_orbit(g2, g2.fundamental_weights[0])
+    assert points == brute_orbit(ambient("G", 2), ambient("G", 2).fundamental_weights[0])
 
     b3 = build_root_system("B", 3)
     points = {to_orthogonal(b3, v) for v in orbit(b3, (0, 0, 1))}
     assert len(points) == 8
     half = Fraction(1, 2)
     assert points == {(a * half, b * half, c * half) for a in (1, -1) for b in (1, -1) for c in (1, -1)}
-    assert points == brute_orbit(b3, b3.fundamental_weights[2])
+    assert points == brute_orbit(ambient("B", 3), ambient("B", 3).fundamental_weights[2])
 
 
 @pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
 def test_root_poset_steps_down_by_the_simple_root_of_the_first_positive_label(family, rank):
-    rs = build_root_system(family, rank)
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
     simple, edges = rs.root_poset
-    labels, cartan = rs.positive_labels, rs.cartan_matrix
-    assert sorted(j for j, _ in simple) == list(range(rank)) and len(edges) == len(labels) - rank
-    for (j, d), a in zip(simple, labels):
+    positive, cartan = rs.positive_labels, rs.cartan_matrix
+    assert sorted(j for j, _ in simple) == list(range(rank)) and len(edges) == len(positive) - rank
+    for (j, d), a in zip(simple, positive):
         assert a == cartan[j]
-        alpha = rs.simple_roots[j]
-        assert d * rs.form_scale == form(rs, alpha, alpha) / 2  # (a_j, a_j) / 2 in gram units
+        alpha = amb.simple_roots[j]
+        assert d * rs.form_scale == form(amb, alpha, alpha) / 2  # (a_j, a_j) / 2 in gram units
     for k, (parent, s) in enumerate(edges, rank):
-        a = labels[k]
+        a = positive[k]
         j = next(i for i, c in enumerate(a) if c > 0)
         assert s < rank and simple[s][0] == j and parent < k
-        assert labels[parent] == tuple(x - y for x, y in zip(a, cartan[j]))
+        assert positive[parent] == tuple(x - y for x, y in zip(a, cartan[j]))
 
 
 @pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
 def test_root_pairings_are_the_ambient_form(family, rank):
     # (w_i, a) = sum_k a_k (w_i, e_k) by bilinearity, the form on the ambient unit vectors
     # e_k; the table of (w_i, e_k) in gram units is scaled to integers by m
-    rs = build_root_system(family, rank)
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
     table = [[x / rs.form_scale for x in row]
-             for row in form_table(rs, rs.fundamental_weights, identity(rs.dim))]
+             for row in form_table(amb, amb.fundamental_weights, identity(amb.dim))]
     m = lcm(*(x.denominator for row in table for x in row))
     table = [[int(m * x) for x in row] for row in table]
-    for a, row in zip(rs.positive_roots, rs.root_pairings):
+    for a, row in zip(amb.positive_roots, rs.root_pairings):
         nonzero = [(k, int(x)) for k, x in enumerate(a) if x]  # roots are integer vectors
         assert [m * x for x in row] == [sum(t[k] * x for k, x in nonzero) for t in table], a
     assert rs.weyl_denominator == prod(map(sum, rs.root_pairings))  # (rho, a) = sum_i (w_i, a)

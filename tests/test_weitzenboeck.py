@@ -34,7 +34,7 @@ from holoweitz.weitzenboeck import (
     trace_residual,
 )
 
-from helpers import ambient_casimir
+from helpers import ambient, ambient_casimir
 
 G2 = make_context("g2")
 S7 = make_context("spin7")
@@ -144,9 +144,9 @@ def test_trace_residual_examples():
 
 def lambda2_casimir(ctx):
     """c(hw) = -2 dim(g) C(hw) / (n C_T) with C read off the ambient form (the oracle)."""
-    rs = ctx.root_system
-    scale = Fraction(-2 * ctx.dim_g, ctx.n) / ambient_casimir(rs, ctx.holonomy_rep.highest_weight)
-    return cache(lambda hw: scale * ambient_casimir(rs, hw))
+    amb = ambient(ctx.root_system.family, ctx.root_system.rank)
+    scale = Fraction(-2 * ctx.dim_g, ctx.n) / ambient_casimir(amb, ctx.holonomy_rep.highest_weight)
+    return cache(lambda hw: scale * ambient_casimir(amb, hw))
 
 
 def test_conformal_weights_against_the_ambient_casimir_oracle():
@@ -326,13 +326,13 @@ def test_so_n_cross_check():
     # algebraic shadow of the SO(n) form-bundle Weitzenboeck formula;
     # exterior powers and their neighbours are identified by their
     # highest weights in e-coordinates, (1,...,1,0,...) and (2,1,...,1,0,...)
-    from holoweitz.roots import to_fundamental, to_orthogonal, vector
+    from holoweitz.roots import to_fundamental, to_orthogonal
 
     def e_ones(r, k, last=0):
         coords = [1] * k + [0] * (r - k)
         if last:
             coords[r - 1] = last
-        return vector(coords)
+        return tuple(coords)
 
     for n in range(5, 10):
         ctx = make_context(f"so{n}")
@@ -347,7 +347,7 @@ def test_so_n_cross_check():
             for s in f.summands:
                 got.setdefault(s.b, []).append(to_orthogonal(rs, s.irrep.highest_weight))
             assert got[Fraction(-(n - p))] == [e_ones(r, p - 1)], (n, p)
-            want_11 = vector([2] + [1] * (p - 1) + [0] * (r - p))
+            want_11 = tuple([2] + [1] * (p - 1) + [0] * (r - p))
             assert got[Fraction(1)] == [want_11], (n, p)
             # the (p+1)-form block; for D with p+1 = rank it splits in halves
             plus = set(got[Fraction(-p)])
