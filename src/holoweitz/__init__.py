@@ -12,7 +12,6 @@ from .contexts import (
     form_space,
     load_registry,
     make_context,
-    qr_trivial,
 )
 from .decompose import Decomposition, exterior_power, tensor
 from .errors import (
@@ -21,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     HoloweitzError,
     InternalError,
-    InternalNegativeMultiplicity,
     MixedRootSystems,
     MultiplicityViolation,
     NotAFormComponent,
@@ -35,7 +33,6 @@ from .irreps import (
     adjoint_irrep,
     casimir_lambda2,
     dimension,
-    trivial_irrep,
     weight_system,
 )
 from .prover import (
@@ -64,7 +61,6 @@ __all__ = [
     "HolonomyContext",
     "HoloweitzError",
     "InternalError",
-    "InternalNegativeMultiplicity",
     "Irrep",
     "MixedRootSystems",
     "MultiplicityViolation",
@@ -90,9 +86,7 @@ __all__ = [
     "prove_component",
     "prove_degree",
     "prove_theorems",
-    "qr_trivial",
     "tensor",
     "trace_residual",
-    "trivial_irrep",
     "weight_system",
 ]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import citations
 from .decompose import Decomposition, exterior_power
-from .errors import InternalError, MixedRootSystems, UnsupportedContext
+from .errors import InternalError, UnsupportedContext
 from .irreps import Irrep, adjoint_irrep, dimension
 from .roots import RootSystem, build_root_system
 
@@ -156,13 +156,6 @@ def qr_entry(ctx: HolonomyContext, e: Irrep) -> RegistryEntry | None:
         if entry.highest_weight == hw:
             return entry
     return None
-
-
-def qr_trivial(ctx: HolonomyContext, e: Irrep) -> bool:
-    """Whether q(R) vanishes on bundles modeled on ``e`` in this context."""
-    if e.root_system != ctx.root_system:
-        raise MixedRootSystems(f"{e} does not live on the {ctx.id} root system")
-    return qr_entry(ctx, e) is not None
 
 
 def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:

@@ -9,7 +9,8 @@ the smaller one's weights.  Exterior powers follow Newton's identity in
 the representation ring (Fulton-Harris; LiE's ``alt_tensor``),
 q Lambda^q(T) = sum_{k=1..q} (-1)^(k-1) psi^k(T) Lambda^(q-k)(T), where
 the Adams operation psi^k(T) is T's weight multiset scaled by k; degrees
-above n/2 are duals of degrees below.
+above n/2 are duals of degrees below, V(lam) -> V(-w0 lam) by
+:func:`roots.dual_weight`.
 
 One stream of (point, coefficient) pairs feeds the kernel, and each
 point in it is distinct.  A point travels as one integer key
@@ -23,12 +24,16 @@ each key with a negative label once, by :func:`roots.dominant_key`, adds
 the coefficients up on the dominant keys and decodes each distinct
 result once, less rho.
 
-The summand order (see :class:`Decomposition`) is decided here alone; it
-numbers the twistor operators T_i downstream.  Sorting by dimension
-computes every summand's Weyl dimension, so each answer is also checked
-to conserve dimension: dim a * dim b for a tensor product, C(n, p) for
-Lambda^p, or :class:`InternalError`.  Summand irreps are built from the
-kernel's labels without the checks of ``Irrep(...)``.
+Every tensor product, straightened character and exterior power leaves
+through one checked exit, :func:`_decomposition`, which decides the
+summand order (see :class:`Decomposition`); the order numbers the twistor
+operators T_i downstream.  Sorting by dimension computes every summand's
+Weyl dimension, so each answer is also checked to conserve dimension:
+dim V(lam) times the sum of char's multiplicities for a straightening
+(dim a * dim b for a tensor product), C(n, p) for Lambda^p.  A negative
+or indivisible multiplicity or a dimension that does not add up raises
+:class:`InternalError`.  Summand irreps are built from the kernel's
+labels without the checks of ``Irrep(...)``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from operator import lshift, mul
 from typing import Iterable
 
 from . import roots
-from .errors import DegreeOutOfRange, InternalError, InternalNegativeMultiplicity, MixedRootSystems
+from .errors import DegreeOutOfRange, InternalError, MixedRootSystems
 from .irreps import Irrep, _unchecked_irrep, dimension, weights
 from .roots import Labels, RootSystem
 
@@ -74,7 +79,7 @@ def _codec(rs: RootSystem, top: int) -> tuple:
 def _straighten_points(codec: tuple, points: Iterable[tuple[int, int]]) -> dict[Labels, int]:
     """The kernel (Klimyk 1968): the irreps that ``points``, the keys of distinct
     points with coefficients, stand for.  A point adds its reflection parity times
-    its coefficient at dominant(point) - rho; singular points drop out."""
+    its coefficient at the point's dominant Weyl image less rho; singular points drop out."""
     bits, shifts, high, rho, _, _ = codec
     acc: dict[int, int] = {}
     get = acc.get
@@ -89,13 +94,12 @@ def _straighten_points(codec: tuple, points: Iterable[tuple[int, int]]) -> dict[
     return {tuple([(key - rho) >> s & mask for s in shifts]): m for key, m in acc.items() if m}
 
 
-def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1,
-                   total: int | None = None) -> Decomposition:
-    """The checked step: ``acc / q`` as a sorted :class:`Decomposition`, or
-    :class:`InternalNegativeMultiplicity` on a negative or indivisible entry.
-
-    Given ``total``, the summands' dimensions, which the sort computes
-    anyway, must add up to it, or :class:`InternalError` is raised."""
+def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
+                   q: int = 1) -> Decomposition:
+    """The checked exit of every decomposition: ``acc / q`` as a sorted
+    :class:`Decomposition`.  :class:`InternalError` on a negative or
+    indivisible entry, or unless the summands' dimensions, which the sort
+    computes anyway, add up to ``total``."""
     entries = []
     columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
     for hw, m in acc.items():
@@ -104,24 +108,25 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], q: int = 1,
             irr = _unchecked_irrep(rs, hw)
             if rest or value < 0:
                 why = "negative" if m < 0 else f"not divisible by {q}"
-                raise InternalNegativeMultiplicity(f"multiplicity {m} at {irr}: {why}")
+                raise InternalError(f"multiplicity {m} at {irr}: {why}")
             key = [sum(map(mul, hw, col)) for col in columns]
             entries.append((dimension(irr), key, irr, value))
     entries.sort()  # distinct highest weights have distinct ambient keys: no Irrep is compared
-    if total is not None and (found := sum(d * m for d, _, _, m in entries)) != total:
+    if (found := sum(d * m for d, _, _, m in entries)) != total:
         raise InternalError(f"summands add up to dimension {found}, expected {total}")
     return Decomposition([(irr, m) for _, _, irr, m in entries])
 
 
-def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
-                total: int | None = None) -> Decomposition:
+def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]]) -> Decomposition:
     """V(lam) (x) char for distinct (weight, multiplicity) pairs of a Weyl-invariant
-    char, read twice; lam = 0 decomposes char.  ``total`` is the dimension the
-    summands must add up to, if given.  s_i negates label i, so max |nu_i| = max nu_i."""
+    char, read three times; lam = 0 decomposes char.  The summands must add up to
+    dim V(lam) times the sum of the multiplicities.  s_i negates label i, so
+    max |nu_i| = max nu_i."""
     _, shifts, _, rho, _, _ = codec = _codec(rs, max(lam) + 1 + max([max(nu) for nu, _ in char]))
     base = sum(map(lshift, lam, shifts)) + rho  # key(lam + rho)
     points = ((base + sum(map(lshift, nu, shifts)), m) for nu, m in char)
-    return _decomposition(rs, _straighten_points(codec, points), total=total)
+    total = dimension(_unchecked_irrep(rs, lam)) * sum([m for _, m in char])
+    return _decomposition(rs, _straighten_points(codec, points), total)
 
 
 @lru_cache(maxsize=None)
@@ -134,10 +139,9 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
     """
     if a.root_system != b.root_system:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
-    dim_a, dim_b = dimension(a), dimension(b)
-    if dim_a < dim_b:
+    if dimension(a) < dimension(b):
         a, b = b, a
-    return _straighten(a.root_system, a.highest_weight, weights(b), dim_a * dim_b)
+    return _straighten(a.root_system, a.highest_weight, weights(b))
 
 
 def _degree(p) -> int:
@@ -157,7 +161,8 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     the signed sum is divided by p.  The lower degrees come from this
     function's cache, filled in increasing degree so the recursion stays
     shallow.  For 2p > n, Lambda^p is the dual of Lambda^(n-p): V(lam)
-    becomes V(-w0 lam), the dominant representative of -lam.
+    becomes V(-w0 lam) (:func:`roots.dual_weight`).  Every degree is
+    checked to add up to C(n, p).
 
     Points merge on their keys (:mod:`roots`), key(lam + rho + k nu) =
     key(lam + rho) + k sum_i nu_i S^i: one addition and one dict update
@@ -172,11 +177,10 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
         raise DegreeOutOfRange(f"degree {p} outside [0, {n}]")
     rs = t.root_system
     if 2 * p > n:
-        dual = {roots.dominant(rs, [-c for c in v.highest_weight])[0]: m
-                for v, m in exterior_power(t, n - p)}
-        return _decomposition(rs, dual, total=comb(n, p))
+        dual = {roots.dual_weight(rs, v.highest_weight): m for v, m in exterior_power(t, n - p)}
+        return _decomposition(rs, dual, comb(n, p))
     if p == 0:
-        return _decomposition(rs, {(0,) * rs.rank: 1})
+        return _decomposition(rs, {(0,) * rs.rank: 1}, 1)
     lower = [exterior_power(t, q) for q in range(p)]
     t_weights = weights(t)  # s_i negates label i, so M = max |nu_i| is the largest nu_i
     _, shifts, _, rho, _, _ = codec = _codec(rs, p * max([max(nu) for nu, _ in t_weights]) + 1)
@@ -190,4 +194,4 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
             for x, w in psi:
                 x += base
                 points[x] = get(x, 0) + m * w
-    return _decomposition(rs, _straighten_points(codec, points.items()), p, comb(n, p))
+    return _decomposition(rs, _straighten_points(codec, points.items()), comb(n, p), p)

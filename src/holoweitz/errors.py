@@ -23,12 +23,9 @@ class MixedRootSystems(HoloweitzError):
 
 class InternalError(HoloweitzError, RuntimeError):
     """An internal result failed its check, such as a Weyl dimension that is not an
-    integer or a decomposition whose dimensions do not add up; a bug, not a bad input."""
-
-
-class InternalNegativeMultiplicity(HoloweitzError):
-    """Straightening ended in a negative multiplicity, or, in the Newton recursion
-    for Lambda^q, in one not divisible by q; a bug in a tensor product or exterior power."""
+    integer, or a decomposition with a negative multiplicity, one not divisible by q in
+    the Newton recursion for Lambda^q, or dimensions that do not add up; a bug, not a
+    bad input."""
 
 
 class DegreeOutOfRange(HoloweitzError):

@@ -70,10 +70,6 @@ def _unchecked_irrep(rs: RootSystem, hw: Labels) -> Irrep:
     return tuple.__new__(Irrep, (rs, hw))
 
 
-def trivial_irrep(rs: RootSystem) -> Irrep:
-    return Irrep(rs, (0,) * rs.rank)
-
-
 def adjoint_irrep(rs: RootSystem) -> Irrep:
     """Irrep with the highest root as highest weight."""
     return Irrep(rs, rs.positive_labels[-1])

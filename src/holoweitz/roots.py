@@ -7,12 +7,8 @@ with respect to the fundamental weights.  The simple reflection s_i is
 ``gram``, the Gram matrix of the fundamental weights scaled to integers;
 the invariant form itself is ``form_scale * gram``.
 
-``dominant`` keeps a worklist of the negative labels: after s_i only the
-Dynkin neighbours of i can turn negative, and only those are pushed.  Each
-step lowers by one the number of positive roots that pair negatively with
-the weight, so the sign does not depend on the order of the steps.
-
-A point x also travels as one integer key (broadword arithmetic, Knuth,
+:func:`dominant_key` is the one Weyl straightening, and it runs on keys:
+a point x travels as one integer (broadword arithmetic, Knuth,
 TAOCP 4A, 7.1.3; :func:`key_codec`): in base S = 2^bits, digit i holds
 x_i + S/2, exact while every label is in [-S/2, S/2).  ``high & ~key``
 marks the negative labels, s_i subtracts x_i sum_j C_ij S^j, and a
@@ -21,9 +17,16 @@ dominant key has a zero label iff ``(key - key(rho)) & high`` is nonzero
 max|x_i| (h - 1), h = 2|Phi+| / rank the Coxeter number: (wx)_i = (x,
 w^-1 a_i^v), and a coroot's coefficients on the simple coroots sum to <= h - 1.
 Each reflection at a negative label makes one more positive root pair
-positively with x, so a straightening takes at most |Phi+| reflections,
-the length of w0; a key that needs more was coded too narrow for its
-labels, and :func:`dominant_key` raises ``InternalError``.
+positively with x, so the sign (-1)^steps does not depend on the order
+of the steps, and a straightening takes at most |Phi+| reflections, the
+length of w0; a key that needs more was coded too narrow for its labels,
+and :func:`dominant_key` raises ``InternalError``.
+
+The dual of V(lam) is V(-w0 lam), and -w0 permutes the simple roots by a
+symmetry of the Dynkin diagram (Bourbaki, Groupes et algèbres de Lie,
+ch. VI, planches I-IV and IX): :func:`dual_weight` reverses the labels on
+A_r, swaps the last two on D_r of odd rank, and fixes them on B_r, C_r,
+D_r of even rank and G2, where w0 = -1.
 
 The root poset links each positive root a that is not simple to a lower
 one, a - a_j, so a pairing (x, a) costs one addition on top of
@@ -183,28 +186,6 @@ def dot(rs: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, [sum(map(mul, row, v)) for row in rs.gram]))
 
 
-def dominant(rs: RootSystem, mu: Sequence) -> tuple[tuple, int]:
-    """Dominant Weyl-orbit representative of a weight in Dynkin labels.
-
-    Returns ``(dominant, sign)``: the sign is (-1)^length of the simple
-    reflections applied to ``mu``, the determinant of the Weyl element
-    that carries ``mu`` into the dominant chamber.
-    """
-    mu = tuple(mu)
-    if min(mu) >= 0:
-        return mu, 1
-    mu, sign = list(mu), 1
-    stack = [i for i, c in enumerate(mu) if c < 0]
-    while stack:
-        i = stack.pop()
-        c, mu[i], sign = mu[i], -mu[i], -sign
-        for j, a in rs.neighbours[i]:
-            was, mu[j] = mu[j], mu[j] - c * a
-            if was >= 0 > mu[j]:
-                stack.append(j)
-    return tuple(mu), sign
-
-
 def key_codec(rs: RootSystem, bound: int) -> tuple[int, range, int, int, list[int], int]:
     """``(bits, shifts, high, key(rho), [sum_j C_ij S^j], |Phi+|)`` for labels at most ``bound``
     in absolute value, S/2 > bound; key(x) = sum(map(lshift, x, shifts)) + high.  The last
@@ -217,7 +198,7 @@ def key_codec(rs: RootSystem, bound: int) -> tuple[int, range, int, int, list[in
 
 
 def dominant_key(key: int, codec: tuple) -> tuple[int, int]:
-    """:func:`dominant` on a key: the dominant key and the sign, last negative label first.
+    """The dominant Weyl image of a key and the sign (-1)^steps, last negative label first.
     ``InternalError`` if the walk needs more reflections than the codec's cap."""
     bits, _, high, _, simple_keys, cap = codec
     mask, half, sign = (1 << bits) - 1, 1 << bits - 1, 1
@@ -231,12 +212,21 @@ def dominant_key(key: int, codec: tuple) -> tuple[int, int]:
                         "its digits overflow")
 
 
+def dual_weight(rs: RootSystem, hw: Labels) -> Labels:
+    """-w0 hw, the highest weight of V(hw)*, for a weight ``hw`` in Dynkin labels."""
+    if rs.family == "A":
+        return hw[::-1]
+    if rs.family == "D" and rs.rank % 2:
+        return hw[:-2] + (hw[-1], hw[-2])
+    return hw
+
+
 def orbit(rs: RootSystem, mu: tuple) -> list[tuple]:
     """Weyl orbit of a dominant weight in Dynkin labels, as a breadth-first list.
 
     Every orbit point is reached from the dominant one, listed first, by
-    reflections s_i applied where the i-th label is positive.  Like
-    :func:`dominant`, s_i flips label i and moves only its Dynkin neighbours.
+    reflections s_i applied where the i-th label is positive; s_i flips
+    label i and moves only its Dynkin neighbours.
     """
     seen, queue = {mu}, [mu]
     for v in queue:  # the loop also visits what it appends

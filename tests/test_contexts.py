@@ -15,10 +15,9 @@ from holoweitz.contexts import (
     load_registry,
     make_context,
     qr_entry,
-    qr_trivial,
 )
-from holoweitz.errors import DegreeOutOfRange, MixedRootSystems, UnsupportedContext
-from holoweitz.irreps import Irrep, trivial_irrep
+from holoweitz.errors import DegreeOutOfRange, UnsupportedContext
+from holoweitz.irreps import Irrep
 
 
 TRIVIAL = "Cor. ricci (the Lie algebra acts by zero on the trivial bundle)"
@@ -82,14 +81,12 @@ def test_unknown_context_rejected():
 
 def test_qr_trivial_examples():
     g2 = make_context("g2")
-    assert qr_trivial(g2, Irrep(g2.root_system, (1, 0)))
-    assert not qr_trivial(g2, Irrep(g2.root_system, (0, 1)))
-    assert qr_trivial(g2, trivial_irrep(g2.root_system))
+    assert qr_entry(g2, Irrep(g2.root_system, (1, 0))) is not None
+    assert qr_entry(g2, Irrep(g2.root_system, (0, 1))) is None
+    assert qr_entry(g2, Irrep(g2.root_system, (0, 0))) is not None
     s7 = make_context("spin7")
-    assert qr_trivial(s7, Irrep(s7.root_system, (1, 0, 0)))
-    assert qr_trivial(s7, trivial_irrep(s7.root_system))
-    with pytest.raises(MixedRootSystems):
-        qr_trivial(g2, Irrep(s7.root_system, (0, 0, 1)))
+    assert qr_entry(s7, Irrep(s7.root_system, (1, 0, 0))) is not None
+    assert qr_entry(s7, Irrep(s7.root_system, (0, 0, 0))) is not None
 
 
 def test_registry_entries_carry_citations():
@@ -101,11 +98,10 @@ def test_registry_entries_carry_citations():
 
 
 def test_registry_checks_build_no_weight_set():
-    """qr_trivial, qr_entry and the prover scan the registry."""
+    """qr_entry and the prover scan the registry."""
     from holoweitz.prover import FormClass, prove_degree
 
     for ctx in (make_context("g2"), make_context("spin7")):
-        assert qr_trivial(ctx, ctx.holonomy_rep)
         assert qr_entry(ctx, ctx.holonomy_rep).citation == RICCI_FLAT
         for p in range(1, ctx.n):
             prove_degree(ctx, p, FormClass.KILLING)
@@ -151,10 +147,9 @@ def test_registry_json_loading(tmp_path):
     assert set(grouped) == {"spin7", "g2"}
     ctx = make_context("spin7", grouped["spin7"])
     bundle = Irrep(ctx.root_system, (0, 1, 0))
-    assert qr_trivial(ctx, bundle)
     assert qr_entry(ctx, bundle).citation.startswith("testing:")
     # base context unchanged
-    assert not qr_trivial(make_context("spin7"), bundle)
+    assert qr_entry(make_context("spin7"), bundle) is None
 
 
 @pytest.mark.parametrize("citation", [None, {"a": 1}, "", 3, ["x"]], ids=repr)

@@ -22,7 +22,6 @@ from holoweitz.decompose import (
 from holoweitz.errors import (
     DegreeOutOfRange,
     InternalError,
-    InternalNegativeMultiplicity,
     MixedRootSystems,
 )
 from holoweitz.irreps import (
@@ -31,15 +30,14 @@ from holoweitz.irreps import (
     dimension,
     dominant_multiplicities,
     full_weights,
-    trivial_irrep,
     weight_system,
     weights,
 )
 from holoweitz.prover import prove_theorems
-from holoweitz.roots import build_root_system, dominant, to_fundamental
+from holoweitz.roots import build_root_system, to_fundamental
 from holoweitz.weitzenboeck import conformal_weights
 
-from helpers import character_product, subset_sums
+from helpers import ambient, character_product, restart_dominant, subset_sums
 
 G2 = build_root_system("G", 2)
 B3 = build_root_system("B", 3)
@@ -107,7 +105,7 @@ def test_spin7_tensor_products_of_the_proposition_bundles():
 def test_tensor_with_trivial_is_identity():
     for rs, hw in [(G2, (2, 0)), (B3, (1, 0, 1)), (build_root_system("C", 3), (1, 1, 0))]:
         v = Irrep(rs, hw)
-        assert entries(tensor(v, trivial_irrep(rs))) == [(hw, 1)]
+        assert entries(tensor(v, Irrep(rs, (0,) * rs.rank))) == [(hw, 1)]
 
 
 def test_tensor_rejects_mixed_root_systems():
@@ -259,6 +257,11 @@ def test_exterior_power_matches_the_subset_route_exactly(t):
         assert exterior_power(t, p) == _straighten(rs, (0,) * rs.rank, char), p
 
 
+def minus_dominant(rs, hw):
+    """-w0 hw as the dominant image of -hw, by the oracle's restart scan."""
+    return restart_dominant(ambient(rs.family, rs.rank), tuple(-c for c in hw))[0]
+
+
 @pytest.mark.parametrize("t", ORACLE_REPS, ids=repr)
 def test_exterior_powers_of_complementary_degree_are_dual(t):
     rs, n = t.root_system, dimension(t)
@@ -266,7 +269,7 @@ def test_exterior_powers_of_complementary_degree_are_dual(t):
         if comb(n, p) > 10**8:  # keeps the 64-dimensional G2 (1,1) below Lambda^7
             continue
         lower = exterior_power(t, n - p)
-        dual = {dominant(rs, [-c for c in irr.highest_weight])[0]: m for irr, m in lower}
+        dual = {minus_dominant(rs, irr.highest_weight): m for irr, m in lower}
         assert dict(entries(exterior_power(t, p))) == dual, p
 
 
@@ -283,9 +286,9 @@ def test_newton_keys_stay_apart_on_large_labels(where, hw, p):
     deco = exterior_power(t, p)
     assert deco.total_dimension() == comb(n, p)
     # Hodge duality, and Lambda^p(T*) = Lambda^p(T)* from a Newton run of its own
-    dual = {dominant(rs, [-c for c in irr.highest_weight])[0]: m for irr, m in deco}
+    dual = {minus_dominant(rs, irr.highest_weight): m for irr, m in deco}
     assert dict(entries(exterior_power(t, n - p))) == dual
-    t_star = Irrep(rs, dominant(rs, [-c for c in hw])[0])
+    t_star = Irrep(rs, minus_dominant(rs, hw))
     assert dict(entries(exterior_power(t_star, p))) == dual
     # the Casimir's trace on Lambda^p(T) is C(n-2, p-1) times its trace on T:
     # tr(X^2) over p-subsets of eigenvalues summing to 0
@@ -295,10 +298,10 @@ def test_newton_keys_stay_apart_on_large_labels(where, hw, p):
 
 def straighten_tuples(rs, points):
     """{highest weight: multiplicity} of a Counter of points lam + rho + nu, each
-    straightened on its label tuple by roots.dominant."""
-    acc = Counter()
+    straightened on its label tuple by the oracle's restart scan."""
+    acc, amb = Counter(), ambient(rs.family, rs.rank)
     for x, c in points.items():
-        dom, sign = dominant(rs, x)
+        dom, sign = restart_dominant(amb, x)
         if c and 0 not in dom:
             acc[tuple(d - 1 for d in dom)] += sign * c
     return {hw: c for hw, c in acc.items() if c}
@@ -431,7 +434,7 @@ def test_a_wrong_lower_degree_raises_instead_of_answering(monkeypatch):
             return poisoned if (t, p) == (T, 2) else exterior_power(t, p)
 
         monkeypatch.setattr(decompose, "exterior_power", lower)
-        with pytest.raises(InternalNegativeMultiplicity):
+        with pytest.raises(InternalError, match="multiplicity"):
             exterior_power(T, 3)
         with pytest.raises(InternalError, match="add up to dimension 14, expected 21"):
             exterior_power(T, 5)
@@ -441,22 +444,25 @@ def test_a_wrong_lower_degree_raises_instead_of_answering(monkeypatch):
 
 def test_a_straightening_without_its_sign_fails_the_dimension_check(monkeypatch):
     # the mutant keeps the dominant point and drops the reflection parity: the summands of a
-    # tensor product or an exterior power then add up to more than dim a * dim b or C(n, p)
+    # tensor product, of V(lam) straightened against a character given without a total, or
+    # of an exterior power then add up to more than dim a * dim b or C(n, p)
     real = roots.dominant_key
     monkeypatch.setattr(roots, "dominant_key", lambda key, codec: (real(key, codec)[0], 1))
     rs = B3._replace()  # a fresh root system: no cached answer is read
     with pytest.raises(InternalError, match="add up to dimension 189, expected 147"):
         tensor(Irrep(rs, (1, 0, 0)), Irrep(rs, (0, 1, 0)))
+    with pytest.raises(InternalError, match="add up to dimension 273, expected 147"):
+        _straighten(rs, (1, 0, 0), weights(Irrep(rs, (0, 1, 0))))
     with pytest.raises(InternalError, match="expected 7"):
         exterior_power(Irrep(rs, (1, 0, 0)), 2)
 
 
 def test_the_checked_step_rejects_negative_and_indivisible_multiplicities():
-    assert entries(_decomposition(G2, {(1, 0): 6, (0, 0): 3}, 3)) == [((0, 0), 1), ((1, 0), 2)]
-    with pytest.raises(InternalNegativeMultiplicity):
-        _decomposition(G2, {(1, 0): 4}, 3)
-    with pytest.raises(InternalNegativeMultiplicity):
-        _decomposition(G2, {(1, 0): -3}, 3)
+    assert entries(_decomposition(G2, {(1, 0): 6, (0, 0): 3}, 15, 3)) == [((0, 0), 1), ((1, 0), 2)]
+    with pytest.raises(InternalError, match="multiplicity 4 .*: not divisible by 3"):
+        _decomposition(G2, {(1, 0): 4}, 7, 3)
+    with pytest.raises(InternalError, match="multiplicity -3 .*: negative"):
+        _decomposition(G2, {(1, 0): -3}, 7, 3)
 
 
 def test_multiplicity_freeness_of_holonomy_tensor_products():

@@ -21,11 +21,10 @@ from holoweitz.irreps import (
     dimension,
     dominant_multiplicities,
     full_weights,
-    trivial_irrep,
     weight_system,
     weights,
 )
-from holoweitz.roots import build_root_system, dominant, orbit, to_orthogonal
+from holoweitz.roots import build_root_system, orbit, to_orthogonal
 
 from helpers import (
     ambient,
@@ -34,6 +33,7 @@ from helpers import (
     kostant_multiplicity,
     mat_vec,
     parabolic_order,
+    restart_dominant,
     simple_reflections,
 )
 
@@ -53,7 +53,7 @@ SPIN7_TABLE = [
 
 def test_trivial_dimension_is_one():
     for rs in (G2, B3, build_root_system("A", 3), build_root_system("D", 4)):
-        assert dimension(trivial_irrep(rs)) == 1
+        assert dimension(Irrep(rs, (0,) * rs.rank)) == 1
 
 
 def test_highest_weight_multiplicity_is_one():
@@ -256,12 +256,12 @@ def test_weights_walk_each_orbit_once_from_its_dominant_weight(rs, hw):
     assert type(walk) is tuple and len({nu for nu, _ in walk}) == len(walk)
     # a dominant weight opens each group, in dominant_multiplicities order, and every
     # point of the group straightens to it and carries its multiplicity
-    mult = dominant_multiplicities(irr)
+    mult, amb = dominant_multiplicities(irr), ambient(rs.family, rs.rank)
     groups = [i for i, (nu, _) in enumerate(walk) if min(nu) >= 0]
     assert [walk[i] for i in groups] == list(mult.items())
     for start, end in zip(groups, groups[1:] + [len(walk)]):
         mu, m = walk[start]
-        assert {dominant(rs, nu)[0] for nu, _ in walk[start:end]} == {mu}
+        assert {restart_dominant(amb, nu)[0] for nu, _ in walk[start:end]} == {mu}
         assert {k for _, k in walk[start:end]} == {m}
     assert sum(m for _, m in walk) == dimension(irr)
     # full_weights maps the walk to ambient coordinates, in its order
@@ -330,7 +330,7 @@ def test_casimir_lambda2_invariant_under_form_scaling():
 
 
 def test_trivial_holonomy_rep_rejected():
-    ctx = make_context("g2")._replace(holonomy_rep=trivial_irrep(G2))
+    ctx = make_context("g2")._replace(holonomy_rep=Irrep(G2, (0, 0)))
     with pytest.raises(TrivialHolonomyRep):
         casimir_lambda2(ctx, Irrep(G2, (1, 0)))
 

@@ -17,9 +17,9 @@ from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
     MAX_RANK,
     build_root_system,
-    dominant,
     dominant_key,
     dot,
+    dual_weight,
     key_codec,
     orbit,
     to_fundamental,
@@ -252,16 +252,38 @@ def test_rho_pairs_positively_with_every_positive_root():
             assert form(amb, amb.rho, to_orthogonal(rs, a)) > 0
 
 
+# the Coxeter number h = 2 |Phi+| / rank of each family, from the classification
+COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
+           "D": lambda n: 2 * n - 2, "G": lambda n: 6}
+
+
+def encode(x, codec):
+    return sum(c << s for c, s in zip(x, codec[1])) + codec[2]
+
+
+def decode(key, codec):
+    bits, shifts = codec[:2]
+    return tuple((key >> s & (1 << bits) - 1) - (1 << bits - 1) for s in shifts)
+
+
+def straighten(rs, x):
+    """(dominant labels, sign) of the labels x by dominant_key, on keys sized for the
+    labels of every Weyl image of x, max |x_i| (h - 1)."""
+    codec = key_codec(rs, max(map(abs, x)) * (COXETER[rs.family](rs.rank) - 1))
+    key, sign = dominant_key(encode(x, codec), codec)
+    return decode(key, codec), sign
+
+
 def test_dominant_input_is_a_fixed_point():
     b3 = build_root_system("B", 3)
-    assert dominant(b3, (1, 1, 1)) == ((1, 1, 1), 1)
+    assert straighten(b3, (1, 1, 1)) == ((1, 1, 1), 1)
     # a zero label puts the weight on a chamber wall
-    assert dominant(b3, (1, 0, 1)) == ((1, 0, 1), 1)
+    assert straighten(b3, (1, 0, 1)) == ((1, 0, 1), 1)
 
 
 def test_a1_negative_weight_reflects_with_parity():
     a1 = build_root_system("A", 1)
-    dom, sign = dominant(a1, (-2,))  # -2 w1
+    dom, sign = straighten(a1, (-2,))  # -2 w1
     assert dom == (2,) and sign == -1
 
 
@@ -269,7 +291,7 @@ def test_singular_weight_detected_against_brute_force():
     b3, amb = build_root_system("B", 3), ambient("B", 3)
     w = (1, 1, 0)  # orthogonal to e1 - e2
     fund = tuple(int(c) for c in to_fundamental(b3, w))
-    dom, sign = dominant(b3, fund)
+    dom, sign = straighten(b3, fund)
     assert 0 in dom and (dom, sign) == (fund, 1)
     group = weyl_group(amb)
     assert len(group) == 48
@@ -288,8 +310,8 @@ def test_to_dominant_is_idempotent_in_the_orbit_with_the_inversion_parity():
         for _ in range(20):
             fund = [rng.randint(-4, 4) for _ in range(rank)]
             w = to_orthogonal(rs, fund)
-            dom, sign = dominant(rs, fund)
-            assert dominant(rs, dom) == (dom, 1)
+            dom, sign = straighten(rs, fund)
+            assert straighten(rs, dom) == (dom, 1)
             assert to_orthogonal(rs, dom) in brute_orbit(amb, w)
             if 0 not in dom:
                 # the Weyl element taking a regular w to the dominant chamber
@@ -300,52 +322,38 @@ def test_to_dominant_is_idempotent_in_the_orbit_with_the_inversion_parity():
     assert regular > 50
 
 
-def test_worklist_dominant_matches_the_restart_scan():
-    # the worklist reflects in another order; the result and the sign must not move
-    types = [("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 7)]
-    types += [("C", r) for r in range(2, 7)] + [("D", r) for r in range(3, 7)] + [("G", 2)]
-    types += [(family, 40) for family in "ABCD"]
-    rng = random.Random(12)
-    singular = 0
-    for family, rank in types:
-        rs, amb = build_root_system(family, rank), ambient(family, rank)
-        for _ in range(40):
-            mu = tuple(rng.randint(-3, 3) for _ in range(rank))
-            assert dominant(rs, mu) == restart_dominant(amb, mu), (family, rank, mu)
-            singular += 0 in restart_dominant(amb, mu)[0]
-    assert singular > 200
-
-
-# the Coxeter number h = 2 |Phi+| / rank of each family, from the classification
-COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
-           "D": lambda n: 2 * n - 2, "G": lambda n: 6}
-
-
 def test_dominant_key_decodes_to_dominant_within_the_coxeter_bound():
     # labels in [-L, L], many at the edge +-L, on keys sized for the bound L (h - 1): the
-    # straightened key decodes to dominant's point and sign, and the zero-label mask marks
-    # exactly the singular points
+    # straightened key decodes to the restart scan's point and sign, whose reflections come
+    # in another order, and the zero-label mask marks exactly the singular points
     rng = random.Random(27)
     checked = singular = 0
     for family, rank in POSET_TYPES:
-        if rank == 40:
-            continue
-        rs = build_root_system(family, rank)
+        rs, amb = build_root_system(family, rank), ambient(family, rank)
         h = COXETER[family](rank)
         assert 2 * len(rs.positive_labels) == h * rank
         for bound in (1, 4, 25):
-            bits, shifts, high, rho, _, cap = codec = key_codec(rs, bound * (h - 1))
+            _, _, high, rho, _, cap = codec = key_codec(rs, bound * (h - 1))
             assert cap == len(rs.positive_labels)
-            for _ in range(70):
+            for _ in range(70 if rank < 40 else 15):
                 x = [rng.choice((-bound, bound, rng.randint(-bound, bound))) for _ in range(rank)]
-                key, sign = dominant_key(sum(c << s for c, s in zip(x, shifts)) + high, codec)
-                labels = tuple((key >> s & (1 << bits) - 1) - (1 << bits - 1) for s in shifts)
-                dom, dom_sign = dominant(rs, x)
-                assert (labels, sign) == (dom, dom_sign), (family, rank, x)
+                key, sign = dominant_key(encode(x, codec), codec)
+                dom, dom_sign = restart_dominant(amb, x)
+                assert (decode(key, codec), sign) == (dom, dom_sign), (family, rank, x)
                 assert bool((key - rho) & high) == (0 in dom), (family, rank, x)
                 checked += 1
                 singular += 0 in dom
-    assert checked == 29 * 210 and singular > 1000
+    assert checked == 29 * 210 + 4 * 45 and singular > 1000
+
+
+@pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
+def test_dual_weight_is_the_dominant_image_of_minus_lambda(family, rank):
+    # V(lam)* = V(-w0 lam), and -w0 lam is the dominant Weyl image of -lam
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
+    rng = random.Random(rank)
+    for _ in range(30 if rank < 40 else 3):
+        hw = tuple(rng.randint(0, 4) for _ in range(rank))
+        assert dual_weight(rs, hw) == restart_dominant(amb, tuple(-c for c in hw))[0], hw
 
 
 def test_a_codec_too_narrow_for_its_labels_ends_in_internal_error(monkeypatch):
@@ -354,7 +362,7 @@ def test_a_codec_too_narrow_for_its_labels_ends_in_internal_error(monkeypatch):
     start = time.perf_counter()
     rs = build_root_system("A", 2)
     codec = key_codec(rs, 3)
-    key = sum(c << s for c, s in zip((-1, -3), codec[1])) + codec[2]
+    key = encode((-1, -3), codec)
     with pytest.raises(InternalError, match=r"more than \|Phi\+\| = 3 reflections"):
         dominant_key(key, codec)
     with pytest.raises(InternalError, match=r"more than \|Phi\+\| = 3 reflections"):

@@ -20,7 +20,7 @@ from holoweitz.errors import (
     TrivialHolonomyRep,
 )
 from holoweitz.fmt import fmt_q
-from holoweitz.irreps import Irrep, adjoint_irrep, casimir_lambda2, dimension, trivial_irrep
+from holoweitz.irreps import Irrep, adjoint_irrep, casimir_lambda2, dimension
 from holoweitz.weitzenboeck import (
     PRINTED_FORMULAS,
     Summand,
@@ -278,7 +278,7 @@ def test_printed_formula_is_found_by_weight_tuple():
 def test_contexts_without_printed_formulas_have_none(ctx_id):
     ctx = make_context(ctx_id)
     rs = ctx.root_system
-    for e in (trivial_irrep(rs), ctx.holonomy_rep, adjoint_irrep(rs)):
+    for e in (Irrep(rs, (0,) * rs.rank), ctx.holonomy_rep, adjoint_irrep(rs)):
         f = conformal_weights(ctx, e)
         assert f.discrepancies == ()
         assert trace_residual(f) == 0
@@ -300,7 +300,7 @@ def test_the_recorded_formulas_carry_exactly_the_spin7_discrepancies():
 
 
 def test_trace_residual_on_trivial_bundle():
-    f = conformal_weights(G2, trivial_irrep(G2.root_system))
+    f = conformal_weights(G2, Irrep(G2.root_system, (0, 0)))
     assert weights(f) == [(1, 0)]
     assert [s.b for s in f.summands] == [0]
     assert trace_residual(f) == 0
@@ -361,7 +361,7 @@ def test_so_n_cross_check():
 def test_conformal_weights_error_order():
     # mixed root systems, a repeated summand, a recorded order that disagrees, then a zero
     # holonomy Casimir
-    trivial = G2._replace(holonomy_rep=trivial_irrep(G2.root_system))
+    trivial = G2._replace(holonomy_rep=Irrep(G2.root_system, (0, 0)))
     with pytest.raises(MixedRootSystems):
         conformal_weights(trivial, Irrep(S7.root_system, (0, 1, 0)))
     adjoint = S7._replace(holonomy_rep=adjoint_irrep(S7.root_system))
