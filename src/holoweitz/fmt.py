@@ -23,8 +23,6 @@ from .irreps import dimension
 
 
 def fmt_q(q: Fraction) -> str:
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -54,11 +52,12 @@ def deco_json(deco) -> list:
 
 def deco_views(deco, head: dict, title: str, total_label: str = "") -> tuple[dict, str]:
     """``head`` with the decomposition's ``entries`` and ``total_dim``, and its table."""
-    total = deco.total_dimension()
+    entries = deco_json(deco)
+    total = sum(e["multiplicity"] * e["dim"] for e in entries)
     lines = [title, f"{'weight':<14} {'mult':>4} {'dim':>6}"]
-    lines += (f"{fmt_w(irr.highest_weight):<14} {m:>4} {dimension(irr):>6}" for irr, m in deco)
+    lines += (f"{fmt_w(e['weight']):<14} {e['multiplicity']:>4} {e['dim']:>6}" for e in entries)
     lines.append(f"total dimension {total} {total_label}".rstrip())
-    return {**head, "entries": deco_json(deco), "total_dim": total}, "\n".join(lines)
+    return {**head, "entries": entries, "total_dim": total}, "\n".join(lines)
 
 
 def trace_json(steps) -> list:

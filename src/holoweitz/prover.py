@@ -16,8 +16,8 @@ f + b_i of one strict sign (after integration over the compact
 manifold), or when q(R) is known to vanish on E.  Verdicts are only
 ever Parallel or Inconclusive; the engine never claims existence of
 non-parallel forms.  Every step carries a citation from the table in
-:mod:`holoweitz.citations`, and the compactness and exact-holonomy
-hypotheses are recorded on every report; ``*_json`` and ``*_text`` render them.
+:mod:`holoweitz.citations`; ``*_json`` and ``*_text`` render the reports
+with the compactness and exact-holonomy hypotheses of that table.
 """
 
 from __future__ import annotations
@@ -91,16 +91,24 @@ class DegreeReport(NamedTuple):
     reductions: tuple[TraceStep, ...]
     components: tuple[ComponentVerdict, ...]
     verdict: str
-    hypotheses: tuple[str, ...] = citations.HYPOTHESES
 
 
 class TheoremReport(NamedTuple):
     context_id: str
     reports: tuple[DegreeReport, ...]
-    claims: tuple[tuple[str, int, str], ...]  # (class, degree, verdict)
-    expected_parallel: tuple[tuple[str, int], ...]
-    matches_expected: bool
-    hypotheses: tuple[str, ...] = citations.HYPOTHESES
+
+    @property
+    def claims(self) -> tuple[tuple[str, int, str], ...]:
+        """(class, degree, verdict) of every report, sorted: read from the reports, never set."""
+        return tuple(sorted((r.form_class.value, r.degree, r.verdict) for r in self.reports))
+
+    @property
+    def expected_parallel(self) -> tuple[tuple[str, int], ...]:
+        return EXPECTED_PARALLEL[self.context_id]
+
+    @property
+    def matches_expected(self) -> bool:
+        return tuple((c, p) for c, p, v in self.claims if v == PARALLEL) == self.expected_parallel
 
 
 # claim sets of the two parallelism theorems: Killing and *-Killing forms
@@ -221,16 +229,15 @@ def prove_component(
     _require_prover_context(ctx)
     p = _degree(p)
     _require_form_component(ctx, e, p)
-    return _prove_component(ctx, e, p, form_class)
+    return _prove_component(ctx, e, p, form_class, _adjacent_spaces(ctx, p))
 
 
 def _prove_component(
     ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass,
-    adjacent: tuple[dict[Irrep, int], dict[Irrep, int]] | None = None,
+    adjacent: tuple[dict[Irrep, int], dict[Irrep, int]],
 ) -> ComponentVerdict:
-    """:func:`prove_component` on checked arguments: a prover context, a
-    component ``e`` of the p-forms and a FormClass; ``adjacent`` is
-    :func:`_adjacent_spaces` of ``p`` if the caller has it."""
+    """:func:`prove_component` on a checked prover context, component ``e`` of
+    the p-forms and FormClass, given :func:`_adjacent_spaces` of ``p``."""
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
     if (entry := qr_entry(ctx, e)) is not None:
         trace = (
@@ -252,7 +259,7 @@ def _prove_component(
             trace=trace,
         )
 
-    statuses = _vanishing_analysis(ctx, e, form_class, adjacent or _adjacent_spaces(ctx, p))
+    statuses = _vanishing_analysis(ctx, e, form_class, adjacent)
     trace: list[TraceStep] = [
         _step(
             "conformal-weights",
@@ -414,24 +421,11 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass | str) -> D
 
 
 def prove_theorems(ctx: HolonomyContext) -> TheoremReport:
-    """Run every degree and form class; compare with the theorem claim set."""
+    """Every form class in every degree; the report compares them with the theorem claim set."""
     _require_prover_context(ctx)
-    reports = []
-    claims = []
-    for form_class in (FormClass.KILLING, FormClass.STAR_KILLING, FormClass.TWISTOR):
-        for p in range(1, ctx.n):
-            report = prove_degree(ctx, p, form_class)
-            reports.append(report)
-            claims.append((form_class.value, p, report.verdict))
-    expected = EXPECTED_PARALLEL[ctx.id]
-    parallel = tuple(sorted((c, p) for c, p, v in claims if v == PARALLEL))
-    return TheoremReport(
-        context_id=ctx.id,
-        reports=tuple(reports),
-        claims=tuple(sorted(claims)),
-        expected_parallel=expected,
-        matches_expected=parallel == expected,
-    )
+    classes = (FormClass.KILLING, FormClass.STAR_KILLING, FormClass.TWISTOR)
+    reports = tuple(prove_degree(ctx, p, c) for c in classes for p in range(1, ctx.n))
+    return TheoremReport(ctx.id, reports)
 
 
 # --- JSON and text rendering ------------------------------------------------
@@ -487,7 +481,7 @@ def degree_report_json(r: DegreeReport) -> dict:
         "context": r.context_id,
         "degree": r.degree,
         "class": r.form_class.value,
-        "hypotheses": list(r.hypotheses),
+        "hypotheses": list(citations.HYPOTHESES),
         "reductions": trace_json(r.reductions),
         "components": [component_json(c) for c in r.components],
         "verdict": r.verdict,
@@ -497,7 +491,7 @@ def degree_report_json(r: DegreeReport) -> dict:
 def degree_report_text(r: DegreeReport) -> str:
     lines = [
         f"{r.context_id}: {r.form_class.value} {r.degree}-forms -> {r.verdict}",
-        f"  hypotheses: {'; '.join(r.hypotheses)}",
+        f"  hypotheses: {'; '.join(citations.HYPOTHESES)}",
     ]
     lines += (f"  {trace_line(t)}" for t in r.reductions)
     lines += map(component_text, r.components)
@@ -507,7 +501,7 @@ def degree_report_text(r: DegreeReport) -> str:
 def theorem_report_json(t: TheoremReport) -> dict:
     return {
         "context": t.context_id,
-        "hypotheses": list(t.hypotheses),
+        "hypotheses": list(citations.HYPOTHESES),
         "claims": [
             {"class": c, "degree": p, "verdict": v} for c, p, v in t.claims
         ],
@@ -529,7 +523,8 @@ def _mark(ok: bool) -> str:
 
 def theorem_report_text(t: TheoremReport, trace: bool = False) -> str:
     """The claim set and its match with the theorem; with ``trace``, every degree report."""
-    lines = [f"parallelism claims for {t.context_id} (hypotheses: {'; '.join(t.hypotheses)})"]
+    hypotheses = "; ".join(citations.HYPOTHESES)
+    lines = [f"parallelism claims for {t.context_id} (hypotheses: {hypotheses})"]
     lines += (f"  {cls:<13} p={degree}: {verdict}" for cls, degree, verdict in t.claims)
     lines.append(f"claim set matches the theorem: {_mark(t.matches_expected)}")
     if trace:

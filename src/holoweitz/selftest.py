@@ -92,18 +92,24 @@ def run_selftest(bless: bool = False, out=print) -> int:
     """Compare the recomputed corpus with the golden fixtures.
 
     Returns a process exit status: 0 when everything matches (or after
-    blessing), 1 on any mismatch or missing fixture file.
+    blessing), 1 on any mismatch or a missing, unreadable or unwritable fixture file.
     """
     current = json.loads(json.dumps(compute_golden()))
     path = golden_path()
-    if bless:
-        path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
-        out(f"blessed {len(current)} fixture groups -> {path}")
-        return 0
-    if not path.exists():
+    if not (bless or path.exists()):
         out(f"FAIL missing golden fixture file {path}; run 'selftest --bless'")
         return 1
-    stored = json.loads(path.read_text())
+    try:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        if bless:
+            path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+        elif not isinstance(stored := json.loads(path.read_text(encoding="utf-8")), dict):
+            raise ValueError(f"expected a JSON object, found {type(stored).__name__}")
+    except (OSError, ValueError) as exc:
+        out(f"FAIL {'unwritable' if bless else 'unreadable'} golden fixture file {path}: {exc}")
+        return 1
+    if bless:
+        out(f"blessed {len(current)} fixture groups -> {path}")
+        return 0
     status = 0
     for group in sorted(set(stored) | set(current)):
         if stored.get(group) == current.get(group):

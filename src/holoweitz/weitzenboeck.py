@@ -28,6 +28,8 @@ The index i keeps the summand order of :func:`decompose.tensor`, except
 that a bundle with a recorded printed formula takes the printed order.
 :func:`conformal_summands` derives the ordered summands alone;
 :func:`conformal_weights` adds the comparison with the printed formula.
+Each :class:`Summand` keeps the dim(E_i) of that function's trace check,
+which :func:`trace_residual` and the renderers read.
 
 The paper's printed formulas are the table :data:`PRINTED_FORMULAS`; only
 g2 and spin7 have entries.  Where a printed formula disagrees with the
@@ -54,10 +56,11 @@ from .roots import Labels
 
 
 class Summand(NamedTuple):
-    """One irreducible summand E_i of T (x) E with its conformal weight."""
+    """One irreducible summand E_i of T (x) E with its conformal weight b_i and dim(E_i)."""
 
     irrep: Irrep
     b: Fraction
+    dim: int
 
     @property
     def coeff(self) -> Fraction:
@@ -161,7 +164,7 @@ def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
     lam = e.highest_weight
     lam_rho = [c + 1 for c in lam]
     den, dim_g = ctx.n * c_t, ctx.dim_g
-    numerators, residual = [], 0
+    summands, residual = [], 0
     for irr in order:
         entry = table.get(tuple(map(sub, irr.highest_weight, lam)))
         if entry is None:
@@ -170,11 +173,12 @@ def conformal_summands(ctx: HolonomyContext, e: Irrep) -> tuple[Summand, ...]:
                 "bundle's highest weight plus a weight of T"
             )
         image, norm = entry
-        numerators.append(n := norm + 2 * sum(map(mul, lam_rho, image)) - c_t)
-        residual += dimension(irr) * n
+        n = norm + 2 * sum(map(mul, lam_rho, image)) - c_t
+        residual += (d := dimension(irr)) * n
+        summands.append(Summand(irr, Fraction(dim_g * n, den), d))
     if residual:
         raise InternalError(f"sum dim(E_i) * N_i = {residual} for T (x) {lam} on {ctx.id}, not 0")
-    return tuple([Summand(irr, Fraction(dim_g * n, den)) for irr, n in zip(order, numerators)])
+    return tuple(summands)
 
 
 def conformal_weights(ctx: HolonomyContext, e: Irrep) -> WeitzenboeckFormula:
@@ -208,32 +212,27 @@ def _find_discrepancies(
     return tuple(out)
 
 
-def _residual(terms: list[tuple[int, Fraction]]) -> Fraction:
-    """sum dim * b over (dim, b) pairs, summed over one common denominator."""
-    den = lcm(*(b.denominator for _, b in terms))
-    return Fraction(sum(d * b.numerator * (den // b.denominator) for d, b in terms), den)
-
-
 def trace_residual(formula: WeitzenboeckFormula) -> Fraction:
-    """sum_i dim(E_i) * b_i; zero for every correct formula."""
-    return _residual([(dimension(s.irrep), s.b) for s in formula.summands])
+    """sum_i dim(E_i) * b_i over one common denominator; zero for every correct formula."""
+    summands = formula.summands
+    den = lcm(*(s.b.denominator for s in summands))
+    return Fraction(sum(s.dim * s.b.numerator * (den // s.b.denominator) for s in summands), den)
 
 
 def to_json_dict(formula: WeitzenboeckFormula) -> dict:
-    terms = [(dimension(s.irrep), s.b) for s in formula.summands]
     return {
         "context": formula.context_id,
         "bundle": list(formula.bundle.highest_weight),
         "summands": [
             {
                 "weight": list(s.irrep.highest_weight),
-                "dim": d,
-                "b": fmt_q(b),
-                "coeff": fmt_neg_q(b),
+                "dim": s.dim,
+                "b": fmt_q(s.b),
+                "coeff": fmt_neg_q(s.b),
             }
-            for s, (d, b) in zip(formula.summands, terms)
+            for s in formula.summands
         ],
-        "trace_residual": fmt_q(_residual(terms)),
+        "trace_residual": fmt_q(trace_residual(formula)),
         "discrepancies": [
             {
                 "index": d.index,
@@ -272,12 +271,12 @@ def to_table(formula: WeitzenboeckFormula) -> str:
         "",
         f"{'i':>2}  {'summand':<12} {'dim':>5}  {'b':>8}  {'coeff':>8}",
     ]
-    terms = [(dimension(s.irrep), s.b) for s in formula.summands]
     lines += (
-        f"{idx:>2}  {fmt_w(s.irrep.highest_weight):<12} {d:>5}  {fmt_q(b):>8}  {fmt_neg_q(b):>8}"
-        for idx, (s, (d, b)) in enumerate(zip(formula.summands, terms), start=1)
+        f"{idx:>2}  {fmt_w(s.irrep.highest_weight):<12} {s.dim:>5}  "
+        f"{fmt_q(s.b):>8}  {fmt_neg_q(s.b):>8}"
+        for idx, s in enumerate(formula.summands, start=1)
     )
-    lines.append(f"trace residual: {fmt_q(_residual(terms))}")
+    lines.append(f"trace residual: {fmt_q(trace_residual(formula))}")
     if formula.discrepancies:
         lines.append("")
         for d in formula.discrepancies:

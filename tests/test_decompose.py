@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
-from operator import add
+from operator import add, lshift
 
 import pytest
 
@@ -331,6 +331,20 @@ def test_large_labels_straighten_as_on_label_tuples():
         assert all(c % q == 0 for c in acc.values())
         lower.append({hw: c // q for hw, c in acc.items()})
         assert dict(entries(exterior_power(t, q))) == lower[q], q
+
+
+@pytest.mark.parametrize("where", [("A", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)],
+                         ids=["A2", "B3", "C3", "D4", "G2"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_codec_holds_the_weyl_images_of_its_points(where, k):
+    # -k rho has labels within _codec's top = k, but its walk to w0(-k rho) = k rho meets
+    # labels up to k (h - 1): a codec without that headroom carries between digits.  The
+    # point straightens to V((k - 1) rho) with the parity of w0, (-1)^|Phi+|
+    rs = build_root_system(*where)
+    _, shifts, high, _, _, _ = codec = decompose._codec(rs, k)
+    key = sum(map(lshift, (-k,) * rs.rank, shifts)) + high
+    want = {(k - 1,) * rs.rank: (-1) ** len(rs.positive_labels)}
+    assert decompose._straighten_points(codec, [(key, 1)]) == want
 
 
 # cold roots.dominant_key calls and Freudenthal key walks (irreps._walk) per computation.

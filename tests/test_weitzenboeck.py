@@ -104,7 +104,7 @@ def test_discrepancies_cover_every_printed_case():
     # nonzero derived coefficient: the second and the fourth are discrepancies
     rs = G2.root_system
     summands = tuple(
-        Summand(Irrep(rs, hw), Fraction(b))
+        Summand(irr := Irrep(rs, hw), Fraction(b), dimension(irr))
         for hw, b in (((1, 0), -4), ((2, 0), -1), ((0, 1), 0), ((1, 1), 2))
     )
     recorded = (((1, 0), Fraction(4)), ((2, 0), Fraction(2)), ((0, 1), None), ((1, 1), None))
@@ -140,6 +140,19 @@ def test_trace_residual_examples():
     ))
     assert trace_residual(doctored) == -112
     assert type(trace_residual(doctored)) is Fraction
+
+
+def test_rendering_a_formula_reads_the_summand_dimensions(monkeypatch):
+    # conformal_summands looks each dim(E_i) up once, for its trace check; the renderers
+    # and trace_residual read Summand.dim, and only to_table's header looks up dim(E)
+    f = conformal_weights(S7, Irrep(S7.root_system, (1, 0, 1)))
+    assert [s.dim for s in f.summands] == [dimension(s.irrep) for s in f.summands]
+    calls = []
+    monkeypatch.setattr(weitzenboeck, "dimension", lambda irr: calls.append(irr) or dimension(irr))
+    to_json_dict(f)
+    assert calls == []
+    to_table(f)
+    assert calls == [f.bundle]
 
 
 def lambda2_casimir(ctx):
