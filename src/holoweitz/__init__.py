@@ -17,7 +17,6 @@ from .decompose import Decomposition, exterior_power, tensor
 from .errors import (
     ContextNotSupported,
     DegreeOutOfRange,
-    DimensionMismatch,
     HoloweitzError,
     InternalError,
     MixedRootSystems,
@@ -33,7 +32,6 @@ from .irreps import (
     adjoint_irrep,
     casimir_lambda2,
     dimension,
-    weight_system,
 )
 from .prover import (
     ComponentVerdict,
@@ -56,7 +54,6 @@ __all__ = [
     "Decomposition",
     "DegreeOutOfRange",
     "DegreeReport",
-    "DimensionMismatch",
     "FormClass",
     "HolonomyContext",
     "HoloweitzError",
@@ -88,5 +85,4 @@ __all__ = [
     "prove_theorems",
     "tensor",
     "trace_residual",
-    "weight_system",
 ]

@@ -3,15 +3,15 @@
 Every deduction rule the prover applies carries a citation string
 pointing at the statement of the underlying derivation it mechanizes.
 The keys are stable rule identifiers; the values are the labels emitted
-verbatim in traces, reports and rendered output.
+verbatim in traces, reports and rendered output.  The ``qr-registry`` step
+has no entry here: it cites the registry entry that decides it.
 """
 
 CITATIONS = {
     # scalar machinery
     "conformal-weights": "Cor. confW, Eq. (bi)",
     "printed-formula": "Prop. final1 / Prop. final2",
-    # q(R) registry
-    "qr-registry": "Cor. ricci",
+    # q(R) registry entries
     "qr-trivial-bundle": "Cor. ricci (the Lie algebra acts by zero on the trivial bundle)",
     "qr-ricci-flat": "Cor. ricci (q(R) acts as Ricci curvature on T; the holonomy is Ricci-flat)",
     "qr-spinor-bundle": "Cor. ricci (spinor bundle splits off a rank-7 summand on which q(R) = s/16 = 0)",

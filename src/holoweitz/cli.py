@@ -191,14 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-
     p = sub.add_parser("dim", help="dimension of an irreducible representation")
     p.add_argument("--algebra", required=True, help="simple type, e.g. G2, B3, D4")
     p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 1,0,1")
-    add_format(p)
-    p.set_defaults(func=_cmd_dim, parser=p)
+    p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser(
         "casimir",
@@ -207,30 +203,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--holonomy", required=True, help="context: g2, spin7, so5..so10")
     p.add_argument("--weight", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_casimir, parser=p)
+    p.set_defaults(func=_cmd_casimir)
 
     p = sub.add_parser("tensor", help="tensor product decomposition")
     p.add_argument("--algebra", required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_tensor, parser=p)
+    p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("exterior", help="exterior power decomposition")
     p.add_argument("--holonomy", help="context whose holonomy representation is used")
     p.add_argument("--algebra", help="alternative: simple type of an explicit rep")
     p.add_argument("--weight", help="highest weight of the explicit rep")
     p.add_argument("--degree", required=True, type=_degree)
-    add_format(p)
-    p.set_defaults(func=_cmd_exterior, parser=p)
+    p.set_defaults(func=_cmd_exterior)
 
     p = sub.add_parser("weitzenboeck", help="conformal weights and q(R) formula")
     p.add_argument("--holonomy", required=True)
     p.add_argument("--bundle", required=True, help="fundamental coordinates of E")
     p.add_argument("--quiet", action="store_true", help="suppress discrepancy notes")
-    add_format(p)
-    p.set_defaults(func=_cmd_weitzenboeck, parser=p)
+    p.set_defaults(func=_cmd_weitzenboeck)
 
     p = sub.add_parser("prove", help="parallelism analysis for one degree and class")
     p.add_argument("--holonomy", required=True)
@@ -242,20 +234,22 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[c.value for c in FormClass],
     )
     p.add_argument("--registry", help="JSON file with extra q(R)-trivial bundles")
-    add_format(p)
-    p.set_defaults(func=_cmd_prove, parser=p)
+    p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("theorem", help="full parallelism claim set for a context")
     p.add_argument("--holonomy", required=True)
     p.add_argument("--trace", action="store_true", help="print per-degree traces")
     p.add_argument("--registry", help="JSON file with extra q(R)-trivial bundles")
-    add_format(p)
-    p.set_defaults(func=_cmd_theorem, parser=p)
+    p.set_defaults(func=_cmd_theorem)
 
     p = sub.add_parser("selftest", help="run the golden corpus")
     p.add_argument("--bless", action="store_true", help="regenerate the golden fixtures")
-    p.set_defaults(func=_cmd_selftest, parser=p)
+    p.set_defaults(func=_cmd_selftest)
 
+    for name, p in sub.choices.items():  # after every other option, so it ends each usage line
+        if name != "selftest":
+            p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(parser=p)
     return parser
 
 

@@ -4,8 +4,8 @@ Internally a weight is a tuple of integer Dynkin labels, its coordinates
 with respect to the fundamental weights.  The simple reflection s_i is
 ``mu - mu[i] * cartan_matrix[i]``, a weight is dominant when
 ``min(mu) >= 0`` and rho is the all-ones tuple.  Inner products use
-``gram``, the Gram matrix of the fundamental weights scaled to integers;
-the invariant form itself is ``form_scale * gram``.
+``gram``, the Gram matrix of the fundamental weights in coprime integers:
+the form up to a positive factor, which every value computed from it cancels.
 
 :func:`dominant_key` is the one Weyl straightening, and it runs on keys:
 a point x travels as one integer (broadword arithmetic, Knuth,
@@ -45,13 +45,11 @@ integer vectors ``den * w_i``) per coordinate, over ``den``;
 with the integer covector of each simple coroot per label.
 
 Construction runs in integers.  The simple roots are integer ambient
-vectors and the form on the ambient space is an integer matrix over a
-denominator (2 for G2, whose form realizes (w1, w1) = 1, (w1, w2) = 3/2,
-(w2, w2) = 3).  Both stay local to :func:`build_root_system`: one
-fraction-free (Bareiss) elimination of the integer Cartan matrix C gives
-det C and the adjugate, from which ``den``, ``fundamental_columns`` and
-``gram`` are read off by integer division.  ``form_scale`` is the one
-``Fraction`` a root system holds.
+vectors and the form on the ambient space is an integer matrix.  Both stay
+local to :func:`build_root_system`: one fraction-free (Bareiss)
+elimination of the integer Cartan matrix C gives det C and the adjugate,
+from which ``den``, ``fundamental_columns`` and ``gram`` are read off by
+integer division.
 
 All values are immutable after construction and every function is pure.
 A ``RootSystem`` compares and hashes by identity: ``build_root_system``
@@ -77,7 +75,7 @@ _SUPPORTED = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 MAX_RANK = 40
 
 # the constructor's fields, in order; four more are derived from them
-_GIVEN = ("family", "rank", "cartan_matrix", "positive_labels", "gram", "form_scale", "den",
+_GIVEN = ("family", "rank", "cartan_matrix", "positive_labels", "gram", "den",
           "fundamental_columns", "simple_coroots")
 
 
@@ -87,7 +85,7 @@ class RootSystem:
     ``cartan_matrix[i][j] = 2(a_i, a_j)/(a_j, a_j)``, so row i holds the
     Dynkin labels of the simple root a_i.  ``positive_labels`` are the
     positive roots in Dynkin labels, in (height, ambient lexicographic)
-    order; the fundamental weights have (w_i, w_j) = form_scale * gram[i][j].
+    order; (w_i, w_j) is proportional to gram[i][j], coprime integers.
     At the ambient edge, ``den`` > 0 is the least common denominator of
     the fundamental weights, ``fundamental_columns[k][i]`` = den * (w_i)_k
     is the k-th ambient coordinate of den * w_i, and ``simple_coroots[i]``
@@ -116,7 +114,6 @@ class RootSystem:
         cartan_matrix: tuple[Labels, ...],
         positive_labels: tuple[Labels, ...],
         gram: tuple[Labels, ...],
-        form_scale: Fraction,
         den: int,
         fundamental_columns: tuple[Labels, ...],
         simple_coroots: tuple[Labels, ...],
@@ -124,7 +121,7 @@ class RootSystem:
         poset = _root_poset(cartan_matrix, positive_labels, gram)
         units = [[int(i == j) for j in range(rank)] for i in range(rank)]  # w_i in labels
         values = (
-            family, rank, cartan_matrix, positive_labels, gram, form_scale, den,
+            family, rank, cartan_matrix, positive_labels, gram, den,
             fundamental_columns, simple_coroots,
             tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
                   for i, row in enumerate(cartan_matrix)),
@@ -182,7 +179,7 @@ def poset_pairings(poset: tuple, x: Sequence[int]) -> list[int]:
 
 
 def dot(rs: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
-    """Inner product of two weights in Dynkin labels, divided by form_scale."""
+    """Inner product of two weights in Dynkin labels, in gram units."""
     return sum(map(mul, u, [sum(map(mul, row, v)) for row in rs.gram]))
 
 
@@ -262,32 +259,32 @@ def to_orthogonal(rs: RootSystem, fund: Sequence) -> Weight:
 # --- construction -------------------------------------------------------------
 
 
-def _simple_root_data(family: str, rank: int) -> tuple[list[Labels], list[Labels], int]:
-    """Simple roots as integer ambient vectors, and the form of the space as an
-    integer matrix and its denominator."""
-    if family == "G":  # simple-root coordinates, the form pinned by (w1, w1) = 1
-        return [(1, 0), (0, 1)], [(2, -3), (-3, 6)], 2
+def _simple_root_data(family: str, rank: int) -> tuple[list[Labels], list[Labels]]:
+    """Simple roots as integer ambient vectors, and the form of the space, up to
+    a positive factor, as an integer matrix."""
+    if family == "G":  # simple-root coordinates, a1 short: (a1, a2) = -3/2 (a1, a1)
+        return [(1, 0), (0, 1)], [(2, -3), (-3, 6)]
     dim = rank + 1 if family == "A" else rank
     roots = [tuple(int(j == i) - int(j == i + 1) for j in range(dim)) for i in range(dim - 1)]
     if family != "A":  # e_n, 2 e_n or e_(n-1) + e_n
         roots.append((0,) * (rank - 2) + {"B": (0, 1), "C": (0, 2), "D": (1, 1)}[family])
-    return roots, [tuple(int(i == j) for j in range(dim)) for i in range(dim)], 1
+    return roots, [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
 
 
 @lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system of type ``family``/``rank`` (an ``int`` up to MAX_RANK).
 
-    Construction runs in integers.  The ambient form is an integer matrix
-    over a denominator q.  Applied to each simple root a_i, over the root's
-    one or two nonzero entries, it gives the covector q (a_i, .); its
-    pairings with the simple roots give b = q ((a_i, a_j)), the Cartan
-    matrix 2 b_ij / b_jj and the coroot covector 2 q (a_i, .) / b_ii.  One
+    Construction runs in integers.  The ambient form is an integer matrix,
+    fixed up to a positive factor.  Applied to each simple root a_i, over the
+    root's one or two nonzero entries, it gives the covector (a_i, .); its
+    pairings with the simple roots give b = ((a_i, a_j)), the Cartan
+    matrix 2 b_ij / b_jj and the coroot covector 2 (a_i, .) / b_ii.  One
     fraction-free Gauss-Jordan pass (Bareiss) turns C into det C and the
     adjugate det C . C^-1.  The vectors det C . w_i are integer combinations
     of the simple roots; ``den`` and ``fundamental_columns`` are det C and
-    them over their common divisor, and ``gram`` = C^-1 D / 2, D the
-    diagonal of b / q, is read off likewise.  The positive roots are
+    them over their common divisor, and ``gram`` is adj C . D, D the
+    diagonal of b, over the gcd of its entries.  The positive roots are
     the closure of the simple roots under the simple reflections, each of
     which permutes the positive roots other than its own; they are ordered
     by (height, ambient lexicographic).  Construction verifies that the
@@ -300,7 +297,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         need = "rank = 2" if family == "G" else f"{_SUPPORTED[family]} <= rank <= MAX_RANK = {top}"
         raise UnsupportedType(f"unsupported root system {family}{rank}: type {family} needs {need}")
 
-    simple, base, q = _simple_root_data(family, rank)
+    simple, base = _simple_root_data(family, rank)
     support = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
 
     def combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -312,7 +309,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         return out
 
     rows = [[(m, g) for m, g in enumerate(row) if g] for row in base]
-    covectors = [combine(a, rows) for a in simple]  # q (a_i, .), the form being symmetric
+    covectors = [combine(a, rows) for a in simple]  # (a_i, .), the form being symmetric
     b = [[sum(x * cov[k] for k, x in sv) for sv in support] for cov in covectors]
     cartan = tuple(tuple(2 * x // b[j][j] for j, x in enumerate(row)) for row in b)
     coroots = tuple(tuple(2 * y // b[i][i] for y in cov) for i, cov in enumerate(covectors))
@@ -347,11 +344,11 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         det = pivot
     adj = [row[rank:] for row in aug]
 
-    # w_i = sum_j (C^-1)_ij a_j: det w_i = sum_j adj_ij a_j and (w_i, w_j) = adj_ij b_jj / (2 q det)
+    # w_i = sum_j (C^-1)_ij a_j: det w_i = sum_j adj_ij a_j and (w_i, w_j) = adj_ij b_jj / (2 det)
     fundamental = [combine(row, support) for row in adj]
     cut = gcd(det, *(x for w in fundamental for x in w))
     gram = [[x * b[j][j] for j, x in enumerate(row)] for row in adj]
-    common = gcd(2 * q * det, *(x for row in gram for x in row))
+    common = gcd(*(x for row in gram for x in row))
 
     return RootSystem(
         family=family,
@@ -359,7 +356,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         cartan_matrix=cartan,
         positive_labels=tuple(positive),
         gram=tuple(tuple(x // common for x in row) for row in gram),
-        form_scale=Fraction(common, 2 * q * det),
         den=det // cut,
         fundamental_columns=tuple(zip(*([x // cut for x in w] for w in fundamental))),
         simple_coroots=coroots,

@@ -7,7 +7,7 @@ nullspaces and inverses.  It imports only the standard library, nothing
 from the package under test.  The oracles run on their own ambient model
 of each root system (:func:`ambient`), built from Bourbaki, *Groupes et
 algebres de Lie*, ch. IV-VI, planches I-IV for A-D and, for G2, in
-simple-root coordinates with the package's normalization (w1, w1) = 1,
+simple-root coordinates with the form normalized by (w1, w1) = 1,
 (w1, w2) = 3/2, (w2, w2) = 3 (planche IX, a1 short).  The model derives
 its own Cartan matrix, positive roots, fundamental weights and rho.  No
 oracle takes a package root system: the tests pass its ``family`` and

@@ -315,18 +315,17 @@ def test_spin7_lambda2_equals_base_casimir(ctx_id):
 
 
 def test_casimir_lambda2_invariant_under_form_scaling():
-    # scale the form by c: gram (or form_scale) in the package, base_form in the oracle, where
+    # scale the form by c: gram in the package, base_form in the oracle, where
     # c_lam = c_T C(lam) / C(T); the value must not move
     g2, amb = make_context("g2"), ambient("G", 2)
     for c in (2, 3, 5):
         scaled = replace(amb, base_form=tuple(tuple(c * x for x in row) for row in amb.base_form))
         c_t = casimir_lambda2(g2, g2.holonomy_rep) / ambient_casimir(scaled, (1, 0))
-        for rs in (G2._replace(gram=tuple(tuple(c * x for x in row) for row in G2.gram)),
-                   G2._replace(form_scale=c * G2.form_scale)):
-            ctx = g2._replace(root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
-            for hw in G2_TABLE:
-                want = casimir_lambda2(g2, Irrep(G2, hw))
-                assert casimir_lambda2(ctx, Irrep(rs, hw)) == want == c_t * ambient_casimir(scaled, hw)
+        rs = G2._replace(gram=tuple(tuple(c * x for x in row) for row in G2.gram))
+        ctx = g2._replace(root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
+        for hw in G2_TABLE:
+            want = casimir_lambda2(g2, Irrep(G2, hw))
+            assert casimir_lambda2(ctx, Irrep(rs, hw)) == want == c_t * ambient_casimir(scaled, hw)
 
 
 def test_trivial_holonomy_rep_rejected():

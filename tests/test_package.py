@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -64,6 +65,33 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert "holoweitz.cli" in loaded
     stray = [m for m in loaded for e in COLD_START_EXCLUDED if m == e or m.startswith(e + ".")]
     assert not stray, f"import holoweitz.cli loads {sorted(stray)}"
+
+
+def literal_assignments(path: Path, *names: str) -> list:
+    """The values of the module-level assignments to ``names`` in a source file, read
+    with ``ast.literal_eval`` and without importing the file."""
+    values = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                values[target.id] = ast.literal_eval(node.value)
+    return [values[name] for name in names]
+
+
+def test_every_function_the_benchmark_calls_resolves():
+    # the benchmark names package functions as "module.function"; it reports a missing one,
+    # or a CACHED one without cache_info, as null metrics rather than as an error
+    cached, ladder = literal_assignments(ROOT / "perfbench" / "child.py", "CACHED", "LADDER")
+    spans, calls = literal_assignments(ROOT / "perfbench" / "run.py", "PAPER_SPANS", "SESSION_CALLS")
+    cached = [f"{module}.{fn}" for module, fn in cached]
+    names = set(cached) | {fn for fn, _, _ in ladder.values()} | set(spans) | set(calls)
+    found = {}
+    for name in names:
+        module, fn = name.split(".")
+        found[name] = getattr(importlib.import_module("holoweitz." + module), fn, None)
+    assert not sorted(name for name, f in found.items() if f is None)
+    assert not [name for name in cached if not hasattr(found[name], "cache_info")]
 
 
 def test_every_public_name_resolves():

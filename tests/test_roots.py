@@ -7,7 +7,7 @@ import re
 import time
 from fractions import Fraction
 from dataclasses import replace
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -51,6 +51,15 @@ ALL_TYPES = [
 # every type the root poset is checked on: A1-A8, B2-B8, C2-C8, D3-D8, G2 and each family at rank 40
 POSET_TYPES = [(family, rank) for family in "ABCD" for rank in range(MIN_RANK[family], 9)]
 POSET_TYPES += [("G", 2)] + [(family, 40) for family in "ABCD"]
+
+
+def form_factor(rs, amb):
+    """(w_1, w_1) under the oracle's form over gram[0][0]: the one positive factor by
+    which gram may differ from the ambient form.  Callers check every entry against it."""
+    w1 = amb.fundamental_weights[0]
+    factor = form(amb, w1, w1) / rs.gram[0][0]
+    assert factor > 0, (rs, factor)
+    return factor
 
 
 def test_g2_cartan_matrix_and_positive_roots():
@@ -151,17 +160,17 @@ def test_g2_gram_matches_the_normalization():
 
 
 def test_gram_and_fundamental_weights_against_a_rational_inverse():
-    # gram and form_scale come from an integer adjugate; the oracle's w_i = sum_j (C^-1)_ij a_j
+    # gram comes from an integer adjugate; the oracle's w_i = sum_j (C^-1)_ij a_j
     # uses a rational inverse, and every product is evaluated on its base_form
     types = [("G", 2)] + [("A", r) for r in range(1, 13)] + [("D", r) for r in range(3, 13)]
     types += [(family, r) for family in "BC" for r in range(2, 13)]
     for family, rank in types:
         rs, amb = build_root_system(family, rank), ambient(family, rank)
-        w = amb.fundamental_weights
+        w, factor = amb.fundamental_weights, form_factor(rs, amb)
         assert tuple(to_orthogonal(rs, unit) for unit in identity(rank)) == w, (family, rank)
         # base_form is symmetric, so row j of ((w_i, w_j)) is w . (base_form w_j)
         assert tuple(mat_vec(w, mat_vec(amb.base_form, v)) for v in w) == tuple(
-            tuple(rs.form_scale * g for g in row) for row in rs.gram
+            tuple(factor * g for g in row) for row in rs.gram
         ), (family, rank)
         for j, a in enumerate(amb.simple_roots):
             form_a = mat_vec(amb.base_form, a)
@@ -180,13 +189,14 @@ def test_root_system_matches_the_ambient_model(family, rank):
     columns = tuple(zip(*([int(den * x) for x in w] for w in amb.fundamental_weights)))
     assert (rs.den, rs.fundamental_columns) == (den, columns)
     assert rs.simple_coroots == coroots(amb)
-    # form_scale * gram = ((w_i, w_j)), on the integer vectors den * w_i
-    scaled_weights = list(zip(*columns))
+    # gram is ((w_i, w_j)) up to one positive factor, in coprime integers, on the vectors den * w_i
+    scaled_weights, factor = list(zip(*columns)), form_factor(rs, amb)
     assert form_table(amb, scaled_weights, scaled_weights) == [
-        [den * den * rs.form_scale * g for g in row] for row in rs.gram]
+        [den * den * factor * g for g in row] for row in rs.gram]
+    assert gcd(*(g for row in rs.gram for g in row)) == 1
 
 
-def test_no_field_but_form_scale_holds_a_fraction():
+def test_no_field_holds_a_fraction():
     def fractions(value):
         if isinstance(value, (tuple, list)):
             return sum(map(fractions, value))
@@ -194,25 +204,24 @@ def test_no_field_but_form_scale_holds_a_fraction():
 
     for family, rank in POSET_TYPES:
         rs = build_root_system(family, rank)
-        assert type(rs.form_scale) is Fraction
-        held = {name: fractions(getattr(rs, name)) for name in rs.__slots__ if name != "form_scale"}
+        held = {name: fractions(getattr(rs, name)) for name in rs.__slots__}
         assert not any(held.values()), (family, rank, held)
 
 
-def test_dot_is_the_ambient_form_over_form_scale():
+def test_dot_is_the_ambient_form_up_to_one_factor():
     # dot runs on labels and the integer gram; the ambient route evaluates the oracle's base_form
     systems = [build_root_system(f, r) for f in "ABCD" for r in range(1, 9) if r >= MIN_RANK[f]]
     systems.append(build_root_system("G", 2))
     pairs = [(rs, ambient(rs.family, rs.rank)) for rs in systems]
     b3, amb = build_root_system("B", 3), ambient("B", 3)
     tripled = replace(amb, base_form=tuple(tuple(3 * x for x in row) for row in amb.base_form))
-    pairs.append((b3._replace(form_scale=3 * b3.form_scale), tripled))
     pairs.append((b3._replace(gram=tuple(tuple(3 * x for x in row) for row in b3.gram)), tripled))
     rng = random.Random(1515)
     for rs, amb in pairs:
+        factor = form_factor(rs, amb)
         for _ in range(25):
             u, v = (tuple(rng.randint(-4, 4) for _ in range(rs.rank)) for _ in range(2))
-            want = form(amb, to_orthogonal(rs, u), to_orthogonal(rs, v)) / rs.form_scale
+            want = form(amb, to_orthogonal(rs, u), to_orthogonal(rs, v)) / factor
             assert dot(rs, u, v) == want, (rs, u, v)
 
 
@@ -411,12 +420,12 @@ def test_orbit_sizes_and_brute_force_agreement():
 def test_root_poset_steps_down_by_the_simple_root_of_the_first_positive_label(family, rank):
     rs, amb = build_root_system(family, rank), ambient(family, rank)
     simple, edges = rs.root_poset
-    positive, cartan = rs.positive_labels, rs.cartan_matrix
+    positive, cartan, factor = rs.positive_labels, rs.cartan_matrix, form_factor(rs, amb)
     assert sorted(j for j, _ in simple) == list(range(rank)) and len(edges) == len(positive) - rank
     for (j, d), a in zip(simple, positive):
         assert a == cartan[j]
         alpha = amb.simple_roots[j]
-        assert d * rs.form_scale == form(amb, alpha, alpha) / 2  # (a_j, a_j) / 2 in gram units
+        assert d * factor == form(amb, alpha, alpha) / 2  # (a_j, a_j) / 2 in gram units
     for k, (parent, s) in enumerate(edges, rank):
         a = positive[k]
         j = next(i for i, c in enumerate(a) if c > 0)
@@ -429,7 +438,8 @@ def test_root_pairings_are_the_ambient_form(family, rank):
     # (w_i, a) = sum_k a_k (w_i, e_k) by bilinearity, the form on the ambient unit vectors
     # e_k; the table of (w_i, e_k) in gram units is scaled to integers by m
     rs, amb = build_root_system(family, rank), ambient(family, rank)
-    table = [[x / rs.form_scale for x in row]
+    factor = form_factor(rs, amb)
+    table = [[x / factor for x in row]
              for row in form_table(amb, amb.fundamental_weights, identity(amb.dim))]
     m = lcm(*(x.denominator for row in table for x in row))
     table = [[int(m * x) for x in row] for row in table]
