@@ -18,6 +18,9 @@ ever Parallel or Inconclusive; the engine never claims existence of
 non-parallel forms.  Every step carries a citation from the table in
 :mod:`holoweitz.citations`; ``*_json`` and ``*_text`` render the reports
 with the compactness and exact-holonomy hypotheses of that table.
+
+``prove_component`` and ``prove_degree`` check a request in one place:
+the form class, then the Ricci-flat context, then the degree.
 """
 
 from __future__ import annotations
@@ -148,45 +151,12 @@ def _step(rule: str, detail: str) -> TraceStep:
     return TraceStep(rule, citations.CITATIONS[rule], detail)
 
 
-def _require_form_component(ctx: HolonomyContext, e: Irrep, p: int) -> None:
-    if e not in form_space(ctx, p).irreps():
-        raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
-
-
-def _adjacent_spaces(ctx: HolonomyContext, p: int) -> tuple[dict[Irrep, int], dict[Irrep, int]]:
-    """The (p+1)- and (p-1)-forms, each as a map irrep -> multiplicity."""
-    return dict(form_space(ctx, p + 1)), dict(form_space(ctx, p - 1))
-
-
-def _vanishing_analysis(
-    ctx: HolonomyContext, e: Irrep, form_class: FormClass,
-    adjacent: tuple[dict[Irrep, int], dict[Irrep, int]],
-) -> tuple[SummandStatus, ...]:
-    """Which twistor operators on E vanish for forms of the given class,
-    on a checked context and a component of the p-forms, given the
-    adjacent form spaces of :func:`_adjacent_spaces`.
-
-    Occurrence counts of each summand of T (x) E in the adjacent form
-    spaces drive three rules: a summand in neither space has an
-    identically vanishing operator on any twistor form; closed forms
-    (*-Killing) kill operators into summands of the (p+1)-forms; coclosed
-    forms (Killing) kill operators into summands of the (p-1)-forms.
-    """
-    plus, minus = adjacent
-    statuses = []
-    for s in conformal_summands(ctx, e):  # also enforces multiplicity-freeness
-        occ_plus = plus.get(s.irrep, 0)
-        occ_minus = minus.get(s.irrep, 0)
-        if occ_plus == 0 and occ_minus == 0:
-            killed = KilledBy.TWISTOR_GAP
-        elif form_class is FormClass.STAR_KILLING and occ_plus > 0:
-            killed = KilledBy.CLOSEDNESS
-        elif form_class is FormClass.KILLING and occ_minus > 0:
-            killed = KilledBy.COCLOSEDNESS
-        else:
-            killed = KilledBy.NONE
-        statuses.append(SummandStatus(s.irrep, occ_plus, occ_minus, killed, s.b))
-    return tuple(statuses)
+def _checked(ctx: HolonomyContext, p, form_class) -> tuple[int, FormClass]:
+    """The degree and FormClass of a prover request, checked in this order: form
+    class, then Ricci-flat context, then degree (an int or a value equal to one)."""
+    form_class = _form_class(form_class)
+    _require_prover_context(ctx)
+    return _degree(p), form_class
 
 
 def integrability_factor(form_class: FormClass | str, p: int, n: int) -> Fraction | None:
@@ -225,19 +195,28 @@ def prove_component(
     ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass | str
 ) -> ComponentVerdict:
     """Parallelism analysis for forms of one class inside one component."""
-    form_class = _form_class(form_class)
-    _require_prover_context(ctx)
-    p = _degree(p)
-    _require_form_component(ctx, e, p)
-    return _prove_component(ctx, e, p, form_class, _adjacent_spaces(ctx, p))
+    p, form_class = _checked(ctx, p, form_class)
+    if e not in form_space(ctx, p).irreps():
+        raise NotAFormComponent(f"{e} does not occur in the {p}-forms of {ctx.id}")
+    return _prove_component(
+        ctx, e, p, form_class, dict(form_space(ctx, p + 1)), dict(form_space(ctx, p - 1))
+    )
 
 
 def _prove_component(
     ctx: HolonomyContext, e: Irrep, p: int, form_class: FormClass,
-    adjacent: tuple[dict[Irrep, int], dict[Irrep, int]],
+    plus: dict[Irrep, int], minus: dict[Irrep, int],
 ) -> ComponentVerdict:
-    """:func:`prove_component` on a checked prover context, component ``e`` of
-    the p-forms and FormClass, given :func:`_adjacent_spaces` of ``p``."""
+    """:func:`prove_component` on a checked request and component ``e`` of the
+    p-forms, given the (p+1)- and (p-1)-forms as maps irrep -> multiplicity.
+
+    Which twistor operators on E vanish for forms of the given class decides
+    the verdict.  Occurrence counts of each summand of T (x) E in the
+    adjacent form spaces drive three rules: a summand in neither space has
+    an identically vanishing operator on any twistor form; closed forms
+    (*-Killing) kill operators into summands of the (p+1)-forms; coclosed
+    forms (Killing) kill operators into summands of the (p-1)-forms.
+    """
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
     if (entry := qr_entry(ctx, e)) is not None:
         trace = (
@@ -259,7 +238,19 @@ def _prove_component(
             trace=trace,
         )
 
-    statuses = _vanishing_analysis(ctx, e, form_class, adjacent)
+    statuses = []
+    for s in conformal_summands(ctx, e):  # also enforces multiplicity-freeness
+        occ_plus = plus.get(s.irrep, 0)
+        occ_minus = minus.get(s.irrep, 0)
+        if occ_plus == 0 and occ_minus == 0:
+            killed = KilledBy.TWISTOR_GAP
+        elif form_class is FormClass.STAR_KILLING and occ_plus > 0:
+            killed = KilledBy.CLOSEDNESS
+        elif form_class is FormClass.KILLING and occ_minus > 0:
+            killed = KilledBy.COCLOSEDNESS
+        else:
+            killed = KilledBy.NONE
+        statuses.append(SummandStatus(s.irrep, occ_plus, occ_minus, killed, s.b))
     trace: list[TraceStep] = [
         _step(
             "conformal-weights",
@@ -278,13 +269,15 @@ def _prove_component(
 
     factor = integrability_factor(form_class, p, ctx.n)
     surviving = [(i, st) for i, st in enumerate(statuses) if st.killed_by is KilledBy.NONE]
+    survivors = tuple(
+        Survivor(st.summand, st.b, None if factor is None else factor + st.b)
+        for _, st in surviving
+    )
 
-    if not surviving:
+    if not survivors:
         trace.append(_step("all-operators-vanish", "no twistor operator survives"))
-        survivors: tuple[Survivor, ...] = ()
         verdict = PARALLEL
     elif factor is None:
-        survivors = tuple(Survivor(st.summand, st.b, None) for _, st in surviving)
         trace.append(
             _step(
                 "no-factor",
@@ -302,18 +295,13 @@ def _prove_component(
                 f"{p}-forms (n = {ctx.n})",
             )
         )
-        survivors = tuple(Survivor(st.summand, st.b, factor + st.b) for _, st in surviving)
         residuals = [s.residual for s in survivors]
         detail = "0 = " + " + ".join(
             f"({fmt_q(factor)} + ({fmt_q(s.b)})) ||T{i + 1} u||^2"
             for (i, _), s in zip(surviving, survivors)
         )
-        if any(r == 0 for r in residuals):
-            verdict = INCONCLUSIVE
-            trace.append(
-                _step("mixed-signs", detail + "; a zero residual forces no vanishing")
-            )
-        elif all(r > 0 for r in residuals) or all(r < 0 for r in residuals):
+        # a zero residual is of neither strict sign
+        if all(r > 0 for r in residuals) or all(r < 0 for r in residuals):
             verdict = PARALLEL
             trace.append(
                 _step(
@@ -325,13 +313,15 @@ def _prove_component(
             trace.append(_step("all-operators-vanish", "the form is parallel"))
         else:
             verdict = INCONCLUSIVE
+            if 0 in residuals:
+                detail += "; a zero residual forces no vanishing"
             trace.append(_step("mixed-signs", detail))
 
     return ComponentVerdict(
         bundle=e,
         degree=p,
         form_class=form_class,
-        statuses=statuses,
+        statuses=tuple(statuses),
         factor=factor,
         survivors=survivors,
         verdict=verdict,
@@ -341,25 +331,18 @@ def _prove_component(
 
 def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass | str) -> DegreeReport:
     """Parallelism analysis for all forms of one class in one degree."""
-    form_class = _form_class(form_class)
-    _require_prover_context(ctx)
-    p = _degree(p)
+    p, form_class = _checked(ctx, p, form_class)
     if not 1 <= p <= ctx.n - 1:
         raise DegreeOutOfRange(f"degree {p} outside 1..{ctx.n - 1}")
-    reductions: list[TraceStep] = []
 
     # R1: Hodge duality sends twistor p-forms to twistor (n-p)-forms
     if form_class is FormClass.TWISTOR and 2 * p > ctx.n:
-        reductions.append(
-            _step(
-                "hodge-duality",
-                f"twistor {p}-forms correspond to twistor {ctx.n - p}-forms",
-            )
-        )
+        step = _step("hodge-duality", f"twistor {p}-forms correspond to twistor {ctx.n - p}-forms")
         delegate = prove_degree(ctx, ctx.n - p, form_class)
-        return delegate._replace(degree=p, reductions=tuple(reductions) + delegate.reductions)
+        return delegate._replace(degree=p, reductions=(step,) + delegate.reductions)
 
     # R2: on compact Ricci-flat manifolds twistor 2-forms are coclosed
+    reductions: list[TraceStep] = []
     effective_class = form_class
     if form_class is FormClass.TWISTOR and p == 2:
         reductions.append(
@@ -367,43 +350,28 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass | str) -> D
         )
         effective_class = FormClass.KILLING
 
-    space = form_space(ctx, p)
-    components_irreps = space.irreps()
-
-    if effective_class in (FormClass.KILLING, FormClass.STAR_KILLING):
-        reductions.append(
-            _step(
-                "holonomy-decomposition",
-                f"a {effective_class.value} form is one iff all its components are",
-            )
-        )
-        justified = True
+    # the rule that splits the degree into its components
+    components_irreps = form_space(ctx, p).irreps()
+    if effective_class is not FormClass.TWISTOR:
+        rule = "holonomy-decomposition"
+        detail = f"a {effective_class.value} form is one iff all its components are"
     elif len(components_irreps) == 1:
-        reductions.append(
-            _step("irreducible-form-space", f"the {p}-forms are irreducible")
-        )
-        justified = True
+        rule = "irreducible-form-space"
+        detail = f"the {p}-forms are irreducible"
     elif 2 * p == ctx.n:
-        reductions.append(
-            _step(
-                "componentwise-middle-twistor",
-                "components of a middle-degree twistor form are twistor forms",
-            )
-        )
-        justified = True
+        rule = "componentwise-middle-twistor"
+        detail = "components of a middle-degree twistor form are twistor forms"
     else:
-        reductions.append(
-            _step(
-                "unjustified-split",
-                "componentwise analysis below is hypothetical; the overall "
-                "verdict stays Inconclusive",
-            )
+        rule = "unjustified-split"
+        detail = (
+            "componentwise analysis below is hypothetical; the overall verdict stays Inconclusive"
         )
-        justified = False
+    reductions.append(_step(rule, detail))
+    justified = rule != "unjustified-split"
 
-    adjacent = _adjacent_spaces(ctx, p)
+    plus, minus = dict(form_space(ctx, p + 1)), dict(form_space(ctx, p - 1))
     components = tuple(
-        _prove_component(ctx, irr, p, effective_class, adjacent) for irr in components_irreps
+        _prove_component(ctx, irr, p, effective_class, plus, minus) for irr in components_irreps
     )
     if justified and all(c.verdict == PARALLEL for c in components):
         verdict = PARALLEL

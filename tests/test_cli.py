@@ -197,6 +197,7 @@ def test_registry_entry_without_citation_is_cited_by_default(capsys, tmp_path):
 
 def test_usage_errors_exit_2(capsys):
     alone = "exterior takes --holonomy alone, or --algebra together with --weight"
+    incomplete = "exterior needs --holonomy, or --algebra together with --weight"
     cases = [
         (["casimir", "--holonomy", "nope", "--weight", "1,0"], ""),
         (["casimir", "--holonomy", "g2", "--weight", "1,0,0"], ""),
@@ -205,6 +206,9 @@ def test_usage_errors_exit_2(capsys):
         # --holonomy with --algebra or --weight was answered for the holonomy alone
         (["exterior", "--holonomy", "g2", "--algebra", "B3", "--weight", "0,0,1", "--degree", "2"], alone),
         (["exterior", "--holonomy", "g2", "--weight", "1,0", "--degree", "2"], alone),
+        # --algebra without --weight, or neither, names no representation
+        (["exterior", "--algebra", "G2", "--degree", "2"], incomplete),
+        (["exterior", "--degree", "2"], incomplete),
     ]
     # a negative label keeps its own message, also as a separate argument of every weight option
     negative = "weight '-1,0' must have non-negative coordinates"

@@ -13,7 +13,7 @@ import pytest
 from holoweitz import irreps
 from holoweitz.contexts import make_context
 from holoweitz.decompose import tensor
-from holoweitz.errors import InternalError, TrivialHolonomyRep
+from holoweitz.errors import InternalError, MixedRootSystems, TrivialHolonomyRep
 from holoweitz.irreps import (
     Irrep,
     _root_classes,
@@ -326,6 +326,12 @@ def test_casimir_lambda2_invariant_under_form_scaling():
         for hw in G2_TABLE:
             want = casimir_lambda2(g2, Irrep(G2, hw))
             assert casimir_lambda2(ctx, Irrep(rs, hw)) == want == c_t * ambient_casimir(scaled, hw)
+
+
+def test_casimir_lambda2_rejects_an_irrep_of_another_root_system():
+    # an irrep of B3 asked for in the G2 context
+    with pytest.raises(MixedRootSystems):
+        casimir_lambda2(make_context("g2"), Irrep(build_root_system("B", 3), (1, 0, 0)))
 
 
 def test_trivial_holonomy_rep_rejected():

@@ -164,6 +164,18 @@ def test_component_spin7_lambda4_35_twistor_mixed_signs():
     ]
 
 
+def test_component_zero_residual_forces_no_vanishing():
+    # Killing vector fields of the round sphere S^7: so7 read as if Ricci-flat, T2 has f + b = 0
+    so7 = make_context("so7")._replace(ricci_flat=True)
+    c = prove_component(so7, Irrep(so7.root_system, (1, 0, 0)), 1, FormClass.KILLING)
+    assert c.verdict == INCONCLUSIVE
+    assert [s.residual for s in c.survivors] == [0]
+    assert (c.trace[-1].rule, c.trace[-1].detail) == (
+        "mixed-signs",
+        "0 = (1 + (-1)) ||T2 u||^2; a zero residual forces no vanishing",
+    )
+
+
 def test_component_g2_lambda3_27_killing():
     c = prove_component(G2, Irrep(G2.root_system, (2, 0)), 3, FormClass.KILLING)
     assert c.verdict == PARALLEL
@@ -271,6 +283,24 @@ def test_a_degree_that_is_not_an_integer_is_out_of_range(degree):
         prove_degree(G2, degree, FormClass.KILLING)
     with pytest.raises(DegreeOutOfRange):
         prove_component(G2, Irrep(G2.root_system, (0, 1)), degree, FormClass.KILLING)
+
+
+def test_a_request_is_checked_for_form_class_then_context_then_degree():
+    so7 = make_context("so7")
+    vector = Irrep(so7.root_system, (1, 0, 0))
+    cases = [
+        (lambda: prove_component(so7, vector, 2.5, "bogus"), UnsupportedFormClass),
+        (lambda: prove_component(so7, vector, 2.5, FormClass.KILLING), ContextNotSupported),
+        # the degree before the component: (1,1) is in no form space of g2
+        (lambda: prove_component(G2, Irrep(G2.root_system, (1, 1)), 2.5, FormClass.KILLING),
+         DegreeOutOfRange),
+        (lambda: prove_degree(so7, 0, "bogus"), UnsupportedFormClass),
+        (lambda: prove_degree(so7, 0, FormClass.KILLING), ContextNotSupported),
+        (lambda: prove_theorems(so7), ContextNotSupported),
+    ]
+    for call, error in cases:
+        with pytest.raises(error):
+            call()
 
 
 def test_theorem_claim_sets():
