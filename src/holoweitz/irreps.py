@@ -153,8 +153,7 @@ def _walk(key: int, codec: tuple, known: dict[int, int]) -> int:
                         "its key digits overflow")
 
 
-@lru_cache(maxsize=None)
-def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
+def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     """Multiplicities of the dominant weights, by the Freudenthal recursion.
 
     m(mu) * (lam - mu, lam + mu + 2 rho)        [= ||lam+rho||^2 - ||mu+rho||^2]
@@ -176,12 +175,10 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     (lam, lam); S/2 > B, so the digits never carry and distinct such
     points have distinct keys.  The keys never leave the call.
 
-    The dict ``known`` maps keys to multiplicities, 0 off the weights.
-    Seed: when m(mu) is set for a dominant mu, lam included, m is entered
-    at key(mu) and at key(s_i mu) = key(mu) - mu_i sum_j C_ij S^j for each
-    mu_i > 0; s_i mu has mu's norm, so its key stays inside the digit
-    bound.  Walk: a string point whose key is not known and has a negative
-    label is reflected, as a key alone, towards the dominant chamber by
+    The dict ``known`` maps keys to multiplicities, 0 off the weights; m(mu)
+    is entered at key(mu) once it is set for a dominant mu, lam included.
+    A string point whose key is not known and has a negative label is
+    reflected, as a key alone, towards the dominant chamber by
     :func:`_walk`, and takes the first known entry met on the way.  A
     reflection keeps the norm, so every key walked is inside the bound.
     If the walk reaches the chamber without one, the point is not a
@@ -195,8 +192,7 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     mu.  So each class of positive roots under W_mu up to sign adds its
     size times the string sum of one root; a W_mu-orbit of roots
     orthogonal to mu counts half its size.  The class tables are built
-    per zero pattern of mu, inside the call.  The answer is a read-only
-    view of the cached dict, as in :func:`weight_system`.
+    per zero pattern of mu, inside the call.
     """
     rs, lam = irrep.root_system, irrep.highest_weight
     rho = [sum(row) for row in rs.gram]  # (w_i, rho)
@@ -204,19 +200,11 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
     top_rho = top + 2 * sum(map(mul, lam, rho))  # (lam, lam + 2 rho)
     # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root
     codec = roots.key_codec(rs, isqrt(2 * top // min(map(sum, rs.root_pairings))))  # B
-    _, shifts, high, _, simple_keys, _ = codec
+    _, shifts, high, _, _, _ = codec
     pairings = dict(zip(rs.positive_labels, rs.root_pairings))
     tables: dict[tuple[bool, ...], list[tuple[int, Labels, int, int]]] = {}
     mult = {lam: 1}
-    known = {}  # key -> multiplicity, 0 off the weights
-
-    def seed(mu: Labels, key_mu: int, m: int) -> None:
-        known[key_mu] = m
-        for c, step_key in zip(mu, simple_keys):
-            if c:
-                known[key_mu - c * step_key] = m
-
-    seed(lam, sum(map(lshift, lam, shifts)) + high, 1)
+    known = {sum(map(lshift, lam, shifts)) + high: 1}  # key -> multiplicity, 0 off the weights
     for mu in _dominant_closure(rs, lam)[1:]:
         pattern = tuple(map(bool, mu))
         if (table := tables.get(pattern)) is None:  # (root's key step, pairings, (a, a), size)
@@ -244,9 +232,8 @@ def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
         value, rest = divmod(2 * total, gap)
         if rest or value <= 0:
             raise InternalError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
-        mult[mu] = value
-        seed(mu, key_mu, value)
-    return MappingProxyType(mult)
+        mult[mu] = known[key_mu] = value
+    return mult
 
 
 @lru_cache(maxsize=None)

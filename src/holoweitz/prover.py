@@ -165,8 +165,9 @@ def integrability_factor(form_class: FormClass | str, p: int, n: int) -> Fractio
     Killing forms in degree p give f = p; *-Killing forms give f = n - p
     by Hodge duality; twistor forms give f = p only in the middle degree
     n = 2p.  Otherwise there is no such identity and None is returned.
+    The form class is checked first, then the degree, as in :func:`prove_degree`.
     """
-    form_class = _form_class(form_class)
+    form_class, p = _form_class(form_class), _degree(p)
     if form_class is FormClass.KILLING:
         return Fraction(p)
     if form_class is FormClass.STAR_KILLING:
@@ -389,8 +390,13 @@ def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass | str) -> D
 
 
 def prove_theorems(ctx: HolonomyContext) -> TheoremReport:
-    """Every form class in every degree; the report compares them with the theorem claim set."""
+    """Every form class in every degree; the report compares them with the theorem claim set,
+    so a Ricci-flat context with no claim set is ContextNotSupported."""
     _require_prover_context(ctx)
+    if ctx.id not in EXPECTED_PARALLEL:
+        raise ContextNotSupported(
+            f"the theorems are claimed for {' and '.join(EXPECTED_PARALLEL)} only, not {ctx.id}"
+        )
     classes = (FormClass.KILLING, FormClass.STAR_KILLING, FormClass.TWISTOR)
     reports = tuple(prove_degree(ctx, p, c) for c in classes for p in range(1, ctx.n))
     return TheoremReport(ctx.id, reports)

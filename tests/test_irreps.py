@@ -70,23 +70,24 @@ def test_g2_adjoint_zero_weight_multiplicity():
 
 def test_weight_system_answers_cannot_be_changed_by_a_caller():
     irr = Irrep(G2, (1, 0))
+    # weight_system answers a read-only view of its cached dict, dominant_multiplicities
+    # a fresh dict per call: either way an edit to one answer never reaches the next
     for answer in (weight_system, dominant_multiplicities):
-        ws = answer(irr)
-        before = dict(ws)
+        before = dict(answer(irr))
         for mutate in (
-            lambda: ws.clear(),
-            lambda: ws.pop(next(iter(before))),
-            lambda: ws.update({(Fraction(9), Fraction(9)): 1}),
-            lambda: ws.__setitem__(next(iter(before)), 5),
-            lambda: ws.__delitem__(next(iter(before))),
+            lambda ws: ws.clear(),
+            lambda ws: ws.pop(next(iter(before))),
+            lambda ws: ws.update({(Fraction(9), Fraction(9)): 1}),
+            lambda ws: ws.__setitem__(next(iter(before)), 5),
+            lambda ws: ws.__delitem__(next(iter(before))),
         ):
             try:
-                mutate()
+                mutate(answer(irr))
             except (TypeError, AttributeError):  # a read-only view has no mutators
                 pass
-        assert answer(irr) == before
+            assert answer(irr) == before
         assert dict(answer(irr).items()) == before and len(answer(irr)) == 2
-    # tensor reads the cached dominant multiplicities of its right factor, through weights
+    # tensor reads the dominant multiplicities of its right factor through weights, cleared
     tensor.cache_clear()
     weights.cache_clear()
     assert tensor(Irrep(G2, (2, 0)), irr).total_dimension() == 189
@@ -278,6 +279,14 @@ def test_weights_whose_multiplicities_miss_the_weyl_dimension_raise(monkeypatch)
         weights(Irrep(rs, (0, 1, 0)))
     with pytest.raises(InternalError, match="expected 21"):
         full_weights(Irrep(rs, (0, 1, 0)))
+
+
+def test_a_weyl_dimension_that_is_not_an_integer_raises():
+    # (a_1, a_1) raised by 1 breaks the form's scale: the numerator's pairings along the
+    # root poset no longer divide by the Weyl denominator
+    gram = ((B3.gram[0][0] + 1, *B3.gram[0][1:]), *B3.gram[1:])
+    with pytest.raises(InternalError, match=r"is not an integer: 637009920/69672960$"):
+        dimension(Irrep(B3._replace(gram=gram), (1, 0, 0)))
 
 
 def test_form_scaled_copies_derive_their_own_fields():

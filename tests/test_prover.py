@@ -275,14 +275,21 @@ def test_a_degree_equal_to_an_int_is_reported_as_that_int(degree):
     first = prove_degree(G2, degree, FormClass.KILLING).components[0]
     component = prove_component(G2, first.bundle, degree, FormClass.KILLING)
     assert component == first and type(component.degree) is int
+    n = 2 * int(degree)  # the middle degree, where the twistor class has a factor too
+    for form_class in FormClass:
+        assert integrability_factor(form_class.value, degree, n) == integrability_factor(
+            form_class, int(degree), n)
 
 
-@pytest.mark.parametrize("degree", [2.5, "2", None], ids=repr)
+@pytest.mark.parametrize("degree", [2.5, 3.5, "2", None], ids=repr)
 def test_a_degree_that_is_not_an_integer_is_out_of_range(degree):
     with pytest.raises(DegreeOutOfRange):
         prove_degree(G2, degree, FormClass.KILLING)
     with pytest.raises(DegreeOutOfRange):
         prove_component(G2, Irrep(G2.root_system, (0, 1)), degree, FormClass.KILLING)
+    for form_class in FormClass:  # 3.5 is half of n = 7, where a twistor factor exists
+        with pytest.raises(DegreeOutOfRange):
+            integrability_factor(form_class, degree, 7)
 
 
 def test_a_request_is_checked_for_form_class_then_context_then_degree():
@@ -297,6 +304,7 @@ def test_a_request_is_checked_for_form_class_then_context_then_degree():
         (lambda: prove_degree(so7, 0, "bogus"), UnsupportedFormClass),
         (lambda: prove_degree(so7, 0, FormClass.KILLING), ContextNotSupported),
         (lambda: prove_theorems(so7), ContextNotSupported),
+        (lambda: integrability_factor("bogus", 2.5, 7), UnsupportedFormClass),
     ]
     for call, error in cases:
         with pytest.raises(error):
@@ -312,8 +320,11 @@ def test_theorem_claim_sets():
 
 
 def test_theorem_rejects_so_contexts():
-    with pytest.raises(ContextNotSupported):
+    with pytest.raises(ContextNotSupported, match="^prover rules need a Ricci-flat"):
         prove_theorems(make_context("so7"))
+    # Ricci-flat but without a claim set: no report whose claim set cannot be read
+    with pytest.raises(ContextNotSupported, match="claimed for g2 and spin7 only, not so7$"):
+        prove_theorems(make_context("so7")._replace(ricci_flat=True))
 
 
 def test_twistor_gap_soundness_audit():
