@@ -6,13 +6,7 @@ a deduction engine for the parallelism of twistor, Killing and *-Killing
 forms under G2 and Spin7 holonomy.  All arithmetic is exact rational.
 """
 
-from .contexts import (
-    HolonomyContext,
-    RegistryEntry,
-    form_space,
-    load_registry,
-    make_context,
-)
+from .contexts import HolonomyContext, form_space, make_context
 from .decompose import Decomposition, exterior_power, tensor
 from .errors import (
     ContextNotSupported,
@@ -62,7 +56,6 @@ __all__ = [
     "MixedRootSystems",
     "MultiplicityViolation",
     "NotAFormComponent",
-    "RegistryEntry",
     "RootSystem",
     "TheoremReport",
     "TrivialHolonomyRep",
@@ -78,7 +71,6 @@ __all__ = [
     "exterior_power",
     "form_space",
     "integrability_factor",
-    "load_registry",
     "make_context",
     "prove_component",
     "prove_degree",

@@ -14,7 +14,9 @@ sit beside the record's JSON (:mod:`holoweitz.prover`,
 writes, either the one that ``--format`` picks or an ``error[...]`` line
 on stderr.
 
-Exit status: 0 on success, 1 on domain errors, 2 on usage errors.
+Exit status: 0 on success, 1 on domain errors and on a ``theorem`` report
+whose claim set does not match the theorem (printed all the same), 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import re
 import sys
 
 from . import prover, selftest, weitzenboeck
-from .contexts import HolonomyContext, form_space, load_registry, make_context, normalize_context_id
+from .contexts import HolonomyContext, form_space, make_context
 from .decompose import exterior_power, tensor
 from .errors import HoloweitzError
 from .fmt import deco_views, fmt_q, fmt_w
@@ -101,12 +103,7 @@ def _algebra(parser: argparse.ArgumentParser, raw: str):
 
 def _context(parser: argparse.ArgumentParser, args) -> HolonomyContext:
     try:
-        extra = ()
-        registry_path = getattr(args, "registry", None)
-        if registry_path:
-            grouped = load_registry(registry_path)
-            extra = grouped.get(normalize_context_id(args.holonomy), ())
-        return make_context(args.holonomy, extra)
+        return make_context(args.holonomy)
     except HoloweitzError as exc:
         parser.error(str(exc))
 
@@ -233,13 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[c.value for c in FormClass],
     )
-    p.add_argument("--registry", help="JSON file with extra q(R)-trivial bundles")
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("theorem", help="full parallelism claim set for a context")
     p.add_argument("--holonomy", required=True)
     p.add_argument("--trace", action="store_true", help="print per-degree traces")
-    p.add_argument("--registry", help="JSON file with extra q(R)-trivial bundles")
     p.set_defaults(func=_cmd_theorem)
 
     p = sub.add_parser("selftest", help="run the golden corpus")
@@ -261,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(result, tuple):  # selftest writes its own lines and returns a status
             document, text = result
             print(json.dumps(document, indent=2) if args.format == "json" else text)
-            result = 0
+            result = 0 if document.get("matches_expected", True) else 1  # a theorem's FAIL
         if sys.stdout is not None:  # None when the process started with fd 1 closed
             sys.stdout.flush()
         return result

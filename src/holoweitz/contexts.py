@@ -3,21 +3,25 @@ registry of bundles on which the curvature endomorphism q(R) vanishes.
 
 The catalogue is one table, ``_CONTEXTS``; adding a context is adding
 a row, which :func:`make_context` checks against the Weyl dimensions.
-Registry entries are context data with citations, not computations: the
-facts behind them (Ricci-flatness, the spinor-bundle argument for the
-7-dimensional Spin7 bundle) are analytic inputs.  Extra entries can be
-loaded from a JSON file, see :func:`load_registry`.
+Registry entries are context data with citations, and the build
+certifies each one after the trivial bundle by Schur's lemma.  On a
+Ricci-flat holonomy algebra g the curvature tensors form one irrep,
+K(g) = V(2 theta) with theta the highest root (Alekseevsky, Funct. Anal.
+Appl. 2, 1968): dim 77 for G2, 168 for Spin7.  R -> q(R) is an
+equivariant map K(g) -> End(E) (Semmelmann-Weingart, "The Weitzenboeck
+machine", Compositio Math. 146, 2010), and End(E) = E (x) E because
+every irrep of G2 and B3 is self-dual; so q(R) = 0 on E when V(2 theta)
+does not occur in E (x) E.  A cited bundle that fails this criterion, or
+sits on a row that is not Ricci-flat, is a broken row: InternalError.
 """
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 from . import citations
-from .decompose import Decomposition, exterior_power
+from .decompose import Decomposition, exterior_power, tensor
 from .errors import InternalError, UnsupportedContext
 from .irreps import Irrep, adjoint_irrep, dimension
 from .roots import RootSystem, build_root_system
@@ -42,19 +46,6 @@ class RegistryEntry(NamedTuple):
 
     highest_weight: tuple[int, ...]
     citation: str
-
-
-def _checked(entry: RegistryEntry) -> RegistryEntry:
-    """``entry``, if it is a RegistryEntry with a tuple of non-negative ints (a bool
-    is not a label) and a non-empty string citation; else UnsupportedContext."""
-    if type(entry) is not RegistryEntry:
-        raise UnsupportedContext(f"registry entry {entry!r} is not a RegistryEntry")
-    hw, citation = entry
-    if type(hw) is not tuple or any(type(c) is not int or c < 0 for c in hw):
-        raise UnsupportedContext(f"registry entry {entry} must carry a tuple of non-negative ints")
-    if type(citation) is not str or not citation:
-        raise UnsupportedContext(f"registry entry {entry} must carry a non-empty string citation")
-    return entry
 
 
 class HolonomyContext(NamedTuple):
@@ -91,12 +82,13 @@ def normalize_context_id(raw: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> HolonomyContext:
+def _make_context_cached(ctx_id: str) -> HolonomyContext:
     family, rank, hol_weight, expect_n, expect_dim_g, ricci_flat, base = _CONTEXTS[ctx_id]
     rs = build_root_system(family, rank)
     hol = Irrep(rs, hol_weight)
     n = dimension(hol)
-    dim_g = dimension(adjoint_irrep(rs))
+    adjoint = adjoint_irrep(rs)
+    dim_g = dimension(adjoint)
     if (n, dim_g) != (expect_n, expect_dim_g):
         # the G2 pin: a flipped Cartan convention would put the adjoint at w1
         raise InternalError(
@@ -107,19 +99,6 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
 
     registry = [RegistryEntry((0,) * rank, citations.CITATIONS["qr-trivial-bundle"])]
     registry += (RegistryEntry(w, citations.CITATIONS[key]) for w, key in base)
-    for entry in extra:
-        if len(entry.highest_weight) != rs.rank:
-            raise UnsupportedContext(
-                f"registry weight {entry.highest_weight} has wrong arity for {ctx_id}"
-            )
-        if entry.highest_weight == hol.highest_weight and not ricci_flat:
-            raise UnsupportedContext(
-                f"registry weight {entry.highest_weight} is the holonomy "
-                f"representation of {ctx_id}, which is not Ricci-flat"
-            )
-        if entry.highest_weight not in {e.highest_weight for e in registry}:
-            registry.append(entry)
-
     ctx = HolonomyContext(
         id=ctx_id,
         root_system=rs,
@@ -134,13 +113,20 @@ def _make_context_cached(ctx_id: str, extra: tuple[RegistryEntry, ...]) -> Holon
             f"context {ctx_id}: holonomy representation registry membership "
             "must match Ricci-flatness"
         )
+    curvature = Irrep(rs, tuple(2 * c for c in adjoint.highest_weight))  # K(g), when g is Ricci-flat
+    for w, _ in base:
+        if not ricci_flat or curvature in tensor(Irrep(rs, w), Irrep(rs, w)).irreps():
+            raise InternalError(
+                f"context {ctx_id}: Schur's lemma does not certify q(R) = 0 on the cited "
+                f"bundle {w}: the curvature space {curvature.highest_weight} must be one "
+                "irrep (Ricci-flat) that does not occur in E (x) E"
+            )
     return ctx
 
 
-def make_context(ctx_id: str, extra_registry: tuple[RegistryEntry, ...] = ()) -> HolonomyContext:
-    """Build a holonomy context, optionally extending the q(R) registry."""
-    extra = tuple(map(_checked, extra_registry))
-    return _make_context_cached(normalize_context_id(ctx_id), extra)
+def make_context(ctx_id: str) -> HolonomyContext:
+    """Build a holonomy context (cached per id)."""
+    return _make_context_cached(normalize_context_id(ctx_id))
 
 
 @lru_cache(maxsize=None)
@@ -156,29 +142,3 @@ def qr_entry(ctx: HolonomyContext, e: Irrep) -> RegistryEntry | None:
         if entry.highest_weight == hw:
             return entry
     return None
-
-
-def load_registry(path: str | Path) -> dict[str, tuple[RegistryEntry, ...]]:
-    """Load registry extensions from a JSON file.
-
-    Schema: {"entries": [{"context": "<id>", "highest_weight": [ints],
-    "citation": "<string>"}, ...]}; an absent citation reads "user
-    registry entry".  Returns entries grouped by normalized context id.
-    """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise UnsupportedContext(f"cannot read registry file {path}: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
-        raise UnsupportedContext(f"registry file {path} must contain an 'entries' list")
-    grouped: dict[str, list[RegistryEntry]] = {}
-    for rec in data["entries"]:
-        if not isinstance(rec, dict) or not {"context", "highest_weight"} <= rec.keys():
-            raise UnsupportedContext(
-                f"registry entry {rec} must have 'context' and 'highest_weight'"
-            )
-        ctx_id = normalize_context_id(str(rec["context"]))
-        hw, citation = rec["highest_weight"], rec.get("citation", "user registry entry")
-        entry = _checked(RegistryEntry(tuple(hw) if type(hw) is list else hw, citation))
-        grouped.setdefault(ctx_id, []).append(entry)
-    return {k: tuple(v) for k, v in grouped.items()}

@@ -1,4 +1,4 @@
-"""CLI behavior: output formats, exit codes, selftest, registry flag."""
+"""CLI behavior: output formats, exit codes, selftest."""
 
 from __future__ import annotations
 
@@ -111,6 +111,17 @@ def test_theorem_json_matches_expected(capsys):
     assert {"class": "twistor", "degree": 4, "verdict": "Inconclusive"} in obj["claims"]
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_theorem_exits_1_when_the_claim_set_misses_the_theorem(capsys, monkeypatch, fmt):
+    monkeypatch.setitem(prover.EXPECTED_PARALLEL, "g2", prover.EXPECTED_PARALLEL["g2"][1:])
+    code, out, _ = run(capsys, "theorem", "--holonomy", "g2", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["matches_expected"] is False
+    else:
+        assert out.endswith("claim set matches the theorem: FAIL\n")
+
+
 def test_prove_json_schema(capsys):
     code, out, _ = run(
         capsys, "prove", "--holonomy", "g2", "--degree", "2", "--class", "killing", "--format", "json"
@@ -121,78 +132,6 @@ def test_prove_json_schema(capsys):
     assert obj["verdict"] == "Parallel"
     survivors = obj["components"][1]["survivors"]
     assert survivors == [{"weight": [2, 0], "residual": "2/3"}]
-
-
-def test_prove_with_registry_extension(capsys, tmp_path):
-    reg = tmp_path / "reg.json"
-    reg.write_text(
-        json.dumps(
-            {
-                "entries": [
-                    {"context": "g2", "highest_weight": [0, 1], "citation": "testing only"}
-                ]
-            }
-        )
-    )
-    code, out, _ = run(
-        capsys,
-        "prove", "--holonomy", "g2", "--degree", "2", "--class", "killing",
-        "--registry", str(reg), "--format", "json",
-    )
-    assert code == 0
-    obj = json.loads(out)
-    # with the extension both components close through the registry
-    assert all(
-        c["trace"][0]["rule"] == "qr-registry" for c in obj["components"]
-    )
-
-
-@pytest.mark.parametrize("spelling", ["spin7", "Spin7", "spin(7)"])
-def test_registry_applies_to_every_spelling_of_the_holonomy(capsys, tmp_path, spelling):
-    reg = tmp_path / "reg.json"
-    reg.write_text(json.dumps({"entries": [{"context": "spin7", "highest_weight": [0, 0, 2]}]}))
-    code, out, _ = run(
-        capsys,
-        "prove", "--holonomy", spelling, "--degree", "4", "--class", "twistor",
-        "--registry", str(reg), "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["verdict"] == "Parallel"
-
-
-@pytest.mark.parametrize(
-    "holonomy,content",
-    [
-        ("spin7", None),
-        ("spin7", "{not json"),
-        ("spin7", json.dumps({"entries": [{"highest_weight": [0, 0, 2]}]})),
-        ("so7", json.dumps({"entries": [{"context": "so7", "highest_weight": [1, 0, 0]}]})),
-        ("g2", json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1], "citation": None}]})),
-        ("g2", json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1], "citation": {"a": 1}}]})),
-    ],
-    ids=["missing-file", "not-json", "entry-without-context", "non-ricci-flat-holonomy-rep",
-         "null-citation", "dict-citation"],
-)
-def test_bad_registry_file_is_a_usage_error(capsys, tmp_path, holonomy, content):
-    reg = tmp_path / "reg.json"
-    if content is not None:
-        reg.write_text(content)
-    with pytest.raises(SystemExit) as exc:
-        main(["prove", "--holonomy", holonomy, "--degree", "4", "--class", "twistor",
-              "--registry", str(reg)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "registry" in err.splitlines()[-1] and "Traceback" not in err
-
-
-def test_registry_entry_without_citation_is_cited_by_default(capsys, tmp_path):
-    reg = tmp_path / "reg.json"
-    reg.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1]}]}))
-    code, out, _ = run(
-        capsys, "prove", "--holonomy", "g2", "--degree", "2", "--class", "twistor", "--registry", str(reg)
-    )
-    assert code == 0
-    assert "[user registry entry] q(R) acts trivially on (0,1)" in out
 
 
 def test_usage_errors_exit_2(capsys):

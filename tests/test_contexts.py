@@ -1,23 +1,16 @@
-"""Holonomy contexts, form space cache and the q(R) registry."""
+"""Holonomy contexts, form space cache, the q(R) registry and its Schur certificate."""
 
 from __future__ import annotations
 
-import json
+from itertools import product
 from math import comb
 
 import pytest
 
 from holoweitz import contexts
-from holoweitz.contexts import (
-    CONTEXT_IDS,
-    RegistryEntry,
-    form_space,
-    load_registry,
-    make_context,
-    qr_entry,
-)
-from holoweitz.errors import DegreeOutOfRange, UnsupportedContext
-from holoweitz.irreps import Irrep
+from holoweitz.contexts import CONTEXT_IDS, form_space, make_context, qr_entry
+from holoweitz.errors import DegreeOutOfRange, InternalError, UnsupportedContext
+from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 
 
 TRIVIAL = "Cor. ricci (the Lie algebra acts by zero on the trivial bundle)"
@@ -63,18 +56,50 @@ def test_every_context_row_is_pinned(ctx_id):
         (("G", 2, (1, 0), 7, 15, True, (((1, 0), "qr-ricci-flat"),)), "expected 7/15"),
         (("G", 2, (1, 0), 7, 14, True, ()), "must match Ricci-flatness"),
         (("B", 3, (1, 0, 0), 7, 21, False, (((1, 0, 0), "qr-ricci-flat"),)), "must match Ricci-flatness"),
+        (("G", 2, (1, 0), 7, 14, True, (((1, 0), "qr-ricci-flat"), ((0, 1), "qr-ricci-flat"))),
+         r"certify q\(R\) = 0 on the cited bundle \(0, 1\)"),
+        (("B", 3, (0, 0, 1), 8, 21, True, (((0, 0, 1), "qr-ricci-flat"), ((0, 1, 0), "qr-spinor-bundle"))),
+         r"certify q\(R\) = 0 on the cited bundle \(0, 1, 0\)"),
+        (("B", 3, (1, 0, 0), 7, 21, False, (((0, 0, 1), "qr-spinor-bundle"),)),
+         r"certify q\(R\) = 0 on the cited bundle \(0, 0, 1\)"),
     ],
-    ids=["wrong-dim-pin", "ricci-flat-registry-drops-t", "not-ricci-flat-registry-lists-t"],
+    ids=["wrong-dim-pin", "ricci-flat-registry-drops-t", "not-ricci-flat-registry-lists-t",
+         "g2-cites-the-adjoint", "spin7-cites-the-adjoint", "not-ricci-flat-cites-a-spinor"],
 )
 def test_built_in_rows_are_pinned(monkeypatch, row, message):
     """A broken built-in row raises; the uncached builder neither reads nor fills the cache."""
     monkeypatch.setattr(contexts, "_CONTEXTS", {"bad": row})
-    with pytest.raises(RuntimeError, match=message):
-        contexts._make_context_cached.__wrapped__("bad", ())
+    with pytest.raises(InternalError, match=message):
+        contexts._make_context_cached.__wrapped__("bad")
+
+
+@pytest.mark.parametrize("ctx_id, top, count", [("g2", 8, 45), ("spin7", 5, 56)])
+def test_the_schur_certificate_passes_exactly_the_built_in_registry(monkeypatch, ctx_id, top, count):
+    """Over every bundle with coordinate sum <= top, a row that also cites it builds
+    iff it is already in the built-in registry."""
+    *row, base = contexts._CONTEXTS[ctx_id]
+    bundles = [w for w in product(range(top + 1), repeat=row[1]) if sum(w) <= top]
+    assert len(bundles) == count
+    certified = set()
+    for w in bundles:
+        monkeypatch.setattr(contexts, "_CONTEXTS", {"bad": (*row, (*base, (w, "qr-ricci-flat")))})
+        try:
+            contexts._make_context_cached.__wrapped__("bad")
+        except InternalError:
+            continue
+        certified.add(w)
+    assert certified == {e.highest_weight for e in make_context(ctx_id).qr_registry}
+
+
+@pytest.mark.parametrize("ctx_id, dim_k", [("g2", 77), ("spin7", 168)])
+def test_the_curvature_space_is_v_of_twice_the_highest_root(ctx_id, dim_k):
+    rs = make_context(ctx_id).root_system
+    theta = adjoint_irrep(rs).highest_weight
+    assert dimension(Irrep(rs, tuple(2 * c for c in theta))) == dim_k
 
 
 def test_unknown_context_rejected():
-    for bad in ("so4", "so11", "su3", "e8", ""):
+    for bad in ("so4", "so11", "su3", "e8", "", 5):
         with pytest.raises(UnsupportedContext):
             make_context(bad)
 
@@ -97,14 +122,9 @@ def test_registry_entries_carry_citations():
     assert qr_entry(s7, Irrep(s7.root_system, (0, 1, 0))) is None
 
 
-def test_registry_checks_build_no_weight_set():
-    """qr_entry and the prover scan the registry."""
-    from holoweitz.prover import FormClass, prove_degree
-
+def test_ricci_flat_holonomy_representations_are_cited_ricci_flat():
     for ctx in (make_context("g2"), make_context("spin7")):
         assert qr_entry(ctx, ctx.holonomy_rep).citation == RICCI_FLAT
-        for p in range(1, ctx.n):
-            prove_degree(ctx, p, FormClass.KILLING)
 
 
 def test_form_space_examples_and_cache():
@@ -125,81 +145,3 @@ def test_form_space_binomial_sums_and_duality():
             space = form_space(ctx, p)
             assert space.total_dimension() == comb(ctx.n, p)
             assert space == form_space(ctx, ctx.n - p)
-
-
-def test_registry_json_loading(tmp_path):
-    path = tmp_path / "registry.json"
-    path.write_text(
-        json.dumps(
-            {
-                "entries": [
-                    {
-                        "context": "spin7",
-                        "highest_weight": [0, 1, 0],
-                        "citation": "testing: pretend q(R) vanishes here",
-                    },
-                    {"context": "g2", "highest_weight": [0, 1], "citation": "x"},
-                ]
-            }
-        )
-    )
-    grouped = load_registry(path)
-    assert set(grouped) == {"spin7", "g2"}
-    ctx = make_context("spin7", grouped["spin7"])
-    bundle = Irrep(ctx.root_system, (0, 1, 0))
-    assert qr_entry(ctx, bundle).citation.startswith("testing:")
-    # base context unchanged
-    assert qr_entry(make_context("spin7"), bundle) is None
-
-
-@pytest.mark.parametrize("citation", [None, {"a": 1}, "", 3, ["x"]], ids=repr)
-def test_registry_citation_must_be_a_non_empty_string(tmp_path, citation):
-    path = tmp_path / "reg.json"
-    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1], "citation": citation}]}))
-    with pytest.raises(UnsupportedContext, match="citation"):
-        load_registry(path)
-
-
-def test_registry_citation_defaults_when_absent(tmp_path):
-    path = tmp_path / "reg.json"
-    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1]}]}))
-    assert load_registry(path) == {"g2": (RegistryEntry((0, 1), "user registry entry"),)}
-
-
-@pytest.mark.parametrize(
-    "ctx_id, extra",
-    [("g2", (RegistryEntry([0, 1], "x"),)), ("g2", (((0, 1), "x"),)),
-     ("g2", (RegistryEntry((-1, 0), "x"),)), ("g2", (RegistryEntry(("0", "1"), "x"),)),
-     ("g2", (RegistryEntry((0, 1), None),)), ("g2", (RegistryEntry((False, True), "x"),)),
-     (5, ())],
-    ids=["list-weight", "plain-tuple", "negative-label", "str-labels", "none-citation",
-         "bool-labels", "int-context-id"],
-)
-def test_library_registry_entries_get_the_checks_a_file_gets(ctx_id, extra):
-    with pytest.raises(UnsupportedContext):
-        make_context(ctx_id, extra)
-    # a good entry still extends the registry, and the bool labels registered nothing
-    ctx = make_context("g2", (RegistryEntry((0, 1), "x"),))
-    assert qr_entry(ctx, Irrep(ctx.root_system, (0, 1))) == RegistryEntry((0, 1), "x")
-    assert qr_entry(make_context("g2"), Irrep(ctx.root_system, (0, 1))) is None
-
-
-def test_registry_json_rejects_bad_records(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [-1, 0]}]}))
-    with pytest.raises(UnsupportedContext):
-        load_registry(path)
-    path.write_text(json.dumps([1, 2, 3]))
-    with pytest.raises(UnsupportedContext):
-        load_registry(path)
-    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [0, 1, 0], "citation": "x"}]}))
-    with pytest.raises(UnsupportedContext):
-        make_context("g2", load_registry(path)["g2"])
-    # JSON booleans are not labels, although bool is an int subclass
-    path.write_text(json.dumps({"entries": [{"context": "g2", "highest_weight": [False, True]}]}))
-    with pytest.raises(UnsupportedContext):
-        load_registry(path)
-    # the holonomy representation of a non-Ricci-flat context cannot be q(R)-trivial
-    path.write_text(json.dumps({"entries": [{"context": "so7", "highest_weight": [1, 0, 0]}]}))
-    with pytest.raises(UnsupportedContext):
-        make_context("so7", load_registry(path)["so7"])

@@ -54,17 +54,28 @@ def test_no_source_file_imports_dataclasses():
 COLD_START_EXCLUDED = ("dataclasses", "inspect", "difflib", "importlib.resources")
 
 
-def test_cli_import_leaves_heavy_modules_unloaded():
-    # a fresh interpreter without site, so nothing but the package's own imports counts
-    probe = "import sys; before = set(sys.modules); import holoweitz.cli; print(*set(sys.modules) - before)"
+def fresh_import(module: str) -> list[str]:
+    """The modules that ``import module`` loads in a fresh interpreter without site,
+    so nothing but the package's own imports counts."""
+    probe = f"import sys; before = set(sys.modules); import {module}; print(*set(sys.modules) - before)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
                          timeout=60)
     assert run.returncode == 0, run.stderr
-    loaded = run.stdout.split()
+    return run.stdout.split()
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    loaded = fresh_import("holoweitz.cli")
     assert "holoweitz.cli" in loaded
     stray = [m for m in loaded for e in COLD_START_EXCLUDED if m == e or m.startswith(e + ".")]
     assert not stray, f"import holoweitz.cli loads {sorted(stray)}"
+
+
+def test_library_import_loads_neither_json_nor_pathlib():
+    loaded = fresh_import("holoweitz")
+    assert "holoweitz.contexts" in loaded
+    assert not {"json", "pathlib"} & set(loaded), "only the CLI and selftest read files"
 
 
 def literal_assignments(path: Path, *names: str) -> list:
