@@ -15,8 +15,11 @@ above n/2 are duals of degrees below, V(lam) -> V(-w0 lam) by
 One stream of (point, coefficient) pairs feeds the kernel, and each
 point in it is distinct.  A point travels as one integer key
 (:func:`roots.key_codec`), its digits wide enough for the labels of all
-its Weyl images.  A tensor product's points lam + rho + nu are distinct
-as they stand: the orbits of distinct dominant weights are disjoint.
+its Weyl images.  The width follows from the largest label of any weight
+of the factor walked, read off its highest weight by the highest coroot
+pairing (:func:`_top_label`), so no weight is read to size a key.  A
+tensor product's points lam + rho + nu are distinct as they stand: the
+orbits of distinct dominant weights are disjoint.
 Newton's identity meets the same point from many k and many lower
 summands; what a point contributes depends on the point alone, so its
 signed coefficients are merged first, on its key.  The kernel reflects
@@ -28,7 +31,9 @@ Every tensor product, straightened character and exterior power leaves
 through one checked exit, :func:`_decomposition`, which decides the
 summand order (see :class:`Decomposition`); the order numbers the twistor
 operators T_i downstream.  Sorting by dimension computes every summand's
-Weyl dimension, so each answer is also checked to conserve dimension:
+Weyl dimension, and only summands of equal dimension compute their
+ambient coordinates for the tie; each answer is also checked to conserve
+dimension:
 dim V(lam) times the sum of char's multiplicities for a straightening
 (dim a * dim b for a tensor product), C(n, p) for Lambda^p.  A negative
 or indivisible multiplicity or a dimension that does not add up raises
@@ -76,6 +81,18 @@ def _codec(rs: RootSystem, top: int) -> tuple:
     return roots.key_codec(rs, top * (2 * len(rs.positive_labels) // rs.rank - 1))
 
 
+def _top_label(rs: RootSystem, lam: Labels) -> int:
+    """The largest label of any weight of V(lam): max over positive roots b of
+    <lam, b^v> = 2 (lam, b) / (b, b), the pairings (lam, b) from one pass along
+    the root poset.  A label nu_i = <nu, a_i^v> is linear in nu, so on the
+    weights, which lie in the convex hull of the Weyl orbit of lam, it peaks
+    at an orbit point w lam, where it is <lam, w^-1 a_i^v>; the coroots w^-1 a_i^v
+    are all the coroots, and lam pairs with the positive ones non-negatively."""
+    pairings = roots.poset_pairings(rs.root_poset, lam)
+    return max([2 * x // sum(map(mul, a, wa))  # (b, b) = sum_i b_i (w_i, b)
+                for x, a, wa in zip(pairings, rs.positive_labels, rs.root_pairings)])
+
+
 def _straighten_points(codec: tuple, points: Iterable[tuple[int, int]]) -> dict[Labels, int]:
     """The kernel (Klimyk 1968): the irreps that ``points``, the keys of distinct
     points with coefficients, stand for.  A point adds its reflection parity times
@@ -99,9 +116,10 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
     """The checked exit of every decomposition: ``acc / q`` as a sorted
     :class:`Decomposition`.  :class:`InternalError` on a negative or
     indivisible entry, or unless the summands' dimensions, which the sort
-    computes anyway, add up to ``total``."""
-    entries = []
-    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
+    computes anyway, add up to ``total``.  Ambient keys are computed only
+    for summands whose dimension another summand shares: elsewhere the
+    dimension alone decides the order."""
+    entries, ties = [], {}
     for hw, m in acc.items():
         if m:
             value, rest = divmod(m, q)
@@ -109,20 +127,27 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
             if rest or value < 0:
                 why = "negative" if m < 0 else f"not divisible by {q}"
                 raise InternalError(f"multiplicity {m} at {irr}: {why}")
-            key = [sum(map(mul, hw, col)) for col in columns]
-            entries.append((dimension(irr), key, irr, value))
-    entries.sort()  # distinct highest weights have distinct ambient keys: no Irrep is compared
+            entries.append([d := dimension(irr), None, irr, value])
+            ties[d] = d in ties
     if (found := sum(d * m for d, _, _, m in entries)) != total:
         raise InternalError(f"summands add up to dimension {found}, expected {total}")
+    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
+    for entry in entries:
+        if ties[entry[0]]:  # only equal dimensions compare their ambient keys
+            entry[1] = [sum(map(mul, entry[2].highest_weight, col)) for col in columns]
+    entries.sort()  # distinct highest weights have distinct ambient keys: no Irrep is compared
     return Decomposition([(irr, m) for _, _, irr, m in entries])
 
 
-def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]]) -> Decomposition:
+def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
+                top: int | None = None) -> Decomposition:
     """V(lam) (x) char for distinct (weight, multiplicity) pairs of a Weyl-invariant
-    char, read three times; lam = 0 decomposes char.  The summands must add up to
-    dim V(lam) times the sum of the multiplicities.  s_i negates label i, so
-    max |nu_i| = max nu_i."""
-    _, shifts, _, rho, _, _ = codec = _codec(rs, max(lam) + 1 + max([max(nu) for nu, _ in char]))
+    char, read twice, or three times without ``top``, the largest label of char's
+    weights; lam = 0 decomposes char.  The summands must add up to dim V(lam) times
+    the sum of the multiplicities.  s_i negates label i, so max |nu_i| = max nu_i."""
+    if top is None:
+        top = max([max(nu) for nu, _ in char])
+    _, shifts, _, rho, _, _ = codec = _codec(rs, max(lam) + 1 + top)
     base = sum(map(lshift, lam, shifts)) + rho  # key(lam + rho)
     points = ((base + sum(map(lshift, nu, shifts)), m) for nu, m in char)
     total = dimension(_unchecked_irrep(rs, lam)) * sum([m for _, m in char])
@@ -135,13 +160,15 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
 
     Iterates over the weight system of the smaller-dimensional factor,
     so products against a small fixed factor stay cheap regardless of
-    the size of the other one.
+    the size of the other one.  The keys are sized from that factor's
+    highest weight alone (:func:`_top_label`), not from its weights.
     """
     if a.root_system != b.root_system:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
     if dimension(a) < dimension(b):
         a, b = b, a
-    return _straighten(a.root_system, a.highest_weight, weights(b))
+    rs = a.root_system
+    return _straighten(rs, a.highest_weight, weights(b), _top_label(rs, b.highest_weight))
 
 
 def _degree(p) -> int:
@@ -166,11 +193,12 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
 
     Points merge on their keys (:mod:`roots`), key(lam + rho + k nu) =
     key(lam + rho) + k sum_i nu_i S^i: one addition and one dict update
-    each.  With M the largest |nu_i| over the weights nu of T, the highest
-    weight lam of a summand of Lambda^(p-k), a sum of p - k weights of T,
-    has |lam_i| <= (p - k) M; so no label of lam + rho + k nu exceeds
-    p M + 1 in absolute value, and the keys are sized for that bound and
-    for the Weyl images of the points.
+    each.  With M the largest |nu_i| over the weights nu of T (s_i negates
+    label i, so M is the largest nu_i, and :func:`_top_label` reads it off
+    T's highest weight), the highest weight lam of a summand of
+    Lambda^(p-k), a sum of p - k weights of T, has |lam_i| <= (p - k) M;
+    so no label of lam + rho + k nu exceeds p M + 1 in absolute value, and
+    the keys are sized for that bound and for the Weyl images of the points.
     """
     n, p = dimension(t), _degree(p)
     if not 0 <= p <= n:
@@ -182,9 +210,8 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     if p == 0:
         return _decomposition(rs, {(0,) * rs.rank: 1}, 1)
     lower = [exterior_power(t, q) for q in range(p)]
-    t_weights = weights(t)  # s_i negates label i, so M = max |nu_i| is the largest nu_i
-    _, shifts, _, rho, _, _ = codec = _codec(rs, p * max([max(nu) for nu, _ in t_weights]) + 1)
-    keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in t_weights]
+    _, shifts, _, rho, _, _ = codec = _codec(rs, p * _top_label(rs, t.highest_weight) + 1)
+    keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in weights(t)]
     points: dict[int, int] = {}
     get = points.get
     for k in range(1, p + 1):

@@ -4,7 +4,9 @@ Highest weights and every weight computed from them are tuples of
 integer Dynkin labels (see :mod:`roots`).  Dimensions come from the Weyl
 dimension formula, weight multiplicities from the Freudenthal recursion
 over the dominant closure of the highest weight, Casimir eigenvalues
-from the highest weight.  Ambient coordinates appear only at the API
+from the highest weight.  The closure and the Freudenthal strings run on
+integer keys (:func:`roots.key_codec`), and each dominant weight is
+decoded to labels once.  Ambient coordinates appear only at the API
 edge: the keys of :func:`weight_system` and the entries of
 :func:`full_weights`, which maps :func:`weights`, the one walk of the
 Weyl orbits, to ambient coordinates.
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import isqrt, prod
-from operator import lshift, mul, not_, sub
+from operator import itemgetter, lshift, mul, not_, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -90,29 +92,38 @@ def dimension(irrep: Irrep) -> int:
     return value
 
 
-def _dominant_closure(rs: RootSystem, lam: Labels) -> list[Labels]:
-    """Dominant weights of the irrep with highest weight ``lam``, highest first.
+def _dominant_closure(rs: RootSystem, lam: Labels, codec: tuple) -> list[tuple[int, int]]:
+    """Dominant weights of the irrep with highest weight ``lam`` as (key, (mu, rho))
+    pairs, highest first, in the keys of ``codec``.
 
     The closure of lam under mu -> mu - a (a > 0), kept dominant, is every
     dominant mu <= lam, since dominant weights below one another are joined
-    by positive roots (Stembridge, Adv. Math. 136, 1998).  The order is by
-    decreasing (mu, rho), so every weight comes after all weights above it.
-    (mu, rho) is one pairing with the row sums of ``gram``.
+    by positive roots (Stembridge, Adv. Math. 136, 1998).  It runs on keys
+    (:func:`roots.key_codec`): key(mu - a) = key(mu) - sum_i a_i S^i, and mu - a
+    is dominant iff ``high & ~key(mu - a)`` is zero.  The labels met are in
+    [-c, B + c], B the largest label of a dominant weight and c the largest
+    |label| of a positive root (3 on G2), and the codec must hold them.
+    (mu - a, rho) = (mu, rho) - (a, rho) is a running integer in gram units;
+    it is never negative on a dominant weight, so a key reached with
+    (mu, rho) < 0 was coded too narrow, and ``InternalError`` ends the walk.
+    The order is by decreasing (mu, rho), so every weight comes after all
+    weights above it; weights of equal (mu, rho) keep breadth-first order.
     """
-    # mu - a is dominant iff mu_i >= a_i wherever a_i > 0: test those labels first
-    lowered = [(a, [(i, x) for i, x in enumerate(a) if x > 0]) for a in rs.positive_labels]
-    seen, queue = {lam}, [lam]
-    for mu in queue:  # breadth first; the loop also visits what it appends
-        for a, low in lowered:
-            for i, x in low:
-                if mu[i] < x:
-                    break
-            else:
-                if (nu := tuple(map(sub, mu, a))) not in seen:
-                    seen.add(nu)
-                    queue.append(nu)
-    rho = [sum(row) for row in rs.gram]
-    return sorted(seen, key=lambda mu: -sum(map(mul, mu, rho)))
+    _, shifts, high, _, _, _ = codec
+    steps = [(sum(map(lshift, a, shifts)), sum(wa))  # (key step, (a, rho))
+             for a, wa in zip(rs.positive_labels, rs.root_pairings)]
+    key = sum(map(lshift, lam, shifts)) + high
+    height = {key: sum(map(mul, lam, map(sum, rs.gram)))}  # key -> (mu, rho)
+    queue = [key]
+    for key in queue:  # breadth first; the loop also visits what it appends
+        if (h := height[key]) < 0:  # no dominant weight has (mu, rho) < 0
+            raise InternalError(f"a closure key of {lam} has (mu, rho) < 0: "
+                                "its digits overflow")
+        for step, r in steps:
+            if not high & ~(nu := key - step) and nu not in height:
+                height[nu] = h - r
+                queue.append(nu)
+    return sorted(height.items(), key=itemgetter(1), reverse=True)  # stable on ties
 
 
 def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
@@ -159,9 +170,12 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     m(mu) * (lam - mu, lam + mu + 2 rho)        [= ||lam+rho||^2 - ||mu+rho||^2]
         = 2 * sum_{a>0} sum_{k>=1} m(mu + k a) * (mu + k a, a)
 
-    evaluated over the dominant closure, highest first; (mu + k a, a) is a
-    running sum with step (a, a).  Each string stops at the first point
-    that is not a weight, and at the latest once its norm passes lam's:
+    evaluated over the dominant closure, highest first (:func:`_dominant_closure`,
+    which also hands over (mu, rho)); (mu + k a, a) is a running sum with
+    step (a, a), and its first term (mu, a) comes, for every root class at
+    once, from one pass along the root poset (:func:`roots.poset_pairings`).
+    Each string stops at the first point that is not a weight, and at the
+    latest once its norm passes lam's:
     every weight mu' of V(lam) has (mu', mu') <= (lam, lam), since the
     dominant representative of mu' is below lam and (lam, lam) - (mu', mu')
     = (lam - mu', lam + mu') >= 0.  The norm is a running integer too,
@@ -172,8 +186,10 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     dict.  The norm bound gives
     |nu_i| = 2 |(nu, a_i)| / (a_i, a_i) <= 2 sqrt((lam, lam) / (a_i, a_i)) <= B,
     B taken at a short simple root, on every point of norm at most
-    (lam, lam); S/2 > B, so the digits never carry and distinct such
-    points have distinct keys.  The keys never leave the call.
+    (lam, lam); S/2 > B + c, c the largest |label| of a positive root, so
+    the digits never carry, distinct such points have distinct keys, and
+    the closure's points mu - a, within c of a dominant weight, fit as
+    well.  The keys never leave the call.
 
     The dict ``known`` maps keys to multiplicities, 0 off the weights; m(mu)
     is entered at key(mu) once it is set for a dominant mu, lam included.
@@ -195,28 +211,34 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     per zero pattern of mu, inside the call.
     """
     rs, lam = irrep.root_system, irrep.highest_weight
-    rho = [sum(row) for row in rs.gram]  # (w_i, rho)
     top = dot(rs, lam, lam)
-    top_rho = top + 2 * sum(map(mul, lam, rho))  # (lam, lam + 2 rho)
-    # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root
-    codec = roots.key_codec(rs, isqrt(2 * top // min(map(sum, rs.root_pairings))))  # B
-    _, shifts, high, _, _, _ = codec
-    pairings = dict(zip(rs.positive_labels, rs.root_pairings))
-    tables: dict[tuple[bool, ...], list[tuple[int, Labels, int, int]]] = {}
+    top_rho = top + 2 * sum(map(mul, lam, map(sum, rs.gram)))  # (lam, lam + 2 rho)
+    # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root; the
+    # closure's keys need room for c = max |a_i| over the positive roots a more
+    headroom = max([abs(x) for a in rs.positive_labels for x in a])
+    codec = roots.key_codec(rs, isqrt(2 * top // min(map(sum, rs.root_pairings))) + headroom)
+    bits, shifts, high, _, _, _ = codec
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    poset = rs.root_poset
+    position = {a: k for k, a in enumerate(rs.positive_labels)}
+    tables: dict[tuple[bool, ...], list[tuple[int, int, int, int]]] = {}
+    closure = _dominant_closure(rs, lam, codec)
     mult = {lam: 1}
-    known = {sum(map(lshift, lam, shifts)) + high: 1}  # key -> multiplicity, 0 off the weights
-    for mu in _dominant_closure(rs, lam)[1:]:
+    known = {closure[0][0]: 1}  # key -> multiplicity, 0 off the weights
+    for key_mu, mu_rho in closure[1:]:
+        mu = tuple([(key_mu >> s & mask) - half for s in shifts])
         pattern = tuple(map(bool, mu))
-        if (table := tables.get(pattern)) is None:  # (root's key step, pairings, (a, a), size)
+        if (table := tables.get(pattern)) is None:  # (root's index, key step, (a, a), size)
             zeros = tuple(compress(range(rs.rank), map(not_, pattern)))
-            table = tables[pattern] = [(sum(map(lshift, a, shifts)), wa := pairings[a],
-                                        sum(map(mul, a, wa)), size)
-                                       for a, size in _root_classes(rs, zeros).items()]
+            table = tables[pattern] = [
+                (k := position[a], sum(map(lshift, a, shifts)),
+                 sum(map(mul, a, rs.root_pairings[k])), size)
+                for a, size in _root_classes(rs, zeros).items()]
+        pairings = roots.poset_pairings(poset, mu)  # (mu, a) for every positive root a
         norm_mu = dot(rs, mu, mu)
-        key_mu = sum(map(lshift, mu, shifts)) + high
         total = 0
-        for step_key, wa, step, size in table:
-            pairing, string = sum(map(mul, mu, wa)) + step, 0
+        for k, step_key, step, size in table:
+            pairing, string = pairings[k] + step, 0
             norm, key = norm_mu + 2 * pairing - step, key_mu
             while norm <= top:
                 key += step_key
@@ -228,7 +250,7 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
                 pairing += step
                 norm += 2 * pairing - step
             total += size * string
-        gap = top_rho - norm_mu - 2 * sum(map(mul, mu, rho))
+        gap = top_rho - norm_mu - 2 * mu_rho
         value, rest = divmod(2 * total, gap)
         if rest or value <= 0:
             raise InternalError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
@@ -255,9 +277,10 @@ def weight_system(irrep: Irrep) -> WeightSystem:
 @lru_cache(maxsize=None)
 def weights(irrep: Irrep) -> tuple[tuple[Labels, int], ...]:
     """Every distinct weight in Dynkin labels with its multiplicity, one walk: the
-    dominant weights in :func:`dominant_multiplicities` order, each followed by
-    its Weyl orbit in :func:`roots.orbit`'s breadth-first order.  Checked: the
-    multiplicities add up to ``dimension(irrep)``, or :class:`InternalError`."""
+    dominant weights in :func:`dominant_multiplicities` order (decreasing (mu, rho),
+    breadth first among equals), each followed by its Weyl orbit in
+    :func:`roots.orbit`'s breadth-first order.  Checked: the multiplicities
+    add up to ``dimension(irrep)``, or :class:`InternalError`."""
     out = tuple((nu, m) for mu, m in dominant_multiplicities(irrep).items()
                 for nu in roots.orbit(irrep.root_system, mu))
     if (found := sum(m for _, m in out)) != (n := dimension(irrep)):

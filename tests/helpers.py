@@ -249,6 +249,27 @@ def restart_dominant(amb, mu):
         mu, sign = tuple(m - mu[i] * a for m, a in zip(mu, amb.cartan_matrix[i])), -sign
 
 
+def dominant_closure(amb, lam):
+    """The dominant weights below the dominant weight lam, in Dynkin labels: lam
+    closed under mu -> mu - a over the positive roots a in the model's order,
+    breadth first, keeping the results with no negative label; then sorted by
+    decreasing (mu, rho) under base_form, stably, so equals stay breadth first."""
+    steps = [tuple(int(x) for x in labels(amb, a)) for a in amb.positive_roots]
+    seen, queue = {tuple(lam)}, [tuple(lam)]
+    for mu in queue:
+        for a in steps:
+            nu = tuple(x - y for x, y in zip(mu, a))
+            if min(nu) >= 0 and nu not in seen:
+                seen.add(nu)
+                queue.append(nu)
+
+    def height(mu):
+        vector = [sum(c * w[k] for c, w in zip(mu, amb.fundamental_weights)) for k in range(amb.dim)]
+        return form(amb, vector, amb.rho)
+
+    return sorted(queue, key=height, reverse=True)
+
+
 # --- the one exact row reduction --------------------------------------------
 
 

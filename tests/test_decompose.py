@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 from operator import add, lshift
 
@@ -16,6 +17,7 @@ from holoweitz.decompose import (
     Decomposition,
     _decomposition,
     _straighten,
+    _top_label,
     exterior_power,
     tensor,
 )
@@ -34,7 +36,7 @@ from holoweitz.irreps import (
     weights,
 )
 from holoweitz.prover import prove_theorems
-from holoweitz.roots import build_root_system, to_fundamental
+from holoweitz.roots import build_root_system, to_fundamental, to_orthogonal
 from holoweitz.weitzenboeck import conformal_weights
 
 from helpers import ambient, character_product, restart_dominant, subset_sums
@@ -163,6 +165,41 @@ def test_tensor_against_brute_force_character_product():
             for w in full_weights(irr):
                 combined[w] = combined.get(w, 0) + m
         assert combined == product
+
+
+TOP_LABEL_ALGEBRAS = [("A", r) for r in range(1, 5)] + [("B", r) for r in range(2, 5)] + [
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", TOP_LABEL_ALGEBRAS,
+                         ids=[f"{f}{r}" for f, r in TOP_LABEL_ALGEBRAS])
+def test_the_highest_coroot_pairing_is_the_largest_label_of_any_weight(family, rank):
+    # tensor and exterior_power size their keys from the highest weight alone
+    rs = build_root_system(family, rank)
+    for hw in product(range(4), repeat=rank):
+        if sum(hw) <= 3:
+            assert _top_label(rs, hw) == max(max(nu) for nu, _ in weights(Irrep(rs, hw))), hw
+
+
+def test_ambient_keys_only_on_ties_keep_the_dimension_then_ambient_order():
+    # _decomposition computes ambient coordinates only for summands of equal dimension
+    # (19 of 145 in B3 (2,2,2) x (2,1,2)); D4's three 8-dimensional irreps all tie
+    def order(deco):
+        return sorted(deco, key=lambda e: (dimension(e[0]), to_orthogonal(e[0].root_system,
+                                                                         e[0].highest_weight)))
+
+    deco = tensor(Irrep(B3, (2, 2, 2)), Irrep(B3, (2, 1, 2)))
+    dims = Counter(dimension(irr) for irr, _ in deco)
+    assert (len(deco), sum(n for n in dims.values() if n > 1)) == (145, 19)
+    assert list(deco) == order(deco)
+    eights = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)]
+    char = Counter()
+    for hw in eights:
+        char.update(dict(weights(Irrep(D4, hw))))
+    deco = _straighten(D4, (0, 0, 0, 0), char.items())
+    assert entries(deco) == [((0, 0, 0, 0), 1), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1),
+                             ((1, 0, 0, 0), 1)]
+    assert list(deco) == order(deco)
 
 
 def test_g2_form_space_decompositions():

@@ -24,11 +24,12 @@ from holoweitz.irreps import (
     weight_system,
     weights,
 )
-from holoweitz.roots import build_root_system, orbit, to_orthogonal
+from holoweitz.roots import build_root_system, key_codec, orbit, to_orthogonal
 
 from helpers import (
     ambient,
     ambient_casimir,
+    dominant_closure,
     form,
     kostant_multiplicity,
     mat_vec,
@@ -202,6 +203,55 @@ def test_root_classes_match_the_reflection_closure_on_every_zero_pattern(family,
             assert classes == expected, zeros
             assert all(a[i] >= 0 for a in classes for i in zeros)
             assert sum(classes.values()) == len(rs.positive_labels)
+
+
+CLOSURE_ALGEBRAS = [("A", r) for r in range(1, 5)] + [("B", r) for r in range(2, 5)] + [
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2)]
+
+
+def small_weights(rank, most=3):
+    """Every highest weight of the given rank with coordinate sum at most ``most``."""
+    return [hw for hw in product(range(most + 1), repeat=rank) if sum(hw) <= most]
+
+
+@pytest.mark.parametrize("family,rank", CLOSURE_ALGEBRAS,
+                         ids=[f"{f}{r}" for f, r in CLOSURE_ALGEBRAS])
+def test_the_key_closure_is_the_label_closure_in_rho_then_breadth_first_order(family, rank):
+    # dominant_multiplicities lists the closure in its order: by decreasing (mu, rho), and
+    # breadth first among equals (the oracle's label closure, sorted stably).  The closure
+    # runs on keys whose digits hold the norm bound plus the largest |label| of a positive
+    # root (3 on G2).  The trivial weight's norm bound is 0, so the headroom alone sizes
+    # its digits: without it, mu - a borrows across digits on A1 and B2 and the closure
+    # of (0,) or (0, 0) ends in InternalError
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
+    for hw in small_weights(rank):
+        assert list(dominant_multiplicities(Irrep(rs, hw))) == dominant_closure(amb, hw), hw
+
+
+def test_a_closure_codec_without_the_root_label_headroom_ends_in_internal_error():
+    # the trivial weight of A1 has norm bound 0: digits for labels in [-1, 1) hold 0 - a_1
+    # = (-2) only by borrowing from the digit above, so a key passes for dominant, and the
+    # walk ends where (mu, rho) < 0, which no dominant weight has, instead of running on
+    rs = build_root_system("A", 1)
+    assert irreps._dominant_closure(rs, (0,), key_codec(rs, 2))[0][1] == 0
+    with pytest.raises(InternalError, match=r"closure key of \(0,\) has \(mu, rho\) < 0"):
+        irreps._dominant_closure(rs, (0,), key_codec(rs, 0))
+
+
+FUNDAMENTAL_ALGEBRAS = [("A", 8), ("B", 8), ("C", 8), ("D", 8), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", FUNDAMENTAL_ALGEBRAS,
+                         ids=[f"{f}{r}" for f, r in FUNDAMENTAL_ALGEBRAS])
+def test_every_fundamental_weight_closes_in_the_narrowest_codec(family, rank):
+    # past the trivial weight, a fundamental weight has the least norm bound, so the
+    # root labels' headroom is the largest share of its key digits
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
+    for i in range(rank):
+        hw = tuple(int(j == i) for j in range(rank))
+        mult = dominant_multiplicities(Irrep(rs, hw))
+        assert list(mult) == dominant_closure(amb, hw), hw
+        assert sum(m * len(orbit(rs, mu)) for mu, m in mult.items()) == dimension(Irrep(rs, hw))
 
 
 @pytest.mark.parametrize("rs,hw", [(B3, (3, 3, 3)), (D4, (2, 1, 1, 1)), (G2, (2, 3))])
