@@ -15,11 +15,11 @@ above n/2 are duals of degrees below, V(lam) -> V(-w0 lam) by
 One stream of (point, coefficient) pairs feeds the kernel, and each
 point in it is distinct.  A point travels as one integer key
 (:func:`roots.key_codec`), its digits wide enough for the labels of all
-its Weyl images.  The width follows from the largest label of any weight
-of the factor walked, read off its highest weight by the highest coroot
-pairing (:func:`_top_label`), so no weight is read to size a key.  A
-tensor product's points lam + rho + nu are distinct as they stand: the
-orbits of distinct dominant weights are disjoint.
+its Weyl images.  Their width follows from the largest label of any
+weight of the factor walked, one dot product of its highest weight with
+the highest coroot (``RootSystem.highest_coroot``), so no weight is read
+to size a key.  A tensor product's points lam + rho + nu are distinct
+as they stand: the orbits of distinct dominant weights are disjoint.
 Newton's identity meets the same point from many k and many lower
 summands; what a point contributes depends on the point alone, so its
 signed coefficients are merged first, on its key.  The kernel reflects
@@ -31,9 +31,7 @@ Every tensor product, straightened character and exterior power leaves
 through one checked exit, :func:`_decomposition`, which decides the
 summand order (see :class:`Decomposition`); the order numbers the twistor
 operators T_i downstream.  Sorting by dimension computes every summand's
-Weyl dimension, and only summands of equal dimension compute their
-ambient coordinates for the tie; each answer is also checked to conserve
-dimension:
+Weyl dimension, so each answer is also checked to conserve dimension:
 dim V(lam) times the sum of char's multiplicities for a straightening
 (dim a * dim b for a tensor product), C(n, p) for Lambda^p.  A negative
 or indivisible multiplicity or a dimension that does not add up raises
@@ -81,18 +79,6 @@ def _codec(rs: RootSystem, top: int) -> tuple:
     return roots.key_codec(rs, top * (2 * len(rs.positive_labels) // rs.rank - 1))
 
 
-def _top_label(rs: RootSystem, lam: Labels) -> int:
-    """The largest label of any weight of V(lam): max over positive roots b of
-    <lam, b^v> = 2 (lam, b) / (b, b), the pairings (lam, b) from one pass along
-    the root poset.  A label nu_i = <nu, a_i^v> is linear in nu, so on the
-    weights, which lie in the convex hull of the Weyl orbit of lam, it peaks
-    at an orbit point w lam, where it is <lam, w^-1 a_i^v>; the coroots w^-1 a_i^v
-    are all the coroots, and lam pairs with the positive ones non-negatively."""
-    pairings = roots.poset_pairings(rs.root_poset, lam)
-    return max([2 * x // sum(map(mul, a, wa))  # (b, b) = sum_i b_i (w_i, b)
-                for x, a, wa in zip(pairings, rs.positive_labels, rs.root_pairings)])
-
-
 def _straighten_points(codec: tuple, points: Iterable[tuple[int, int]]) -> dict[Labels, int]:
     """The kernel (Klimyk 1968): the irreps that ``points``, the keys of distinct
     points with coefficients, stand for.  A point adds its reflection parity times
@@ -116,10 +102,9 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
     """The checked exit of every decomposition: ``acc / q`` as a sorted
     :class:`Decomposition`.  :class:`InternalError` on a negative or
     indivisible entry, or unless the summands' dimensions, which the sort
-    computes anyway, add up to ``total``.  Ambient keys are computed only
-    for summands whose dimension another summand shares: elsewhere the
-    dimension alone decides the order."""
-    entries, ties = [], {}
+    computes anyway, add up to ``total``."""
+    entries = []
+    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
     for hw, m in acc.items():
         if m:
             value, rest = divmod(m, q)
@@ -127,26 +112,21 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
             if rest or value < 0:
                 why = "negative" if m < 0 else f"not divisible by {q}"
                 raise InternalError(f"multiplicity {m} at {irr}: {why}")
-            entries.append([d := dimension(irr), None, irr, value])
-            ties[d] = d in ties
+            key = [sum(map(mul, hw, col)) for col in columns]
+            entries.append((dimension(irr), key, irr, value))
+    entries.sort()  # distinct highest weights have distinct ambient keys: no Irrep is compared
     if (found := sum(d * m for d, _, _, m in entries)) != total:
         raise InternalError(f"summands add up to dimension {found}, expected {total}")
-    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
-    for entry in entries:
-        if ties[entry[0]]:  # only equal dimensions compare their ambient keys
-            entry[1] = [sum(map(mul, entry[2].highest_weight, col)) for col in columns]
-    entries.sort()  # distinct highest weights have distinct ambient keys: no Irrep is compared
     return Decomposition([(irr, m) for _, _, irr, m in entries])
 
 
 def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
-                top: int | None = None) -> Decomposition:
+                top: int) -> Decomposition:
     """V(lam) (x) char for distinct (weight, multiplicity) pairs of a Weyl-invariant
-    char, read twice, or three times without ``top``, the largest label of char's
-    weights; lam = 0 decomposes char.  The summands must add up to dim V(lam) times
-    the sum of the multiplicities.  s_i negates label i, so max |nu_i| = max nu_i."""
-    if top is None:
-        top = max([max(nu) for nu, _ in char])
+    char, read twice, with ``top`` at least the largest label of its weights (s_i
+    negates label i, so that is also the largest |nu_i|); lam = 0 decomposes
+    char.  The summands must add up to dim V(lam) times the sum of the
+    multiplicities."""
     _, shifts, _, rho, _, _ = codec = _codec(rs, max(lam) + 1 + top)
     base = sum(map(lshift, lam, shifts)) + rho  # key(lam + rho)
     points = ((base + sum(map(lshift, nu, shifts)), m) for nu, m in char)
@@ -161,14 +141,14 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
     Iterates over the weight system of the smaller-dimensional factor,
     so products against a small fixed factor stay cheap regardless of
     the size of the other one.  The keys are sized from that factor's
-    highest weight alone (:func:`_top_label`), not from its weights.
+    highest weight alone (see :func:`exterior_power`), not from its weights.
     """
     if a.root_system != b.root_system:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
     if dimension(a) < dimension(b):
         a, b = b, a
-    rs = a.root_system
-    return _straighten(rs, a.highest_weight, weights(b), _top_label(rs, b.highest_weight))
+    top = sum(map(mul, b.highest_weight, a.root_system.highest_coroot))
+    return _straighten(a.root_system, a.highest_weight, weights(b), top)
 
 
 def _degree(p) -> int:
@@ -193,12 +173,17 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
 
     Points merge on their keys (:mod:`roots`), key(lam + rho + k nu) =
     key(lam + rho) + k sum_i nu_i S^i: one addition and one dict update
-    each.  With M the largest |nu_i| over the weights nu of T (s_i negates
-    label i, so M is the largest nu_i, and :func:`_top_label` reads it off
-    T's highest weight), the highest weight lam of a summand of
-    Lambda^(p-k), a sum of p - k weights of T, has |lam_i| <= (p - k) M;
-    so no label of lam + rho + k nu exceeds p M + 1 in absolute value, and
-    the keys are sized for that bound and for the Weyl images of the points.
+    each.  With M the largest |nu_i| over the weights nu of T, the highest
+    weight lam of a summand of Lambda^(p-k), a sum of p - k weights of T,
+    has |lam_i| <= (p - k) M; so no label of lam + rho + k nu exceeds
+    p M + 1 in absolute value, and the keys are sized for that bound and
+    for the Weyl images of the points.  M is read off T's highest weight
+    lam_T: s_i negates label i, so M is the largest nu_i; a label is linear
+    in nu, so on the weights, which lie in the convex hull of the Weyl
+    orbit of lam_T, it peaks at an orbit point w lam_T, where it is
+    <lam_T, w^-1 a_i^v>; the w^-1 a_i^v run over the coroots, so M is the
+    largest <lam_T, a^v> over the positive roots a, lam_T's pairing with
+    the highest coroot.
     """
     n, p = dimension(t), _degree(p)
     if not 0 <= p <= n:
@@ -210,7 +195,8 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     if p == 0:
         return _decomposition(rs, {(0,) * rs.rank: 1}, 1)
     lower = [exterior_power(t, q) for q in range(p)]
-    _, shifts, _, rho, _, _ = codec = _codec(rs, p * _top_label(rs, t.highest_weight) + 1)
+    top = sum(map(mul, t.highest_weight, rs.highest_coroot))  # M
+    _, shifts, _, rho, _, _ = codec = _codec(rs, p * top + 1)
     keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in weights(t)]
     points: dict[int, int] = {}
     get = points.get

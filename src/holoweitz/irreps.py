@@ -126,22 +126,24 @@ def _dominant_closure(rs: RootSystem, lam: Labels, codec: tuple) -> list[tuple[i
     return sorted(height.items(), key=itemgetter(1), reverse=True)  # stable on ties
 
 
-def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[Labels, int]:
+def _root_classes(rs: RootSystem, zeros: tuple[int, ...]) -> dict[int, int]:
     """Classes of positive roots under W_mu up to sign, W_mu generated by the s_i
     with i in ``zeros``: each class's one root with no negative label in ``zeros``,
-    reached by raising reflections, mapped to the class size.
+    reached by raising reflections, as its index in ``rs.positive_labels``,
+    mapped to the class size.
 
     Highest root first: s_i a for a[i] < 0 is a higher positive root, so its
     representative is known and a takes at most one reflection."""
-    top: dict[Labels, Labels] = {}
-    classes: Counter[Labels] = Counter()  # not Counter(iterable): its Mapping check is slow cold
-    for a in reversed(rs.positive_labels):
+    top: dict[Labels, int] = {}
+    classes: Counter[int] = Counter()  # not Counter(iterable): its Mapping check is slow cold
+    for k in reversed(range(len(rs.positive_labels))):
+        a = rs.positive_labels[k]
         for i in zeros:
             if a[i] < 0:  # s_i a = a - a_i * (row i of the Cartan matrix)
                 top[a] = top[tuple(map(sub, a, [a[i] * c for c in rs.cartan_matrix[i]]))]
                 break
         else:
-            top[a] = a
+            top[a] = k
         classes[top[a]] += 1
     return classes
 
@@ -214,13 +216,14 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     top = dot(rs, lam, lam)
     top_rho = top + 2 * sum(map(mul, lam, map(sum, rs.gram)))  # (lam, lam + 2 rho)
     # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root; the
-    # closure's keys need room for c = max |a_i| over the positive roots a more
-    headroom = max([abs(x) for a in rs.positive_labels for x in a])
+    # closure's keys need room for c = max |a_i| over the positive roots a more, which
+    # a simple root attains: |<b, a_i^v>| > 1 only for b = a_i (2) or b longer than
+    # a_i (2 or 3), and then the Cartan matrix has the length ratio, -2 or -3
+    headroom = max([abs(x) for row in rs.cartan_matrix for x in row])
     codec = roots.key_codec(rs, isqrt(2 * top // min(map(sum, rs.root_pairings))) + headroom)
     bits, shifts, high, _, _, _ = codec
     mask, half = (1 << bits) - 1, 1 << bits - 1
-    poset = rs.root_poset
-    position = {a: k for k, a in enumerate(rs.positive_labels)}
+    poset, labels, pairings_of = rs.root_poset, rs.positive_labels, rs.root_pairings
     tables: dict[tuple[bool, ...], list[tuple[int, int, int, int]]] = {}
     closure = _dominant_closure(rs, lam, codec)
     mult = {lam: 1}
@@ -231,9 +234,8 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
         if (table := tables.get(pattern)) is None:  # (root's index, key step, (a, a), size)
             zeros = tuple(compress(range(rs.rank), map(not_, pattern)))
             table = tables[pattern] = [
-                (k := position[a], sum(map(lshift, a, shifts)),
-                 sum(map(mul, a, rs.root_pairings[k])), size)
-                for a, size in _root_classes(rs, zeros).items()]
+                (k, sum(map(lshift, labels[k], shifts)), sum(map(mul, labels[k], pairings_of[k])),
+                 size) for k, size in _root_classes(rs, zeros).items()]
         pairings = roots.poset_pairings(poset, mu)  # (mu, a) for every positive root a
         norm_mu = dot(rs, mu, mu)
         total = 0

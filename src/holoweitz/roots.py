@@ -74,7 +74,7 @@ Labels = tuple[int, ...]
 _SUPPORTED = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 MAX_RANK = 40
 
-# the constructor's fields, in order; four more are derived from them
+# the constructor's fields, in order; five more are derived from them
 _GIVEN = ("family", "rank", "cartan_matrix", "positive_labels", "gram", "den",
           "fundamental_columns", "simple_coroots")
 
@@ -101,11 +101,15 @@ class RootSystem:
     ``root_pairings[k][i]`` = (w_i, positive_labels[k]) in gram units, the
     parent's row plus (a_j, a_j)/2 at j; ``weyl_denominator`` is the
     product of (rho, a) over the positive roots a, in gram units, summed
-    along the poset.  Fields cannot be assigned, and ``_replace`` takes
-    only the constructor's fields.
+    along the poset.  ``highest_coroot[i]`` is the coefficient of a_i^v in
+    the highest coroot, the largest coefficient 2 (w_i, a) / (a, a) of a_i^v
+    in any positive coroot a^v; so sum_i lam_i highest_coroot[i] is the
+    largest <lam, a^v> over the positive roots a for a dominant lam.  Fields
+    cannot be assigned, and ``_replace`` takes only the constructor's fields.
     """
 
-    __slots__ = _GIVEN + ("neighbours", "root_poset", "root_pairings", "weyl_denominator")
+    __slots__ = _GIVEN + ("neighbours", "root_poset", "root_pairings", "weyl_denominator",
+                          "highest_coroot")
 
     def __init__(
         self,
@@ -120,14 +124,16 @@ class RootSystem:
     ):
         poset = _root_poset(cartan_matrix, positive_labels, gram)
         units = [[int(i == j) for j in range(rank)] for i in range(rank)]  # w_i in labels
+        pairings = tuple(zip(*[poset_pairings(poset, w) for w in units]))
         values = (
             family, rank, cartan_matrix, positive_labels, gram, den,
             fundamental_columns, simple_coroots,
             tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
                   for i, row in enumerate(cartan_matrix)),
             poset,
-            tuple(zip(*[poset_pairings(poset, w) for w in units])),
+            pairings,
             prod(poset_pairings(poset, (1,) * rank)),
+            _highest_coroot(positive_labels, pairings),
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -165,6 +171,19 @@ def _root_poset(cartan: Sequence[Labels], labels: Sequence[Labels],
         j = next(i for i, c in enumerate(a) if c > 0)
         edges.append((position[tuple(map(sub, a, cartan[j]))], at[j]))
     return simple, tuple(edges)
+
+
+def _highest_coroot(labels: Sequence[Labels], pairings: Sequence[Labels]) -> Labels:
+    """The coefficients 2 (w_i, a) / (a, a) of the highest coroot on the simple
+    coroots, for the positive roots ``labels`` in height order and their rows
+    (w_i, a) in ``pairings``.  The highest coroot is the coroot of the highest
+    short root (every root is short on a simply-laced type): the short roots
+    form one Weyl orbit, whose dominant member lies above all the others, so
+    it is the last root of least (a, a) = sum_i a_i (w_i, a)."""
+    norms = [sum(map(mul, a, wa)) for a, wa in zip(labels, pairings)]
+    short = min(norms)
+    top = pairings[len(norms) - 1 - norms[::-1].index(short)]
+    return tuple(2 * x // short for x in top)
 
 
 def poset_pairings(poset: tuple, x: Sequence[int]) -> list[int]:

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import add, lshift
+from operator import add, lshift, mul
 
 import pytest
 
@@ -17,7 +17,6 @@ from holoweitz.decompose import (
     Decomposition,
     _decomposition,
     _straighten,
-    _top_label,
     exterior_power,
     tensor,
 )
@@ -56,6 +55,12 @@ def weight_labels(irrep):
         for nu in roots.orbit(rs, mu)
         for _ in range(m)
     ]
+
+
+def straighten(rs, lam, char):
+    """``_straighten`` with the label bound read off the character's weights."""
+    char = list(char)
+    return _straighten(rs, lam, char, max(max(nu) for nu, _ in char))
 
 
 def entries(deco: Decomposition):
@@ -144,8 +149,8 @@ def test_klimyk_is_symmetric_in_both_iteration_orders():
         for _ in range(8):
             a = _random_small_irrep(rng, rs, 80)
             b = _random_small_irrep(rng, rs, 80)
-            a_b = _straighten(rs, a.highest_weight, weights(b))
-            b_a = _straighten(rs, b.highest_weight, weights(a))
+            a_b = straighten(rs, a.highest_weight, weights(b))
+            b_a = straighten(rs, b.highest_weight, weights(a))
             assert a_b == b_a, (a, b)
 
 
@@ -178,12 +183,14 @@ def test_the_highest_coroot_pairing_is_the_largest_label_of_any_weight(family, r
     rs = build_root_system(family, rank)
     for hw in product(range(4), repeat=rank):
         if sum(hw) <= 3:
-            assert _top_label(rs, hw) == max(max(nu) for nu, _ in weights(Irrep(rs, hw))), hw
+            top = sum(map(mul, hw, rs.highest_coroot))
+            assert top == max(max(nu) for nu, _ in weights(Irrep(rs, hw))), hw
 
 
-def test_ambient_keys_only_on_ties_keep_the_dimension_then_ambient_order():
-    # _decomposition computes ambient coordinates only for summands of equal dimension
-    # (19 of 145 in B3 (2,2,2) x (2,1,2)); D4's three 8-dimensional irreps all tie
+def test_summands_of_equal_dimension_keep_the_ambient_order():
+    # _decomposition sorts by dimension, then by ambient coordinates: 19 of the 145
+    # summands of B3 (2,2,2) x (2,1,2) share a dimension, and D4's three 8-dimensional
+    # irreps all do
     def order(deco):
         return sorted(deco, key=lambda e: (dimension(e[0]), to_orthogonal(e[0].root_system,
                                                                          e[0].highest_weight)))
@@ -196,7 +203,7 @@ def test_ambient_keys_only_on_ties_keep_the_dimension_then_ambient_order():
     char = Counter()
     for hw in eights:
         char.update(dict(weights(Irrep(D4, hw))))
-    deco = _straighten(D4, (0, 0, 0, 0), char.items())
+    deco = straighten(D4, (0, 0, 0, 0), char.items())
     assert entries(deco) == [((0, 0, 0, 0), 1), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1),
                              ((1, 0, 0, 0), 1)]
     assert list(deco) == order(deco)
@@ -291,7 +298,7 @@ def test_exterior_power_matches_the_subset_route_exactly(t):
         if comb(n, p) > 10**5:
             continue
         char = subset_sums(weight_labels(t), p).items()
-        assert exterior_power(t, p) == _straighten(rs, (0,) * rs.rank, char), p
+        assert exterior_power(t, p) == straighten(rs, (0,) * rs.rank, char), p
 
 
 def minus_dominant(rs, hw):
@@ -503,7 +510,7 @@ def test_a_straightening_without_its_sign_fails_the_dimension_check(monkeypatch)
     with pytest.raises(InternalError, match="add up to dimension 189, expected 147"):
         tensor(Irrep(rs, (1, 0, 0)), Irrep(rs, (0, 1, 0)))
     with pytest.raises(InternalError, match="add up to dimension 273, expected 147"):
-        _straighten(rs, (1, 0, 0), weights(Irrep(rs, (0, 1, 0))))
+        straighten(rs, (1, 0, 0), weights(Irrep(rs, (0, 1, 0))))
     with pytest.raises(InternalError, match="expected 7"):
         exterior_power(Irrep(rs, (1, 0, 0)), 2)
 
@@ -532,16 +539,16 @@ def test_multiplicity_freeness_of_holonomy_tensor_products():
 def test_character_straightening_single_and_sum():
     # straightening against the trivial weight decomposes a character given by all its weights
     a = weights(Irrep(G2, (2, 0)))
-    assert entries(_straighten(G2, (0, 0), a)) == [((2, 0), 1)]
+    assert entries(straighten(G2, (0, 0), a)) == [((2, 0), 1)]
 
     both = Counter(dict(a)) + Counter(dict(weights(Irrep(G2, (0, 1)))))
-    assert entries(_straighten(G2, (0, 0), both.items())) == [((0, 1), 1), ((2, 0), 1)]
+    assert entries(straighten(G2, (0, 0), both.items())) == [((0, 1), 1), ((2, 0), 1)]
 
 
 def test_character_straightening_matches_tensor_on_t_squared():
     T = Irrep(G2, (1, 0))
     product = character_product(weight_labels(T), weight_labels(T))
-    deco = _straighten(G2, (0, 0), product.items())
+    deco = straighten(G2, (0, 0), product.items())
     assert deco == tensor(T, T)
     assert entries(deco) == [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((2, 0), 1)]
     assert deco.total_dimension() == 49
@@ -559,5 +566,5 @@ def test_character_straightening_recovers_random_sums_of_irreps():
             for hw, k in summands.items():
                 for nu, m in weights(Irrep(rs, hw)):
                     char[nu] += k * m
-            deco = _straighten(rs, (0,) * rank, char.items())
+            deco = straighten(rs, (0,) * rank, char.items())
             assert dict(entries(deco)) == summands, summands

@@ -199,7 +199,7 @@ def test_root_classes_match_the_reflection_closure_on_every_zero_pattern(family,
                 tops = [labels[v] for v in members if all(labels[v][i] >= 0 for i in zeros)]
                 assert len(tops) == 1, (zeros, members)
                 expected[tops[0]] = len(members)
-            classes = _root_classes(rs, zeros)
+            classes = {rs.positive_labels[k]: n for k, n in _root_classes(rs, zeros).items()}
             assert classes == expected, zeros
             assert all(a[i] >= 0 for a in classes for i in zeros)
             assert sum(classes.values()) == len(rs.positive_labels)
@@ -245,8 +245,11 @@ FUNDAMENTAL_ALGEBRAS = [("A", 8), ("B", 8), ("C", 8), ("D", 8), ("G", 2)]
                          ids=[f"{f}{r}" for f, r in FUNDAMENTAL_ALGEBRAS])
 def test_every_fundamental_weight_closes_in_the_narrowest_codec(family, rank):
     # past the trivial weight, a fundamental weight has the least norm bound, so the
-    # root labels' headroom is the largest share of its key digits
+    # root labels' headroom is the largest share of its key digits; that headroom is
+    # read off the Cartan matrix, whose rows are the simple roots' labels
     rs, amb = build_root_system(family, rank), ambient(family, rank)
+    assert max(abs(x) for a in rs.positive_labels for x in a) == max(
+        abs(x) for row in rs.cartan_matrix for x in row)
     for i in range(rank):
         hw = tuple(int(j == i) for j in range(rank))
         mult = dominant_multiplicities(Irrep(rs, hw))

@@ -34,7 +34,7 @@ def test_contexts_compare_and_hash_by_identity():
 
 
 def test_root_system_replace_takes_only_constructor_fields():
-    derived = ("root_poset", "root_pairings", "weyl_denominator", "neighbours")
+    derived = ("root_poset", "root_pairings", "weyl_denominator", "neighbours", "highest_coroot")
     # the ambient fields of a Fraction model are gone
     removed = ("simple_roots", "fundamental_weights", "positive_roots", "base_form", "rho", "dim")
     for bad in [{name: ()} for name in derived + removed] + [{"no_such_field": 1}]:

@@ -433,6 +433,18 @@ def test_root_poset_steps_down_by_the_simple_root_of_the_first_positive_label(fa
         assert positive[parent] == tuple(x - y for x, y in zip(a, cartan[j]))
 
 
+@pytest.mark.parametrize("family,rank", ALL_TYPES, ids=[f"{f}{r}" for f, r in ALL_TYPES])
+def test_highest_coroot_dominates_every_positive_coroot(family, rank):
+    # a^v = 2 a / (a, a) has coefficient c_i (a_i, a_i) / (a, a) on a_i^v, c the root's
+    # coefficients on the simple roots; the highest coroot is one of them and dominates all
+    rs, amb = build_root_system(family, rank), ambient(family, rank)
+    simple = [form(amb, a, a) for a in amb.simple_roots]
+    table = [tuple(c * n / form(amb, a, a) for c, n in zip(root_basis_coords(amb, a), simple))
+             for a in amb.positive_roots]
+    assert rs.highest_coroot in table
+    assert all(c <= h for row in table for c, h in zip(row, rs.highest_coroot))
+
+
 @pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
 def test_root_pairings_are_the_ambient_form(family, rank):
     # (w_i, a) = sum_k a_k (w_i, e_k) by bilinearity, the form on the ambient unit vectors
