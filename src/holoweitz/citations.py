@@ -4,7 +4,9 @@ Every deduction rule the prover applies carries a citation string
 pointing at the statement of the underlying derivation it mechanizes.
 The keys are stable rule identifiers; the values are the labels emitted
 verbatim in traces, reports and rendered output.  The ``qr-registry`` step
-has no entry here: it cites the registry entry that decides it.
+has no entry here: it cites what the context's registry maps the bundle
+to, one of the three ``qr-*`` strings below (``qr-ricci-flat`` on T of a
+Ricci-flat context).
 """
 
 CITATIONS = {

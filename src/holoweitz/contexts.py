@@ -3,21 +3,25 @@ registry of bundles on which the curvature endomorphism q(R) vanishes.
 
 The catalogue is one table, ``_CONTEXTS``; adding a context is adding
 a row, which :func:`make_context` checks against the Weyl dimensions.
-Registry entries are context data with citations, and the build
-certifies each one after the trivial bundle by Schur's lemma.  On a
-Ricci-flat holonomy algebra g the curvature tensors form one irrep,
-K(g) = V(2 theta) with theta the highest root (Alekseevsky, Funct. Anal.
-Appl. 2, 1968): dim 77 for G2, 168 for Spin7.  R -> q(R) is an
-equivariant map K(g) -> End(E) (Semmelmann-Weingart, "The Weitzenboeck
-machine", Compositio Math. 146, 2010), and End(E) = E (x) E because
-every irrep of G2 and B3 is self-dual; so q(R) = 0 on E when V(2 theta)
-does not occur in E (x) E.  A cited bundle that fails this criterion, or
-sits on a row that is not Ricci-flat, is a broken row: InternalError.
+The registry is a read-only map from highest weight to citation: the
+trivial bundle, then T on a Ricci-flat row (q(R) acts on T as Ricci
+curvature, so that entry follows from the row's Ricci-flat column),
+then the bundles the row cites.  The build certifies every entry after
+the trivial bundle by Schur's lemma.  On a Ricci-flat holonomy algebra
+g the curvature tensors form one irrep, K(g) = V(2 theta) with theta
+the highest root (Alekseevsky, Funct. Anal. Appl. 2, 1968): dim 77 for
+G2, 168 for Spin7.  R -> q(R) is an equivariant map K(g) -> End(E)
+(Semmelmann-Weingart, "The Weitzenboeck machine", Compositio Math. 146,
+2010), and End(E) = E (x) E because every irrep of G2 and B3 is
+self-dual; so q(R) = 0 on E when V(2 theta) does not occur in E (x) E.
+A cited bundle that fails this criterion, or sits on a row that is not
+Ricci-flat, is a broken row: InternalError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import citations
@@ -27,10 +31,11 @@ from .irreps import Irrep, adjoint_irrep, dimension
 from .roots import RootSystem, build_root_system
 
 # id: family, rank, holonomy weight, the pins dim T and dim g, Ricci-flatness, and the
-# q(R) registry after the trivial bundle as (weight, citation key) pairs
+# bundles the q(R) registry cites after the trivial bundle and, on a Ricci-flat row, T,
+# as (weight, citation key) pairs
 _CONTEXTS = {
-    "g2": ("G", 2, (1, 0), 7, 14, True, (((1, 0), "qr-ricci-flat"),)),
-    "spin7": ("B", 3, (0, 0, 1), 8, 21, True, (((0, 0, 1), "qr-ricci-flat"), ((1, 0, 0), "qr-spinor-bundle"))),
+    "g2": ("G", 2, (1, 0), 7, 14, True, ()),
+    "spin7": ("B", 3, (0, 0, 1), 8, 21, True, (((1, 0, 0), "qr-spinor-bundle"),)),
     "so5": ("B", 2, (1, 0), 5, 10, False, ()),
     "so6": ("D", 3, (1, 0, 0), 6, 15, False, ()),
     "so7": ("B", 3, (1, 0, 0), 7, 21, False, ()),
@@ -39,13 +44,6 @@ _CONTEXTS = {
     "so10": ("D", 5, (1, 0, 0, 0, 0), 10, 45, False, ()),
 }
 CONTEXT_IDS = tuple(_CONTEXTS)
-
-
-class RegistryEntry(NamedTuple):
-    """A bundle q(R) is known to annihilate, with the citation saying why."""
-
-    highest_weight: tuple[int, ...]
-    citation: str
 
 
 class HolonomyContext(NamedTuple):
@@ -62,7 +60,7 @@ class HolonomyContext(NamedTuple):
     n: int
     dim_g: int
     ricci_flat: bool
-    qr_registry: tuple[RegistryEntry, ...]
+    qr_registry: MappingProxyType[tuple[int, ...], str]  # highest weight -> citation
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -97,31 +95,26 @@ def _make_context_cached(ctx_id: str) -> HolonomyContext:
             "root system conventions are broken"
         )
 
-    registry = [RegistryEntry((0,) * rank, citations.CITATIONS["qr-trivial-bundle"])]
-    registry += (RegistryEntry(w, citations.CITATIONS[key]) for w, key in base)
-    ctx = HolonomyContext(
-        id=ctx_id,
-        root_system=rs,
-        holonomy_rep=hol,
-        n=n,
-        dim_g=dim_g,
-        ricci_flat=ricci_flat,
-        qr_registry=tuple(registry),
-    )
-    if (qr_entry(ctx, hol) is not None) != ricci_flat:
-        raise InternalError(
-            f"context {ctx_id}: holonomy representation registry membership "
-            "must match Ricci-flatness"
-        )
+    registry = {(0,) * rank: citations.CITATIONS["qr-trivial-bundle"]}
+    cited = (((hol_weight, "qr-ricci-flat"),) if ricci_flat else ()) + base
     curvature = Irrep(rs, tuple(2 * c for c in adjoint.highest_weight))  # K(g), when g is Ricci-flat
-    for w, _ in base:
+    for w, key in cited:
         if not ricci_flat or curvature in tensor(Irrep(rs, w), Irrep(rs, w)).irreps():
             raise InternalError(
                 f"context {ctx_id}: Schur's lemma does not certify q(R) = 0 on the cited "
                 f"bundle {w}: the curvature space {curvature.highest_weight} must be one "
                 "irrep (Ricci-flat) that does not occur in E (x) E"
             )
-    return ctx
+        registry.setdefault(w, citations.CITATIONS[key])
+    return HolonomyContext(
+        id=ctx_id,
+        root_system=rs,
+        holonomy_rep=hol,
+        n=n,
+        dim_g=dim_g,
+        ricci_flat=ricci_flat,
+        qr_registry=MappingProxyType(registry),
+    )
 
 
 def make_context(ctx_id: str) -> HolonomyContext:
@@ -134,11 +127,3 @@ def form_space(ctx: HolonomyContext, p: int) -> Decomposition:
     """Decomposition of the p-forms on the holonomy representation (cached)."""
     return exterior_power(ctx.holonomy_rep, p)
 
-
-def qr_entry(ctx: HolonomyContext, e: Irrep) -> RegistryEntry | None:
-    """The registry entry for ``e``'s highest weight, or None: one scan of the registry."""
-    hw = e.highest_weight
-    for entry in ctx.qr_registry:
-        if entry.highest_weight == hw:
-            return entry
-    return None

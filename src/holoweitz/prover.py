@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import citations
-from .contexts import HolonomyContext, form_space, qr_entry
+from .contexts import HolonomyContext, form_space
 from .decompose import _degree
 from .errors import ContextNotSupported, DegreeOutOfRange, NotAFormComponent, UnsupportedFormClass
 from .fmt import fmt_q, fmt_w, trace_json, trace_line
@@ -219,11 +219,11 @@ def _prove_component(
     forms (Killing) kill operators into summands of the (p-1)-forms.
     """
     # registry short-circuit: q(R) = 0 on E, no Weitzenboeck data needed
-    if (entry := qr_entry(ctx, e)) is not None:
+    if (citation := ctx.qr_registry.get(e.highest_weight)) is not None:
         trace = (
             TraceStep(
                 "qr-registry",
-                entry.citation,
+                citation,
                 f"q(R) acts trivially on {fmt_w(e.highest_weight)}; any twistor form in this "
                 "bundle is parallel on a compact manifold",
             ),

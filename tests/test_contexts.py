@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from holoweitz import contexts
-from holoweitz.contexts import CONTEXT_IDS, form_space, make_context, qr_entry
+from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
 from holoweitz.errors import DegreeOutOfRange, InternalError, UnsupportedContext
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 
@@ -44,26 +44,25 @@ def test_every_context_row_is_pinned(ctx_id):
     assert ctx.id == ctx_id
     rs = ctx.root_system
     assert ctx.holonomy_rep.root_system is rs
-    registry = [(e.highest_weight, e.citation) for e in ctx.qr_registry]
+    registry = list(ctx.qr_registry.items())
     row = (rs.family, rs.rank, ctx.holonomy_rep.highest_weight, ctx.n, ctx.dim_g, ctx.ricci_flat, registry)
     assert row == CONTEXT_ROWS[ctx_id]
-    assert {e.highest_weight for e in ctx.qr_registry} == {weight for weight, _ in registry}
 
 
 @pytest.mark.parametrize(
     "row,message",
     [
-        (("G", 2, (1, 0), 7, 15, True, (((1, 0), "qr-ricci-flat"),)), "expected 7/15"),
-        (("G", 2, (1, 0), 7, 14, True, ()), "must match Ricci-flatness"),
-        (("B", 3, (1, 0, 0), 7, 21, False, (((1, 0, 0), "qr-ricci-flat"),)), "must match Ricci-flatness"),
-        (("G", 2, (1, 0), 7, 14, True, (((1, 0), "qr-ricci-flat"), ((0, 1), "qr-ricci-flat"))),
+        (("G", 2, (1, 0), 7, 15, True, ()), "expected 7/15"),
+        (("B", 3, (1, 0, 0), 7, 21, False, (((1, 0, 0), "qr-ricci-flat"),)),
+         r"certify q\(R\) = 0 on the cited bundle \(1, 0, 0\)"),
+        (("G", 2, (1, 0), 7, 14, True, (((0, 1), "qr-ricci-flat"),)),
          r"certify q\(R\) = 0 on the cited bundle \(0, 1\)"),
-        (("B", 3, (0, 0, 1), 8, 21, True, (((0, 0, 1), "qr-ricci-flat"), ((0, 1, 0), "qr-spinor-bundle"))),
+        (("B", 3, (0, 0, 1), 8, 21, True, (((0, 1, 0), "qr-spinor-bundle"),)),
          r"certify q\(R\) = 0 on the cited bundle \(0, 1, 0\)"),
         (("B", 3, (1, 0, 0), 7, 21, False, (((0, 0, 1), "qr-spinor-bundle"),)),
          r"certify q\(R\) = 0 on the cited bundle \(0, 0, 1\)"),
     ],
-    ids=["wrong-dim-pin", "ricci-flat-registry-drops-t", "not-ricci-flat-registry-lists-t",
+    ids=["wrong-dim-pin", "not-ricci-flat-registry-lists-t",
          "g2-cites-the-adjoint", "spin7-cites-the-adjoint", "not-ricci-flat-cites-a-spinor"],
 )
 def test_built_in_rows_are_pinned(monkeypatch, row, message):
@@ -88,7 +87,7 @@ def test_the_schur_certificate_passes_exactly_the_built_in_registry(monkeypatch,
         except InternalError:
             continue
         certified.add(w)
-    assert certified == {e.highest_weight for e in make_context(ctx_id).qr_registry}
+    assert certified == set(make_context(ctx_id).qr_registry)
 
 
 @pytest.mark.parametrize("ctx_id, dim_k", [("g2", 77), ("spin7", 168)])
@@ -106,25 +105,32 @@ def test_unknown_context_rejected():
 
 def test_qr_trivial_examples():
     g2 = make_context("g2")
-    assert qr_entry(g2, Irrep(g2.root_system, (1, 0))) is not None
-    assert qr_entry(g2, Irrep(g2.root_system, (0, 1))) is None
-    assert qr_entry(g2, Irrep(g2.root_system, (0, 0))) is not None
+    assert (1, 0) in g2.qr_registry
+    assert (0, 1) not in g2.qr_registry
+    assert (0, 0) in g2.qr_registry
     s7 = make_context("spin7")
-    assert qr_entry(s7, Irrep(s7.root_system, (1, 0, 0))) is not None
-    assert qr_entry(s7, Irrep(s7.root_system, (0, 0, 0))) is not None
+    assert (1, 0, 0) in s7.qr_registry
+    assert (0, 0, 0) in s7.qr_registry
 
 
 def test_registry_entries_carry_citations():
     s7 = make_context("spin7")
-    assert "Cor. ricci" in qr_entry(s7, Irrep(s7.root_system, (1, 0, 0))).citation
-    for entry in s7.qr_registry:
-        assert entry.citation
-    assert qr_entry(s7, Irrep(s7.root_system, (0, 1, 0))) is None
+    assert "Cor. ricci" in s7.qr_registry[(1, 0, 0)]
+    for citation in s7.qr_registry.values():
+        assert citation
+    assert s7.qr_registry.get((0, 1, 0)) is None
 
 
 def test_ricci_flat_holonomy_representations_are_cited_ricci_flat():
     for ctx in (make_context("g2"), make_context("spin7")):
-        assert qr_entry(ctx, ctx.holonomy_rep).citation == RICCI_FLAT
+        assert ctx.qr_registry[ctx.holonomy_rep.highest_weight] == RICCI_FLAT
+
+
+def test_the_registry_is_read_only():
+    registry = make_context("spin7").qr_registry
+    with pytest.raises(TypeError):
+        registry[(0, 1, 0)] = RICCI_FLAT
+    assert (0, 1, 0) not in registry
 
 
 def test_form_space_examples_and_cache():

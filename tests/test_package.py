@@ -90,17 +90,39 @@ def literal_assignments(path: Path, *names: str) -> list:
     return [values[name] for name in names]
 
 
+def package_attribute_references(path: Path) -> set[str]:
+    """Every ``name.attr`` in a source file whose ``name`` an import binds to the package
+    or one of its submodules, as "module.attr" with the module's full name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+    return {
+        f"{bound[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and bound.get(node.value.id, "").split(".")[0] == "holoweitz"
+    }
+
+
 def test_every_function_the_benchmark_calls_resolves():
     # the benchmark names package functions as "module.function"; it reports a missing one,
-    # or a CACHED one without cache_info, as null metrics rather than as an error
-    cached, ladder = literal_assignments(ROOT / "perfbench" / "child.py", "CACHED", "LADDER")
-    spans, calls = literal_assignments(ROOT / "perfbench" / "run.py", "PAPER_SPANS", "SESSION_CALLS")
-    cached = [f"{module}.{fn}" for module, fn in cached]
-    names = set(cached) | {fn for fn, _, _ in ladder.values()} | set(spans) | set(calls)
+    # or a CACHED one without cache_info, as null metrics rather than as an error. The
+    # package attributes its code reads directly must resolve too: a missing one ends a run
+    child, run = ROOT / "perfbench" / "child.py", ROOT / "perfbench" / "run.py"
+    cached, ladder = literal_assignments(child, "CACHED", "LADDER")
+    spans, calls = literal_assignments(run, "PAPER_SPANS", "SESSION_CALLS")
+    cached = [f"holoweitz.{module}.{fn}" for module, fn in cached]
+    named = {fn for fn, _, _ in ladder.values()} | set(spans) | set(calls)
+    read = package_attribute_references(child) | package_attribute_references(run)
+    assert len(read) >= 20
     found = {}
-    for name in names:
-        module, fn = name.split(".")
-        found[name] = getattr(importlib.import_module("holoweitz." + module), fn, None)
+    for name in set(cached) | {f"holoweitz.{name}" for name in named} | read:
+        module, _, attr = name.rpartition(".")
+        found[name] = getattr(importlib.import_module(module), attr, None)
     assert not sorted(name for name, f in found.items() if f is None)
     assert not [name for name in cached if not hasattr(found[name], "cache_info")]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoweitz.contexts import form_space, make_context, qr_entry
+from holoweitz.contexts import form_space, make_context
 from holoweitz.errors import (
     ContextNotSupported,
     DegreeOutOfRange,
@@ -195,7 +195,7 @@ def test_registry_soundness_proxy_over_all_form_spaces():
     for ctx in (G2, S7):
         for p in range(1, ctx.n):
             for irr in form_space(ctx, p).irreps():
-                if qr_entry(ctx, irr) is not None:
+                if irr.highest_weight in ctx.qr_registry:
                     c = prove_component(ctx, irr, p, FormClass.TWISTOR)
                     assert c.verdict == PARALLEL
                     assert all(t.rule == "qr-registry" for t in c.trace)
@@ -333,7 +333,7 @@ def test_twistor_gap_soundness_audit():
         for form_class in FormClass:
             for p in range(1, ctx.n):
                 for irr in form_space(ctx, p).irreps():
-                    if qr_entry(ctx, irr) is not None:
+                    if irr.highest_weight in ctx.qr_registry:
                         continue
                     for st in prove_component(ctx, irr, p, form_class).statuses:
                         gap = st.occ_plus == 0 and st.occ_minus == 0
