@@ -45,13 +45,17 @@ _CONTEXTS = {
 }
 CONTEXT_IDS = tuple(_CONTEXTS)
 
+# id -> the q(R) registry certified when that row's context was built
+_REGISTRIES: dict[str, MappingProxyType[tuple[int, ...], str]] = {}
+
 
 class HolonomyContext(NamedTuple):
     """A holonomy group with its holonomy representation and q(R) registry.
 
     Compares and hashes by identity, like a ``RootSystem``: ``make_context``
     caches what it builds, so a cache keyed on a context hashes no fields,
-    and a ``_replace`` copy is a distinct context.
+    and a ``_replace`` copy is a distinct context.  ``qr_registry`` is read from
+    the catalogue row ``id``, not carried, so no copy holds an uncertified one.
     """
 
     id: str
@@ -60,7 +64,12 @@ class HolonomyContext(NamedTuple):
     n: int
     dim_g: int
     ricci_flat: bool
-    qr_registry: MappingProxyType[tuple[int, ...], str]  # highest weight -> citation
+
+    @property
+    def qr_registry(self) -> MappingProxyType[tuple[int, ...], str]:
+        """Highest weight -> citation, certified when the row's context is built."""
+        _make_context_cached(self.id)  # builds and certifies the row if nothing has yet
+        return _REGISTRIES[self.id]
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__
@@ -106,6 +115,7 @@ def _make_context_cached(ctx_id: str) -> HolonomyContext:
                 "irrep (Ricci-flat) that does not occur in E (x) E"
             )
         registry.setdefault(w, citations.CITATIONS[key])
+    _REGISTRIES[ctx_id] = MappingProxyType(registry)
     return HolonomyContext(
         id=ctx_id,
         root_system=rs,
@@ -113,7 +123,6 @@ def _make_context_cached(ctx_id: str) -> HolonomyContext:
         n=n,
         dim_g=dim_g,
         ricci_flat=ricci_flat,
-        qr_registry=MappingProxyType(registry),
     )
 
 

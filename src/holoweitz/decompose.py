@@ -13,13 +13,14 @@ above n/2 are duals of degrees below, V(lam) -> V(-w0 lam) by
 :func:`roots.dual_weight`.
 
 One stream of (point, coefficient) pairs feeds the kernel, and each
-point in it is distinct.  A point travels as one integer key
-(:func:`roots.key_codec`), its digits wide enough for the labels of all
-its Weyl images.  Their width follows from the largest label of any
-weight of the factor walked, one dot product of its highest weight with
-the highest coroot (``RootSystem.highest_coroot``), so no weight is read
-to size a key.  A tensor product's points lam + rho + nu are distinct
-as they stand: the orbits of distinct dominant weights are disjoint.
+point in it is distinct.  A point travels as one integer key, sized for
+the labels of all its Weyl images by the rule at :func:`roots.key_codec`
+from the highest weight H of a module whose weights the points are, so
+no weight is read to size a key.  A tensor product's points
+lam + rho + nu are weights of V(lam + rho) (x) V(lam_b), so
+H = lam + rho + lam_b; Newton's identity names H = p lam_T + rho
+(:func:`exterior_power`).  A tensor product's points are distinct as
+they stand: the orbits of distinct dominant weights are disjoint.
 Newton's identity meets the same point from many k and many lower
 summands; what a point contributes depends on the point alone, so its
 signed coefficients are merged first, on its key.  The kernel reflects
@@ -74,11 +75,6 @@ class Decomposition(tuple):
         return f"Decomposition(entries={tuple(self)!r})"
 
 
-def _codec(rs: RootSystem, top: int) -> tuple:
-    """Keys for labels within ``top`` and for their Weyl images, within top (h - 1)."""
-    return roots.key_codec(rs, top * (2 * len(rs.positive_labels) // rs.rank - 1))
-
-
 def _straighten_points(codec: tuple, points: Iterable[tuple[int, int]]) -> dict[Labels, int]:
     """The kernel (Klimyk 1968): the irreps that ``points``, the keys of distinct
     points with coefficients, stand for.  A point adds its reflection parity times
@@ -123,11 +119,12 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
 def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
                 top: int) -> Decomposition:
     """V(lam) (x) char for distinct (weight, multiplicity) pairs of a Weyl-invariant
-    char, read twice, with ``top`` at least the largest label of its weights (s_i
-    negates label i, so that is also the largest |nu_i|); lam = 0 decomposes
-    char.  The summands must add up to dim V(lam) times the sum of the
-    multiplicities."""
-    _, shifts, _, rho, _, _ = codec = _codec(rs, max(lam) + 1 + top)
+    char, read twice, with ``top`` at least the largest label of its weights, which is
+    <lam_b, theta^v> for the weights of V(lam_b); lam = 0 decomposes char.  The keys follow
+    :func:`roots.key_codec`'s rule for H = lam + rho + lam_b.  The summands must add up to
+    dim V(lam) times the sum of the multiplicities."""
+    bound = sum(map(mul, [c + 1 for c in lam], rs.highest_coroot)) + top  # <H, theta^v>
+    _, shifts, _, rho, _, _ = codec = roots.key_codec(rs, bound)
     base = sum(map(lshift, lam, shifts)) + rho  # key(lam + rho)
     points = ((base + sum(map(lshift, nu, shifts)), m) for nu, m in char)
     total = dimension(_unchecked_irrep(rs, lam)) * sum([m for _, m in char])
@@ -141,7 +138,7 @@ def tensor(a: Irrep, b: Irrep) -> Decomposition:
     Iterates over the weight system of the smaller-dimensional factor,
     so products against a small fixed factor stay cheap regardless of
     the size of the other one.  The keys are sized from that factor's
-    highest weight alone (see :func:`exterior_power`), not from its weights.
+    highest weight alone (:func:`_straighten`), not from its weights.
     """
     if a.root_system != b.root_system:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
@@ -173,17 +170,10 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
 
     Points merge on their keys (:mod:`roots`), key(lam + rho + k nu) =
     key(lam + rho) + k sum_i nu_i S^i: one addition and one dict update
-    each.  With M the largest |nu_i| over the weights nu of T, the highest
-    weight lam of a summand of Lambda^(p-k), a sum of p - k weights of T,
-    has |lam_i| <= (p - k) M; so no label of lam + rho + k nu exceeds
-    p M + 1 in absolute value, and the keys are sized for that bound and
-    for the Weyl images of the points.  M is read off T's highest weight
-    lam_T: s_i negates label i, so M is the largest nu_i; a label is linear
-    in nu, so on the weights, which lie in the convex hull of the Weyl
-    orbit of lam_T, it peaks at an orbit point w lam_T, where it is
-    <lam_T, w^-1 a_i^v>; the w^-1 a_i^v run over the coroots, so M is the
-    largest <lam_T, a^v> over the positive roots a, lam_T's pairing with
-    the highest coroot.
+    each.  The highest weight lam of a summand of Lambda^(p-k) is a weight
+    of T^(x)(p-k), and k nu one of T^(x)k, so lam + rho + k nu is a weight
+    of V(rho) (x) T^(x)p: the keys follow :func:`roots.key_codec`'s rule
+    for H = p lam_T + rho, lam_T the highest weight of T.
     """
     n, p = dimension(t), _degree(p)
     if not 0 <= p <= n:
@@ -195,8 +185,8 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     if p == 0:
         return _decomposition(rs, {(0,) * rs.rank: 1}, 1)
     lower = [exterior_power(t, q) for q in range(p)]
-    top = sum(map(mul, t.highest_weight, rs.highest_coroot))  # M
-    _, shifts, _, rho, _, _ = codec = _codec(rs, p * top + 1)
+    bound = sum(map(mul, [p * c + 1 for c in t.highest_weight], rs.highest_coroot))  # <H, theta^v>
+    _, shifts, _, rho, _, _ = codec = roots.key_codec(rs, bound)
     keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in weights(t)]
     points: dict[int, int] = {}
     get = points.get

@@ -21,8 +21,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import isqrt, prod
-from operator import itemgetter, lshift, mul, not_, sub
+from math import prod
+from operator import add, itemgetter, lshift, mul, not_, sub
 from types import MappingProxyType
 from typing import Mapping
 
@@ -100,9 +100,9 @@ def _dominant_closure(rs: RootSystem, lam: Labels, codec: tuple) -> list[tuple[i
     dominant mu <= lam, since dominant weights below one another are joined
     by positive roots (Stembridge, Adv. Math. 136, 1998).  It runs on keys
     (:func:`roots.key_codec`): key(mu - a) = key(mu) - sum_i a_i S^i, and mu - a
-    is dominant iff ``high & ~key(mu - a)`` is zero.  The labels met are in
-    [-c, B + c], B the largest label of a dominant weight and c the largest
-    |label| of a positive root (3 on G2), and the codec must hold them.
+    is dominant iff ``high & ~key(mu - a)`` is zero.  The points met, mu - a,
+    are weights of V(lam) (x) V(theta), theta the highest root, and the codec
+    must hold them: :func:`roots.key_codec`'s rule for H = lam + theta.
     (mu - a, rho) = (mu, rho) - (a, rho) is a running integer in gram units;
     it is never negative on a dominant weight, so a key reached with
     (mu, rho) < 0 was coded too narrow, and ``InternalError`` ends the walk.
@@ -185,20 +185,18 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
 
     A string walks on one integer key per point (:func:`roots.key_codec`:
     digit i holds nu_i + S/2), so a step adds sum_i a_i S^i and probes one
-    dict.  The norm bound gives
-    |nu_i| = 2 |(nu, a_i)| / (a_i, a_i) <= 2 sqrt((lam, lam) / (a_i, a_i)) <= B,
-    B taken at a short simple root, on every point of norm at most
-    (lam, lam); S/2 > B + c, c the largest |label| of a positive root, so
-    the digits never carry, distinct such points have distinct keys, and
-    the closure's points mu - a, within c of a dominant weight, fit as
-    well.  The keys never leave the call.
+    dict.  A string point is a weight of V(lam), or where the string ends a
+    weight plus a positive root; either way a weight of V(lam) (x) V(theta),
+    like the closure's points, so the keys follow :func:`roots.key_codec`'s
+    rule for H = lam + theta, theta the highest root: the digits never carry
+    and distinct points have distinct keys.  The keys never leave the call.
 
     The dict ``known`` maps keys to multiplicities, 0 off the weights; m(mu)
     is entered at key(mu) once it is set for a dominant mu, lam included.
     A string point whose key is not known and has a negative label is
     reflected, as a key alone, towards the dominant chamber by
-    :func:`_walk`, and takes the first known entry met on the way.  A
-    reflection keeps the norm, so every key walked is inside the bound.
+    :func:`_walk`, and takes the first known entry met on the way.  The keys
+    walked are Weyl images of the point, inside the codec's rule as well.
     If the walk reaches the chamber without one, the point is not a
     weight: the dominant form of mu + k a (k >= 1) lies above mu, so it
     comes before mu in the closure's order and is known if it is a
@@ -215,15 +213,10 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
     rs, lam = irrep.root_system, irrep.highest_weight
     top = dot(rs, lam, lam)
     top_rho = top + 2 * sum(map(mul, lam, map(sum, rs.gram)))  # (lam, lam + 2 rho)
-    # (rho, a) = sum(gram . a) is least, (a_i, a_i) / 2, at a short simple root; the
-    # closure's keys need room for c = max |a_i| over the positive roots a more, which
-    # a simple root attains: |<b, a_i^v>| > 1 only for b = a_i (2) or b longer than
-    # a_i (2 or 3), and then the Cartan matrix has the length ratio, -2 or -3
-    headroom = max([abs(x) for row in rs.cartan_matrix for x in row])
-    codec = roots.key_codec(rs, isqrt(2 * top // min(map(sum, rs.root_pairings))) + headroom)
-    bits, shifts, high, _, _, _ = codec
-    mask, half = (1 << bits) - 1, 1 << bits - 1
     poset, labels, pairings_of = rs.root_poset, rs.positive_labels, rs.root_pairings
+    bound = sum(map(mul, map(add, lam, labels[-1]), rs.highest_coroot))  # <lam + theta, theta^v>
+    bits, shifts, high, _, _, _ = codec = roots.key_codec(rs, bound)
+    mask, half = (1 << bits) - 1, 1 << bits - 1
     tables: dict[tuple[bool, ...], list[tuple[int, int, int, int]]] = {}
     closure = _dominant_closure(rs, lam, codec)
     mult = {lam: 1}

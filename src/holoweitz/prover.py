@@ -153,10 +153,12 @@ def _step(rule: str, detail: str) -> TraceStep:
 
 def _checked(ctx: HolonomyContext, p, form_class) -> tuple[int, FormClass]:
     """The degree and FormClass of a prover request, checked in this order: form
-    class, then Ricci-flat context, then degree (an int or a value equal to one)."""
+    class, then Ricci-flat context, then degree (an integral value in 1..n-1)."""
     form_class = _form_class(form_class)
     _require_prover_context(ctx)
-    return _degree(p), form_class
+    if not 1 <= (p := _degree(p)) <= ctx.n - 1:
+        raise DegreeOutOfRange(f"degree {p} outside 1..{ctx.n - 1}")
+    return p, form_class
 
 
 def integrability_factor(form_class: FormClass | str, p: int, n: int) -> Fraction | None:
@@ -333,8 +335,6 @@ def _prove_component(
 def prove_degree(ctx: HolonomyContext, p: int, form_class: FormClass | str) -> DegreeReport:
     """Parallelism analysis for all forms of one class in one degree."""
     p, form_class = _checked(ctx, p, form_class)
-    if not 1 <= p <= ctx.n - 1:
-        raise DegreeOutOfRange(f"degree {p} outside 1..{ctx.n - 1}")
 
     # R1: Hodge duality sends twistor p-forms to twistor (n-p)-forms
     if form_class is FormClass.TWISTOR and 2 * p > ctx.n:

@@ -9,13 +9,12 @@ the form up to a positive factor, which every value computed from it cancels.
 
 :func:`dominant_key` is the one Weyl straightening, and it runs on keys:
 a point x travels as one integer (broadword arithmetic, Knuth,
-TAOCP 4A, 7.1.3; :func:`key_codec`): in base S = 2^bits, digit i holds
-x_i + S/2, exact while every label is in [-S/2, S/2).  ``high & ~key``
-marks the negative labels, s_i subtracts x_i sum_j C_ij S^j, and a
-dominant key has a zero label iff ``(key - key(rho)) & high`` is nonzero
-(the lowest zero label borrows).  No Weyl image of x has a label above
-max|x_i| (h - 1), h = 2|Phi+| / rank the Coxeter number: (wx)_i = (x,
-w^-1 a_i^v), and a coroot's coefficients on the simple coroots sum to <= h - 1.
+TAOCP 4A, 7.1.3): in base S = 2^bits, digit i holds x_i + S/2, exact
+while every label is in [-S/2, S/2), and one rule, stated at
+:func:`key_codec`, sizes S for a point and all its Weyl images.
+``high & ~key`` marks the negative labels, s_i subtracts
+x_i sum_j C_ij S^j, and a dominant key has a zero label iff
+``(key - key(rho)) & high`` is nonzero (the lowest zero label borrows).
 Each reflection at a negative label makes one more positive root pair
 positively with x, so the sign (-1)^steps does not depend on the order
 of the steps, and a straightening takes at most |Phi+| reflections, the
@@ -205,7 +204,16 @@ def dot(rs: RootSystem, u: Sequence[int], v: Sequence[int]) -> int:
 def key_codec(rs: RootSystem, bound: int) -> tuple[int, range, int, int, list[int], int]:
     """``(bits, shifts, high, key(rho), [sum_j C_ij S^j], |Phi+|)`` for labels at most ``bound``
     in absolute value, S/2 > bound; key(x) = sum(map(lshift, x, shifts)) + high.  The last
-    entry caps the reflections of one straightening."""
+    entry caps the reflections of one straightening.
+
+    One rule sizes every codec: ``bound`` = <H, theta^v>, theta^v the highest coroot and H the
+    highest weight of a module whose weights the points are.  The weights of V(H) are the
+    mu = H mod the root lattice with dominant image <= H (Humphreys, GTM 9, 21.3): a Weyl
+    image of one is one, and so is a weight of V(H1) (x) V(H2) for H = H1 + H2.  A label
+    <mu, a_i^v> is linear in mu, so on their convex hull it peaks in absolute value at some
+    <w H, a_i^v> = <H, b^v>, b^v a positive coroot; H is dominant and theta^v - b^v a sum of
+    simple coroots (10.4), so no label leaves [-bound, bound].  <rho, theta^v> = h - 1.
+    """
     bits = bound.bit_length() + 1
     shifts = range(0, bits * rs.rank, bits)
     high = ((1 << bits * rs.rank) - 1) // ((1 << bits) - 1) << bits - 1

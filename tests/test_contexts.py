@@ -8,9 +8,10 @@ from math import comb
 import pytest
 
 from holoweitz import contexts
-from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
+from holoweitz.contexts import CONTEXT_IDS, HolonomyContext, form_space, make_context
 from holoweitz.errors import DegreeOutOfRange, InternalError, UnsupportedContext
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
+from holoweitz.prover import INCONCLUSIVE, prove_component
 
 
 TRIVIAL = "Cor. ricci (the Lie algebra acts by zero on the trivial bundle)"
@@ -77,6 +78,7 @@ def test_the_schur_certificate_passes_exactly_the_built_in_registry(monkeypatch,
     """Over every bundle with coordinate sum <= top, a row that also cites it builds
     iff it is already in the built-in registry."""
     *row, base = contexts._CONTEXTS[ctx_id]
+    built_in = set(make_context(ctx_id).qr_registry)  # built before the catalogue is patched
     bundles = [w for w in product(range(top + 1), repeat=row[1]) if sum(w) <= top]
     assert len(bundles) == count
     certified = set()
@@ -87,7 +89,7 @@ def test_the_schur_certificate_passes_exactly_the_built_in_registry(monkeypatch,
         except InternalError:
             continue
         certified.add(w)
-    assert certified == set(make_context(ctx_id).qr_registry)
+    assert certified == built_in
 
 
 @pytest.mark.parametrize("ctx_id, dim_k", [("g2", 77), ("spin7", 168)])
@@ -131,6 +133,21 @@ def test_the_registry_is_read_only():
     with pytest.raises(TypeError):
         registry[(0, 1, 0)] = RICCI_FLAT
     assert (0, 1, 0) not in registry
+
+
+def test_a_context_copy_cannot_carry_an_uncertified_registry():
+    # the registry is read from the catalogue row, not carried as a field: a copy cannot
+    # swap in an uncertified one, and the prover's short-circuit never reads one
+    g2 = make_context("g2")
+    assert HolonomyContext._fields == ("id", "root_system", "holonomy_rep", "n", "dim_g",
+                                       "ricci_flat")
+    with pytest.raises(ValueError, match="qr_registry"):
+        g2._replace(qr_registry={(0, 1): "made up"})
+    with pytest.raises(AttributeError):
+        g2.qr_registry = {(0, 1): "made up"}
+    assert g2._replace(n=7).qr_registry is g2.qr_registry
+    verdict = prove_component(g2, Irrep(g2.root_system, (0, 1)), 2, "twistor")
+    assert verdict.verdict == INCONCLUSIVE and "qr-registry" not in [t.rule for t in verdict.trace]
 
 
 def test_form_space_examples_and_cache():

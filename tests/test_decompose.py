@@ -381,11 +381,14 @@ def test_large_labels_straighten_as_on_label_tuples():
                          ids=["A2", "B3", "C3", "D4", "G2"])
 @pytest.mark.parametrize("k", [2, 3])
 def test_the_codec_holds_the_weyl_images_of_its_points(where, k):
-    # -k rho has labels within _codec's top = k, but its walk to w0(-k rho) = k rho meets
-    # labels up to k (h - 1): a codec without that headroom carries between digits.  The
-    # point straightens to V((k - 1) rho) with the parity of w0, (-1)^|Phi+|
+    # -k rho is a weight of V(k rho), so the rule sizes its key for <k rho, theta^v> =
+    # k (h - 1), though its own labels are within k: its walk to w0(-k rho) = k rho meets
+    # labels up to k (h - 1), and a codec without that headroom carries between digits.
+    # The point straightens to V((k - 1) rho) with the parity of w0, (-1)^|Phi+|
     rs = build_root_system(*where)
-    _, shifts, high, _, _, _ = codec = decompose._codec(rs, k)
+    bound = sum(map(mul, (k,) * rs.rank, rs.highest_coroot))
+    assert bound == k * (2 * len(rs.positive_labels) // rs.rank - 1)
+    _, shifts, high, _, _, _ = codec = roots.key_codec(rs, bound)
     key = sum(map(lshift, (-k,) * rs.rank, shifts)) + high
     want = {(k - 1,) * rs.rank: (-1) ** len(rs.positive_labels)}
     assert decompose._straighten_points(codec, [(key, 1)]) == want
@@ -428,6 +431,130 @@ def test_each_weight_is_straightened_at_most_once_per_call(monkeypatch, case):
         cached.cache_clear()
     run()
     assert counts == {"dominant_key": straightenings, "_walk": walks}
+
+
+RULE_ALGEBRAS = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+                 ("C", 4), ("D", 4), ("D", 5), ("G", 2)]
+# the benchmark's seven ladder cases, on the kernels they run: Freudenthal, a tensor
+# product (so10's Weitzenboeck formula is T (x) E) or an exterior power
+RULE_LADDER = [("B", 3, (3, 3, 3), None), ("D", 4, (2, 1, 1, 1), None),
+               ("B", 3, (2, 2, 2), (2, 1, 2)), ("D", 5, (1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+               ("B", 4, (1, 0, 0, 0), 4), ("B", 4, (0, 0, 0, 1), 3), ("G", 2, (2, 0), 4)]
+
+
+def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
+    # roots.key_codec's rule: a codec asks for B = <H, theta^v>, H = lam + theta for
+    # Freudenthal, lam + rho + lam_b for a tensor product and p lam_T + rho for Lambda^p.
+    # Each call's bound is recorded and checked against its kernel's H, and the codec
+    # handed back is four times wider, so a label past B decodes as itself instead of
+    # wrapping.  Every key that dominant_key, _walk and the closure visit, and every
+    # point fed to the straightening kernel, must decode to labels within B
+    bounds, asked, seen = {}, [], Counter()
+    real_codec, real_key = roots.key_codec, roots.dominant_key
+    real_walk, real_closure = irreps._walk, irreps._dominant_closure
+    real_points = decompose._straighten_points
+
+    def within(key, codec, kind):
+        bits, shifts = codec[:2]
+        labels = [(key >> s & (1 << bits) - 1) - (1 << bits - 1) for s in shifts]
+        assert max(map(abs, labels)) <= bounds[id(codec)][1], (kind, labels)
+        seen[kind] += 1
+
+    def walked(key, codec, kind):
+        bits, _, high, _, simple, cap = codec
+        within(key, codec, kind)
+        for _ in range(cap):
+            if not (neg := high & ~key):
+                return
+            i = neg.bit_length() // bits - 1
+            key -= ((key >> bits * i & (1 << bits) - 1) - (1 << bits - 1)) * simple[i]
+            within(key, codec, kind)
+        assert not high & ~key, kind
+
+    def key_codec(rs, bound):
+        codec = real_codec(rs, 4 * bound)
+        bounds[id(codec)] = codec, bound  # the codec is kept alive, so its id stays its own
+        asked.append(bound)
+        return codec
+
+    def dominant_key(key, codec):
+        walked(key, codec, "dominant_key")
+        return real_key(key, codec)
+
+    def walk(key, codec, known):
+        walked(key, codec, "_walk")  # _walk stops on the way, at the first known key
+        return real_walk(key, codec, known)
+
+    def closure(rs, lam, codec):
+        out = real_closure(rs, lam, codec)
+        shifts = codec[1]
+        steps = [sum(map(lshift, a, shifts)) for a in rs.positive_labels]
+        for key, _ in out:
+            within(key, codec, "closure")
+            for step in steps:
+                within(key - step, codec, "closure")
+        return out
+
+    def points(codec, pairs):
+        pairs = list(pairs)
+        for key, _ in pairs:
+            within(key, codec, "points")
+        return real_points(codec, pairs)
+
+    monkeypatch.setattr(roots, "key_codec", key_codec)
+    monkeypatch.setattr(roots, "dominant_key", dominant_key)
+    monkeypatch.setattr(irreps, "_walk", walk)
+    monkeypatch.setattr(irreps, "_dominant_closure", closure)
+    monkeypatch.setattr(decompose, "_straighten_points", points)
+
+    def pairing(rs, hw):
+        return sum(map(mul, hw, rs.highest_coroot))
+
+    def freudenthal(irr):
+        asked.clear()
+        weights(irr)
+        rs = irr.root_system
+        assert asked == [pairing(rs, irr.highest_weight) + pairing(rs, rs.positive_labels[-1])]
+
+    def check_tensor(a, b):
+        for irr in (a, b):
+            weights(irr)
+        if dimension(a) < dimension(b):
+            a, b = b, a
+        tensor.cache_clear()  # (b, a) may have been asked before
+        asked.clear()
+        tensor(a, b)
+        rs = a.root_system
+        h = sum(rs.highest_coroot)
+        assert asked == [pairing(rs, a.highest_weight) + h + pairing(rs, b.highest_weight)]
+
+    def check_exterior(t, p):
+        weights(t)
+        asked.clear()
+        exterior_power(t, p)
+        rs, top = t.root_system, pairing(t.root_system, t.highest_weight)
+        assert asked == [q * top + sum(rs.highest_coroot) for q in range(1, p + 1)]
+
+    for family, rank in RULE_ALGEBRAS:
+        rs = build_root_system(family, rank)._replace()  # fresh: no cached answer is read
+        irrs = [Irrep(rs, hw) for hw in product(range(4), repeat=rank) if sum(hw) <= 3]
+        for irr in irrs:
+            freudenthal(irr)
+        for a in irrs:
+            for i in range(rank):  # against each fundamental weight
+                check_tensor(a, Irrep(rs, tuple(int(j == i) for j in range(rank))))
+        for t in irrs:
+            if dimension(t) <= 40:
+                check_exterior(t, min(4, dimension(t) // 2))
+    for family, rank, hw, other in RULE_LADDER:
+        rs = build_root_system(family, rank)._replace()
+        if other is None:
+            freudenthal(Irrep(rs, hw))
+        elif isinstance(other, int):
+            check_exterior(Irrep(rs, hw), other)
+        else:
+            check_tensor(Irrep(rs, hw), Irrep(rs, other))
+    assert min(seen[kind] for kind in ("dominant_key", "_walk", "closure", "points")) > 1000
 
 
 # cold roots.orbit calls per computation: each irrep's orbits are walked once, by

@@ -219,8 +219,8 @@ def small_weights(rank, most=3):
 def test_the_key_closure_is_the_label_closure_in_rho_then_breadth_first_order(family, rank):
     # dominant_multiplicities lists the closure in its order: by decreasing (mu, rho), and
     # breadth first among equals (the oracle's label closure, sorted stably).  The closure
-    # runs on keys whose digits hold the norm bound plus the largest |label| of a positive
-    # root (3 on G2).  The trivial weight's norm bound is 0, so the headroom alone sizes
+    # runs on keys sized by key_codec's rule for H = lam + theta.  The trivial weight's H
+    # is theta, so <theta, theta^v>, the largest |label| of a root (3 on G2), alone sizes
     # its digits: without it, mu - a borrows across digits on A1 and B2 and the closure
     # of (0,) or (0, 0) ends in InternalError
     rs, amb = build_root_system(family, rank), ambient(family, rank)
@@ -229,7 +229,8 @@ def test_the_key_closure_is_the_label_closure_in_rho_then_breadth_first_order(fa
 
 
 def test_a_closure_codec_without_the_root_label_headroom_ends_in_internal_error():
-    # the trivial weight of A1 has norm bound 0: digits for labels in [-1, 1) hold 0 - a_1
+    # the trivial weight of A1 has <lam, theta^v> = 0, and the rule adds <theta, theta^v>
+    # = 2 (the codec for bound 2): digits for labels in [-1, 1) hold 0 - a_1
     # = (-2) only by borrowing from the digit above, so a key passes for dominant, and the
     # walk ends where (mu, rho) < 0, which no dominant weight has, instead of running on
     rs = build_root_system("A", 1)
@@ -244,9 +245,9 @@ FUNDAMENTAL_ALGEBRAS = [("A", 8), ("B", 8), ("C", 8), ("D", 8), ("G", 2)]
 @pytest.mark.parametrize("family,rank", FUNDAMENTAL_ALGEBRAS,
                          ids=[f"{f}{r}" for f, r in FUNDAMENTAL_ALGEBRAS])
 def test_every_fundamental_weight_closes_in_the_narrowest_codec(family, rank):
-    # past the trivial weight, a fundamental weight has the least norm bound, so the
-    # root labels' headroom is the largest share of its key digits; that headroom is
-    # read off the Cartan matrix, whose rows are the simple roots' labels
+    # past the trivial weight, a fundamental weight has the least <lam, theta^v>, so
+    # <theta, theta^v>, the largest |label| of a root, is the largest share of its key
+    # digits; a simple root attains it, so it is the largest |Cartan entry|
     rs, amb = build_root_system(family, rank), ambient(family, rank)
     assert max(abs(x) for a in rs.positive_labels for x in a) == max(
         abs(x) for row in rs.cartan_matrix for x in row)

@@ -264,6 +264,17 @@ def test_degree_rejects_out_of_range_and_so_contexts():
         prove_degree(make_context("so7"), 2, FormClass.KILLING)
 
 
+@pytest.mark.parametrize("degree", [0, 7, -1, 8])
+def test_a_component_outside_the_degree_range_names_the_degree_asked(degree):
+    # the trivial bundle is a component of the 0- and 7-forms, so only the range check
+    # stops these requests; it reports the degree the caller passed, as prove_degree does
+    message = f"degree {degree} outside 1..6"
+    with pytest.raises(DegreeOutOfRange, match=f"^{message}$"):
+        prove_component(G2, Irrep(G2.root_system, (0, 0)), degree, FormClass.KILLING)
+    with pytest.raises(DegreeOutOfRange, match=f"^{message}$"):
+        prove_degree(G2, degree, FormClass.KILLING)
+
+
 @pytest.mark.parametrize("degree", [2.0, Fraction(2), True, 6.0], ids=repr)
 def test_a_degree_equal_to_an_int_is_reported_as_that_int(degree):
     # the twistor class delegates 6 to 1 by duality and keeps the asked degree
@@ -300,6 +311,9 @@ def test_a_request_is_checked_for_form_class_then_context_then_degree():
         (lambda: prove_component(so7, vector, 2.5, FormClass.KILLING), ContextNotSupported),
         # the degree before the component: (1,1) is in no form space of g2
         (lambda: prove_component(G2, Irrep(G2.root_system, (1, 1)), 2.5, FormClass.KILLING),
+         DegreeOutOfRange),
+        # the degree range before the component as well: (0, 0) is a 0-form of g2
+        (lambda: prove_component(G2, Irrep(G2.root_system, (0, 0)), 0, FormClass.KILLING),
          DegreeOutOfRange),
         (lambda: prove_degree(so7, 0, "bogus"), UnsupportedFormClass),
         (lambda: prove_degree(so7, 0, FormClass.KILLING), ContextNotSupported),

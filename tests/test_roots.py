@@ -8,10 +8,11 @@ import time
 from fractions import Fraction
 from dataclasses import replace
 from math import gcd, lcm, prod
+from operator import mul
 
 import pytest
 
-from holoweitz import decompose, irreps
+from holoweitz import decompose, irreps, roots
 from holoweitz.errors import DimensionMismatch, InternalError, UnsupportedType
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
@@ -376,10 +377,12 @@ def test_a_codec_too_narrow_for_its_labels_ends_in_internal_error(monkeypatch):
         dominant_key(key, codec)
     with pytest.raises(InternalError, match=r"more than \|Phi\+\| = 3 reflections"):
         irreps._walk(key, codec, {})
-    # a kernel codec half as wide as it must be: A1 (3) x (2) wraps its keys as well
-    real = decompose._codec
-    monkeypatch.setattr(decompose, "_codec", lambda rs, top: real(rs, top // 2))
+    # a kernel codec half as wide as it must be: A1 (3) x (2) wraps its keys as well.  The
+    # weights of (2) are read first, so only the tensor product's codec is narrowed
     a1 = build_root_system("A", 1)._replace()  # a fresh root system: no cached answer is read
+    irreps.weights(Irrep(a1, (2,)))
+    real = key_codec
+    monkeypatch.setattr(roots, "key_codec", lambda rs, bound: real(rs, bound // 2))
     with pytest.raises(InternalError, match=r"more than \|Phi\+\| = 1 reflections"):
         decompose.tensor(Irrep(a1, (3,)), Irrep(a1, (2,)))
     assert time.perf_counter() - start < 1
@@ -443,6 +446,18 @@ def test_highest_coroot_dominates_every_positive_coroot(family, rank):
              for a in amb.positive_roots]
     assert rs.highest_coroot in table
     assert all(c <= h for row in table for c, h in zip(row, rs.highest_coroot))
+
+
+def test_the_codec_rule_pairs_rho_and_theta_with_the_highest_coroot():
+    # key_codec's rule on the two weights every kernel adds to its H: <rho, theta^v> is
+    # the height h - 1 of the highest coroot, and <theta, theta^v> is the largest |label|
+    # of a root, the largest |Cartan entry| (3 on G2), on every type up to rank 8
+    for family, rank in [t for t in POSET_TYPES if t[1] <= 8]:
+        rs = build_root_system(family, rank)
+        assert sum(rs.highest_coroot) == COXETER[family](rank) - 1, (family, rank)
+        theta = sum(map(mul, rs.positive_labels[-1], rs.highest_coroot))
+        assert theta == max(abs(x) for row in rs.cartan_matrix for x in row), (family, rank)
+        assert theta == max(abs(x) for a in rs.positive_labels for x in a), (family, rank)
 
 
 @pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
