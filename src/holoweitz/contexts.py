@@ -55,7 +55,9 @@ class HolonomyContext(NamedTuple):
     Compares and hashes by identity, like a ``RootSystem``: ``make_context``
     caches what it builds, so a cache keyed on a context hashes no fields,
     and a ``_replace`` copy is a distinct context.  ``qr_registry`` is read from
-    the catalogue row ``id``, not carried, so no copy holds an uncertified one.
+    the catalogue row ``id``, not carried, so no copy holds an uncertified one;
+    a copy whose ``id`` names no row, or whose holonomy representation is not
+    its row's, has no registry and raises :class:`UnsupportedContext`.
     """
 
     id: str
@@ -68,7 +70,14 @@ class HolonomyContext(NamedTuple):
     @property
     def qr_registry(self) -> MappingProxyType[tuple[int, ...], str]:
         """Highest weight -> citation, certified when the row's context is built."""
-        _make_context_cached(self.id)  # builds and certifies the row if nothing has yet
+        if self.id not in _CONTEXTS:
+            raise UnsupportedContext(f"context {self.id!r} names no catalogue row, so it has "
+                                     f"no q(R) registry; rows: {', '.join(CONTEXT_IDS)}")
+        row = _make_context_cached(self.id)  # builds and certifies the row if nothing has yet
+        if self.holonomy_rep != row.holonomy_rep:  # equal Irreps share their root system
+            raise UnsupportedContext(f"a copy of context {self.id!r} with holonomy "
+                                     f"{self.holonomy_rep!r} has no q(R) registry: the row's "
+                                     f"is certified for {row.holonomy_rep!r}")
         return _REGISTRIES[self.id]
 
     __eq__ = object.__eq__

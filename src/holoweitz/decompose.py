@@ -19,7 +19,11 @@ from the highest weight H of a module whose weights the points are, so
 no weight is read to size a key.  A tensor product's points
 lam + rho + nu are weights of V(lam + rho) (x) V(lam_b), so
 H = lam + rho + lam_b; Newton's identity names H = p lam_T + rho
-(:func:`exterior_power`).  A tensor product's points are distinct as
+(:func:`exterior_power`).  The weights nu come as keys too: each kernel
+walks the Weyl orbits of a factor's dominant weights, read from the
+cache of :func:`irreps.dominant_multiplicities`, in its own codec
+(:func:`roots.orbit_keys`), and builds no label tuple of them
+(:func:`_orbit_points`).  A tensor product's points are distinct as
 they stand: the orbits of distinct dominant weights are disjoint.
 Newton's identity meets the same point from many k and many lower
 summands; what a point contributes depends on the point alone, so its
@@ -31,12 +35,14 @@ result once, less rho.
 Every tensor product, straightened character and exterior power leaves
 through one checked exit, :func:`_decomposition`, which decides the
 summand order (see :class:`Decomposition`); the order numbers the twistor
-operators T_i downstream.  Sorting by dimension computes every summand's
-Weyl dimension, so each answer is also checked to conserve dimension:
+operators T_i downstream, and ambient coordinates break only the ties of
+dimension.  Sorting by dimension computes every summand's Weyl
+dimension, so each answer is also checked to conserve dimension:
 dim V(lam) times the sum of char's multiplicities for a straightening
 (dim a * dim b for a tensor product), C(n, p) for Lambda^p.  A negative
-or indivisible multiplicity or a dimension that does not add up raises
-:class:`InternalError`.  Summand irreps are built from the kernel's
+or indivisible multiplicity, a dimension that does not add up, or
+orbits walked whose multiplicities miss the dimension of the factor
+raises :class:`InternalError`.  Summand irreps are built from the kernel's
 labels without the checks of ``Irrep(...)``.
 """
 
@@ -46,11 +52,11 @@ from functools import lru_cache
 from math import comb
 from numbers import Real
 from operator import lshift, mul
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping
 
 from . import roots
 from .errors import DegreeOutOfRange, InternalError, MixedRootSystems
-from .irreps import Irrep, _unchecked_irrep, dimension, weights
+from .irreps import Irrep, _unchecked_irrep, dimension, dominant_multiplicities
 from .roots import Labels, RootSystem
 
 
@@ -98,9 +104,9 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
     """The checked exit of every decomposition: ``acc / q`` as a sorted
     :class:`Decomposition`.  :class:`InternalError` on a negative or
     indivisible entry, or unless the summands' dimensions, which the sort
-    computes anyway, add up to ``total``."""
-    entries = []
-    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
+    computes anyway, add up to ``total``.  An ambient key is computed only
+    for a summand whose dimension another summand shares."""
+    entries, tied = [], {}  # tied[d]: two or more summands have dimension d
     for hw, m in acc.items():
         if m:
             value, rest = divmod(m, q)
@@ -108,44 +114,71 @@ def _decomposition(rs: RootSystem, acc: dict[Labels, int], total: int,
             if rest or value < 0:
                 why = "negative" if m < 0 else f"not divisible by {q}"
                 raise InternalError(f"multiplicity {m} at {irr}: {why}")
-            key = [sum(map(mul, hw, col)) for col in columns]
-            entries.append((dimension(irr), key, irr, value))
-    entries.sort()  # distinct highest weights have distinct ambient keys: no Irrep is compared
-    if (found := sum(d * m for d, _, _, m in entries)) != total:
+            d = dimension(irr)
+            tied[d] = d in tied
+            entries.append((d, irr, value))
+    columns = rs.fundamental_columns  # den * ambient: den > 0 keeps the order
+
+    def order(entry):  # distinct highest weights have distinct ambient keys
+        d, irr, _ = entry
+        return d, [sum(map(mul, irr.highest_weight, col)) for col in columns] if tied[d] else ()
+
+    entries.sort(key=order)
+    if (found := sum(d * m for d, _, m in entries)) != total:
         raise InternalError(f"summands add up to dimension {found}, expected {total}")
-    return Decomposition([(irr, m) for _, _, irr, m in entries])
+    return Decomposition([(irr, m) for _, irr, m in entries])
 
 
-def _straighten(rs: RootSystem, lam: Labels, char: Iterable[tuple[Labels, int]],
-                top: int) -> Decomposition:
-    """V(lam) (x) char for distinct (weight, multiplicity) pairs of a Weyl-invariant
-    char, read twice, with ``top`` at least the largest label of its weights, which is
-    <lam_b, theta^v> for the weights of V(lam_b); lam = 0 decomposes char.  The keys follow
-    :func:`roots.key_codec`'s rule for H = lam + rho + lam_b.  The summands must add up to
-    dim V(lam) times the sum of the multiplicities."""
+def _orbit_points(dominant: Mapping[Labels, int], codec: tuple, shift: int,
+                  size: int) -> Iterator[tuple[int, int]]:
+    """(key(nu) + shift, m) for every weight nu, with its multiplicity m, of the
+    Weyl-invariant character with dominant multiplicities ``dominant``: each dominant
+    weight's orbit walked on keys of ``codec`` (:func:`roots.orbit_keys`), in
+    :func:`irreps.weights`' order, and never decoded.  Checked once the walk ends:
+    the multiplicities add up to ``size``, or :class:`InternalError`."""
+    _, shifts, high, _, _, _ = codec
+    found = 0
+    for mu, m in dominant.items():
+        keys = roots.orbit_keys(sum(map(lshift, mu, shifts)) + high, codec)
+        found += m * len(keys)
+        for key in keys:
+            yield key + shift, m
+    if found != size:
+        raise InternalError(f"the weights walked add up to dimension {found}, expected {size}")
+
+
+def _straighten(rs: RootSystem, lam: Labels, dominant: Mapping[Labels, int], top: int,
+                size: int) -> Decomposition:
+    """V(lam) (x) char for the Weyl-invariant char of dimension ``size`` given by its
+    dominant multiplicities, with ``top`` at least the largest label of its weights, which
+    is <lam_b, theta^v> for the weights of V(lam_b); lam = 0 decomposes char.  The keys
+    follow :func:`roots.key_codec`'s rule for H = lam + rho + lam_b, and char's orbits are
+    walked in them (:func:`_orbit_points`), shifted by key(lam + rho) - key(0).  The
+    summands must add up to dim V(lam) times ``size``."""
     bound = sum(map(mul, [c + 1 for c in lam], rs.highest_coroot)) + top  # <H, theta^v>
-    _, shifts, _, rho, _, _ = codec = roots.key_codec(rs, bound)
-    base = sum(map(lshift, lam, shifts)) + rho  # key(lam + rho)
-    points = ((base + sum(map(lshift, nu, shifts)), m) for nu, m in char)
-    total = dimension(_unchecked_irrep(rs, lam)) * sum([m for _, m in char])
-    return _decomposition(rs, _straighten_points(codec, points), total)
+    _, shifts, high, rho, _, _ = codec = roots.key_codec(rs, bound)
+    shift = sum(map(lshift, lam, shifts)) + rho - high  # key(lam + rho) - key(0)
+    acc = _straighten_points(codec, _orbit_points(dominant, codec, shift, size))
+    return _decomposition(rs, acc, dimension(_unchecked_irrep(rs, lam)) * size)
 
 
 @lru_cache(maxsize=None)
 def tensor(a: Irrep, b: Irrep) -> Decomposition:
     """Decomposition of the tensor product of two irreps.
 
-    Iterates over the weight system of the smaller-dimensional factor,
-    so products against a small fixed factor stay cheap regardless of
-    the size of the other one.  The keys are sized from that factor's
-    highest weight alone (:func:`_straighten`), not from its weights.
+    Walks the Weyl orbits of the smaller-dimensional factor's dominant
+    weights, so products against a small fixed factor stay cheap
+    regardless of the size of the other one.  The keys are sized from that
+    factor's highest weight alone (:func:`_straighten`), not from its
+    weights, and its weights are never decoded to labels.
     """
     if a.root_system != b.root_system:
         raise MixedRootSystems(f"{a} and {b} live on different root systems")
     if dimension(a) < dimension(b):
         a, b = b, a
-    top = sum(map(mul, b.highest_weight, a.root_system.highest_coroot))
-    return _straighten(a.root_system, a.highest_weight, weights(b), top)
+    rs = a.root_system
+    top = sum(map(mul, b.highest_weight, rs.highest_coroot))
+    return _straighten(rs, a.highest_weight, dominant_multiplicities(b), top, dimension(b))
 
 
 def _degree(p) -> int:
@@ -170,7 +203,8 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
 
     Points merge on their keys (:mod:`roots`), key(lam + rho + k nu) =
     key(lam + rho) + k sum_i nu_i S^i: one addition and one dict update
-    each.  The highest weight lam of a summand of Lambda^(p-k) is a weight
+    each.  T's weights nu are walked as keys once per degree, in that
+    degree's codec (:func:`_orbit_points`), as sum_i nu_i S^i = key(nu) - key(0).  The highest weight lam of a summand of Lambda^(p-k) is a weight
     of T^(x)(p-k), and k nu one of T^(x)k, so lam + rho + k nu is a weight
     of V(rho) (x) T^(x)p: the keys follow :func:`roots.key_codec`'s rule
     for H = p lam_T + rho, lam_T the highest weight of T.
@@ -186,8 +220,8 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
         return _decomposition(rs, {(0,) * rs.rank: 1}, 1)
     lower = [exterior_power(t, q) for q in range(p)]
     bound = sum(map(mul, [p * c + 1 for c in t.highest_weight], rs.highest_coroot))  # <H, theta^v>
-    _, shifts, _, rho, _, _ = codec = roots.key_codec(rs, bound)
-    keys = [(sum(map(lshift, nu, shifts)), m) for nu, m in weights(t)]
+    _, shifts, high, rho, _, _ = codec = roots.key_codec(rs, bound)
+    keys = list(_orbit_points(dominant_multiplicities(t), codec, -high, n))  # key(nu) - key(0)
     points: dict[int, int] = {}
     get = points.get
     for k in range(1, p + 1):

@@ -34,7 +34,8 @@ class DegreeOutOfRange(HoloweitzError):
 
 
 class UnsupportedContext(HoloweitzError):
-    """Unknown holonomy context identifier."""
+    """Unknown holonomy context identifier, or a context copy whose registry row it
+    does not match."""
 
 
 class UnsupportedFormClass(HoloweitzError):

@@ -6,10 +6,13 @@ dimension formula, weight multiplicities from the Freudenthal recursion
 over the dominant closure of the highest weight, Casimir eigenvalues
 from the highest weight.  The closure and the Freudenthal strings run on
 integer keys (:func:`roots.key_codec`), and each dominant weight is
-decoded to labels once.  Ambient coordinates appear only at the API
-edge: the keys of :func:`weight_system` and the entries of
-:func:`full_weights`, which maps :func:`weights`, the one walk of the
-Weyl orbits, to ambient coordinates.
+decoded to labels once.  The dominant multiplicities are the one cached
+unit of an irrep's weights: :func:`weights` decodes the Weyl orbits
+walked on keys (:func:`roots.orbit`) and is not cached, and the kernels
+of :mod:`decompose` walk the orbits in their own codecs.  Ambient
+coordinates appear only at the API edge: the keys of
+:func:`weight_system` and the entries of :func:`full_weights`, which
+maps :func:`weights` to ambient coordinates.
 
 The sign convention is Cas = sum X_i^2, so Casimir eigenvalues are
 negative (zero only on the trivial representation).
@@ -166,8 +169,10 @@ def _walk(key: int, codec: tuple, known: dict[int, int]) -> int:
                         "its key digits overflow")
 
 
-def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
-    """Multiplicities of the dominant weights, by the Freudenthal recursion.
+@lru_cache(maxsize=None)
+def dominant_multiplicities(irrep: Irrep) -> Mapping[Labels, int]:
+    """Multiplicities of the dominant weights, by the Freudenthal recursion, as a
+    read-only view of the cached dict: the one cached unit of an irrep's weights.
 
     m(mu) * (lam - mu, lam + mu + 2 rho)        [= ||lam+rho||^2 - ||mu+rho||^2]
         = 2 * sum_{a>0} sum_{k>=1} m(mu + k a) * (mu + k a, a)
@@ -250,7 +255,7 @@ def dominant_multiplicities(irrep: Irrep) -> dict[Labels, int]:
         if rest or value <= 0:
             raise InternalError(f"Freudenthal failed at {mu} for {irrep}: {2 * total}/{gap}")
         mult[mu] = known[key_mu] = value
-    return mult
+    return MappingProxyType(mult)
 
 
 @lru_cache(maxsize=None)
@@ -269,13 +274,14 @@ def weight_system(irrep: Irrep) -> WeightSystem:
         {tuple(map(frac.get, coords)): m for coords, m in zip(scaled, mult.values())})
 
 
-@lru_cache(maxsize=None)
 def weights(irrep: Irrep) -> tuple[tuple[Labels, int], ...]:
     """Every distinct weight in Dynkin labels with its multiplicity, one walk: the
     dominant weights in :func:`dominant_multiplicities` order (decreasing (mu, rho),
     breadth first among equals), each followed by its Weyl orbit in
-    :func:`roots.orbit`'s breadth-first order.  Checked: the multiplicities
-    add up to ``dimension(irrep)``, or :class:`InternalError`."""
+    :func:`roots.orbit`'s breadth-first order, the key walk decoded.  Not cached:
+    its readers cache what they build from it, and the kernels of :mod:`decompose`
+    walk the orbits on keys themselves.  Checked: the multiplicities add up to
+    ``dimension(irrep)``, or :class:`InternalError`."""
     out = tuple((nu, m) for mu, m in dominant_multiplicities(irrep).items()
                 for nu in roots.orbit(irrep.root_system, mu))
     if (found := sum(m for _, m in out)) != (n := dimension(irrep)):

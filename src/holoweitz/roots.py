@@ -19,7 +19,9 @@ Each reflection at a negative label makes one more positive root pair
 positively with x, so the sign (-1)^steps does not depend on the order
 of the steps, and a straightening takes at most |Phi+| reflections, the
 length of w0; a key that needs more was coded too narrow for its labels,
-and :func:`dominant_key` raises ``InternalError``.
+and :func:`dominant_key` raises ``InternalError``.  :func:`orbit_keys` is
+the one walk of a Weyl orbit, on keys with the same step; :func:`orbit`
+decodes it.
 
 The dual of V(lam) is V(-w0 lam), and -w0 permutes the simple roots by a
 symmetry of the Dynkin diagram (Bourbaki, Groupes et algèbres de Lie,
@@ -29,11 +31,11 @@ D_r of even rank and G2, where w0 = -1.
 
 The root poset links each positive root a that is not simple to a lower
 one, a - a_j, so a pairing (x, a) costs one addition on top of
-(x, a - a_j) (:func:`poset_pairings`).  The neighbours, the root poset,
-the pairings (w_i, a) of each positive root a and the Weyl denominator
-(the product of the (rho, a)) are fields derived by the constructor, the
-last two along the poset: a ``RootSystem._replace`` copy derives them
-afresh.
+(x, a - a_j) (:func:`poset_pairings`).  The root poset, the pairings
+(w_i, a) of each positive root a, the Weyl denominator (the product of
+the (rho, a)) and the highest coroot are fields derived by the
+constructor, the pairings and the denominator along the poset: a
+``RootSystem._replace`` copy derives them afresh.
 
 Ambient coordinates appear only at the API edge, and the root system
 keeps only integers for them: standard e-coordinates for A/B/C/D and
@@ -73,7 +75,7 @@ Labels = tuple[int, ...]
 _SUPPORTED = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 MAX_RANK = 40
 
-# the constructor's fields, in order; five more are derived from them
+# the constructor's fields, in order; four more are derived from them
 _GIVEN = ("family", "rank", "cartan_matrix", "positive_labels", "gram", "den",
           "fundamental_columns", "simple_coroots")
 
@@ -90,8 +92,7 @@ class RootSystem:
     is the k-th ambient coordinate of den * w_i, and ``simple_coroots[i]``
     is the integer covector 2 (a_i, .)/(a_i, a_i) of the i-th simple coroot.
 
-    Derived by the constructor: ``neighbours[i]`` lists (j, cartan_matrix[i][j])
-    for the Dynkin neighbours j of i.  ``root_poset`` is ``(simple,
+    Derived by the constructor: ``root_poset`` is ``(simple,
     edges)``: the first ``rank`` positive roots are the simple ones, and
     ``simple[k]`` = (j, (a_j, a_j)/2 in gram units) when positive_labels[k]
     is a_j; ``edges[k - rank]`` = (parent, s) for each later root a =
@@ -107,8 +108,7 @@ class RootSystem:
     cannot be assigned, and ``_replace`` takes only the constructor's fields.
     """
 
-    __slots__ = _GIVEN + ("neighbours", "root_poset", "root_pairings", "weyl_denominator",
-                          "highest_coroot")
+    __slots__ = _GIVEN + ("root_poset", "root_pairings", "weyl_denominator", "highest_coroot")
 
     def __init__(
         self,
@@ -127,8 +127,6 @@ class RootSystem:
         values = (
             family, rank, cartan_matrix, positive_labels, gram, den,
             fundamental_columns, simple_coroots,
-            tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
-                  for i, row in enumerate(cartan_matrix)),
             poset,
             pairings,
             prod(poset_pairings(poset, (1,) * rank)),
@@ -245,25 +243,38 @@ def dual_weight(rs: RootSystem, hw: Labels) -> Labels:
     return hw
 
 
-def orbit(rs: RootSystem, mu: tuple) -> list[tuple]:
-    """Weyl orbit of a dominant weight in Dynkin labels, as a breadth-first list.
+def orbit_keys(key: int, codec: tuple) -> list[int]:
+    """The Weyl orbit of the dominant point at ``key`` as keys of ``codec``, breadth first.
 
     Every orbit point is reached from the dominant one, listed first, by
-    reflections s_i applied where the i-th label is positive; s_i flips
-    label i and moves only its Dynkin neighbours.
+    reflections s_i applied where the i-th label is positive, i ascending:
+    key -= (digit_i - S/2) sum_j C_ij S^j, the step of :func:`dominant_key`.
+    The codec must hold the orbit: :func:`key_codec`'s rule for H the dominant
+    point, or the highest weight of a module it is a weight of.  Digit i of
+    key - sum_j S^j is x_i + S/2 - 1, never negative, so its top bit marks x_i > 0.
     """
-    seen, queue = {mu}, [mu]
+    bits, _, high, rho, simple_keys, _ = codec
+    mask, half, ones = (1 << bits) - 1, 1 << bits - 1, rho - high
+    seen, queue = {key}, [key]
     for v in queue:  # the loop also visits what it appends
-        for i, c in enumerate(v):
-            if c > 0:
-                r = list(v)
-                r[i] = -c
-                for j, a in rs.neighbours[i]:
-                    r[j] -= c * a
-                if (r := tuple(r)) not in seen:
-                    seen.add(r)
-                    queue.append(r)
+        positive = v - ones & high
+        while positive:
+            low = positive & -positive
+            positive ^= low
+            i = low.bit_length() // bits - 1
+            if (r := v - ((v >> bits * i & mask) - half) * simple_keys[i]) not in seen:
+                seen.add(r)
+                queue.append(r)
     return queue
+
+
+def orbit(rs: RootSystem, mu: Labels) -> list[Labels]:
+    """Weyl orbit of a dominant weight in Dynkin labels, in :func:`orbit_keys`'s order:
+    the key walk in the codec for H = mu, decoded."""
+    bits, shifts, high, _, _, _ = codec = key_codec(rs, sum(map(mul, mu, rs.highest_coroot)))
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    return [tuple([(key >> s & mask) - half for s in shifts])
+            for key in orbit_keys(sum(map(lshift, mu, shifts)) + high, codec)]
 
 
 # --- ambient coordinates, at the API edge -----------------------------------

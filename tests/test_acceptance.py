@@ -241,8 +241,10 @@ def test_c9_property_suites():
             assert deco.total_dimension() == dimension(a) * dimension(b)
             if i < 10:  # both straightening orders agree, keys sized from the weights read
                 top_a, top_b = (max(map(max, dict(weights(x)))) for x in (a, b))
-                a_b = _straighten(rs, a.highest_weight, weights(b), top_b)
-                assert a_b == _straighten(rs, b.highest_weight, weights(a), top_a)
+                a_b = _straighten(rs, a.highest_weight, dominant_multiplicities(b), top_b,
+                                  dimension(b))
+                assert a_b == _straighten(rs, b.highest_weight, dominant_multiplicities(a), top_a,
+                                          dimension(a))
 
     # Freudenthal totals against the Weyl dimension
     paper_irreps = [Irrep(G2.root_system, hw) for hw in G2_CASIMIR_TABLE] + [

@@ -222,7 +222,7 @@ def test_domain_errors_exit_1(capsys):
 def test_an_internal_failure_exits_1_without_a_traceback(capsys, monkeypatch):
     # with every root class lost, Freudenthal's sum is 0 at the first weight below the top
     monkeypatch.setattr(irreps, "_root_classes", lambda rs, zeros: {})
-    for cached in (irreps.weights, decompose.tensor):
+    for cached in (irreps.dominant_multiplicities, decompose.tensor):
         cached.cache_clear()  # a failing call caches nothing
     code, out, err = run(capsys, "tensor", "--algebra", "B3", "--left", "0,1,0", "--right", "1,0,0")
     assert (code, out) == (1, "")

@@ -150,6 +150,24 @@ def test_a_context_copy_cannot_carry_an_uncertified_registry():
     assert verdict.verdict == INCONCLUSIVE and "qr-registry" not in [t.rule for t in verdict.trace]
 
 
+def test_a_context_copy_with_an_unknown_id_has_no_registry():
+    # the copy names no catalogue row: a domain error, not a KeyError from the registry map
+    copy = make_context("g2")._replace(id="g2-copy")
+    with pytest.raises(UnsupportedContext, match="'g2-copy' names no catalogue row"):
+        copy.qr_registry
+
+
+def test_a_context_copy_with_another_rows_id_has_no_registry():
+    # a G2 context under spin7's id would list B3 weights, and so7 under spin7's id would
+    # claim q(R) = 0 on spin7's T: a copy reads its row's registry only with the row's T
+    with pytest.raises(UnsupportedContext, match=r"holonomy Irrep\(G2, \(1, 0\)\) has no q\(R\)"):
+        make_context("g2")._replace(id="spin7").qr_registry
+    with pytest.raises(UnsupportedContext, match=r"certified for Irrep\(B3, \(0, 0, 1\)\)"):
+        make_context("so7")._replace(id="spin7").qr_registry
+    so7 = make_context("so7")
+    assert so7._replace(ricci_flat=True).qr_registry is so7.qr_registry
+
+
 def test_form_space_examples_and_cache():
     g2 = make_context("g2")
     assert [i.highest_weight for i in form_space(g2, 2).irreps()] == [(1, 0), (0, 1)]

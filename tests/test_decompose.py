@@ -58,9 +58,11 @@ def weight_labels(irrep):
 
 
 def straighten(rs, lam, char):
-    """``_straighten`` with the label bound read off the character's weights."""
+    """``_straighten`` on the dominant part of a Weyl-invariant character given by all its
+    (weight, multiplicity) pairs, with the label bound and the dimension read off them."""
     char = list(char)
-    return _straighten(rs, lam, char, max(max(nu) for nu, _ in char))
+    dominant = {nu: m for nu, m in char if min(nu) >= 0}
+    return _straighten(rs, lam, dominant, max(max(nu) for nu, _ in char), sum(m for _, m in char))
 
 
 def entries(deco: Decomposition):
@@ -427,7 +429,7 @@ def test_each_weight_is_straightened_at_most_once_per_call(monkeypatch, case):
 
     counting(roots, "dominant_key")
     counting(irreps, "_walk")
-    for cached in (weights, weight_system, tensor, exterior_power):
+    for cached in (dominant_multiplicities, weight_system, tensor, exterior_power):
         cached.cache_clear()
     run()
     assert counts == {"dominant_key": straightenings, "_walk": walks}
@@ -444,13 +446,14 @@ RULE_LADDER = [("B", 3, (3, 3, 3), None), ("D", 4, (2, 1, 1, 1), None),
 
 def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
     # roots.key_codec's rule: a codec asks for B = <H, theta^v>, H = lam + theta for
-    # Freudenthal, lam + rho + lam_b for a tensor product and p lam_T + rho for Lambda^p.
-    # Each call's bound is recorded and checked against its kernel's H, and the codec
-    # handed back is four times wider, so a label past B decodes as itself instead of
-    # wrapping.  Every key that dominant_key, _walk and the closure visit, and every
-    # point fed to the straightening kernel, must decode to labels within B
+    # Freudenthal, mu for the decoded orbit of a dominant mu, lam + rho + lam_b for a
+    # tensor product and p lam_T + rho for Lambda^p.  Each call's bound is recorded and
+    # checked against its kernel's H, and the codec handed back is four times wider, so a
+    # label past B decodes as itself instead of wrapping.  Every key that dominant_key,
+    # _walk, the closure and the orbit walk visit, and every point fed to the
+    # straightening kernel, must decode to labels within B
     bounds, asked, seen = {}, [], Counter()
-    real_codec, real_key = roots.key_codec, roots.dominant_key
+    real_codec, real_key, real_orbit = roots.key_codec, roots.dominant_key, roots.orbit_keys
     real_walk, real_closure = irreps._walk, irreps._dominant_closure
     real_points = decompose._straighten_points
 
@@ -481,6 +484,12 @@ def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
         walked(key, codec, "dominant_key")
         return real_key(key, codec)
 
+    def orbit_keys(key, codec):
+        out = real_orbit(key, codec)
+        for x in out:
+            within(x, codec, "orbit")
+        return out
+
     def walk(key, codec, known):
         walked(key, codec, "_walk")  # _walk stops on the way, at the first known key
         return real_walk(key, codec, known)
@@ -503,6 +512,7 @@ def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
 
     monkeypatch.setattr(roots, "key_codec", key_codec)
     monkeypatch.setattr(roots, "dominant_key", dominant_key)
+    monkeypatch.setattr(roots, "orbit_keys", orbit_keys)
     monkeypatch.setattr(irreps, "_walk", walk)
     monkeypatch.setattr(irreps, "_dominant_closure", closure)
     monkeypatch.setattr(decompose, "_straighten_points", points)
@@ -512,13 +522,14 @@ def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
 
     def freudenthal(irr):
         asked.clear()
-        weights(irr)
+        weights(irr)  # cold: Freudenthal's codec, then one codec per decoded orbit
         rs = irr.root_system
-        assert asked == [pairing(rs, irr.highest_weight) + pairing(rs, rs.positive_labels[-1])]
+        assert asked == [pairing(rs, irr.highest_weight) + pairing(rs, rs.positive_labels[-1])] + [
+            pairing(rs, mu) for mu in dominant_multiplicities(irr)]
 
     def check_tensor(a, b):
         for irr in (a, b):
-            weights(irr)
+            dominant_multiplicities(irr)
         if dimension(a) < dimension(b):
             a, b = b, a
         tensor.cache_clear()  # (b, a) may have been asked before
@@ -529,7 +540,7 @@ def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
         assert asked == [pairing(rs, a.highest_weight) + h + pairing(rs, b.highest_weight)]
 
     def check_exterior(t, p):
-        weights(t)
+        dominant_multiplicities(t)
         asked.clear()
         exterior_power(t, p)
         rs, top = t.root_system, pairing(t.root_system, t.highest_weight)
@@ -554,34 +565,74 @@ def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
             check_exterior(Irrep(rs, hw), other)
         else:
             check_tensor(Irrep(rs, hw), Irrep(rs, other))
-    assert min(seen[kind] for kind in ("dominant_key", "_walk", "closure", "points")) > 1000
+    assert min(seen[kind] for kind in ("dominant_key", "_walk", "closure", "orbit", "points")) > 1000
 
 
-# cold roots.orbit calls per computation: each irrep's orbits are walked once, by
-# irreps.weights, however many tensor products, degrees and formulas read them
+# cold key walks (roots.orbit_keys) per computation: each kernel call walks each orbit it
+# reads once, in its own codec, and irreps.weights walks them for the caches built on it
 ORBIT_WALKS = {
+    # so10's T, the vector, is one orbit: weitzenboeck._weight_table's weights(T), T (x) E
     "so10 Weitzenboeck on (0,1,0,0,0)": (lambda: conformal_weights(
-        make_context("so10"), Irrep(build_root_system("D", 5), (0, 1, 0, 0, 0))), 1),
-    "B4 (1,0,0,0) Lambda^4": (lambda: exterior_power(Irrep(B4, (1, 0, 0, 0)), 4), 2),
-    "spin7 theorems": (lambda: prove_theorems(make_context("spin7")), 1),
+        make_context("so10"), Irrep(build_root_system("D", 5), (0, 1, 0, 0, 0))), 2),
+    # B4's vector is two orbits, walked by each degree 1..4 in that degree's codec
+    "B4 (1,0,0,0) Lambda^4": (lambda: exterior_power(Irrep(B4, (1, 0, 0, 0)), 4), 8),
+    # spin7's T, the spinor, is one orbit: the form spaces of degrees 1..4, T (x) E for
+    # the four bundles whose formulas the prover reads, and _weight_table's weights(T)
+    "spin7 theorems": (lambda: prove_theorems(make_context("spin7")), 9),
 }
 
 
 @pytest.mark.parametrize("case", ORBIT_WALKS)
 def test_each_orbit_is_walked_once_per_cold_run(monkeypatch, case):
     run, walks = ORBIT_WALKS[case]
-    real, calls = roots.orbit, []
+    real, calls = roots.orbit_keys, []
 
-    def counted(rs, mu):
-        calls.append(mu)
-        return real(rs, mu)
+    def counted(key, codec):
+        calls.append(key)
+        return real(key, codec)
 
-    monkeypatch.setattr(roots, "orbit", counted)
-    for cached in (weights, full_weights, tensor, exterior_power, form_space,
+    for ctx_id in CONTEXT_IDS:  # a context's build certifies its registry by tensor products
+        make_context(ctx_id)
+    monkeypatch.setattr(roots, "orbit_keys", counted)
+    for cached in (dominant_multiplicities, full_weights, tensor, exterior_power, form_space,
                    weitzenboeck._weight_table):
         cached.cache_clear()
     run()
     assert len(calls) == walks
+
+
+def test_cold_kernels_never_read_label_weights(monkeypatch):
+    # tensor and exterior_power walk their orbits on keys in their own codecs: with the
+    # label-tuple walks made to raise, cold answers on a fresh root system are unchanged
+    def cases(rs):
+        return [tensor(Irrep(rs, (2, 2, 2)), Irrep(rs, (2, 1, 2))),
+                exterior_power(Irrep(rs, (1, 0, 0)), 3), exterior_power(Irrep(rs, (0, 0, 1)), 4)]
+
+    want = cases(B3)
+
+    def refused(*args):
+        raise AssertionError("a cold kernel read weights as label tuples")
+
+    monkeypatch.setattr(irreps, "weights", refused)
+    monkeypatch.setattr(roots, "orbit", refused)
+    rs = B3._replace()  # fresh: no cached answer or weight is read
+    got = cases(rs)
+    assert [[(irr.highest_weight, m) for irr, m in deco] for deco in got] == [
+        [(irr.highest_weight, m) for irr, m in deco] for deco in want]
+
+
+def test_a_weight_walk_that_misses_the_dimension_raises(monkeypatch):
+    # the mutant gives every dominant weight of the B3 adjoint multiplicity 1: its orbits
+    # then hold 12 + 6 + 1 weights, not 21, which tensor and exterior_power both check
+    real = decompose.dominant_multiplicities
+    monkeypatch.setattr(decompose, "dominant_multiplicities",
+                        lambda irr: dict.fromkeys(real(irr), 1))
+    rs = B3._replace()  # a fresh root system: no cached answer is read
+    adjoint = Irrep(rs, (0, 1, 0))
+    with pytest.raises(InternalError, match="walked add up to dimension 19, expected 21"):
+        tensor(Irrep(rs, (1, 1, 1)), adjoint)
+    with pytest.raises(InternalError, match="walked add up to dimension 19, expected 21"):
+        exterior_power(adjoint, 2)
 
 
 @pytest.mark.parametrize("degree", [2.0, Fraction(2), True], ids=repr)

@@ -71,8 +71,8 @@ def test_g2_adjoint_zero_weight_multiplicity():
 
 def test_weight_system_answers_cannot_be_changed_by_a_caller():
     irr = Irrep(G2, (1, 0))
-    # weight_system answers a read-only view of its cached dict, dominant_multiplicities
-    # a fresh dict per call: either way an edit to one answer never reaches the next
+    # weight_system and dominant_multiplicities answer read-only views of their cached
+    # dicts: an edit to one answer never reaches the next
     for answer in (weight_system, dominant_multiplicities):
         before = dict(answer(irr))
         for mutate in (
@@ -88,9 +88,9 @@ def test_weight_system_answers_cannot_be_changed_by_a_caller():
                 pass
             assert answer(irr) == before
         assert dict(answer(irr).items()) == before and len(answer(irr)) == 2
-    # tensor reads the dominant multiplicities of its right factor through weights, cleared
+    # tensor walks the orbits of its right factor's dominant multiplicities, cleared
     tensor.cache_clear()
-    weights.cache_clear()
+    dominant_multiplicities.cache_clear()
     assert tensor(Irrep(G2, (2, 0)), irr).total_dimension() == 189
 
 
@@ -321,6 +321,36 @@ def test_weights_walk_each_orbit_once_from_its_dominant_weight(rs, hw):
     assert sum(m for _, m in walk) == dimension(irr)
     # full_weights maps the walk to ambient coordinates, in its order
     assert full_weights(irr) == tuple(to_orthogonal(rs, nu) for nu, m in walk for _ in range(m))
+
+
+BFS_ALGEBRAS = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4),
+                ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", BFS_ALGEBRAS, ids=[f"{f}{r}" for f, r in BFS_ALGEBRAS])
+def test_weights_are_the_label_breadth_first_walk_in_its_order(family, rank):
+    # the key walk, decoded, against a breadth-first walk on label tuples: from each
+    # dominant weight, s_i mu = mu - mu_i (row i of the Cartan matrix) wherever mu_i > 0,
+    # i ascending, each new point appended once
+    rs = build_root_system(family, rank)
+
+    def label_orbit(mu):
+        seen, queue = {mu}, [mu]
+        for v in queue:
+            for i, c in enumerate(v):
+                if c > 0:
+                    r = tuple(x - c * a for x, a in zip(v, rs.cartan_matrix[i]))
+                    if r not in seen:
+                        seen.add(r)
+                        queue.append(r)
+        return queue
+
+    for hw in product(range(3), repeat=rank):
+        if sum(hw) <= (4 if rank == 2 else 2):
+            irr = Irrep(rs, hw)
+            brute = [(nu, m) for mu, m in dominant_multiplicities(irr).items()
+                     for nu in label_orbit(mu)]
+            assert list(weights(irr)) == brute, hw
 
 
 def test_weights_whose_multiplicities_miss_the_weyl_dimension_raise(monkeypatch):

@@ -34,9 +34,11 @@ def test_contexts_compare_and_hash_by_identity():
 
 
 def test_root_system_replace_takes_only_constructor_fields():
-    derived = ("root_poset", "root_pairings", "weyl_denominator", "neighbours", "highest_coroot")
-    # the ambient fields of a Fraction model are gone
-    removed = ("simple_roots", "fundamental_weights", "positive_roots", "base_form", "rho", "dim")
+    derived = ("root_poset", "root_pairings", "weyl_denominator", "highest_coroot")
+    # the ambient fields of a Fraction model are gone, and so are the Dynkin neighbours
+    # that the label-tuple orbit walk read
+    removed = ("simple_roots", "fundamental_weights", "positive_roots", "base_form", "rho", "dim",
+               "neighbours")
     for bad in [{name: ()} for name in derived + removed] + [{"no_such_field": 1}]:
         with pytest.raises(TypeError):
             B3._replace(**bad)
