@@ -34,8 +34,8 @@ class DegreeOutOfRange(HoloweitzError):
 
 
 class UnsupportedContext(HoloweitzError):
-    """Unknown holonomy context identifier, or a context copy whose registry row it
-    does not match."""
+    """Unknown holonomy context identifier, a catalogue id on a context that is not
+    that row's, or a cited q(R) bundle that the Schur certificate does not certify."""
 
 
 class UnsupportedFormClass(HoloweitzError):

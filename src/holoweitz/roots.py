@@ -326,7 +326,11 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     the closure of the simple roots under the simple reflections, each of
     which permutes the positive roots other than its own; they are ordered
     by (height, ambient lexicographic).  Construction verifies that the
-    positive roots sum to 2 rho.
+    positive roots sum to 2 rho, which no input can fail while the closure
+    loop is right: for a Cartan matrix of finite type the closure is Phi+,
+    whose Dynkin labels sum to 2 in each coordinate (Humphreys, GTM 9,
+    10.2: s_i permutes Phi+ minus a_i, so s_i(2 rho) = 2 rho - 2 a_i); for one
+    not of finite type the closure never ends.  The check guards the loop.
     """
     if family not in _SUPPORTED or type(rank) is not int:
         raise UnsupportedType(f"unsupported root system {family}{rank}")

@@ -20,7 +20,7 @@ weight lam + nu_i for a weight nu_i of T, and C(lam + nu) = C_E + (nu, nu)
 integers and built as one ``Fraction``.  The per-representation table
 :func:`_weight_table` holds T's weights nu (:func:`irreps.weights`) with
 gram . nu and (nu, nu), and C_T, once per holonomy representation, so a
-context copy with another holonomy representation gets its own table.
+context built with another holonomy representation gets its own table.
 Summands keep zero weights as explicit records; the table renderer
 suppresses them to match the usual printed form.
 

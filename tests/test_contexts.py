@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -10,8 +11,9 @@ import pytest
 from holoweitz import contexts
 from holoweitz.contexts import CONTEXT_IDS, HolonomyContext, form_space, make_context
 from holoweitz.errors import DegreeOutOfRange, InternalError, UnsupportedContext
-from holoweitz.irreps import Irrep, adjoint_irrep, dimension
+from holoweitz.irreps import Irrep, adjoint_irrep, casimir_lambda2, dimension
 from holoweitz.prover import INCONCLUSIVE, prove_component
+from holoweitz.weitzenboeck import conformal_weights
 
 
 TRIVIAL = "Cor. ricci (the Lie algebra acts by zero on the trivial bundle)"
@@ -103,6 +105,8 @@ def test_unknown_context_rejected():
     for bad in ("so4", "so11", "su3", "e8", "", 5):
         with pytest.raises(UnsupportedContext):
             make_context(bad)
+    with pytest.raises(UnsupportedContext, match="is not a string"):
+        HolonomyContext(5, make_context("g2").holonomy_rep, ricci_flat=False)
 
 
 def test_qr_trivial_examples():
@@ -135,37 +139,89 @@ def test_the_registry_is_read_only():
     assert (0, 1, 0) not in registry
 
 
-def test_a_context_copy_cannot_carry_an_uncertified_registry():
-    # the registry is read from the catalogue row, not carried as a field: a copy cannot
-    # swap in an uncertified one, and the prover's short-circuit never reads one
+def test_a_context_has_no_copy_path_and_fields_cannot_be_assigned():
     g2 = make_context("g2")
-    assert HolonomyContext._fields == ("id", "root_system", "holonomy_rep", "n", "dim_g",
-                                       "ricci_flat")
-    with pytest.raises(ValueError, match="qr_registry"):
-        g2._replace(qr_registry={(0, 1): "made up"})
-    with pytest.raises(AttributeError):
-        g2.qr_registry = {(0, 1): "made up"}
-    assert g2._replace(n=7).qr_registry is g2.qr_registry
+    assert HolonomyContext.__slots__ == ("id", "root_system", "holonomy_rep", "n", "dim_g",
+                                         "ricci_flat", "qr_registry")
+    assert not hasattr(g2, "_replace") and not hasattr(g2, "__dict__")
+    for name in HolonomyContext.__slots__ + ("no_such_field",):
+        with pytest.raises(AttributeError):
+            setattr(g2, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g2, name)
+    assert g2.n == 7 and (0, 1) not in g2.qr_registry
+    # the prover's short-circuit reads only what the constructor certified
     verdict = prove_component(g2, Irrep(g2.root_system, (0, 1)), 2, "twistor")
     assert verdict.verdict == INCONCLUSIVE and "qr-registry" not in [t.rule for t in verdict.trace]
 
 
-def test_a_context_copy_with_an_unknown_id_has_no_registry():
-    # the copy names no catalogue row: a domain error, not a KeyError from the registry map
-    copy = make_context("g2")._replace(id="g2-copy")
-    with pytest.raises(UnsupportedContext, match="'g2-copy' names no catalogue row"):
-        copy.qr_registry
+def test_n_and_dim_g_are_derived_from_t():
+    # no caller sets them: dim g = 15 on g2's T would move the conformal weights on (0,1)
+    # from (-4, -4/3, 1) to (-30/7, -10/7, 15/14) and the Casimir from -8 to -60/7
+    g2 = make_context("g2")
+    for field in ("n", "dim_g", "root_system"):
+        with pytest.raises(TypeError):
+            HolonomyContext("g2-pinned", g2.holonomy_rep, True, **{field: 15})
+    ctx = HolonomyContext("g2-built", g2.holonomy_rep, ricci_flat=True)
+    assert (ctx.root_system, ctx.n, ctx.dim_g) == (g2.root_system, 7, 14)
+    assert ctx.qr_registry == g2.qr_registry
+    e = Irrep(g2.root_system, (0, 1))
+    assert [s.b for s in conformal_weights(ctx, e).summands] == [-4, Fraction(-4, 3), 1]
+    assert casimir_lambda2(ctx, e) == -8
+    b3 = make_context("spin7").root_system
+    adjoint = HolonomyContext("spin7-adjoint", adjoint_irrep(b3), ricci_flat=False)
+    assert (adjoint.n, adjoint.dim_g) == (21, 21)
 
 
-def test_a_context_copy_with_another_rows_id_has_no_registry():
-    # a G2 context under spin7's id would list B3 weights, and so7 under spin7's id would
-    # claim q(R) = 0 on spin7's T: a copy reads its row's registry only with the row's T
-    with pytest.raises(UnsupportedContext, match=r"holonomy Irrep\(G2, \(1, 0\)\) has no q\(R\)"):
-        make_context("g2")._replace(id="spin7").qr_registry
-    with pytest.raises(UnsupportedContext, match=r"certified for Irrep\(B3, \(0, 0, 1\)\)"):
-        make_context("so7")._replace(id="spin7").qr_registry
-    so7 = make_context("so7")
-    assert so7._replace(ricci_flat=True).qr_registry is so7.qr_registry
+@pytest.mark.parametrize(
+    "ctx_id, weight, ricci_flat, cited",
+    [("g2", (0, 1), True, ()), ("g2", (1, 0), False, ()), ("spin7", (0, 0, 1), True, ()),
+     ("spin7", (1, 0, 0), True, (((1, 0, 0), "qr-spinor-bundle"),)), ("so7", (1, 0, 0), True, ())],
+    ids=["another-t", "another-column", "without-cited", "another-rows-t", "so7-ricci-flat"],
+)
+def test_a_catalogue_id_belongs_to_its_row(ctx_id, weight, ricci_flat, cited):
+    # claim sets and printed formulas are looked up by id: only the row may carry it
+    rs = make_context(ctx_id).root_system
+    with pytest.raises(UnsupportedContext, match=f"context id '{ctx_id}' names a catalogue row"):
+        HolonomyContext(ctx_id, Irrep(rs, weight), ricci_flat, cited)
+
+
+def test_a_catalogue_id_belongs_to_its_rows_root_system():
+    g2 = make_context("g2")
+    rs = g2.root_system
+    scaled = rs._replace(gram=tuple(tuple(2 * x for x in row) for row in rs.gram))
+    with pytest.raises(UnsupportedContext, match="names a catalogue row"):
+        HolonomyContext("g2", Irrep(scaled, (1, 0)), True)
+    # the row itself builds a distinct, equally certified context
+    s7 = make_context("spin7")
+    again = HolonomyContext("spin7", s7.holonomy_rep, True, [((1, 0, 0), "qr-spinor-bundle")])
+    assert again is not s7 and again.qr_registry == s7.qr_registry
+
+
+@pytest.mark.parametrize(
+    "ctx_id, ricci_flat, cited, message",
+    [("g2", True, (((0, 1), "qr-ricci-flat"),), r"certify q\(R\) = 0 on the cited bundle \(0, 1\)"),
+     ("so7", False, (((0, 0, 1), "qr-spinor-bundle"),), r"the cited bundle \(0, 0, 1\)"),
+     ("g2", True, (((2, 0), "no-such-key"),), r"no citation 'no-such-key'")],
+    ids=["g2-cites-the-adjoint", "not-ricci-flat-cites-a-spinor", "unknown-citation"],
+)
+def test_a_callers_cited_bundle_the_certificate_rejects_is_a_domain_error(ctx_id, ricci_flat, cited,
+                                                                         message):
+    t = make_context(ctx_id).holonomy_rep
+    with pytest.raises(UnsupportedContext, match=message) as caught:
+        HolonomyContext(f"{ctx_id}-cited", t, ricci_flat, cited)
+    assert not isinstance(caught.value, InternalError)
+
+
+@pytest.mark.parametrize("ctx_id", ["g2", "spin7"])
+def test_a_ricci_flat_context_cannot_take_the_adjoint_as_t(ctx_id):
+    # V(2 theta) lies in Sym^2(g), so the certificate rejects T's own entry
+    rs = make_context(ctx_id).root_system
+    with pytest.raises(UnsupportedContext, match=r"certify q\(R\) = 0 on the cited bundle"):
+        HolonomyContext(f"{ctx_id}-adjoint", adjoint_irrep(rs), ricci_flat=True)
+    assert HolonomyContext(f"{ctx_id}-adjoint", adjoint_irrep(rs), False).qr_registry == {
+        (0,) * rs.rank: TRIVIAL
+    }
 
 
 def test_form_space_examples_and_cache():

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import pytest
 
 from holoweitz import irreps
-from holoweitz.contexts import make_context
+from holoweitz.contexts import HolonomyContext, make_context
 from holoweitz.decompose import tensor
 from holoweitz.errors import InternalError, MixedRootSystems, TrivialHolonomyRep
 from holoweitz.irreps import (
@@ -415,7 +415,7 @@ def test_casimir_lambda2_invariant_under_form_scaling():
         scaled = replace(amb, base_form=tuple(tuple(c * x for x in row) for row in amb.base_form))
         c_t = casimir_lambda2(g2, g2.holonomy_rep) / ambient_casimir(scaled, (1, 0))
         rs = G2._replace(gram=tuple(tuple(c * x for x in row) for row in G2.gram))
-        ctx = g2._replace(root_system=rs, holonomy_rep=Irrep(rs, (1, 0)))
+        ctx = HolonomyContext(f"g2-gram-{c}", Irrep(rs, (1, 0)), ricci_flat=False)
         for hw in G2_TABLE:
             want = casimir_lambda2(g2, Irrep(G2, hw))
             assert casimir_lambda2(ctx, Irrep(rs, hw)) == want == c_t * ambient_casimir(scaled, hw)
@@ -428,7 +428,7 @@ def test_casimir_lambda2_rejects_an_irrep_of_another_root_system():
 
 
 def test_trivial_holonomy_rep_rejected():
-    ctx = make_context("g2")._replace(holonomy_rep=Irrep(G2, (0, 0)))
+    ctx = HolonomyContext("g2-trivial", Irrep(G2, (0, 0)), ricci_flat=False)
     with pytest.raises(TrivialHolonomyRep):
         casimir_lambda2(ctx, Irrep(G2, (1, 0)))
 

@@ -131,3 +131,12 @@ def test_every_public_name_resolves():
     assert len(set(holoweitz.__all__)) == len(holoweitz.__all__)
     missing = [name for name in holoweitz.__all__ if not hasattr(holoweitz, name)]
     assert not missing, missing
+
+
+def test_readme_library_example_runs():
+    # CI runs this block on the installed package; here it runs on the tree under test
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("```python", lines.index("## Library")) + 1
+    example = "\n".join(lines[start:lines.index("```", start)])
+    assert "HolonomyContext(" in example
+    exec(compile(example, "README.md", "exec"), {})

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoweitz.contexts import form_space, make_context
+from holoweitz.contexts import HolonomyContext, form_space, make_context
 from holoweitz.errors import (
     ContextNotSupported,
     DegreeOutOfRange,
@@ -165,14 +165,19 @@ def test_component_spin7_lambda4_35_twistor_mixed_signs():
 
 
 def test_component_zero_residual_forces_no_vanishing():
-    # Killing vector fields of the round sphere S^7: so7 read as if Ricci-flat, T2 has f + b = 0
-    so7 = make_context("so7")._replace(ricci_flat=True)
-    c = prove_component(so7, Irrep(so7.root_system, (1, 0, 0)), 1, FormClass.KILLING)
+    # so7 read as Ricci-flat: its Weyl tensors V(0,2,0) = V(2 theta) do not occur in T (x) T,
+    # so T's registry entry is certified and Killing 1-forms are parallel (Bochner); the
+    # Killing 2-forms of the round sphere S^7 keep a T2 with f + b = 0
+    so7 = HolonomyContext("so7-ricci-flat", make_context("so7").holonomy_rep, ricci_flat=True)
+    assert [t.rule for t in prove_component(so7, so7.holonomy_rep, 1, FormClass.KILLING).trace] == [
+        "qr-registry"
+    ]
+    c = prove_component(so7, Irrep(so7.root_system, (0, 1, 0)), 2, FormClass.KILLING)
     assert c.verdict == INCONCLUSIVE
     assert [s.residual for s in c.survivors] == [0]
     assert (c.trace[-1].rule, c.trace[-1].detail) == (
         "mixed-signs",
-        "0 = (1 + (-1)) ||T2 u||^2; a zero residual forces no vanishing",
+        "0 = (2 + (-2)) ||T2 u||^2; a zero residual forces no vanishing",
     )
 
 
@@ -337,8 +342,9 @@ def test_theorem_rejects_so_contexts():
     with pytest.raises(ContextNotSupported, match="^prover rules need a Ricci-flat"):
         prove_theorems(make_context("so7"))
     # Ricci-flat but without a claim set: no report whose claim set cannot be read
-    with pytest.raises(ContextNotSupported, match="claimed for g2 and spin7 only, not so7$"):
-        prove_theorems(make_context("so7")._replace(ricci_flat=True))
+    so7 = HolonomyContext("so7-ricci-flat", make_context("so7").holonomy_rep, ricci_flat=True)
+    with pytest.raises(ContextNotSupported, match="for g2 and spin7 only, not so7-ricci-flat$"):
+        prove_theorems(so7)
 
 
 def test_twistor_gap_soundness_audit():

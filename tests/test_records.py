@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoweitz.contexts import form_space, make_context
+from holoweitz.contexts import HolonomyContext, form_space, make_context
 from holoweitz.decompose import Decomposition, exterior_power
 from holoweitz.irreps import Irrep
 from holoweitz.roots import build_root_system
@@ -25,12 +25,13 @@ def test_root_systems_compare_and_hash_by_identity():
 
 def test_contexts_compare_and_hash_by_identity():
     ctx = make_context("spin7")
-    copy = ctx._replace()
-    assert copy is not ctx and copy != ctx and not copy == ctx and ctx == ctx
-    assert make_context("Spin(7)") is ctx and tuple(copy) == tuple(ctx)
-    assert hash(ctx) == object.__hash__(ctx) and len({ctx, copy, ctx}) == 2
-    # a copy is its own cache key: changing a field changes what it answers
-    assert form_space(ctx._replace(holonomy_rep=Irrep(B3, (1, 0, 0))), 2) != form_space(ctx, 2)
+    twin = HolonomyContext("spin7", ctx.holonomy_rep, True, [((1, 0, 0), "qr-spinor-bundle")])
+    assert twin is not ctx and twin != ctx and not twin == ctx and ctx == ctx
+    assert make_context("Spin(7)") is ctx and twin.qr_registry == ctx.qr_registry
+    assert hash(ctx) == object.__hash__(ctx) and len({ctx, twin, ctx}) == 2
+    # a built context is its own cache key: another T answers for itself
+    vector = HolonomyContext("so7-vector", Irrep(B3, (1, 0, 0)), ricci_flat=False)
+    assert form_space(vector, 2) != form_space(ctx, 2)
 
 
 def test_root_system_replace_takes_only_constructor_fields():

@@ -11,7 +11,7 @@ from math import lcm
 import pytest
 
 from holoweitz import citations, roots, weitzenboeck
-from holoweitz.contexts import CONTEXT_IDS, form_space, make_context
+from holoweitz.contexts import CONTEXT_IDS, HolonomyContext, form_space, make_context
 from holoweitz.decompose import Decomposition, tensor
 from holoweitz.errors import (
     InternalError,
@@ -174,7 +174,8 @@ def test_conformal_weights_against_the_ambient_casimir_oracle():
         bundles = {Irrep(rs, hw) for hw in product(range(4), repeat=rs.rank) if sum(hw) <= 3}
         for p in range(base.n + 1):
             bundles.update(form_space(base, p).irreps())
-        adjoint = base._replace(id=f"{ctx_id}-adjoint", holonomy_rep=adjoint_irrep(rs))
+        # not Ricci-flat: V(2 theta) lies in Sym^2(g), so no certificate passes the adjoint as T
+        adjoint = HolonomyContext(f"{ctx_id}-adjoint", adjoint_irrep(rs), ricci_flat=False)
         for ctx in (base, adjoint):
             c = lambda2_casimir(ctx)
             for e in sorted(bundles, key=lambda i: i.highest_weight):
@@ -247,13 +248,14 @@ def test_second_and_third_moment_identities_fix_the_scale():
 
 
 def test_moment_identities_with_multiplicities():
-    # the adjoint in place of T repeats summands; with n = dim g the oracle's
-    # b_i = (c_T + c_E - c_{E_i}) / 2, counted with multiplicity, keeps both moments
+    # the adjoint in place of T repeats summands; with n = dim g, derived from it, the
+    # oracle's b_i = (c_T + c_E - c_{E_i}) / 2, counted with multiplicity, keeps both moments
     repeated = 0
     for ctx_id in ("g2", "spin7", "so5"):
         base = make_context(ctx_id)
         rs = base.root_system
-        ctx = base._replace(holonomy_rep=adjoint_irrep(rs), n=base.dim_g)
+        ctx = HolonomyContext(f"{ctx_id}-adjoint", adjoint_irrep(rs), ricci_flat=False)
+        assert ctx.n == base.dim_g
         c = lambda2_casimir(ctx)
         c_t = c(ctx.holonomy_rep.highest_weight)
         for hw in product(range(3), repeat=rs.rank):
@@ -371,13 +373,16 @@ def test_so_n_cross_check():
             assert set(got) == {Fraction(-(n - p)), Fraction(-p), Fraction(1)}
 
 
-def test_conformal_weights_error_order():
+def test_conformal_weights_error_order(monkeypatch):
     # mixed root systems, a repeated summand, a recorded order that disagrees, then a zero
-    # holonomy Casimir
-    trivial = G2._replace(holonomy_rep=Irrep(G2.root_system, (0, 0)))
+    # holonomy Casimir; each built context records printed orderings under its own id
+    trivial = HolonomyContext("g2-trivial", Irrep(G2.root_system, (0, 0)), ricci_flat=False)
+    adjoint = HolonomyContext("spin7-adjoint", adjoint_irrep(S7.root_system), ricci_flat=False)
+    monkeypatch.setitem(PRINTED_FORMULAS, trivial.id, {(0, 1): PRINTED_FORMULAS["g2"][(0, 1)]})
+    monkeypatch.setitem(PRINTED_FORMULAS, adjoint.id,
+                        {(1, 0, 1): PRINTED_FORMULAS["spin7"][(1, 0, 1)]})
     with pytest.raises(MixedRootSystems):
         conformal_weights(trivial, Irrep(S7.root_system, (0, 1, 0)))
-    adjoint = S7._replace(holonomy_rep=adjoint_irrep(S7.root_system))
     with pytest.raises(MultiplicityViolation):  # (1,0,1) is recorded, in another order
         conformal_weights(adjoint, Irrep(S7.root_system, (1, 0, 1)))
     with pytest.raises(RuntimeError, match="recorded ordering"):
