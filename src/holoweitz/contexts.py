@@ -4,14 +4,16 @@ registry of bundles on which the curvature endomorphism q(R) vanishes.
 :class:`HolonomyContext` is the one constructor, for any root system and
 any T.  Its registry is a read-only map from highest weight to citation:
 the trivial bundle, then T on a Ricci-flat context (q(R) acts on T as
-Ricci curvature), then the cited bundles.  Every entry after the trivial
-bundle is certified by Schur's lemma.  On a Ricci-flat holonomy algebra g
-the curvature tensors form one irrep, K(g) = V(2 theta) with theta the
-highest root (Alekseevsky, Funct. Anal. Appl. 2, 1968): dim 77 for G2,
-168 for Spin7.  R -> q(R) is an equivariant map K(g) -> End(E)
-(Semmelmann-Weingart, "The Weitzenboeck machine", Compositio Math. 146,
-2010), and End(E) = E (x) E because every irrep of G2 and B3 is
-self-dual; so q(R) = 0 on E when V(2 theta) does not occur in E (x) E.
+Ricci curvature), then the bundles its catalogue row cites; a context
+built outside the catalogue cites none.  Every entry after the trivial
+bundle must also pass Schur's lemma.  On the Ricci-flat holonomy algebras
+of Berger's list the curvature tensors form one irrep, K(g) = V(2 theta)
+with theta the highest root (Alekseevsky, Funct. Anal. Appl. 2, 1968):
+dim 77 for G2, 168 for Spin7.  R -> q(R) is an equivariant map
+K(g) -> End(E) (Semmelmann-Weingart, "The Weitzenboeck machine",
+Compositio Math. 146, 2010), and End(E) = E (x) E because every irrep of
+G2 and B3, the only groups whose rows cite bundles, is self-dual; so
+q(R) = 0 on E when V(2 theta) does not occur in E (x) E.
 The catalogue is one table, ``_CONTEXTS``; adding a context is adding a
 row, which :func:`make_context` builds and checks against the Weyl
 dimensions.  A row the constructor rejects is broken: InternalError.
@@ -47,37 +49,33 @@ CONTEXT_IDS = tuple(_CONTEXTS)
 class HolonomyContext:
     """A holonomy group with its holonomy representation T and certified q(R) registry.
 
-    ``HolonomyContext(id, holonomy_rep, ricci_flat, cited=())`` derives
-    ``root_system``, ``n`` = dim T and ``dim_g`` from T, and certifies
-    ``qr_registry``; ``cited`` holds (weight, citation key) pairs.  A cited
-    bundle the certificate rejects, or on a context that is not Ricci-flat, is
-    ``UnsupportedContext``, and so is a catalogue id with anything but its
-    row's T, Ricci-flat column and cited bundles: claim sets and printed
-    formulas are looked up by id.  Fields cannot be assigned or deleted, and a
-    context compares and hashes by identity, like a ``RootSystem``, so a cache
-    keyed on a context hashes no fields.
+    ``HolonomyContext(id, holonomy_rep, ricci_flat)`` derives ``root_system``,
+    ``n`` = dim T and ``dim_g`` from T, and certifies ``qr_registry``.  Only a
+    catalogue row cites bundles; a catalogue id with anything but its row's T
+    and Ricci-flat column is ``UnsupportedContext``, since claim sets and
+    printed formulas are looked up by id.  Fields cannot be assigned or
+    deleted, and a context compares and hashes by identity, like a
+    ``RootSystem``, so a cache keyed on a context hashes no fields.
     """
 
     __slots__ = ("id", "root_system", "holonomy_rep", "n", "dim_g", "ricci_flat", "qr_registry")
 
-    def __init__(self, id: str, holonomy_rep: Irrep, ricci_flat: bool, cited=()):
+    def __init__(self, id: str, holonomy_rep: Irrep, ricci_flat: bool):
         if not isinstance(id, str):
             raise UnsupportedContext(f"holonomy context id {id!r} is not a string")
         rs = holonomy_rep.root_system
-        cited = tuple((Irrep(rs, w).highest_weight, key) for w, key in cited)
+        cited = ()
         if id in _CONTEXTS:
-            family, rank, weight, _, _, *row = _CONTEXTS[id]
-            t = Irrep(build_root_system(family, rank), weight)
-            if (holonomy_rep, ricci_flat, cited) != (t, *row):
+            family, rank, weight, _, _, row_ricci_flat, cited = _CONTEXTS[id]
+            if (holonomy_rep, ricci_flat) != (Irrep(build_root_system(family, rank), weight),
+                                              row_ricci_flat):
                 raise UnsupportedContext(f"context id {id!r} names a catalogue row: only that "
-                                         "row's T, Ricci-flat column and cited bundles take it")
+                                         "row's T and Ricci-flat column take it")
         adjoint = adjoint_irrep(rs)
         registry = {(0,) * rs.rank: citations.CITATIONS["qr-trivial-bundle"]}
         curvature = Irrep(rs, tuple(2 * c for c in adjoint.highest_weight))  # K(g), when Ricci-flat
         t_entry = ((holonomy_rep.highest_weight, "qr-ricci-flat"),) if ricci_flat else ()
         for w, key in t_entry + cited:
-            if key not in citations.CITATIONS:
-                raise UnsupportedContext(f"context {id}: no citation {key!r} for the bundle {w}")
             if not ricci_flat or curvature in tensor(Irrep(rs, w), Irrep(rs, w)).irreps():
                 raise UnsupportedContext(
                     f"context {id}: Schur's lemma does not certify q(R) = 0 on the cited "
@@ -111,10 +109,10 @@ def normalize_context_id(raw: str) -> str:
 
 @lru_cache(maxsize=None)
 def _make_context_cached(ctx_id: str) -> HolonomyContext:
-    family, rank, weight, expect_n, expect_dim_g, ricci_flat, cited = _CONTEXTS[ctx_id]
+    family, rank, weight, expect_n, expect_dim_g, ricci_flat, _ = _CONTEXTS[ctx_id]
     t = Irrep(build_root_system(family, rank), weight)
     try:
-        ctx = HolonomyContext(ctx_id, t, ricci_flat, cited)
+        ctx = HolonomyContext(ctx_id, t, ricci_flat)
     except UnsupportedContext as exc:  # a built-in row is certified by construction
         raise InternalError(str(exc)) from exc
     if (ctx.n, ctx.dim_g) != (expect_n, expect_dim_g):

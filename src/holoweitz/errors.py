@@ -35,7 +35,7 @@ class DegreeOutOfRange(HoloweitzError):
 
 class UnsupportedContext(HoloweitzError):
     """Unknown holonomy context identifier, a catalogue id on a context that is not
-    that row's, or a cited q(R) bundle that the Schur certificate does not certify."""
+    that row's, or a Ricci-flat T that the Schur certificate does not certify."""
 
 
 class UnsupportedFormClass(HoloweitzError):

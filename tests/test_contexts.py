@@ -13,6 +13,7 @@ from holoweitz.contexts import CONTEXT_IDS, HolonomyContext, form_space, make_co
 from holoweitz.errors import DegreeOutOfRange, InternalError, UnsupportedContext
 from holoweitz.irreps import Irrep, adjoint_irrep, casimir_lambda2, dimension
 from holoweitz.prover import INCONCLUSIVE, prove_component
+from holoweitz.roots import build_root_system
 from holoweitz.weitzenboeck import conformal_weights
 
 
@@ -159,7 +160,7 @@ def test_n_and_dim_g_are_derived_from_t():
     # no caller sets them: dim g = 15 on g2's T would move the conformal weights on (0,1)
     # from (-4, -4/3, 1) to (-30/7, -10/7, 15/14) and the Casimir from -8 to -60/7
     g2 = make_context("g2")
-    for field in ("n", "dim_g", "root_system"):
+    for field in ("n", "dim_g", "root_system", "qr_registry", "cited"):
         with pytest.raises(TypeError):
             HolonomyContext("g2-pinned", g2.holonomy_rep, True, **{field: 15})
     ctx = HolonomyContext("g2-built", g2.holonomy_rep, ricci_flat=True)
@@ -174,16 +175,16 @@ def test_n_and_dim_g_are_derived_from_t():
 
 
 @pytest.mark.parametrize(
-    "ctx_id, weight, ricci_flat, cited",
-    [("g2", (0, 1), True, ()), ("g2", (1, 0), False, ()), ("spin7", (0, 0, 1), True, ()),
-     ("spin7", (1, 0, 0), True, (((1, 0, 0), "qr-spinor-bundle"),)), ("so7", (1, 0, 0), True, ())],
-    ids=["another-t", "another-column", "without-cited", "another-rows-t", "so7-ricci-flat"],
+    "ctx_id, weight, ricci_flat",
+    [("g2", (0, 1), True), ("g2", (1, 0), False), ("spin7", (1, 0, 0), True),
+     ("so7", (1, 0, 0), True)],
+    ids=["another-t", "another-column", "another-rows-t", "so7-ricci-flat"],
 )
-def test_a_catalogue_id_belongs_to_its_row(ctx_id, weight, ricci_flat, cited):
+def test_a_catalogue_id_belongs_to_its_row(ctx_id, weight, ricci_flat):
     # claim sets and printed formulas are looked up by id: only the row may carry it
     rs = make_context(ctx_id).root_system
     with pytest.raises(UnsupportedContext, match=f"context id '{ctx_id}' names a catalogue row"):
-        HolonomyContext(ctx_id, Irrep(rs, weight), ricci_flat, cited)
+        HolonomyContext(ctx_id, Irrep(rs, weight), ricci_flat)
 
 
 def test_a_catalogue_id_belongs_to_its_rows_root_system():
@@ -194,31 +195,32 @@ def test_a_catalogue_id_belongs_to_its_rows_root_system():
         HolonomyContext("g2", Irrep(scaled, (1, 0)), True)
     # the row itself builds a distinct, equally certified context
     s7 = make_context("spin7")
-    again = HolonomyContext("spin7", s7.holonomy_rep, True, [((1, 0, 0), "qr-spinor-bundle")])
+    again = HolonomyContext("spin7", s7.holonomy_rep, True)
     assert again is not s7 and again.qr_registry == s7.qr_registry
 
 
-@pytest.mark.parametrize(
-    "ctx_id, ricci_flat, cited, message",
-    [("g2", True, (((0, 1), "qr-ricci-flat"),), r"certify q\(R\) = 0 on the cited bundle \(0, 1\)"),
-     ("so7", False, (((0, 0, 1), "qr-spinor-bundle"),), r"the cited bundle \(0, 0, 1\)"),
-     ("g2", True, (((2, 0), "no-such-key"),), r"no citation 'no-such-key'")],
-    ids=["g2-cites-the-adjoint", "not-ricci-flat-cites-a-spinor", "unknown-citation"],
-)
-def test_a_callers_cited_bundle_the_certificate_rejects_is_a_domain_error(ctx_id, ricci_flat, cited,
-                                                                         message):
-    t = make_context(ctx_id).holonomy_rep
-    with pytest.raises(UnsupportedContext, match=message) as caught:
-        HolonomyContext(f"{ctx_id}-cited", t, ricci_flat, cited)
-    assert not isinstance(caught.value, InternalError)
+def test_only_a_catalogue_row_cites_bundles():
+    # outside the catalogue the registry is the trivial bundle and, when Ricci-flat, T:
+    # the Schur certificate reads E (x) E as End(E), which is wrong for a bundle that
+    # is not self-dual, such as A2's (2,0)
+    a2 = build_root_system("A", 2)
+    assert HolonomyContext("a2-vector", Irrep(a2, (1, 0)), True).qr_registry == {
+        (0, 0): TRIVIAL, (1, 0): RICCI_FLAT
+    }
+    s7 = make_context("spin7")
+    assert list(HolonomyContext("spin7-built", s7.holonomy_rep, True).qr_registry.items()) == [
+        ((0, 0, 0), TRIVIAL), ((0, 0, 1), RICCI_FLAT)
+    ]
 
 
 @pytest.mark.parametrize("ctx_id", ["g2", "spin7"])
 def test_a_ricci_flat_context_cannot_take_the_adjoint_as_t(ctx_id):
     # V(2 theta) lies in Sym^2(g), so the certificate rejects T's own entry
     rs = make_context(ctx_id).root_system
-    with pytest.raises(UnsupportedContext, match=r"certify q\(R\) = 0 on the cited bundle"):
+    message = r"certify q\(R\) = 0 on the cited bundle"
+    with pytest.raises(UnsupportedContext, match=message) as caught:
         HolonomyContext(f"{ctx_id}-adjoint", adjoint_irrep(rs), ricci_flat=True)
+    assert not isinstance(caught.value, InternalError)  # a caller's context: a domain error
     assert HolonomyContext(f"{ctx_id}-adjoint", adjoint_irrep(rs), False).qr_registry == {
         (0,) * rs.rank: TRIVIAL
     }

@@ -25,7 +25,7 @@ def test_root_systems_compare_and_hash_by_identity():
 
 def test_contexts_compare_and_hash_by_identity():
     ctx = make_context("spin7")
-    twin = HolonomyContext("spin7", ctx.holonomy_rep, True, [((1, 0, 0), "qr-spinor-bundle")])
+    twin = HolonomyContext("spin7", ctx.holonomy_rep, True)
     assert twin is not ctx and twin != ctx and not twin == ctx and ctx == ctx
     assert make_context("Spin(7)") is ctx and twin.qr_registry == ctx.qr_registry
     assert hash(ctx) == object.__hash__(ctx) and len({ctx, twin, ctx}) == 2
