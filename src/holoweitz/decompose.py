@@ -71,9 +71,6 @@ class Decomposition(tuple):
 
     __slots__ = ()
 
-    def total_dimension(self) -> int:
-        return sum(m * dimension(irr) for irr, m in self)
-
     def irreps(self) -> tuple[Irrep, ...]:
         return tuple(irr for irr, _ in self)
 
@@ -204,7 +201,8 @@ def exterior_power(t: Irrep, p: int) -> Decomposition:
     Points merge on their keys (:mod:`roots`), key(lam + rho + k nu) =
     key(lam + rho) + k sum_i nu_i S^i: one addition and one dict update
     each.  T's weights nu are walked as keys once per degree, in that
-    degree's codec (:func:`_orbit_points`), as sum_i nu_i S^i = key(nu) - key(0).  The highest weight lam of a summand of Lambda^(p-k) is a weight
+    degree's codec (:func:`_orbit_points`), as sum_i nu_i S^i = key(nu) -
+    key(0).  The highest weight lam of a summand of Lambda^(p-k) is a weight
     of T^(x)(p-k), and k nu one of T^(x)k, so lam + rho + k nu is a weight
     of V(rho) (x) T^(x)p: the keys follow :func:`roots.key_codec`'s rule
     for H = p lam_T + rho, lam_T the highest weight of T.

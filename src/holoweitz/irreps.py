@@ -86,7 +86,9 @@ def dimension(irrep: Irrep) -> int:
 
     The numerator's pairings are summed along the root poset
     (:func:`roots.poset_pairings`), one addition per positive root that
-    is not simple; the denominator is the root system's ``weyl_denominator``."""
+    is not simple; the denominator is the root system's ``weyl_denominator``.
+    No root system built can fail the integrality check: the quotient is
+    dim V(lam) (Weyl; Humphreys, GTM 9, 24.3)."""
     rs = irrep.root_system
     num = prod(roots.poset_pairings(rs.root_poset, [c + 1 for c in irrep.highest_weight]))
     value, rest = divmod(num, den := rs.weyl_denominator)

@@ -34,8 +34,7 @@ one, a - a_j, so a pairing (x, a) costs one addition on top of
 (x, a - a_j) (:func:`poset_pairings`).  The root poset, the pairings
 (w_i, a) of each positive root a, the Weyl denominator (the product of
 the (rho, a)) and the highest coroot are fields derived by the
-constructor, the pairings and the denominator along the poset: a
-``RootSystem._replace`` copy derives them afresh.
+constructor, the pairings and the denominator along the poset.
 
 Ambient coordinates appear only at the API edge, and the root system
 keeps only integers for them: standard e-coordinates for A/B/C/D and
@@ -45,18 +44,12 @@ integer vectors ``den * w_i``) per coordinate, over ``den``;
 ``to_fundamental`` maps an ambient vector to labels, one dot product
 with the integer covector of each simple coroot per label.
 
-Construction runs in integers.  The simple roots are integer ambient
-vectors and the form on the ambient space is an integer matrix.  Both stay
-local to :func:`build_root_system`: one fraction-free (Bareiss)
-elimination of the integer Cartan matrix C gives det C and the adjugate,
-from which ``den``, ``fundamental_columns`` and ``gram`` are read off by
-integer division.
-
-All values are immutable after construction and every function is pure.
-A ``RootSystem`` compares and hashes by identity: ``build_root_system``
-is its only constructor and caches its result, so there is one instance
-per type and rank, and an ``Irrep``-keyed cache lookup hashes no roots.
-A copy made with ``_replace`` is a different root system.
+Construction runs in integers (:class:`RootSystem`).  All values are
+immutable after construction and every function is pure.  A
+``RootSystem`` compares and hashes by identity: ``RootSystem(family,
+rank)`` builds a fresh instance and ``build_root_system`` is the cached
+constructor, so there is one cached instance per type and rank, and an
+``Irrep``-keyed cache lookup hashes no roots.
 """
 
 from __future__ import annotations
@@ -75,13 +68,14 @@ Labels = tuple[int, ...]
 _SUPPORTED = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 MAX_RANK = 40
 
-# the constructor's fields, in order; four more are derived from them
-_GIVEN = ("family", "rank", "cartan_matrix", "positive_labels", "gram", "den",
-          "fundamental_columns", "simple_coroots")
-
 
 class RootSystem:
-    """One simple type: Cartan matrix, positive roots, invariant form and derived data.
+    """The root system of one simple type: ``RootSystem(family, rank)``.
+
+    ``family`` is A, B, C, D or G and ``rank`` an ``int`` up to MAX_RANK (2 for
+    G); any other pair is ``UnsupportedType``.  Each call builds a fresh
+    instance, and :func:`build_root_system` is the cached constructor.
+    Fields cannot be assigned or deleted.
 
     ``cartan_matrix[i][j] = 2(a_i, a_j)/(a_j, a_j)``, so row i holds the
     Dynkin labels of the simple root a_i.  ``positive_labels`` are the
@@ -91,46 +85,125 @@ class RootSystem:
     the fundamental weights, ``fundamental_columns[k][i]`` = den * (w_i)_k
     is the k-th ambient coordinate of den * w_i, and ``simple_coroots[i]``
     is the integer covector 2 (a_i, .)/(a_i, a_i) of the i-th simple coroot.
+    ``root_poset`` is ``(simple, edges)``: the first ``rank`` positive
+    roots are the simple ones, and ``simple[k]`` = (j, (a_j, a_j)/2 in gram
+    units) when positive_labels[k] is a_j; ``edges[k - rank]`` = (parent,
+    s) for each later root a = positive_labels[k], where positive_labels[s]
+    is the a_j of a's first positive label j and positive_labels[parent] =
+    a - a_j, both before k.  ``root_pairings[k][i]`` = (w_i,
+    positive_labels[k]) in gram units, the parent's row plus (a_j, a_j)/2
+    at j; ``weyl_denominator`` is the product of (rho, a) over the positive
+    roots a, in gram units, summed along the poset.  ``highest_coroot[i]``
+    is the coefficient of a_i^v in the highest coroot, the largest
+    coefficient 2 (w_i, a) / (a, a) of a_i^v in any positive coroot a^v; so
+    sum_i lam_i highest_coroot[i] is the largest <lam, a^v> over the
+    positive roots a for a dominant lam.
 
-    Derived by the constructor: ``root_poset`` is ``(simple,
-    edges)``: the first ``rank`` positive roots are the simple ones, and
-    ``simple[k]`` = (j, (a_j, a_j)/2 in gram units) when positive_labels[k]
-    is a_j; ``edges[k - rank]`` = (parent, s) for each later root a =
-    positive_labels[k], where positive_labels[s] is the a_j of a's first
-    positive label j and positive_labels[parent] = a - a_j, both before k.
-    ``root_pairings[k][i]`` = (w_i, positive_labels[k]) in gram units, the
-    parent's row plus (a_j, a_j)/2 at j; ``weyl_denominator`` is the
-    product of (rho, a) over the positive roots a, in gram units, summed
-    along the poset.  ``highest_coroot[i]`` is the coefficient of a_i^v in
-    the highest coroot, the largest coefficient 2 (w_i, a) / (a, a) of a_i^v
-    in any positive coroot a^v; so sum_i lam_i highest_coroot[i] is the
-    largest <lam, a^v> over the positive roots a for a dominant lam.  Fields
-    cannot be assigned, and ``_replace`` takes only the constructor's fields.
+    Construction runs in integers.  The simple roots are integer ambient
+    vectors and the ambient form is an integer matrix, fixed up to a
+    positive factor; both stay local to the constructor.  Applied to each
+    simple root a_i, over the root's one or two nonzero entries, the form
+    gives the covector (a_i, .); its pairings with the simple roots give
+    b = ((a_i, a_j)), the Cartan matrix 2 b_ij / b_jj and the coroot
+    covector 2 (a_i, .) / b_ii.  The positive roots are the closure of the
+    simple roots under the simple reflections taken upwards, s_i at a
+    negative label: a positive root a that is not simple has a label
+    c = <a, a_i^v> > 0, s_i a = a - c a_i is a lower positive root, and a
+    is one upward reflection above it (Humphreys, GTM 9, 10.2).  The
+    constructor verifies that the positive roots sum to 2 rho, which no
+    input can fail while the closure loop is right: for a Cartan matrix of
+    finite type the closure is Phi+, whose Dynkin labels sum to 2 in each
+    coordinate (10.2: s_i permutes Phi+ minus a_i, so s_i(2 rho) = 2 rho -
+    2 a_i); for one not of finite type the closure never ends.  The check
+    guards the loop.  One fraction-free Gauss-Jordan pass (Bareiss) turns C
+    into det C and the adjugate det C . C^-1.  The vectors det C . w_i are
+    integer combinations of the simple roots; ``den`` and
+    ``fundamental_columns`` are det C and them over their common divisor,
+    and ``gram`` is adj C . D, D the diagonal of b, over the gcd of its
+    entries.  The last four fields are derived from these along the root
+    poset.
     """
 
-    __slots__ = _GIVEN + ("root_poset", "root_pairings", "weyl_denominator", "highest_coroot")
+    __slots__ = ("family", "rank", "cartan_matrix", "positive_labels", "gram", "den",
+                 "fundamental_columns", "simple_coroots",
+                 "root_poset", "root_pairings", "weyl_denominator", "highest_coroot")
 
-    def __init__(
-        self,
-        family: str,
-        rank: int,
-        cartan_matrix: tuple[Labels, ...],
-        positive_labels: tuple[Labels, ...],
-        gram: tuple[Labels, ...],
-        den: int,
-        fundamental_columns: tuple[Labels, ...],
-        simple_coroots: tuple[Labels, ...],
-    ):
-        poset = _root_poset(cartan_matrix, positive_labels, gram)
+    def __init__(self, family: str, rank: int):
+        if family not in _SUPPORTED or type(rank) is not int:
+            raise UnsupportedType(f"unsupported root system {family}{rank}")
+        top = 2 if family == "G" else MAX_RANK
+        if not _SUPPORTED[family] <= rank <= top:
+            need = ("rank = 2" if family == "G"
+                    else f"{_SUPPORTED[family]} <= rank <= MAX_RANK = {top}")
+            raise UnsupportedType(
+                f"unsupported root system {family}{rank}: type {family} needs {need}")
+
+        simple, base = _simple_root_data(family, rank)
+        support = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
+
+        def combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
+            out = [0] * len(simple[0])
+            for c, v in zip(coeffs, vectors):
+                if c:
+                    for k, x in v:
+                        out[k] += c * x
+            return out
+
+        rows = [[(m, g) for m, g in enumerate(row) if g] for row in base]
+        covectors = [combine(a, rows) for a in simple]  # (a_i, .), the form being symmetric
+        b = [[sum(x * cov[k] for k, x in sv) for sv in support] for cov in covectors]
+        cartan = tuple(tuple(2 * x // b[j][j] for j, x in enumerate(row)) for row in b)
+        coroots = tuple(tuple(2 * y // b[i][i] for y in cov) for i, cov in enumerate(covectors))
+
+        # positive roots as Dynkin labels -> simple-root coefficients
+        found = {cartan[i]: tuple(int(i == j) for j in range(rank)) for i in range(rank)}
+        queue = list(found)
+        for labels in queue:  # breadth first; the loop also visits what it appends
+            for i, c in enumerate(labels):
+                if c < 0:
+                    r = tuple(m - c * a for m, a in zip(labels, cartan[i]))
+                    if r not in found:
+                        found[r] = tuple(k - c * (j == i) for j, k in enumerate(found[labels]))
+                        queue.append(r)
+
+        ambient = {r: tuple(combine(coeffs, support)) for r, coeffs in found.items()}
+        positive = tuple(sorted(found, key=lambda r: (sum(found[r]), ambient[r])))
+        if any(sum(col) != 2 for col in zip(*positive)):
+            raise InternalError(f"{family}{rank}: half-sum of positive roots disagrees with the "
+                                "sum of fundamental weights; root conventions are broken")
+
+        # fraction-free Gauss-Jordan (Bareiss) on [C | I]: by Sylvester's identity each division
+        # by the previous pivot is exact, and the pass ends at [det I | adj C].  No pivot search:
+        # the pivots are the leading principal minors of a finite-type Cartan matrix, all positive.
+        aug = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(cartan)]
+        det = 1
+        for k in range(rank):
+            pivot_row = aug[k]
+            pivot = pivot_row[k]
+            aug = [row if i == k else [(pivot * x - row[k] * y) // det
+                                       for x, y in zip(row, pivot_row)]
+                   for i, row in enumerate(aug)]
+            det = pivot
+        adj = [row[rank:] for row in aug]
+
+        # w_i = sum_j (C^-1)_ij a_j: det w_i = sum_j adj_ij a_j and
+        # (w_i, w_j) = adj_ij b_jj / (2 det)
+        fundamental = [combine(row, support) for row in adj]
+        cut = gcd(det, *(x for w in fundamental for x in w))
+        gram = [[x * b[j][j] for j, x in enumerate(row)] for row in adj]
+        common = gcd(*(x for row in gram for x in row))
+        gram = tuple(tuple(x // common for x in row) for row in gram)
+
+        poset = _root_poset(cartan, positive, gram)
         units = [[int(i == j) for j in range(rank)] for i in range(rank)]  # w_i in labels
         pairings = tuple(zip(*[poset_pairings(poset, w) for w in units]))
         values = (
-            family, rank, cartan_matrix, positive_labels, gram, den,
-            fundamental_columns, simple_coroots,
+            family, rank, cartan, positive, gram, det // cut,
+            tuple(zip(*([x // cut for x in w] for w in fundamental))), coroots,
             poset,
             pairings,
             prod(poset_pairings(poset, (1,) * rank)),
-            _highest_coroot(positive_labels, pairings),
+            _highest_coroot(positive, pairings),
         )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
@@ -140,10 +213,6 @@ class RootSystem:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def _replace(self, **changes) -> RootSystem:
-        """A new root system with ``changes`` applied; the derived fields are derived afresh."""
-        return RootSystem(**{**{name: getattr(self, name) for name in _GIVEN}, **changes})
 
     def __repr__(self) -> str:  # keep reprs short; the full tuple dump is noise
         return f"RootSystem({self.family}{self.rank})"
@@ -311,94 +380,5 @@ def _simple_root_data(family: str, rank: int) -> tuple[list[Labels], list[Labels
 
 @lru_cache(maxsize=None, typed=True)
 def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system of type ``family``/``rank`` (an ``int`` up to MAX_RANK).
-
-    Construction runs in integers.  The ambient form is an integer matrix,
-    fixed up to a positive factor.  Applied to each simple root a_i, over the
-    root's one or two nonzero entries, it gives the covector (a_i, .); its
-    pairings with the simple roots give b = ((a_i, a_j)), the Cartan
-    matrix 2 b_ij / b_jj and the coroot covector 2 (a_i, .) / b_ii.  One
-    fraction-free Gauss-Jordan pass (Bareiss) turns C into det C and the
-    adjugate det C . C^-1.  The vectors det C . w_i are integer combinations
-    of the simple roots; ``den`` and ``fundamental_columns`` are det C and
-    them over their common divisor, and ``gram`` is adj C . D, D the
-    diagonal of b, over the gcd of its entries.  The positive roots are
-    the closure of the simple roots under the simple reflections, each of
-    which permutes the positive roots other than its own; they are ordered
-    by (height, ambient lexicographic).  Construction verifies that the
-    positive roots sum to 2 rho, which no input can fail while the closure
-    loop is right: for a Cartan matrix of finite type the closure is Phi+,
-    whose Dynkin labels sum to 2 in each coordinate (Humphreys, GTM 9,
-    10.2: s_i permutes Phi+ minus a_i, so s_i(2 rho) = 2 rho - 2 a_i); for one
-    not of finite type the closure never ends.  The check guards the loop.
-    """
-    if family not in _SUPPORTED or type(rank) is not int:
-        raise UnsupportedType(f"unsupported root system {family}{rank}")
-    top = 2 if family == "G" else MAX_RANK
-    if not _SUPPORTED[family] <= rank <= top:
-        need = "rank = 2" if family == "G" else f"{_SUPPORTED[family]} <= rank <= MAX_RANK = {top}"
-        raise UnsupportedType(f"unsupported root system {family}{rank}: type {family} needs {need}")
-
-    simple, base = _simple_root_data(family, rank)
-    support = [[(k, x) for k, x in enumerate(a) if x] for a in simple]
-
-    def combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]]) -> list[int]:
-        out = [0] * len(simple[0])
-        for c, v in zip(coeffs, vectors):
-            if c:
-                for k, x in v:
-                    out[k] += c * x
-        return out
-
-    rows = [[(m, g) for m, g in enumerate(row) if g] for row in base]
-    covectors = [combine(a, rows) for a in simple]  # (a_i, .), the form being symmetric
-    b = [[sum(x * cov[k] for k, x in sv) for sv in support] for cov in covectors]
-    cartan = tuple(tuple(2 * x // b[j][j] for j, x in enumerate(row)) for row in b)
-    coroots = tuple(tuple(2 * y // b[i][i] for y in cov) for i, cov in enumerate(covectors))
-
-    # positive roots as Dynkin labels -> simple-root coefficients
-    found = {cartan[i]: tuple(int(i == j) for j in range(rank)) for i in range(rank)}
-    queue = list(found)
-    for labels in queue:  # breadth first; the loop also visits what it appends
-        for i, c in enumerate(labels):
-            if c and labels != cartan[i]:
-                r = tuple(m - c * a for m, a in zip(labels, cartan[i]))
-                if r not in found:
-                    found[r] = tuple(k - c * (j == i) for j, k in enumerate(found[labels]))
-                    queue.append(r)
-
-    ambient = {r: tuple(combine(coeffs, support)) for r, coeffs in found.items()}
-    positive = sorted(found, key=lambda r: (sum(found[r]), ambient[r]))
-    if any(sum(col) != 2 for col in zip(*positive)):
-        raise InternalError(f"{family}{rank}: half-sum of positive roots disagrees with the "
-                            "sum of fundamental weights; root conventions are broken")
-
-    # fraction-free Gauss-Jordan (Bareiss) on [C | I]: by Sylvester's identity each division by
-    # the previous pivot is exact, and the pass ends at [det I | adj C].  No pivot search: the
-    # pivots are the leading principal minors of a finite-type Cartan matrix, all positive.
-    aug = [list(row) + [int(i == j) for j in range(rank)] for i, row in enumerate(cartan)]
-    det = 1
-    for k in range(rank):
-        pivot_row = aug[k]
-        pivot = pivot_row[k]
-        aug = [row if i == k else [(pivot * x - row[k] * y) // det for x, y in zip(row, pivot_row)]
-               for i, row in enumerate(aug)]
-        det = pivot
-    adj = [row[rank:] for row in aug]
-
-    # w_i = sum_j (C^-1)_ij a_j: det w_i = sum_j adj_ij a_j and (w_i, w_j) = adj_ij b_jj / (2 det)
-    fundamental = [combine(row, support) for row in adj]
-    cut = gcd(det, *(x for w in fundamental for x in w))
-    gram = [[x * b[j][j] for j, x in enumerate(row)] for row in adj]
-    common = gcd(*(x for row in gram for x in row))
-
-    return RootSystem(
-        family=family,
-        rank=rank,
-        cartan_matrix=cartan,
-        positive_labels=tuple(positive),
-        gram=tuple(tuple(x // common for x in row) for row in gram),
-        den=det // cut,
-        fundamental_columns=tuple(zip(*([x // cut for x in w] for w in fundamental))),
-        simple_coroots=coroots,
-    )
+    """The cached constructor: one ``RootSystem(family, rank)`` per type and rank."""
+    return RootSystem(family, rank)

@@ -35,7 +35,7 @@ from holoweitz.irreps import (
     weights,
 )
 from holoweitz.prover import prove_theorems
-from holoweitz.roots import build_root_system, to_fundamental, to_orthogonal
+from holoweitz.roots import RootSystem, build_root_system, to_fundamental, to_orthogonal
 from holoweitz.weitzenboeck import conformal_weights
 
 from helpers import ambient, character_product, restart_dominant, subset_sums
@@ -67,6 +67,10 @@ def straighten(rs, lam, char):
 
 def entries(deco: Decomposition):
     return [(irr.highest_weight, m) for irr, m in deco]
+
+
+def total_dimension(deco: Decomposition) -> int:
+    return sum(m * dimension(irr) for irr, m in deco)
 
 
 def test_g2_tensor_products_of_the_proposition_bundles():
@@ -141,7 +145,7 @@ def test_tensor_dimension_conservation_on_random_pairs():
             a = _random_small_irrep(rng, rs, 150)
             b = _random_small_irrep(rng, rs, 150)
             deco = tensor(a, b)
-            assert deco.total_dimension() == dimension(a) * dimension(b), (a, b)
+            assert total_dimension(deco) == dimension(a) * dimension(b), (a, b)
 
 
 def test_klimyk_is_symmetric_in_both_iteration_orders():
@@ -252,7 +256,7 @@ def test_exterior_power_binomial_dimensions():
     for ctx_id in ("g2", "spin7"):
         ctx = make_context(ctx_id)
         for p in range(ctx.n + 1):
-            assert exterior_power(ctx.holonomy_rep, p).total_dimension() == comb(ctx.n, p)
+            assert total_dimension(exterior_power(ctx.holonomy_rep, p)) == comb(ctx.n, p)
 
 
 def test_exterior_power_against_subset_sum_character():
@@ -330,7 +334,7 @@ def test_newton_keys_stay_apart_on_large_labels(where, hw, p):
     rs = build_root_system(*where)
     t, n = Irrep(rs, hw), dimension(Irrep(rs, hw))
     deco = exterior_power(t, p)
-    assert deco.total_dimension() == comb(n, p)
+    assert total_dimension(deco) == comb(n, p)
     # Hodge duality, and Lambda^p(T*) = Lambda^p(T)* from a Newton run of its own
     dual = {minus_dominant(rs, irr.highest_weight): m for irr, m in deco}
     assert dict(entries(exterior_power(t, n - p))) == dual
@@ -547,7 +551,7 @@ def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
         assert asked == [q * top + sum(rs.highest_coroot) for q in range(1, p + 1)]
 
     for family, rank in RULE_ALGEBRAS:
-        rs = build_root_system(family, rank)._replace()  # fresh: no cached answer is read
+        rs = RootSystem(family, rank)  # fresh: no cached answer is read
         irrs = [Irrep(rs, hw) for hw in product(range(4), repeat=rank) if sum(hw) <= 3]
         for irr in irrs:
             freudenthal(irr)
@@ -558,7 +562,7 @@ def test_every_key_the_kernels_visit_lies_within_its_codecs_bound(monkeypatch):
             if dimension(t) <= 40:
                 check_exterior(t, min(4, dimension(t) // 2))
     for family, rank, hw, other in RULE_LADDER:
-        rs = build_root_system(family, rank)._replace()
+        rs = RootSystem(family, rank)
         if other is None:
             freudenthal(Irrep(rs, hw))
         elif isinstance(other, int):
@@ -615,7 +619,7 @@ def test_cold_kernels_never_read_label_weights(monkeypatch):
 
     monkeypatch.setattr(irreps, "weights", refused)
     monkeypatch.setattr(roots, "orbit", refused)
-    rs = B3._replace()  # fresh: no cached answer or weight is read
+    rs = RootSystem("B", 3)  # fresh: no cached answer or weight is read
     got = cases(rs)
     assert [[(irr.highest_weight, m) for irr, m in deco] for deco in got] == [
         [(irr.highest_weight, m) for irr, m in deco] for deco in want]
@@ -627,7 +631,7 @@ def test_a_weight_walk_that_misses_the_dimension_raises(monkeypatch):
     real = decompose.dominant_multiplicities
     monkeypatch.setattr(decompose, "dominant_multiplicities",
                         lambda irr: dict.fromkeys(real(irr), 1))
-    rs = B3._replace()  # a fresh root system: no cached answer is read
+    rs = RootSystem("B", 3)  # a fresh root system: no cached answer is read
     adjoint = Irrep(rs, (0, 1, 0))
     with pytest.raises(InternalError, match="walked add up to dimension 19, expected 21"):
         tensor(Irrep(rs, (1, 1, 1)), adjoint)
@@ -684,7 +688,7 @@ def test_a_straightening_without_its_sign_fails_the_dimension_check(monkeypatch)
     # of an exterior power then add up to more than dim a * dim b or C(n, p)
     real = roots.dominant_key
     monkeypatch.setattr(roots, "dominant_key", lambda key, codec: (real(key, codec)[0], 1))
-    rs = B3._replace()  # a fresh root system: no cached answer is read
+    rs = RootSystem("B", 3)  # a fresh root system: no cached answer is read
     with pytest.raises(InternalError, match="add up to dimension 189, expected 147"):
         tensor(Irrep(rs, (1, 0, 0)), Irrep(rs, (0, 1, 0)))
     with pytest.raises(InternalError, match="add up to dimension 273, expected 147"):
@@ -729,7 +733,7 @@ def test_character_straightening_matches_tensor_on_t_squared():
     deco = straighten(G2, (0, 0), product.items())
     assert deco == tensor(T, T)
     assert entries(deco) == [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((2, 0), 1)]
-    assert deco.total_dimension() == 49
+    assert total_dimension(deco) == 49
 
 
 def test_character_straightening_recovers_random_sums_of_irreps():

@@ -24,7 +24,7 @@ from holoweitz.irreps import (
     weight_system,
     weights,
 )
-from holoweitz.roots import build_root_system, key_codec, orbit, to_orthogonal
+from holoweitz.roots import RootSystem, build_root_system, key_codec, orbit, to_orthogonal
 
 from helpers import (
     ambient,
@@ -91,7 +91,7 @@ def test_weight_system_answers_cannot_be_changed_by_a_caller():
     # tensor walks the orbits of its right factor's dominant multiplicities, cleared
     tensor.cache_clear()
     dominant_multiplicities.cache_clear()
-    assert tensor(Irrep(G2, (2, 0)), irr).total_dimension() == 189
+    assert sum(m * dimension(s) for s, m in tensor(Irrep(G2, (2, 0)), irr)) == 189
 
 
 def test_b3_spin_rep_weight_system():
@@ -358,7 +358,7 @@ def test_weights_whose_multiplicities_miss_the_weyl_dimension_raise(monkeypatch)
     # weight included: its orbits then hold 12 + 6 + 1 weights, not 21
     real = irreps.dominant_multiplicities
     monkeypatch.setattr(irreps, "dominant_multiplicities", lambda irr: dict.fromkeys(real(irr), 1))
-    rs = B3._replace()  # a fresh root system: no cached answer is read
+    rs = RootSystem("B", 3)  # a fresh root system: no cached answer is read
     with pytest.raises(InternalError, match="add up to dimension 19, expected 21"):
         weights(Irrep(rs, (0, 1, 0)))
     with pytest.raises(InternalError, match="expected 21"):
@@ -366,24 +366,12 @@ def test_weights_whose_multiplicities_miss_the_weyl_dimension_raise(monkeypatch)
 
 
 def test_a_weyl_dimension_that_is_not_an_integer_raises():
-    # (a_1, a_1) raised by 1 breaks the form's scale: the numerator's pairings along the
-    # root poset no longer divide by the Weyl denominator
-    gram = ((B3.gram[0][0] + 1, *B3.gram[0][1:]), *B3.gram[1:])
-    with pytest.raises(InternalError, match=r"is not an integer: 637009920/69672960$"):
-        dimension(Irrep(B3._replace(gram=gram), (1, 0, 0)))
-
-
-def test_form_scaled_copies_derive_their_own_fields():
-    # a _replace copy must not keep derived fields of the original
-    for rs, hw in ((B3, (2, 1, 1)), (G2, (3, 2))):
-        copy = rs._replace(gram=tuple(tuple(3 * x for x in row) for row in rs.gram))
-        simple, edges = rs.root_poset  # each (a_j, a_j)/2 triples, the edges stay
-        assert copy.root_poset == (tuple((j, 3 * d) for j, d in simple), edges)
-        assert copy.root_pairings == tuple(tuple(3 * x for x in row) for row in rs.root_pairings)
-        assert copy.weyl_denominator == 3 ** len(rs.positive_labels) * rs.weyl_denominator
-        irr, scaled = Irrep(rs, hw), Irrep(copy, hw)
-        assert dominant_multiplicities(scaled) == dominant_multiplicities(irr)
-        assert dimension(scaled) == dimension(irr)
+    # no built root system fails the check; a mutant with twice the Weyl denominator does:
+    # the numerator of V(1,0,0) is 7 times the true denominator, 7/2 times the mutant's
+    rs = RootSystem("B", 3)
+    object.__setattr__(rs, "weyl_denominator", 2 * B3.weyl_denominator)
+    with pytest.raises(InternalError, match=r"is not an integer: 165150720/47185920$"):
+        dimension(Irrep(rs, (1, 0, 0)))
 
 
 def test_casimir_lambda2_of_holonomy_rep_closed_form():
@@ -407,18 +395,21 @@ def test_spin7_lambda2_equals_base_casimir(ctx_id):
         assert casimir_lambda2(ctx, irr) == -ambient_casimir(amb, irr.highest_weight)
 
 
-def test_casimir_lambda2_invariant_under_form_scaling():
+def test_casimir_lambda2_invariant_under_form_scaling(form_scaled):
     # scale the form by c: gram in the package, base_form in the oracle, where
     # c_lam = c_T C(lam) / C(T); the value must not move
     g2, amb = make_context("g2"), ambient("G", 2)
     for c in (2, 3, 5):
         scaled = replace(amb, base_form=tuple(tuple(c * x for x in row) for row in amb.base_form))
         c_t = casimir_lambda2(g2, g2.holonomy_rep) / ambient_casimir(scaled, (1, 0))
-        rs = G2._replace(gram=tuple(tuple(c * x for x in row) for row in G2.gram))
+        rs = form_scaled("G", 2, c)
         ctx = HolonomyContext(f"g2-gram-{c}", Irrep(rs, (1, 0)), ricci_flat=False)
-        for hw in G2_TABLE:
+        for hw in G2_TABLE + [(3, 2)]:
             want = casimir_lambda2(g2, Irrep(G2, hw))
             assert casimir_lambda2(ctx, Irrep(rs, hw)) == want == c_t * ambient_casimir(scaled, hw)
+            irr, mutant = Irrep(G2, hw), Irrep(rs, hw)  # nor do multiplicities and dimensions
+            assert dominant_multiplicities(mutant) == dominant_multiplicities(irr)
+            assert dimension(mutant) == dimension(irr)
 
 
 def test_casimir_lambda2_rejects_an_irrep_of_another_root_system():

@@ -8,8 +8,8 @@ import pytest
 
 from holoweitz.contexts import HolonomyContext, form_space, make_context
 from holoweitz.decompose import Decomposition, exterior_power
-from holoweitz.irreps import Irrep
-from holoweitz.roots import build_root_system
+from holoweitz.irreps import Irrep, dimension
+from holoweitz.roots import RootSystem, build_root_system
 from holoweitz.weitzenboeck import conformal_weights
 
 B3 = build_root_system("B", 3)
@@ -17,10 +17,10 @@ G2 = build_root_system("G", 2)
 
 
 def test_root_systems_compare_and_hash_by_identity():
-    copy = B3._replace()
-    assert copy is not B3 and copy != B3 and B3 == B3
-    assert copy.gram == B3.gram and copy.root_pairings == B3.root_pairings
-    assert hash(B3) == object.__hash__(B3) and len({B3, copy, B3}) == 2
+    fresh = RootSystem("B", 3)
+    assert fresh is not B3 and fresh != B3 and B3 == B3
+    assert fresh.gram == B3.gram and fresh.root_pairings == B3.root_pairings
+    assert hash(B3) == object.__hash__(B3) and len({B3, fresh, B3}) == 2
 
 
 def test_contexts_compare_and_hash_by_identity():
@@ -34,16 +34,25 @@ def test_contexts_compare_and_hash_by_identity():
     assert form_space(vector, 2) != form_space(ctx, 2)
 
 
-def test_root_system_replace_takes_only_constructor_fields():
-    derived = ("root_poset", "root_pairings", "weyl_denominator", "highest_coroot")
-    # the ambient fields of a Fraction model are gone, and so are the Dynkin neighbours
-    # that the label-tuple orbit walk read
-    removed = ("simple_roots", "fundamental_weights", "positive_roots", "base_form", "rho", "dim",
-               "neighbours")
-    for bad in [{name: ()} for name in derived + removed] + [{"no_such_field": 1}]:
+def test_a_root_system_is_built_only_from_its_type_and_rank():
+    assert RootSystem.__slots__ == (
+        "family", "rank", "cartan_matrix", "positive_labels", "gram", "den",
+        "fundamental_columns", "simple_coroots",
+        "root_poset", "root_pairings", "weyl_denominator", "highest_coroot")
+    assert not hasattr(B3, "_replace") and not hasattr(B3, "__dict__")
+    for name in RootSystem.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(B3, name, None)
+        with pytest.raises(AttributeError):
+            delattr(B3, name)
+    # no field can be given: an identity gram once answered dim V(1,0,0) = 6 on B3, not 7
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(TypeError):
+        RootSystem("B", 3, identity)
+    for name in RootSystem.__slots__[2:] + ("no_such_field",):
         with pytest.raises(TypeError):
-            B3._replace(**bad)
-    assert not any(hasattr(B3, name) for name in removed)
+            RootSystem("B", 3, **{name: identity})
+    assert RootSystem(family="B", rank=3).gram == B3.gram
 
 
 def test_irreps_compare_and_hash_by_root_system_and_weight():
@@ -92,4 +101,4 @@ def test_decomposition_is_a_tuple_of_its_entries():
     assert [(irr.highest_weight, m) for irr, m in deco] == [((1, 0), 1), ((0, 1), 1)]
     assert Decomposition(tuple(deco)) == deco
     assert deco.irreps() == (Irrep(G2, (1, 0)), Irrep(G2, (0, 1)))
-    assert deco.total_dimension() == 21
+    assert sum(m * dimension(s) for s, m in deco) == 21

@@ -17,6 +17,7 @@ from holoweitz.errors import DimensionMismatch, InternalError, UnsupportedType
 from holoweitz.irreps import Irrep, adjoint_irrep, dimension
 from holoweitz.roots import (
     MAX_RANK,
+    RootSystem,
     build_root_system,
     dominant_key,
     dot,
@@ -89,8 +90,16 @@ def test_a1_single_positive_root():
 def test_root_systems_compare_by_identity():
     b3 = build_root_system("B", 3)
     assert build_root_system("B", 3) is b3
-    # a copy is another root system, so irreps on it are other irreps
-    assert Irrep(b3._replace(), (1, 0, 0)) != Irrep(b3, (1, 0, 0))
+    # a fresh instance is another root system, so irreps on it are other irreps
+    assert Irrep(RootSystem("B", 3), (1, 0, 0)) != Irrep(b3, (1, 0, 0))
+
+
+@pytest.mark.parametrize("family,rank", POSET_TYPES, ids=[f"{f}{r}" for f, r in POSET_TYPES])
+def test_the_constructor_builds_what_the_cache_holds(family, rank):
+    fresh, cached = RootSystem(family, rank), build_root_system(family, rank)
+    assert fresh is not cached
+    for name in RootSystem.__slots__:
+        assert getattr(fresh, name) == getattr(cached, name), name
 
 
 def test_unsupported_types_rejected():
@@ -100,6 +109,9 @@ def test_unsupported_types_rejected():
     for fam, rank in bad:
         with pytest.raises(UnsupportedType):
             build_root_system(fam, rank)
+    for fam, rank in [("B", True), ("E", 6), ("G", 3), ("A", MAX_RANK + 1)]:
+        with pytest.raises(UnsupportedType):
+            RootSystem(fam, rank)
     assert type(build_root_system("A", 1).rank) is int
     # a rank out of range names the family's range, cap included, not just the type
     limits = [
@@ -209,14 +221,14 @@ def test_no_field_holds_a_fraction():
         assert not any(held.values()), (family, rank, held)
 
 
-def test_dot_is_the_ambient_form_up_to_one_factor():
+def test_dot_is_the_ambient_form_up_to_one_factor(form_scaled):
     # dot runs on labels and the integer gram; the ambient route evaluates the oracle's base_form
     systems = [build_root_system(f, r) for f in "ABCD" for r in range(1, 9) if r >= MIN_RANK[f]]
     systems.append(build_root_system("G", 2))
     pairs = [(rs, ambient(rs.family, rs.rank)) for rs in systems]
-    b3, amb = build_root_system("B", 3), ambient("B", 3)
+    amb = ambient("B", 3)
     tripled = replace(amb, base_form=tuple(tuple(3 * x for x in row) for row in amb.base_form))
-    pairs.append((b3._replace(gram=tuple(tuple(3 * x for x in row) for row in b3.gram)), tripled))
+    pairs.append((form_scaled("B", 3, 3), tripled))
     rng = random.Random(1515)
     for rs, amb in pairs:
         factor = form_factor(rs, amb)
@@ -379,7 +391,7 @@ def test_a_codec_too_narrow_for_its_labels_ends_in_internal_error(monkeypatch):
         irreps._walk(key, codec, {})
     # a kernel codec half as wide as it must be: A1 (3) x (2) wraps its keys as well.  The
     # weights of (2) are read first, so only the tensor product's codec is narrowed
-    a1 = build_root_system("A", 1)._replace()  # a fresh root system: no cached answer is read
+    a1 = RootSystem("A", 1)  # a fresh root system: no cached answer is read
     irreps.weights(Irrep(a1, (2,)))
     real = key_codec
     monkeypatch.setattr(roots, "key_codec", lambda rs, bound: real(rs, bound // 2))
